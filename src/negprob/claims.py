@@ -14,11 +14,15 @@ limit (C4-C6)
     evaluated over a log-spaced grid of n inside the configured range.
 maximizer (C7-C9)
     A negated measure is claimed to peak exactly at the uniform input.
-    Deterministic probes (uniform itself plus pair perturbations
-    uniform +/- eps*(e_i - e_j) at eps in {1e-3, 1e-2}, clipped to the
-    simplex) run before the random trials; each random trial also
-    contributes a mild perturbation of uniform blended toward the sample,
-    because boundary structure is easy to miss by sampling alone.
+    Deterministic probes run before the random trials: uniform itself,
+    then one pair perturbation uniform + eps*(e_0 - e_1) for each eps in
+    {1e-3, 1e-2} that fits inside the simplex (1/(2n) when neither does).
+    One pair stands for all pairs: every uniform + eps*(e_i - e_j) is a
+    permutation of the (0, 1) probe, the measures are symmetric, and
+    ``math.fsum`` is exactly rounded, so every pair at a given eps has the
+    same value bit for bit. Each random trial also contributes a mild
+    perturbation of uniform blended toward the sample, because boundary
+    structure is easy to miss by sampling alone.
 
 Verdicts report what the formulas actually do. With default settings C1,
 C4, C5 and C7 come out CONFIRMED while C2, C3, C6, C8 and C9 come out
@@ -30,17 +34,17 @@ whose quantified scope is empty under the requested n range; no default
 configuration produces it.
 
 Reproducibility: a report is a pure function of (seed, trials, n_range,
-tolerance). Trials are independent, may be split across workers, and are
-aggregated order-independently; the counterexample reported is always the
-violation with the smallest evaluation index (fixtures, then probes, then
-trials by trial index).
+tolerance). Each trial draws from its own stream keyed by (seed, n, t).
+Points are evaluated in one sequential pass, in a fixed order: fixtures,
+then probes by n, then trials by trial index. The reported counterexample
+is the first violation in that order, and a maximizer's reported peak is
+the first point that attains the largest excess.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
 
@@ -67,10 +71,6 @@ REFUTATION_FIXTURE = (0.4, 0.3, 0.2, 0.1)
 # Blend weight pulling a random sample toward uniform for the extra
 # near-uniform point each maximizer trial contributes.
 _NEAR_UNIFORM_WEIGHT = 0.01
-
-# All-pairs probing is quadratic in n; above this size a ring of adjacent
-# pairs keeps the probe deterministic without exploding.
-_ALL_PAIRS_LIMIT = 64
 
 
 class UnknownClaim(ValueError):
@@ -237,12 +237,10 @@ def check_claim(
     trials: int = 1000,
     n_range: tuple[int, int] = (2, 8),
     tolerance: float = 1e-9,
-    workers: int = 1,
 ) -> ClaimReport:
     """Render a verdict for one claim.
 
-    The result depends only on (seed, trials, n_range, tolerance); the
-    worker count changes the execution plan, never the report.
+    The result depends only on (seed, trials, n_range, tolerance).
     """
     claim = claim_by_id(claim_id)
     n_min, n_max = int(n_range[0]), int(n_range[1])
@@ -254,12 +252,10 @@ def check_claim(
         raise ValueError(f"trials = {trials!r} must be positive")
     if not tolerance > 0.0:
         raise ValueError(f"tolerance = {tolerance!r} must be > 0")
-    if workers < 1:
-        raise ValueError(f"workers = {workers!r} must be positive")
     if claim.kind == "inequality":
-        return _check_inequality(claim, seed, trials, n_min, n_max, tolerance, workers)
+        return _check_inequality(claim, seed, trials, n_min, n_max, tolerance)
     if claim.kind == "maximizer":
-        return _check_maximizer(claim, seed, trials, n_min, n_max, tolerance, workers)
+        return _check_maximizer(claim, seed, trials, n_min, n_max, tolerance)
     return _check_limit(claim, seed, n_min, n_max, tolerance)
 
 
@@ -269,7 +265,6 @@ def check_all(
     trials: int = 1000,
     n_range: tuple[int, int] = (2, 8),
     tolerance: float = 1e-9,
-    workers: int = 1,
     claim_ids=None,
 ) -> list[ClaimReport]:
     """Reports for every registered claim (or the requested subset), always
@@ -286,7 +281,6 @@ def check_all(
             trials=trials,
             n_range=n_range,
             tolerance=tolerance,
-            workers=workers,
         )
         for c in selected
     ]
@@ -300,110 +294,74 @@ def _trial_outcome_count(t: int, n_min: int, n_max: int) -> int:
     return n_min + t % (n_max - n_min + 1)
 
 
-def _chunk_bounds(total: int, workers: int) -> list[tuple[int, int]]:
-    return [
-        (i * total // workers, (i + 1) * total // workers) for i in range(workers)
-    ]
+def _report(claim, seed, trials_run, tolerance, counterexample, observed):
+    return ClaimReport(
+        claim_id=claim.id,
+        verdict=REFUTED if counterexample is not None else CONFIRMED,
+        trials_run=trials_run,
+        seed=seed,
+        tolerance=tolerance,
+        counterexample=counterexample,
+        observed=observed,
+    )
 
 
-def _run_chunks(fn, total: int, workers: int) -> list:
-    bounds = _chunk_bounds(total, workers)
-    if workers == 1:
-        return [fn(lo, hi) for lo, hi in bounds]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda b: fn(*b), bounds))
-
-
-def _check_inequality(claim, seed, trials, n_min, n_max, tolerance, workers):
+def _check_inequality(claim, seed, trials, n_min, n_max, tolerance):
     measure = _INEQUALITY_MEASURE[claim.id]
     is_c1 = claim.id == "C1"
+    counterexample = None  # the first violation wins
 
-    best: tuple | None = None  # (order_key, Counterexample), smallest key wins
-
-    def consider(candidate):
-        nonlocal best
-        if candidate is not None and (best is None or candidate[0] < best[0]):
-            best = candidate
-
-    for f_idx, probs in enumerate(_INEQUALITY_FIXTURES.get(claim.id, ())):
+    for probs in _INEQUALITY_FIXTURES.get(claim.id, ()):
         if n_min <= len(probs) <= n_max:
             p = make_distribution(probs)
             lhs = measure(negate(p))
             rhs = measure(p)
-            if lhs < rhs - tolerance:
-                consider(((0, f_idx), Counterexample(p.probs, lhs, rhs, rhs - lhs)))
+            if lhs < rhs - tolerance and counterexample is None:
+                counterexample = Counterexample(p.probs, lhs, rhs, rhs - lhs)
 
-    def eval_range(lo, hi):
-        chunk_best = None
-        min_margin = math.inf
-        maj_failures = 0
-        reversed_count = 0
-        reversed_denom = 0
-        for t in range(lo, hi):
-            n = _trial_outcome_count(t, n_min, n_max)
-            p = sample_uniform_simplex(SimplexSamplerConfig(seed, n, trials), t)
-            negated = negate(p)
-            lhs = measure(negated)
-            rhs = measure(p)
-            min_margin = min(min_margin, lhs - rhs)
-            violated = lhs < rhs - tolerance
-            if is_c1 and not majorizes(p, negated):
-                maj_failures += 1
-                violated = True
-            if n >= 3:
-                reversed_denom += 1
-                if lhs <= rhs:
-                    reversed_count += 1
-            if violated and chunk_best is None:
-                chunk_best = ((2, t), Counterexample(p.probs, lhs, rhs, rhs - lhs))
-        return chunk_best, min_margin, maj_failures, reversed_count, reversed_denom
-
-    results = _run_chunks(eval_range, trials, workers)
     min_margin = math.inf
     maj_failures = 0
     reversed_count = 0
     reversed_denom = 0
-    for chunk_best, m, mf, rc, rd in results:
-        consider(chunk_best)
-        min_margin = min(min_margin, m)
-        maj_failures += mf
-        reversed_count += rc
-        reversed_denom += rd
+    for t in range(trials):
+        n = _trial_outcome_count(t, n_min, n_max)
+        p = sample_uniform_simplex(SimplexSamplerConfig(seed, n, trials), t)
+        negated = negate(p)
+        lhs = measure(negated)
+        rhs = measure(p)
+        min_margin = min(min_margin, lhs - rhs)
+        violated = lhs < rhs - tolerance
+        if is_c1 and not majorizes(p, negated):
+            maj_failures += 1
+            violated = True
+        if n >= 3:
+            reversed_denom += 1
+            if lhs <= rhs:
+                reversed_count += 1
+        if violated and counterexample is None:
+            counterexample = Counterexample(p.probs, lhs, rhs, rhs - lhs)
 
     observed: dict = {"min_margin": min_margin}
     if is_c1:
         observed["majorization_failures"] = maj_failures
     elif reversed_denom > 0:
         observed["reversal_fraction"] = reversed_count / reversed_denom
-
-    return ClaimReport(
-        claim_id=claim.id,
-        verdict=REFUTED if best is not None else CONFIRMED,
-        trials_run=trials,
-        seed=seed,
-        tolerance=tolerance,
-        counterexample=best[1] if best is not None else None,
-        observed=observed,
-    )
+    return _report(claim, seed, trials, tolerance, counterexample, observed)
 
 
 def _probe_points(n: int) -> list[Distribution]:
-    """Uniform plus its pairwise perturbations, in a fixed order."""
+    """Uniform, then uniform + eps*(e_0 - e_1) for each probe eps.
+
+    The (0, 1) pair stands for every pair (i, j): see the module docstring.
+    """
     u = uniform(n)
     points = [u]
     base = u.probs[0]
-    eps_values = [e for e in (1e-3, 1e-2) if e <= base] or [base / 2.0]
-    if n <= _ALL_PAIRS_LIMIT:
-        pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
-    else:
-        ring = [(i, (i + 1) % n) for i in range(n)]
-        pairs = ring + [(j, i) for i, j in ring]
-    for eps in eps_values:
-        for i, j in pairs:
-            vals = list(u.probs)
-            vals[i] += eps
-            vals[j] -= eps
-            points.append(make_distribution(vals, renormalize=True))
+    for eps in [e for e in (1e-3, 1e-2) if e <= base] or [base / 2.0]:
+        vals = list(u.probs)
+        vals[0] += eps
+        vals[1] -= eps
+        points.append(make_distribution(vals, renormalize=True))
     return points
 
 
@@ -416,6 +374,18 @@ def _near_uniform(x: Distribution) -> Distribution:
     )
 
 
+def _maximizer_points(seed, trials, n_min, n_max):
+    """Every point a maximizer claim evaluates, in evaluation order: the
+    probes for each n, then each trial's sample and its near-uniform blend."""
+    for n in range(n_min, n_max + 1):
+        yield from _probe_points(n)
+    for t in range(trials):
+        n = _trial_outcome_count(t, n_min, n_max)
+        x = sample_uniform_simplex(SimplexSamplerConfig(seed, n, trials), t)
+        yield x
+        yield _near_uniform(x)
+
+
 def _maximizer_bound(claim_id: str, n: int) -> float:
     if claim_id == "C7":
         return math.log(n)
@@ -423,78 +393,27 @@ def _maximizer_bound(claim_id: str, n: int) -> float:
     return measure(negate(uniform(n)))
 
 
-def _check_maximizer(claim, seed, trials, n_min, n_max, tolerance, workers):
+def _check_maximizer(claim, seed, trials, n_min, n_max, tolerance):
     measure = _MAXIMIZER_MEASURE[claim.id]
     bounds = {n: _maximizer_bound(claim.id, n) for n in range(n_min, n_max + 1)}
+    counterexample = None  # the first violation wins
+    peak = None  # (excess, value, probs); the first strict maximum wins
 
-    best: tuple | None = None
-    peak: tuple | None = None  # (excess, order_key, value, probs); max excess wins
-
-    def consider_violation(candidate):
-        nonlocal best
-        if candidate is not None and (best is None or candidate[0] < best[0]):
-            best = candidate
-
-    def consider_peak(candidate):
-        nonlocal peak
-        if candidate is None:
-            return
-        if (
-            peak is None
-            or candidate[0] > peak[0]
-            or (candidate[0] == peak[0] and candidate[1] < peak[1])
-        ):
-            peak = candidate
-
-    for n in range(n_min, n_max + 1):
-        bound = bounds[n]
-        for probe_idx, q in enumerate(_probe_points(n)):
-            value = measure(negate(q))
-            excess = value - bound
-            key = (1, n, probe_idx)
-            consider_peak((excess, key, value, q.probs))
-            if excess > tolerance:
-                consider_violation((key, Counterexample(q.probs, value, bound, excess)))
-
-    def eval_range(lo, hi):
-        chunk_best = None
-        chunk_peak = None
-        for t in range(lo, hi):
-            n = _trial_outcome_count(t, n_min, n_max)
-            bound = bounds[n]
-            x = sample_uniform_simplex(SimplexSamplerConfig(seed, n, trials), t)
-            for sub, q in ((0, x), (1, _near_uniform(x))):
-                value = measure(negate(q))
-                excess = value - bound
-                key = (2, t, sub)
-                if (
-                    chunk_peak is None
-                    or excess > chunk_peak[0]
-                    or (excess == chunk_peak[0] and key < chunk_peak[1])
-                ):
-                    chunk_peak = (excess, key, value, q.probs)
-                if excess > tolerance and chunk_best is None:
-                    chunk_best = (key, Counterexample(q.probs, value, bound, excess))
-        return chunk_best, chunk_peak
-
-    for chunk_best, chunk_peak in _run_chunks(eval_range, trials, workers):
-        consider_violation(chunk_best)
-        consider_peak(chunk_peak)
+    for q in _maximizer_points(seed, trials, n_min, n_max):
+        bound = bounds[q.n]
+        value = measure(negate(q))
+        excess = value - bound
+        if peak is None or excess > peak[0]:
+            peak = (excess, value, q.probs)
+        if excess > tolerance and counterexample is None:
+            counterexample = Counterexample(q.probs, value, bound, excess)
 
     observed = {
         "max_excess": peak[0],
-        "argmax_value": peak[2],
-        "argmax_p": list(peak[3]),
+        "argmax_value": peak[1],
+        "argmax_p": list(peak[2]),
     }
-    return ClaimReport(
-        claim_id=claim.id,
-        verdict=REFUTED if best is not None else CONFIRMED,
-        trials_run=trials,
-        seed=seed,
-        tolerance=tolerance,
-        counterexample=best[1] if best is not None else None,
-        observed=observed,
-    )
+    return _report(claim, seed, trials, tolerance, counterexample, observed)
 
 
 def _limit_grid(n_min: int, n_max: int) -> list[int]:
@@ -541,12 +460,5 @@ def _check_limit(claim, seed, n_min, n_max, tolerance):
                 )
                 break
 
-    return ClaimReport(
-        claim_id=claim.id,
-        verdict=REFUTED if counterexample is not None else CONFIRMED,
-        trials_run=len(grid),
-        seed=seed,
-        tolerance=tolerance,
-        counterexample=counterexample,
-        observed={"n_grid": grid, "values": values},
-    )
+    observed = {"n_grid": grid, "values": values}
+    return _report(claim, seed, len(grid), tolerance, counterexample, observed)

@@ -27,11 +27,19 @@ import sys
 from dataclasses import dataclass
 
 from .claims import UnknownClaim, check_all, reports_to_json
-from .measures import entropy, measure_all, uniform_varextropy, varentropy, varextropy
+from .measures import (
+    MeasureSet,
+    entropy,
+    measure_all,
+    uniform_varextropy,
+    varentropy,
+    varextropy,
+)
 from .negation import (
     DEFAULT_MAX_STEPS,
     DEFAULT_TOLERANCE,
     NegationTrace,
+    TraceStep,
     negate,
     negate_k,
     trace_negation,
@@ -64,9 +72,13 @@ def parse_probs(text: str) -> list[float]:
             vals = json.loads(text)
         except json.JSONDecodeError as exc:
             raise NotADistribution(f"could not parse {text!r} as JSON: {exc}") from None
-        if not isinstance(vals, list):
-            raise NotADistribution(f"expected a JSON array, got {text!r}")
-        return [float(v) for v in vals]
+        # bool is a subclass of int; type() keeps true/false out.
+        if not isinstance(vals, list) or not all(type(v) in (int, float) for v in vals):
+            raise NotADistribution(f"expected a JSON array of numbers, got {text!r}")
+        try:
+            return [float(v) for v in vals]
+        except OverflowError:
+            raise NotADistribution(f"an entry of {text!r} is out of float range") from None
     out = []
     for tok in text.split(","):
         try:
@@ -160,24 +172,23 @@ def _print_sweep(rows: list[SweepRow], x_name: str, fmt: str, log_base: str) -> 
     print("\n".join(lines))
 
 
-def _trace_lines(trace: NegationTrace, fmt: str, log_base: str) -> str:
+def _rescale_trace(trace: NegationTrace, log_base: str) -> NegationTrace:
+    steps = tuple(
+        TraceStep(s.k, s.dist, MeasureSet(**_rescale(s.measures.as_dict(), log_base)))
+        for s in trace.steps
+    )
+    return NegationTrace(steps, trace.converged_at, trace.tolerance)
+
+
+def _trace_lines(trace: NegationTrace, fmt: str) -> str:
     if fmt == "json":
-        if log_base == "e":
-            return trace.to_json_lines()
-        lines = []
-        for step in trace.steps:
-            obj: dict = {"k": step.k, "p": list(step.dist.probs)}
-            obj.update(_rescale(step.measures.as_dict(), log_base))
-            lines.append(json.dumps(obj, separators=(",", ":")))
-        summary = {"converged_at": trace.converged_at, "tolerance": trace.tolerance}
-        lines.append(json.dumps(summary, separators=(",", ":")))
-        return "\n".join(lines)
+        return trace.to_json_lines()
     n = trace.steps[0].dist.n
     names = ["H", "H1", "J", "VH", "VJ"]
     header = ["k"] + names + [f"p_{i + 1}" for i in range(n)]
     lines = [",".join(header)]
     for step in trace.steps:
-        cols = _rescale(step.measures.as_dict(), log_base)
+        cols = step.measures.as_dict()
         row = [_fmt(step.k)]
         row += [_fmt(cols[name]) for name in names]
         row += [_fmt(p) for p in step.dist.probs]
@@ -211,7 +222,7 @@ def cmd_negate(args) -> int:
 
 def cmd_iterate(args) -> int:
     trace = trace_negation(_parse_dist(args), max_steps=args.steps, tolerance=args.tol)
-    print(_trace_lines(trace, args.format, args.log_base))
+    print(_trace_lines(_rescale_trace(trace, args.log_base), args.format))
     return 0
 
 

@@ -10,7 +10,7 @@ divides by n - 1.
 Sampling is flat-Dirichlet (uniform over the simplex) via normalized
 unit-exponential draws. Each trial's random stream is derived from
 (seed, n, trial_index) alone, so a given trial yields the same sample no
-matter in which order, or on how many workers, trials are evaluated.
+matter in which order trials are evaluated.
 """
 
 from __future__ import annotations
@@ -119,7 +119,7 @@ def uniform(n: int) -> Distribution:
 class SimplexSamplerConfig:
     """Reproducible sampling plan: a seed, an outcome count, and a trial
     budget. Identical (seed, n, trial_index) always yields the identical
-    sample regardless of evaluation order or worker count.
+    sample regardless of evaluation order.
     """
 
     seed: int

@@ -190,8 +190,6 @@ def test_criterion_09b_uniform_varextropy_magnitude_decay():
 
 def test_criterion_10_check_reports_are_deterministic():
     kwargs = dict(seed=12, trials=300, n_range=(2, 8), tolerance=1e-9)
-    serial = reports_to_json(check_all(**kwargs, workers=1))
-    rerun = reports_to_json(check_all(**kwargs, workers=1))
+    serial = reports_to_json(check_all(**kwargs))
+    rerun = reports_to_json(check_all(**kwargs))
     assert rerun == serial
-    for workers in (2, 5):
-        assert reports_to_json(check_all(**kwargs, workers=workers)) == serial

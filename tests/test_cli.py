@@ -4,6 +4,7 @@ import math
 import pytest
 
 from negprob import (
+    NotADistribution,
     make_distribution,
     measure_all,
     negate_k,
@@ -31,6 +32,20 @@ class TestParseProbs:
     def test_bad_token_is_named(self):
         with pytest.raises(Exception, match="abc"):
             parse_probs("0.5,abc")
+
+    @pytest.mark.parametrize("text", [
+        "[[1],[2]]",
+        "[0.5,null]",
+        "[true,false]",
+        '["0.5","0.5"]',
+        "[1" + "0" * 400 + ",0]",
+    ], ids=["nested", "null", "bool", "string", "int-beyond-float"])
+    def test_json_entries_must_be_numbers(self, capsys, text):
+        with pytest.raises(NotADistribution):
+            parse_probs(text)
+        code, out, err = run_cli(capsys, "measure", "-p", text)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ")
 
 
 class TestMeasureCommand:
@@ -128,6 +143,21 @@ class TestIterateCommand:
         trace = trace_negation(make_distribution([0.6, 0.3, 0.1]),
                                max_steps=4, tolerance=1e-9)
         assert out.rstrip("\n") == trace.to_json_lines()
+
+    def test_log_base_two_rescales_each_step(self, capsys):
+        _, out, _ = run_cli(capsys, "iterate", "-p", "0.6,0.3,0.1", "-k", "2",
+                            "--tol", "1e-12", "--log-base", "2")
+        trace = trace_negation(make_distribution([0.6, 0.3, 0.1]),
+                               max_steps=2, tolerance=1e-12)
+        lines = out.splitlines()
+        assert len(lines) == len(trace.steps) + 1
+        for line, step in zip(lines, trace.steps):
+            m = step.measures
+            want = {"k": step.k, "p": list(step.dist.probs), "H": m.H / LN2,
+                    "H1": m.H1, "J": m.J / LN2, "VH": m.VH / (LN2 * LN2),
+                    "VJ": m.VJ / (LN2 * LN2)}
+            assert line == json.dumps(want, separators=(",", ":"))
+        assert lines[-1] == '{"converged_at":null,"tolerance":1e-12}'
 
     def test_one_step_from_negated_three_outcome(self, capsys):
         _, out, _ = run_cli(capsys, "iterate", "-p", "0.2,0.35,0.45",

@@ -18,9 +18,9 @@ DATA = Path(__file__).parent / "data"
 CONFIGS = {
     "default": [],
     "seed42_n2-30": ["--seed", "42", "--trials", "100", "--n-min", "2", "--n-max", "30"],
+    "seed3_n2-16": ["--seed", "3", "--trials", "200", "--n-min", "2", "--n-max", "16"],
     # Wide n, and n near 1000, where 1/n falls below the 1e-3 probe step.
     "seed7_n60-70": ["--seed", "7", "--trials", "20", "--n-min", "60", "--n-max", "70"],
-    "seed3_n2-16": ["--seed", "3", "--trials", "200", "--n-min", "2", "--n-max", "16"],
     "seed11_n999-1002": ["--seed", "11", "--trials", "3",
                          "--n-min", "999", "--n-max", "1002"],
 }
