@@ -34,11 +34,16 @@ whose quantified scope is empty under the requested n range; no default
 configuration produces it.
 
 Reproducibility: a report is a pure function of (seed, trials, n_range,
-tolerance). Each trial draws from its own stream keyed by (seed, n, t).
-Points are evaluated in one sequential pass, in a fixed order: fixtures,
-then probes by n, then trials by trial index. The reported counterexample
-is the first violation in that order, and a maximizer's reported peak is
-the first point that attains the largest excess.
+tolerance), whichever other claims are selected beside it. Each trial
+draws from its own stream keyed by (seed, n, t). ``check_all`` makes one
+sequential pass over the trials: each trial is drawn, negated and
+measured once, and those values feed every selected claim;
+``check_claim`` is the same pass with one claim selected. Sharing changes
+no bits, because ``measure_all`` agrees bit for bit with the scalar
+measures. Within a claim the order is fixed: fixtures, then probes by n,
+then trials by trial index. The reported counterexample is the first
+violation in that order, and a maximizer's reported peak is the first
+point that attains the largest excess.
 """
 
 from __future__ import annotations
@@ -46,9 +51,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Callable
 
-from .measures import entropy, varentropy, varextropy
+from .measures import entropy, measure_all, varentropy, varextropy
 from .negation import negate
 from .simplex import (
     Distribution,
@@ -144,21 +148,19 @@ CLAIMS: tuple[Claim, ...] = (
 
 _CLAIMS_BY_ID = {c.id: c for c in CLAIMS}
 
-_INEQUALITY_MEASURE: dict[str, Callable[[Distribution], float]] = {
-    "C1": entropy,
-    "C2": varentropy,
-    "C3": varextropy,
+# The MeasureSet field each claim is about.
+_MEASURE_FIELD = {
+    "C1": "H", "C2": "VH", "C3": "VJ",
+    "C4": "H", "C5": "VH", "C6": "VJ",
+    "C7": "H", "C8": "VH", "C9": "VJ",
 }
+
+# The scalar measure behind each field, bitwise equal to measure_all's.
+_SCALAR_MEASURE = {"H": entropy, "VH": varentropy, "VJ": varextropy}
 
 _INEQUALITY_FIXTURES: dict[str, tuple[tuple[float, ...], ...]] = {
     "C2": (REFUTATION_FIXTURE,),
     "C3": (REFUTATION_FIXTURE,),
-}
-
-_MAXIMIZER_MEASURE: dict[str, Callable[[Distribution], float]] = {
-    "C7": entropy,
-    "C8": varentropy,
-    "C9": varextropy,
 }
 
 
@@ -240,23 +242,11 @@ def check_claim(
 ) -> ClaimReport:
     """Render a verdict for one claim.
 
-    The result depends only on (seed, trials, n_range, tolerance).
+    The result depends only on (seed, trials, n_range, tolerance), and it
+    equals that claim's report from ``check_all``.
     """
     claim = claim_by_id(claim_id)
-    n_min, n_max = int(n_range[0]), int(n_range[1])
-    if not (2 <= n_min <= n_max <= MAX_OUTCOMES):
-        raise ValueError(
-            f"n_range = {n_range!r} must satisfy 2 <= n_min <= n_max <= {MAX_OUTCOMES}"
-        )
-    if trials < 1:
-        raise ValueError(f"trials = {trials!r} must be positive")
-    if not tolerance > 0.0:
-        raise ValueError(f"tolerance = {tolerance!r} must be > 0")
-    if claim.kind == "inequality":
-        return _check_inequality(claim, seed, trials, n_min, n_max, tolerance)
-    if claim.kind == "maximizer":
-        return _check_maximizer(claim, seed, trials, n_min, n_max, tolerance)
-    return _check_limit(claim, seed, n_min, n_max, tolerance)
+    return _run((claim,), seed, trials, n_range, tolerance)[0]
 
 
 def check_all(
@@ -268,30 +258,32 @@ def check_all(
     claim_ids=None,
 ) -> list[ClaimReport]:
     """Reports for every registered claim (or the requested subset), always
-    in registry order."""
+    in registry order, from one shared pass over the trials."""
     if claim_ids is None:
         selected = CLAIMS
     else:
         wanted = {claim_by_id(cid).id for cid in claim_ids}
         selected = tuple(c for c in CLAIMS if c.id in wanted)
-    return [
-        check_claim(
-            c.id,
-            seed=seed,
-            trials=trials,
-            n_range=n_range,
-            tolerance=tolerance,
-        )
-        for c in selected
-    ]
+    return _run(selected, seed, trials, n_range, tolerance)
 
 
 # ---------------------------------------------------------------------------
 # engine internals
 
 
-def _trial_outcome_count(t: int, n_min: int, n_max: int) -> int:
-    return n_min + t % (n_max - n_min + 1)
+def _validated_range(seed, trials, n_range, tolerance) -> tuple[int, int]:
+    n_min, n_max = int(n_range[0]), int(n_range[1])
+    if not (2 <= n_min <= n_max <= MAX_OUTCOMES):
+        raise ValueError(
+            f"n_range = {n_range!r} must satisfy 2 <= n_min <= n_max <= {MAX_OUTCOMES}"
+        )
+    if trials < 1:
+        raise ValueError(f"trials = {trials!r} must be positive")
+    if not (math.isfinite(tolerance) and tolerance > 0.0):
+        raise ValueError(f"tolerance = {tolerance!r} must be finite and > 0")
+    # The sampler's seed rule holds for every claim, sampled or not.
+    SimplexSamplerConfig(seed, n_min, trials)
+    return n_min, n_max
 
 
 def _report(claim, seed, trials_run, tolerance, counterexample, observed):
@@ -306,47 +298,84 @@ def _report(claim, seed, trials_run, tolerance, counterexample, observed):
     )
 
 
-def _check_inequality(claim, seed, trials, n_min, n_max, tolerance):
-    measure = _INEQUALITY_MEASURE[claim.id]
-    is_c1 = claim.id == "C1"
-    counterexample = None  # the first violation wins
+class _Inequality:
+    """Running verdict of one inequality claim; the first violation wins."""
 
-    for probs in _INEQUALITY_FIXTURES.get(claim.id, ()):
-        if n_min <= len(probs) <= n_max:
-            p = make_distribution(probs)
-            lhs = measure(negate(p))
-            rhs = measure(p)
-            if lhs < rhs - tolerance and counterexample is None:
-                counterexample = Counterexample(p.probs, lhs, rhs, rhs - lhs)
+    def __init__(self, claim: Claim, tolerance: float):
+        self.claim = claim
+        self.field = _MEASURE_FIELD[claim.id]
+        self.tolerance = tolerance
+        self.counterexample = None
+        self.min_margin = math.inf
+        self.majorization_failures = 0
+        self.reversed = 0
+        self.reversible = 0  # trials with n >= 3
 
-    min_margin = math.inf
-    maj_failures = 0
-    reversed_count = 0
-    reversed_denom = 0
-    for t in range(trials):
-        n = _trial_outcome_count(t, n_min, n_max)
-        p = sample_uniform_simplex(SimplexSamplerConfig(seed, n, trials), t)
-        negated = negate(p)
-        lhs = measure(negated)
-        rhs = measure(p)
-        min_margin = min(min_margin, lhs - rhs)
-        violated = lhs < rhs - tolerance
-        if is_c1 and not majorizes(p, negated):
-            maj_failures += 1
+    def fixture(self, probs, before: dict, after: dict) -> None:
+        lhs = after[self.field]
+        rhs = before[self.field]
+        self._consider(probs, lhs, rhs, lhs < rhs - self.tolerance)
+
+    def trial(self, probs, before: dict, after: dict, majorized: bool | None) -> None:
+        lhs = after[self.field]
+        rhs = before[self.field]
+        self.min_margin = min(self.min_margin, lhs - rhs)
+        violated = lhs < rhs - self.tolerance
+        if self.claim.id == "C1" and not majorized:
+            self.majorization_failures += 1
             violated = True
-        if n >= 3:
-            reversed_denom += 1
+        if len(probs) >= 3:
+            self.reversible += 1
             if lhs <= rhs:
-                reversed_count += 1
-        if violated and counterexample is None:
-            counterexample = Counterexample(p.probs, lhs, rhs, rhs - lhs)
+                self.reversed += 1
+        self._consider(probs, lhs, rhs, violated)
 
-    observed: dict = {"min_margin": min_margin}
-    if is_c1:
-        observed["majorization_failures"] = maj_failures
-    elif reversed_denom > 0:
-        observed["reversal_fraction"] = reversed_count / reversed_denom
-    return _report(claim, seed, trials, tolerance, counterexample, observed)
+    def _consider(self, probs, lhs, rhs, violated) -> None:
+        if violated and self.counterexample is None:
+            self.counterexample = Counterexample(probs, lhs, rhs, rhs - lhs)
+
+    def observed(self) -> dict:
+        observed: dict = {"min_margin": self.min_margin}
+        if self.claim.id == "C1":
+            observed["majorization_failures"] = self.majorization_failures
+        elif self.reversible > 0:
+            observed["reversal_fraction"] = self.reversed / self.reversible
+        return observed
+
+
+class _Maximizer:
+    """Running verdict of one maximizer claim; the first violation wins and
+    the first strict maximum is the reported peak."""
+
+    def __init__(self, claim: Claim, tolerance: float):
+        self.claim = claim
+        self.field = _MEASURE_FIELD[claim.id]
+        self.tolerance = tolerance
+        self.bounds: dict[int, float] = {}
+        self.counterexample = None
+        self.peak = None  # (excess, value, probs)
+
+    def set_bound(self, n: int, negated_uniform: dict) -> None:
+        if self.claim.id == "C7":
+            self.bounds[n] = math.log(n)
+        else:
+            self.bounds[n] = negated_uniform[self.field]
+
+    def point(self, probs, after: dict) -> None:
+        bound = self.bounds[len(probs)]
+        value = after[self.field]
+        excess = value - bound
+        if self.peak is None or excess > self.peak[0]:
+            self.peak = (excess, value, probs)
+        if excess > self.tolerance and self.counterexample is None:
+            self.counterexample = Counterexample(probs, value, bound, excess)
+
+    def observed(self) -> dict:
+        return {
+            "max_excess": self.peak[0],
+            "argmax_value": self.peak[1],
+            "argmax_p": list(self.peak[2]),
+        }
 
 
 def _probe_points(n: int) -> list[Distribution]:
@@ -374,46 +403,80 @@ def _near_uniform(x: Distribution) -> Distribution:
     )
 
 
-def _maximizer_points(seed, trials, n_min, n_max):
-    """Every point a maximizer claim evaluates, in evaluation order: the
-    probes for each n, then each trial's sample and its near-uniform blend."""
-    for n in range(n_min, n_max + 1):
-        yield from _probe_points(n)
-    for t in range(trials):
-        n = _trial_outcome_count(t, n_min, n_max)
-        x = sample_uniform_simplex(SimplexSamplerConfig(seed, n, trials), t)
-        yield x
-        yield _near_uniform(x)
+def _measurer(claims):
+    """A function from a Distribution to the values the given claims read,
+    keyed by MeasureSet field: one scalar measure when they read a single
+    field, else one measure_all. Both give the same bits."""
+    fields = {_MEASURE_FIELD[c.id] for c in claims}
+    if len(fields) == 1:
+        (field,) = fields
+        measure = _SCALAR_MEASURE[field]
+        return lambda d: {field: measure(d)}
+    return lambda d: measure_all(d).as_dict()
 
 
-def _maximizer_bound(claim_id: str, n: int) -> float:
-    if claim_id == "C7":
-        return math.log(n)
-    measure = _MAXIMIZER_MEASURE[claim_id]
-    return measure(negate(uniform(n)))
+def _run(selected, seed, trials, n_range, tolerance) -> list[ClaimReport]:
+    """Reports for the selected claims, in the order given.
 
+    Fixtures and probes are evaluated first, then one pass over the trials
+    draws, negates and measures each sample once and feeds every selected
+    inequality and maximizer claim. Only what the selected claims read is
+    computed.
+    """
+    n_min, n_max = _validated_range(seed, trials, n_range, tolerance)
+    inequalities = [_Inequality(c, tolerance) for c in selected if c.kind == "inequality"]
+    maximizers = [_Maximizer(c, tolerance) for c in selected if c.kind == "maximizer"]
+    limits = [c for c in selected if c.kind == "limit"]
+    measure = _measurer(c for c in selected if c.kind != "limit")
 
-def _check_maximizer(claim, seed, trials, n_min, n_max, tolerance):
-    measure = _MAXIMIZER_MEASURE[claim.id]
-    bounds = {n: _maximizer_bound(claim.id, n) for n in range(n_min, n_max + 1)}
-    counterexample = None  # the first violation wins
-    peak = None  # (excess, value, probs); the first strict maximum wins
+    for tally in inequalities:
+        for probs in _INEQUALITY_FIXTURES.get(tally.claim.id, ()):
+            if n_min <= len(probs) <= n_max:
+                p = make_distribution(probs)
+                tally.fixture(p.probs, measure(p), measure(negate(p)))
+    if maximizers:
+        for n in range(n_min, n_max + 1):
+            points = _probe_points(n)
+            values = [measure(negate(q)) for q in points]
+            for tally in maximizers:
+                tally.set_bound(n, values[0])  # points[0] is uniform(n)
+                for q, after in zip(points, values):
+                    tally.point(q.probs, after)
 
-    for q in _maximizer_points(seed, trials, n_min, n_max):
-        bound = bounds[q.n]
-        value = measure(negate(q))
-        excess = value - bound
-        if peak is None or excess > peak[0]:
-            peak = (excess, value, q.probs)
-        if excess > tolerance and counterexample is None:
-            counterexample = Counterexample(q.probs, value, bound, excess)
+    with_majorization = any(tally.claim.id == "C1" for tally in inequalities)
+    for t in range(trials) if inequalities or maximizers else ():
+        n = n_min + t % (n_max - n_min + 1)
+        p = sample_uniform_simplex(SimplexSamplerConfig(seed, n, trials), t)
+        negated = negate(p)
+        after = measure(negated)
+        if inequalities:
+            before = measure(p)
+            majorized = majorizes(p, negated) if with_majorization else None
+            for tally in inequalities:
+                tally.trial(p.probs, before, after, majorized)
+        if maximizers:
+            blend = _near_uniform(p)
+            blend_after = measure(negate(blend))
+            for tally in maximizers:
+                tally.point(p.probs, after)
+                tally.point(blend.probs, blend_after)
 
-    observed = {
-        "max_excess": peak[0],
-        "argmax_value": peak[1],
-        "argmax_p": list(peak[2]),
-    }
-    return _report(claim, seed, trials, tolerance, counterexample, observed)
+    if limits:
+        grid = _limit_grid(n_min, n_max)
+        measure_uniform = _measurer(limits)
+        at_uniform = [measure_uniform(uniform(n)) for n in grid]
+    tallies = {tally.claim.id: tally for tally in inequalities + maximizers}
+    reports = []
+    for claim in selected:
+        if claim.kind == "limit":
+            reports.append(_limit_report(claim, seed, tolerance, grid, at_uniform))
+        else:
+            tally = tallies[claim.id]
+            reports.append(
+                _report(claim, seed, trials, tolerance, tally.counterexample,
+                        tally.observed())
+            )
+    return reports
 
 
 def _limit_grid(n_min: int, n_max: int) -> list[int]:
@@ -429,36 +492,30 @@ def _limit_grid(n_min: int, n_max: int) -> list[int]:
     return sorted(n for n in grid if n_min <= n <= n_max)
 
 
-def _check_limit(claim, seed, n_min, n_max, tolerance):
-    grid = _limit_grid(n_min, n_max)
-    value_fn = {"C4": entropy, "C5": varentropy, "C6": varextropy}[claim.id]
-    values = [value_fn(uniform(n)) for n in grid]
+def _limit_failure(claim_id, n, v, prev, tolerance):
+    """(lhs, rhs, margin) when the value v at grid point n breaks the claim;
+    prev is the previous grid value, None at the first point."""
+    if claim_id == "C4":
+        target = math.log(n)
+        if abs(v - target) > tolerance:
+            return v, target, abs(v - target)
+        if prev is not None and v <= prev:
+            return v, prev, prev - v
+    elif claim_id == "C5":
+        if abs(v) > tolerance:
+            return v, 0.0, abs(v)
+    elif prev is not None and abs(v) - abs(prev) > tolerance:
+        return abs(v), abs(prev), abs(v) - abs(prev)  # C6: magnitudes grew
+    return None
 
+
+def _limit_report(claim, seed, tolerance, grid, at_uniform):
+    values = [m[_MEASURE_FIELD[claim.id]] for m in at_uniform]
     counterexample = None
     for j, (n, v) in enumerate(zip(grid, values)):
-        if claim.id == "C4":
-            target = math.log(n)
-            if abs(v - target) > tolerance:
-                counterexample = Counterexample(
-                    uniform(n).probs, v, target, abs(v - target)
-                )
-                break
-            if j > 0 and v <= values[j - 1]:
-                counterexample = Counterexample(
-                    uniform(n).probs, v, values[j - 1], values[j - 1] - v
-                )
-                break
-        elif claim.id == "C5":
-            if abs(v) > tolerance:
-                counterexample = Counterexample(uniform(n).probs, v, 0.0, abs(v))
-                break
-        else:  # C6: magnitudes must not grow along the grid
-            if j > 0 and abs(v) - abs(values[j - 1]) > tolerance:
-                counterexample = Counterexample(
-                    uniform(n).probs, abs(v), abs(values[j - 1]),
-                    abs(v) - abs(values[j - 1]),
-                )
-                break
-
+        failure = _limit_failure(claim.id, n, v, values[j - 1] if j else None, tolerance)
+        if failure is not None:
+            counterexample = Counterexample(uniform(n).probs, *failure)
+            break
     observed = {"n_grid": grid, "values": values}
     return _report(claim, seed, len(grid), tolerance, counterexample, observed)

@@ -16,6 +16,7 @@ the affine recurrence gives the k-th iterate in closed form:
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 from .measures import MeasureSet, measure_all
@@ -91,8 +92,8 @@ def trace_negation(
     """
     if max_steps < 1:
         raise ValueError(f"max_steps = {max_steps} must be >= 1")
-    if not tolerance > 0.0:
-        raise ValueError(f"tolerance = {tolerance} must be > 0")
+    if not (math.isfinite(tolerance) and tolerance > 0.0):
+        raise ValueError(f"tolerance = {tolerance} must be finite and > 0")
     steps: list[TraceStep] = []
     converged_at: int | None = None
     current = d

@@ -19,8 +19,6 @@ import json
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 SUM_TOLERANCE = 1e-9
 
 # Slack used when comparing partial sums; absorbs float noise in sums of
@@ -142,8 +140,11 @@ def sample_uniform_simplex(
 
     Normalized unit-exponential draws are uniform over the simplex. The
     per-trial stream is seeded from the full (seed, n, trial_index) triple,
-    which makes the sampler stateless and trivially parallel.
+    which makes the sampler stateless and trivially parallel. numpy is
+    imported here, on first use, so commands that never sample skip it.
     """
+    import numpy as np
+
     if not 0 <= trial_index < config.trials:
         raise ValueError(
             f"trial_index = {trial_index} outside [0, {config.trials})"

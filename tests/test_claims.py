@@ -54,14 +54,27 @@ class TestParameterValidation:
     def test_rejects_bad_trials_tolerance_workers(self):
         with pytest.raises(ValueError):
             check_claim("C1", trials=0)
-        with pytest.raises(ValueError):
-            check_claim("C1", tolerance=0.0)
+        for tolerance in (0.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="tolerance"):
+                check_claim("C1", tolerance=tolerance)
         with pytest.raises(TypeError):
             check_claim("C1", workers=2)
 
     def test_unknown_claim(self):
         with pytest.raises(UnknownClaim):
             check_claim("Z9")
+
+    @pytest.mark.parametrize("claim_id", [c.id for c in CLAIMS])
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_rejects_seed_outside_64_bits_for_every_kind(self, claim_id, seed):
+        with pytest.raises(ValueError, match="seed"):
+            check_claim(claim_id, seed=seed, trials=1)
+        with pytest.raises(ValueError, match="seed"):
+            check_all(seed=seed, trials=1, claim_ids=[claim_id])
+
+    def test_accepts_seed_bounds(self):
+        for seed in (0, 2**64 - 1):
+            assert check_claim("C1", seed=seed, trials=2).seed == seed
 
 
 class TestEntropyInequality:
@@ -217,6 +230,18 @@ class TestReports:
     def test_subset_selection_unknown_id(self):
         with pytest.raises(UnknownClaim):
             check_all(claim_ids=["C1", "nope"])
+
+    def test_one_pass_samples_each_trial_once(self, monkeypatch):
+        calls = []
+
+        def counting(config, trial_index):
+            calls.append((config.seed, config.n, trial_index))
+            return sample_uniform_simplex(config, trial_index)
+
+        monkeypatch.setattr("negprob.claims.sample_uniform_simplex", counting)
+        check_all(seed=3, trials=50)
+        assert len(calls) == 50
+        assert len(set(calls)) == 50
 
     def test_serialization_is_deterministic(self):
         a = reports_to_json(check_all(seed=4, trials=80))

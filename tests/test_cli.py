@@ -1,8 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import negprob
 from negprob import (
     NotADistribution,
     make_distribution,
@@ -172,6 +177,13 @@ class TestIterateCommand:
         assert all(row["p"] == rows[0]["p"] for row in rows)
         assert json.loads(lines[-1])["converged_at"] == 0
 
+    @pytest.mark.parametrize("tol", ["inf", "nan"])
+    def test_non_finite_tolerance_fails(self, capsys, tol):
+        code, out, err = run_cli(capsys, "iterate", "-p", "0.3,0.7", "--tol", tol)
+        assert code == 2
+        assert out == ""
+        assert "tolerance" in err
+
     def test_csv_columns(self, capsys):
         _, out, _ = run_cli(capsys, "iterate", "-p", "0.6,0.3,0.1", "-k", "2",
                             "--tol", "1e-12", "--format", "csv")
@@ -304,3 +316,35 @@ class TestCheckCommand:
         lines = out.splitlines()
         assert lines[0] == "claim,verdict,trials,seed,tolerance,lhs,rhs,margin"
         assert all(len(line.split(",")) == 8 for line in lines)
+
+    @pytest.mark.parametrize("seed, claims", [("-1", "C4"), (str(2**64), "C5"),
+                                              ("-1", "C1"), (str(2**64), "C9")])
+    def test_seed_outside_64_bits_fails_for_every_kind(self, capsys, seed, claims):
+        code, out, err = run_cli(capsys, "check", "--seed", seed, "--claims", claims,
+                                 "--trials", "1")
+        assert code == 2
+        assert out == ""
+        assert "seed" in err
+
+    @pytest.mark.parametrize("tol", ["inf", "-inf", "nan", "0"])
+    def test_tolerance_must_be_finite_and_positive(self, capsys, tol):
+        code, out, err = run_cli(capsys, "check", f"--tol={tol}", "--trials", "1")
+        assert code == 2
+        assert out == ""
+        assert "tolerance" in err
+
+
+class TestNoNumpyWithoutSampling:
+    def test_measure_does_not_import_numpy(self):
+        src = str(Path(negprob.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": src}
+        script = (
+            "import sys\n"
+            "from negprob.cli import main\n"
+            "assert main(['measure', '-p', '0.5,0.5']) == 0\n"
+            "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
+        )
+        result = subprocess.run([sys.executable, "-c", script], env=env,
+                                capture_output=True, text=True, timeout=60)
+        assert result.returncode == 0, result.stderr
+        assert json.loads(result.stdout)["H"] == math.log(2.0)

@@ -11,7 +11,8 @@ from pathlib import Path
 
 import pytest
 
-from negprob.cli import main
+from negprob import CLAIMS, check_all, check_claim
+from negprob.cli import build_parser, main
 
 DATA = Path(__file__).parent / "data"
 
@@ -33,3 +34,25 @@ def test_check_stdout_matches_golden(capsys, name, fmt, ext):
     out = capsys.readouterr().out
     assert code == 0
     assert out.encode("utf-8") == (DATA / f"check_{name}.{ext}").read_bytes()
+
+
+def api_kwargs(name):
+    """The check_all keyword arguments behind a golden CLI configuration."""
+    args = build_parser().parse_args(["check", *CONFIGS[name]])
+    return dict(seed=args.seed, trials=args.trials,
+                n_range=(args.n_min, args.n_max), tolerance=args.tol)
+
+
+@pytest.mark.parametrize("name", list(CONFIGS))
+def test_check_claim_equals_its_line_of_check_all(name):
+    kwargs = api_kwargs(name)
+    lines = [r.to_json() for r in check_all(**kwargs)]
+    assert [check_claim(c.id, **kwargs).to_json() for c in CLAIMS] == lines
+
+
+@pytest.mark.parametrize("subset", [{"C1"}, {"C7"}, {"C2", "C8"}, {"C4", "C5", "C6"}])
+def test_subset_equals_matching_lines_of_full_run(subset):
+    full = (DATA / "check_default.jsonl").read_text().splitlines()
+    wanted = [line for c, line in zip(CLAIMS, full) if c.id in subset]
+    reports = check_all(**api_kwargs("default"), claim_ids=sorted(subset))
+    assert [r.to_json() for r in reports] == wanted

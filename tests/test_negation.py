@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -164,8 +165,9 @@ class TestTrace:
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
             trace_negation(uniform(3), max_steps=0)
-        with pytest.raises(ValueError):
-            trace_negation(uniform(3), tolerance=0.0)
+        for tolerance in (0.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="tolerance"):
+                trace_negation(uniform(3), tolerance=tolerance)
 
     def test_json_lines_shape(self):
         trace = trace_negation(make_distribution([0.6, 0.3, 0.1]), max_steps=3,
