@@ -34,16 +34,13 @@ whose quantified scope is empty under the requested n range; no default
 configuration produces it.
 
 Reproducibility: a report is a pure function of (seed, trials, n_range,
-tolerance), whichever other claims are selected beside it. Each trial
-draws from its own stream keyed by (seed, n, t). ``check_all`` makes one
-sequential pass over the trials: each trial is drawn, negated and
-measured once, and those values feed every selected claim;
-``check_claim`` is the same pass with one claim selected. Sharing changes
-no bits, because ``measure_all`` agrees bit for bit with the scalar
-measures. Within a claim the order is fixed: fixtures, then probes by n,
-then trials by trial index. The reported counterexample is the first
-violation in that order, and a maximizer's reported peak is the first
-point that attains the largest excess.
+tolerance), whichever claims are selected beside it. Each trial is drawn
+once from its own stream keyed by (seed, n, t), negated and measured once,
+and shared by every selected claim; ``check_claim`` is the one-claim case.
+Within a claim the order is fixed: fixtures, then probes by n, then trials
+by trial index. The reported counterexample is the first violation in that
+order, and a maximizer's reported peak is the first point that attains the
+largest excess.
 """
 
 from __future__ import annotations
@@ -52,7 +49,7 @@ import json
 import math
 from dataclasses import dataclass
 
-from .measures import entropy, measure_all, varentropy, varextropy
+from .measures import measure_all
 from .negation import negate
 from .simplex import (
     Distribution,
@@ -154,9 +151,6 @@ _MEASURE_FIELD = {
     "C4": "H", "C5": "VH", "C6": "VJ",
     "C7": "H", "C8": "VH", "C9": "VJ",
 }
-
-# The scalar measure behind each field, bitwise equal to measure_all's.
-_SCALAR_MEASURE = {"H": entropy, "VH": varentropy, "VJ": varextropy}
 
 _INEQUALITY_FIXTURES: dict[str, tuple[tuple[float, ...], ...]] = {
     "C2": (REFUTATION_FIXTURE,),
@@ -271,21 +265,6 @@ def check_all(
 # engine internals
 
 
-def _validated_range(seed, trials, n_range, tolerance) -> tuple[int, int]:
-    n_min, n_max = int(n_range[0]), int(n_range[1])
-    if not (2 <= n_min <= n_max <= MAX_OUTCOMES):
-        raise ValueError(
-            f"n_range = {n_range!r} must satisfy 2 <= n_min <= n_max <= {MAX_OUTCOMES}"
-        )
-    if trials < 1:
-        raise ValueError(f"trials = {trials!r} must be positive")
-    if not (math.isfinite(tolerance) and tolerance > 0.0):
-        raise ValueError(f"tolerance = {tolerance!r} must be finite and > 0")
-    # The sampler's seed rule holds for every claim, sampled or not.
-    SimplexSamplerConfig(seed, n_min, trials)
-    return n_min, n_max
-
-
 def _report(claim, seed, trials_run, tolerance, counterexample, observed):
     return ClaimReport(
         claim_id=claim.id,
@@ -298,41 +277,35 @@ def _report(claim, seed, trials_run, tolerance, counterexample, observed):
     )
 
 
+@dataclass
 class _Inequality:
     """Running verdict of one inequality claim; the first violation wins."""
 
-    def __init__(self, claim: Claim, tolerance: float):
-        self.claim = claim
-        self.field = _MEASURE_FIELD[claim.id]
-        self.tolerance = tolerance
-        self.counterexample = None
-        self.min_margin = math.inf
-        self.majorization_failures = 0
-        self.reversed = 0
-        self.reversible = 0  # trials with n >= 3
+    claim: Claim
+    tolerance: float
+    counterexample: Counterexample | None = None
+    min_margin: float = math.inf
+    majorization_failures: int = 0
+    reversed: int = 0
+    reversible: int = 0  # trials with n >= 3
 
-    def fixture(self, probs, before: dict, after: dict) -> None:
-        lhs = after[self.field]
-        rhs = before[self.field]
-        self._consider(probs, lhs, rhs, lhs < rhs - self.tolerance)
-
-    def trial(self, probs, before: dict, after: dict, majorized: bool | None) -> None:
-        lhs = after[self.field]
-        rhs = before[self.field]
-        self.min_margin = min(self.min_margin, lhs - rhs)
+    def point(self, p, negated, before, after, fixture=False) -> None:
+        """Compare p with its negation. A fixture only decides the verdict;
+        a trial also updates the observed statistics."""
+        lhs = getattr(after, _MEASURE_FIELD[self.claim.id])
+        rhs = getattr(before, _MEASURE_FIELD[self.claim.id])
         violated = lhs < rhs - self.tolerance
-        if self.claim.id == "C1" and not majorized:
-            self.majorization_failures += 1
-            violated = True
-        if len(probs) >= 3:
-            self.reversible += 1
-            if lhs <= rhs:
-                self.reversed += 1
-        self._consider(probs, lhs, rhs, violated)
-
-    def _consider(self, probs, lhs, rhs, violated) -> None:
+        if not fixture:
+            self.min_margin = min(self.min_margin, lhs - rhs)
+            if self.claim.id == "C1" and not majorizes(p, negated):
+                self.majorization_failures += 1
+                violated = True
+            if p.n >= 3:
+                self.reversible += 1
+                if lhs <= rhs:
+                    self.reversed += 1
         if violated and self.counterexample is None:
-            self.counterexample = Counterexample(probs, lhs, rhs, rhs - lhs)
+            self.counterexample = Counterexample(p.probs, lhs, rhs, rhs - lhs)
 
     def observed(self) -> dict:
         observed: dict = {"min_margin": self.min_margin}
@@ -343,27 +316,21 @@ class _Inequality:
         return observed
 
 
+@dataclass
 class _Maximizer:
     """Running verdict of one maximizer claim; the first violation wins and
     the first strict maximum is the reported peak."""
 
-    def __init__(self, claim: Claim, tolerance: float):
-        self.claim = claim
-        self.field = _MEASURE_FIELD[claim.id]
-        self.tolerance = tolerance
-        self.bounds: dict[int, float] = {}
-        self.counterexample = None
-        self.peak = None  # (excess, value, probs)
+    claim: Claim
+    tolerance: float
+    counterexample: Counterexample | None = None
+    peak: tuple | None = None  # (excess, value, probs)
 
-    def set_bound(self, n: int, negated_uniform: dict) -> None:
-        if self.claim.id == "C7":
-            self.bounds[n] = math.log(n)
-        else:
-            self.bounds[n] = negated_uniform[self.field]
-
-    def point(self, probs, after: dict) -> None:
-        bound = self.bounds[len(probs)]
-        value = after[self.field]
+    def point(self, probs, after, negated_uniform) -> None:
+        # after and negated_uniform measure negate(probs) and negate(uniform(n))
+        field = _MEASURE_FIELD[self.claim.id]
+        bound = math.log(len(probs)) if field == "H" else getattr(negated_uniform, field)
+        value = getattr(after, field)
         excess = value - bound
         if self.peak is None or excess > self.peak[0]:
             self.peak = (excess, value, probs)
@@ -403,80 +370,68 @@ def _near_uniform(x: Distribution) -> Distribution:
     )
 
 
-def _measurer(claims):
-    """A function from a Distribution to the values the given claims read,
-    keyed by MeasureSet field: one scalar measure when they read a single
-    field, else one measure_all. Both give the same bits."""
-    fields = {_MEASURE_FIELD[c.id] for c in claims}
-    if len(fields) == 1:
-        (field,) = fields
-        measure = _SCALAR_MEASURE[field]
-        return lambda d: {field: measure(d)}
-    return lambda d: measure_all(d).as_dict()
-
-
 def _run(selected, seed, trials, n_range, tolerance) -> list[ClaimReport]:
-    """Reports for the selected claims, in the order given.
-
-    Fixtures and probes are evaluated first, then one pass over the trials
-    draws, negates and measures each sample once and feeds every selected
-    inequality and maximizer claim. Only what the selected claims read is
-    computed.
-    """
-    n_min, n_max = _validated_range(seed, trials, n_range, tolerance)
+    """Reports for the selected claims, in the order given: fixtures and
+    probes first, then one pass that draws, negates and measures each trial
+    once for every selected claim. The near-uniform blend is built only for
+    maximizer claims, and ``majorizes`` runs only for C1."""
+    n_min, n_max = int(n_range[0]), int(n_range[1])
+    if not (2 <= n_min <= n_max <= MAX_OUTCOMES):
+        raise ValueError(
+            f"n_range = {n_range!r} must satisfy 2 <= n_min <= n_max <= {MAX_OUTCOMES}"
+        )
+    if trials < 1:
+        raise ValueError(f"trials = {trials!r} must be positive")
+    if not (math.isfinite(tolerance) and tolerance > 0.0):
+        raise ValueError(f"tolerance = {tolerance!r} must be finite and > 0")
+    if isinstance(seed, bool) or not isinstance(seed, int):
+        raise ValueError(f"seed = {seed!r} must be an integer")
+    SimplexSamplerConfig(seed, n_min, trials)  # the sampler's seed rule, for every claim
     inequalities = [_Inequality(c, tolerance) for c in selected if c.kind == "inequality"]
     maximizers = [_Maximizer(c, tolerance) for c in selected if c.kind == "maximizer"]
-    limits = [c for c in selected if c.kind == "limit"]
-    measure = _measurer(c for c in selected if c.kind != "limit")
+    negated_uniform = {}  # n -> measures of negate(uniform(n))
 
     for tally in inequalities:
         for probs in _INEQUALITY_FIXTURES.get(tally.claim.id, ()):
             if n_min <= len(probs) <= n_max:
                 p = make_distribution(probs)
-                tally.fixture(p.probs, measure(p), measure(negate(p)))
-    if maximizers:
-        for n in range(n_min, n_max + 1):
-            points = _probe_points(n)
-            values = [measure(negate(q)) for q in points]
-            for tally in maximizers:
-                tally.set_bound(n, values[0])  # points[0] is uniform(n)
-                for q, after in zip(points, values):
-                    tally.point(q.probs, after)
+                negated = negate(p)
+                before, after = measure_all(p), measure_all(negated)
+                tally.point(p, negated, before, after, fixture=True)
+    for n in range(n_min, n_max + 1) if maximizers else ():
+        points = _probe_points(n)  # points[0] is uniform(n)
+        values = [measure_all(negate(q)) for q in points]
+        negated_uniform[n] = values[0]
+        for tally in maximizers:
+            for q, after in zip(points, values):
+                tally.point(q.probs, after, values[0])
 
-    with_majorization = any(tally.claim.id == "C1" for tally in inequalities)
     for t in range(trials) if inequalities or maximizers else ():
         n = n_min + t % (n_max - n_min + 1)
         p = sample_uniform_simplex(SimplexSamplerConfig(seed, n, trials), t)
         negated = negate(p)
-        after = measure(negated)
+        after = measure_all(negated)
         if inequalities:
-            before = measure(p)
-            majorized = majorizes(p, negated) if with_majorization else None
+            before = measure_all(p)
             for tally in inequalities:
-                tally.trial(p.probs, before, after, majorized)
+                tally.point(p, negated, before, after)
         if maximizers:
             blend = _near_uniform(p)
-            blend_after = measure(negate(blend))
+            blend_after = measure_all(negate(blend))
             for tally in maximizers:
-                tally.point(p.probs, after)
-                tally.point(blend.probs, blend_after)
+                tally.point(p.probs, after, negated_uniform[n])
+                tally.point(blend.probs, blend_after, negated_uniform[n])
 
-    if limits:
-        grid = _limit_grid(n_min, n_max)
-        measure_uniform = _measurer(limits)
-        at_uniform = [measure_uniform(uniform(n)) for n in grid]
+    grid = _limit_grid(n_min, n_max)
+    limits = any(c.kind == "limit" for c in selected)
+    at_uniform = [measure_all(uniform(n)) for n in grid] if limits else []
     tallies = {tally.claim.id: tally for tally in inequalities + maximizers}
-    reports = []
-    for claim in selected:
-        if claim.kind == "limit":
-            reports.append(_limit_report(claim, seed, tolerance, grid, at_uniform))
-        else:
-            tally = tallies[claim.id]
-            reports.append(
-                _report(claim, seed, trials, tolerance, tally.counterexample,
-                        tally.observed())
-            )
-    return reports
+    return [
+        _check_limit(c, seed, tolerance, grid, at_uniform) if c.kind == "limit"
+        else _report(c, seed, trials, tolerance, tallies[c.id].counterexample,
+                     tallies[c.id].observed())
+        for c in selected
+    ]
 
 
 def _limit_grid(n_min: int, n_max: int) -> list[int]:
@@ -492,30 +447,34 @@ def _limit_grid(n_min: int, n_max: int) -> list[int]:
     return sorted(n for n in grid if n_min <= n <= n_max)
 
 
-def _limit_failure(claim_id, n, v, prev, tolerance):
-    """(lhs, rhs, margin) when the value v at grid point n breaks the claim;
-    prev is the previous grid value, None at the first point."""
-    if claim_id == "C4":
-        target = math.log(n)
-        if abs(v - target) > tolerance:
-            return v, target, abs(v - target)
-        if prev is not None and v <= prev:
-            return v, prev, prev - v
-    elif claim_id == "C5":
-        if abs(v) > tolerance:
-            return v, 0.0, abs(v)
-    elif prev is not None and abs(v) - abs(prev) > tolerance:
-        return abs(v), abs(prev), abs(v) - abs(prev)  # C6: magnitudes grew
-    return None
+def _check_limit(claim, seed, tolerance, grid, at_uniform):
+    values = [getattr(m, _MEASURE_FIELD[claim.id]) for m in at_uniform]
 
-
-def _limit_report(claim, seed, tolerance, grid, at_uniform):
-    values = [m[_MEASURE_FIELD[claim.id]] for m in at_uniform]
     counterexample = None
     for j, (n, v) in enumerate(zip(grid, values)):
-        failure = _limit_failure(claim.id, n, v, values[j - 1] if j else None, tolerance)
-        if failure is not None:
-            counterexample = Counterexample(uniform(n).probs, *failure)
-            break
+        if claim.id == "C4":
+            target = math.log(n)
+            if abs(v - target) > tolerance:
+                counterexample = Counterexample(
+                    uniform(n).probs, v, target, abs(v - target)
+                )
+                break
+            if j > 0 and v <= values[j - 1]:
+                counterexample = Counterexample(
+                    uniform(n).probs, v, values[j - 1], values[j - 1] - v
+                )
+                break
+        elif claim.id == "C5":
+            if abs(v) > tolerance:
+                counterexample = Counterexample(uniform(n).probs, v, 0.0, abs(v))
+                break
+        else:  # C6: magnitudes must not grow along the grid
+            if j > 0 and abs(v) - abs(values[j - 1]) > tolerance:
+                counterexample = Counterexample(
+                    uniform(n).probs, abs(v), abs(values[j - 1]),
+                    abs(v) - abs(values[j - 1]),
+                )
+                break
+
     observed = {"n_grid": grid, "values": values}
     return _report(claim, seed, len(grid), tolerance, counterexample, observed)

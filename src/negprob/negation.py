@@ -37,6 +37,8 @@ def negate_k(d: Distribution, k: int) -> Distribution:
 
     k = 0 returns the input unchanged. Agreement with k explicit
     applications of ``negate`` is a tested invariant (1e-12 sup-norm).
+    Entries are clamped at 0, where rounding can land an exact zero (the
+    negation of a vertex) just below it.
     """
     if k < 0:
         raise ValueError(f"k = {k} must be nonnegative")
@@ -44,7 +46,7 @@ def negate_k(d: Distribution, k: int) -> Distribution:
         return d
     u = 1.0 / d.n
     rk = (-1.0 / (d.n - 1)) ** k
-    return Distribution(tuple(u + rk * (p - u) for p in d.probs))
+    return Distribution(tuple(max(0.0, u + rk * (p - u)) for p in d.probs))
 
 
 @dataclass(frozen=True)

@@ -65,7 +65,7 @@ class TestParameterValidation:
             check_claim("Z9")
 
     @pytest.mark.parametrize("claim_id", [c.id for c in CLAIMS])
-    @pytest.mark.parametrize("seed", [-1, 2**64])
+    @pytest.mark.parametrize("seed", [-1, 2**64, 1.5, True])
     def test_rejects_seed_outside_64_bits_for_every_kind(self, claim_id, seed):
         with pytest.raises(ValueError, match="seed"):
             check_claim(claim_id, seed=seed, trials=1)

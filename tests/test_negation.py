@@ -82,7 +82,10 @@ class TestNegateK:
             assert sup_distance(negate_k(d, 2), d) <= 1e-15
 
     def test_matches_explicit_loop(self):
-        for d in random_distributions(seed=5, count=60):
+        # Vertices too: for n = 3, k = 1 the closed form's first entry
+        # 1/3 - (1/2)(2/3) rounds below the exact 0.
+        vertices = [make_distribution([1.0] + [0.0] * (n - 1)) for n in (3, 5, 7)]
+        for d in random_distributions(seed=5, count=60) + vertices:
             current = d
             for k in range(51):
                 assert sup_distance(negate_k(d, k), current) <= 1e-12
