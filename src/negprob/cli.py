@@ -141,22 +141,24 @@ def _fmt(v) -> str:
     return repr(v)
 
 
+# Every measure column's unit, as its nats -> bits divisor: ln 2 for the
+# entropies and extropies, (ln 2)^2 for the second moments and 1 (exact)
+# for the logarithm-free H1.
+_BITS_DIVISOR = {
+    **dict.fromkeys(("H", "J", "H_P", "H_neg", "H_uniform"), _LN2),
+    **dict.fromkeys(
+        ("VH", "VJ", "VH_P", "VH_neg", "VJ_P", "VJ_neg", "VH_uniform", "VJ_uniform"),
+        _LN2 * _LN2,
+    ),
+    "H1": 1.0,
+}
+
+
 def _rescale(columns: dict[str, float], log_base: str) -> dict[str, float]:
-    """Display-only nats -> bits conversion; H1 is logarithm-free and the
-    second-moment measures scale by (ln 2)^2."""
+    """Display-only nats -> bits conversion, by each column's unit."""
     if log_base == "e":
         return columns
-    out = {}
-    for name, value in columns.items():
-        if name.startswith("H1"):
-            out[name] = value
-        elif name.startswith(("VH", "VJ")):
-            out[name] = value / (_LN2 * _LN2)
-        elif name.startswith(("H", "J")):
-            out[name] = value / _LN2
-        else:
-            out[name] = value
-    return out
+    return {name: value / _BITS_DIVISOR[name] for name, value in columns.items()}
 
 
 def _print_sweep(rows: list[SweepRow], x_name: str, fmt: str, log_base: str) -> None:

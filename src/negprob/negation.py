@@ -39,13 +39,20 @@ def negate_k(d: Distribution, k: int) -> Distribution:
     applications of ``negate`` is a tested invariant (1e-12 sup-norm).
     Entries are clamped at 0, where rounding can land an exact zero (the
     negation of a vertex) just below it.
+
+    The parity of k sets the sign of r**k, and k never becomes a float,
+    which would round away its parity from 2**53 on and overflow beyond
+    ~1e308. |r|**k is 1 for n = 2 and underflows to 0 for n >= 3 long
+    before k = 2**53, so capping the exponent there changes no bit.
     """
     if k < 0:
         raise ValueError(f"k = {k} must be nonnegative")
     if k == 0:
         return d
     u = 1.0 / d.n
-    rk = (-1.0 / (d.n - 1)) ** k
+    rk = (1.0 / (d.n - 1)) ** min(k, 2**53)
+    if k % 2:
+        rk = -rk
     return Distribution(tuple(max(0.0, u + rk * (p - u)) for p in d.probs))
 
 

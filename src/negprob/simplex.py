@@ -44,6 +44,11 @@ class DimensionMismatch(ValueError):
 class Distribution:
     """An immutable, validated discrete probability distribution.
 
+    Every construction validates its entries, including the outputs of
+    maps such as negation that provably stay on the simplex. The entry
+    checks run as C-level scans; only a failing input is walked entry by
+    entry, to name the first offender.
+
     Instances are safe to share across threads; every operation in this
     package treats them as pure values.
     """
@@ -51,17 +56,20 @@ class Distribution:
     probs: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "probs", tuple(float(p) for p in self.probs))
-        if len(self.probs) < 2:
-            raise TooFewOutcomes(
-                f"need at least 2 outcomes, got {len(self.probs)}"
-            )
-        for i, p in enumerate(self.probs):
-            if not math.isfinite(p):
-                raise NotADistribution(f"p[{i}] = {p!r} is not finite")
-            if p < 0.0 or p > 1.0:
-                raise NotADistribution(f"p[{i}] = {p!r} is outside [0, 1]")
-        total = math.fsum(self.probs)
+        probs = tuple(map(float, self.probs))
+        object.__setattr__(self, "probs", probs)
+        if len(probs) < 2:
+            raise TooFewOutcomes(f"need at least 2 outcomes, got {len(probs)}")
+        # Finiteness first: min and max can pass over a NaN.
+        if not (
+            all(map(math.isfinite, probs)) and min(probs) >= 0.0 and max(probs) <= 1.0
+        ):
+            for i, p in enumerate(probs):
+                if not math.isfinite(p):
+                    raise NotADistribution(f"p[{i}] = {p!r} is not finite")
+                if p < 0.0 or p > 1.0:
+                    raise NotADistribution(f"p[{i}] = {p!r} is outside [0, 1]")
+        total = math.fsum(probs)
         if abs(total - 1.0) > SUM_TOLERANCE:
             raise NotADistribution(
                 f"sum = {total!r} differs from 1 by more than {SUM_TOLERANCE}"
@@ -95,13 +103,12 @@ def make_distribution(values, renormalize: bool = False) -> Distribution:
     to validation and raises the usual errors.
     """
     vals = [float(v) for v in values]
-    if renormalize and vals:
-        total = math.fsum(vals)
-        if (
-            all(math.isfinite(v) and v >= 0.0 for v in vals)
-            and math.isfinite(total)
-            and total > 0.0
-        ):
+    if renormalize and vals and all(map(math.isfinite, vals)) and min(vals) >= 0.0:
+        try:
+            total = math.fsum(vals)
+        except OverflowError:  # a finite total too large for a float
+            total = math.inf
+        if math.isfinite(total) and total > 0.0:
             vals = [v / total for v in vals]
     return Distribution(tuple(vals))
 

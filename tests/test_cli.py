@@ -87,6 +87,11 @@ class TestMeasureCommand:
         assert code != 0
         assert "2 outcomes" in err
 
+    def test_renormalize_with_overflowing_total_fails_cleanly(self, capsys):
+        code, out, err = run_cli(capsys, "measure", "-p", "1e308,1e308", "--renormalize")
+        assert (code, out) == (2, "")
+        assert err == "error: p[0] = 1e+308 is outside [0, 1]\n"
+
     def test_renormalize_flag(self, capsys):
         code, out, _ = run_cli(capsys, "measure", "-p", "2,3", "--renormalize")
         assert code == 0
@@ -128,6 +133,16 @@ class TestNegateCommand:
         header, row = out.splitlines()
         assert header == "p_1,p_2,p_3"
         assert len(row.split(",")) == 3
+
+    @pytest.mark.parametrize("k, want", [
+        ("99999999999999999999", "[0.7,0.30000000000000004]"),
+        ("100000000000000000000", "[0.3,0.7]"),
+        ("1" + "0" * 400, "[0.3,0.7]"),
+        ("1" + "0" * 399 + "1", "[0.7,0.30000000000000004]"),
+    ], ids=["odd-20-digits", "even-21-digits", "even-401-digits", "odd-401-digits"])
+    def test_huge_k_keeps_its_parity(self, capsys, k, want):
+        code, out, err = run_cli(capsys, "negate", "-p", "0.3,0.7", "-k", k)
+        assert (code, out, err) == (0, want + "\n", "")
 
 
 class TestIterateCommand:

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -135,17 +136,31 @@ class TestVarextropy:
 
 class TestMeasureAll:
     def test_matches_single_measures_bitwise(self):
+        # uniform(n) and its negation have all entries equal, which takes
+        # measure_all's n * term path.
+        constant_ns = [*range(2, 258), 997, 1000, 1024, 4093, 9973, 9999, 10_000]
         for d in random_distributions(seed=6, count=100) + [
             make_distribution(FOUR_OUTCOMES),
             make_distribution([1.0, 0.0]),
-            uniform(7),
+            *(uniform(n) for n in constant_ns),
+            *(negate(uniform(n)) for n in constant_ns),
         ]:
             ms = measure_all(d)
-            assert ms.H == entropy(d)
-            assert ms.H1 == gini_entropy(d)
-            assert ms.J == extropy(d)
-            assert ms.VH == varentropy(d)
-            assert ms.VJ == varextropy(d)
+            got = (ms.H, ms.H1, ms.J, ms.VH, ms.VJ)
+            ref = (entropy(d), gini_entropy(d), extropy(d), varentropy(d), varextropy(d))
+            assert [x.hex() for x in got] == [x.hex() for x in ref], d.n
+
+    def test_n_copies_of_a_constant_term_round_to_n_times_it(self):
+        # fsum rounds the exact sum of n copies of t, which is Fraction(t) * n,
+        # once; the path for constant inputs relies on n * t being that float
+        # for every term of uniform(n) and negate(uniform(n)).
+        for n in range(2, 10_001):
+            for p in (1.0 / n, (1.0 - 1.0 / n) / (n - 1)):
+                q = 1.0 - p
+                lp = math.log(p)
+                lq = math.log(q)
+                for t in (p * p, p * lp, p * (lp * lp), q * lq, q * (lq * lq)):
+                    assert n * t == float(Fraction(t) * n), (n, p, t)
 
     def test_degenerate_all_zero(self):
         ms = measure_all(make_distribution([1.0, 0.0]))

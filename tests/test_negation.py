@@ -91,6 +91,29 @@ class TestNegateK:
                 assert sup_distance(negate_k(d, k), current) <= 1e-12
                 current = negate(current)
 
+    def test_parity_of_k_beyond_float_precision(self):
+        # float(2**53 + 1) is even, and a 401-digit k is beyond float range.
+        d = make_distribution([0.3, 0.7])
+        for k in (2**53 + 1, 10**20 - 1, 10**400 + 1):
+            assert negate_k(d, k) == negate_k(d, 1)
+        for k in (2**53 + 2, 10**20, 10**400):
+            assert negate_k(d, k) == negate_k(d, 2)
+
+    def test_huge_k_reaches_uniform_for_three_or_more_outcomes(self):
+        d = make_distribution([0.6, 0.3, 0.1])
+        for k in (2**53 + 1, 10**400):
+            assert negate_k(d, k).probs == (1.0 / 3.0,) * 3
+
+    def test_bits_match_the_float_power_below_2_53(self):
+        rng = np.random.default_rng(12)
+        ks = list(range(1, 1200)) + [int(k) for k in rng.integers(1, 2**53, 300)]
+        for d in random_distributions(seed=13, count=8) + [make_distribution([0.3, 0.7])]:
+            u = 1.0 / d.n
+            for k in ks + [2**53 - 1]:
+                rk = (-1.0 / (d.n - 1)) ** k
+                want = [max(0.0, u + rk * (p - u)) for p in d.probs]
+                assert [x.hex() for x in negate_k(d, k).probs] == [x.hex() for x in want]
+
     def test_three_step_deviation_bound_on_fixture(self):
         # Initial sup deviation from uniform(4) is 0.15, and each step
         # divides it by 3, so after three steps entries sit within 0.3/27

@@ -75,6 +75,35 @@ class TestMakeDistribution:
         d = make_distribution([1.0, 0.0])
         assert d.probs == (1.0, 0.0)
 
+    def test_negative_zero_entry_is_legal(self):
+        d = Distribution((-0.0, 1.0))
+        assert math.copysign(1.0, d.probs[0]) == -1.0
+
+    @pytest.mark.parametrize("probs, message", [
+        ((0.5, float("nan"), 2.0), "p[1] = nan is not finite"),
+        ((0.5, float("nan"), 0.5), "p[1] = nan is not finite"),
+        ((0.5, 2.0, float("nan")), "p[1] = 2.0 is outside [0, 1]"),
+        ((float("nan"), 0.5, 0.5), "p[0] = nan is not finite"),
+        ((0.5, 0.5, float("-inf")), "p[2] = -inf is not finite"),
+        ((1.5, -0.5, 0.0), "p[0] = 1.5 is outside [0, 1]"),
+        ((0.9, 0.2, -0.1), "p[2] = -0.1 is outside [0, 1]"),
+        ((0.6, float("inf"), -1.0), "p[1] = inf is not finite"),
+    ])
+    def test_validation_names_the_first_offender(self, probs, message):
+        with pytest.raises(NotADistribution) as info:
+            Distribution(probs)
+        assert str(info.value) == message
+
+    def test_renormalize_overflowing_total_is_not_a_distribution(self):
+        # fsum of the entries overflows; the input falls through to
+        # validation instead of raising OverflowError.
+        with pytest.raises(NotADistribution, match=r"p\[0\] = 1e\+308 is outside"):
+            make_distribution([1e308, 1e308], renormalize=True)
+
+    def test_renormalize_opposite_infinities_are_not_a_distribution(self):
+        with pytest.raises(NotADistribution, match=r"p\[0\] = inf is not finite"):
+            make_distribution([float("inf"), float("-inf")], renormalize=True)
+
     def test_constructed_distribution_revalidates(self):
         for d in random_distributions(seed=11, count=50):
             again = Distribution(d.probs)
