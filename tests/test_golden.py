@@ -24,6 +24,16 @@ CONFIGS = {
     "seed7_n60-70": ["--seed", "7", "--trials", "20", "--n-min", "60", "--n-max", "70"],
     "seed11_n999-1002": ["--seed", "11", "--trials", "3",
                          "--n-min", "999", "--n-max", "1002"],
+    # Two-word seeds: the largest 64-bit seed over many trials, and the
+    # smallest seed that needs a second 32-bit word.
+    "seed18446744073709551615_n2-8": ["--seed", "18446744073709551615",
+                                      "--trials", "5000", "--n-min", "2", "--n-max", "8"],
+    "seed4294967296_n2-16": ["--seed", "4294967296", "--trials", "300",
+                             "--n-min", "2", "--n-max", "16"],
+    # n near 10^4, one trial per n, with C1's majorization check.
+    "seed9001_n9998-10000_C1-C6": ["--seed", "9001", "--trials", "3",
+                                   "--n-min", "9998", "--n-max", "10000",
+                                   "--claims", "C1,C2,C3,C4,C5,C6"],
 }
 
 
@@ -43,11 +53,18 @@ def api_kwargs(name):
                 n_range=(args.n_min, args.n_max), tolerance=args.tol)
 
 
+def claim_ids(name):
+    """The claims a golden configuration selects, in registry order."""
+    args = build_parser().parse_args(["check", *CONFIGS[name]])
+    return args.claims.split(",") if args.claims else [c.id for c in CLAIMS]
+
+
 @pytest.mark.parametrize("name", list(CONFIGS))
 def test_check_claim_equals_its_line_of_check_all(name):
     kwargs = api_kwargs(name)
-    lines = [r.to_json() for r in check_all(**kwargs)]
-    assert [check_claim(c.id, **kwargs).to_json() for c in CLAIMS] == lines
+    ids = claim_ids(name)
+    lines = [r.to_json() for r in check_all(**kwargs, claim_ids=ids)]
+    assert [check_claim(cid, **kwargs).to_json() for cid in ids] == lines
 
 
 @pytest.mark.parametrize("subset", [{"C1"}, {"C7"}, {"C2", "C8"}, {"C4", "C5", "C6"}])
