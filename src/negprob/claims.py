@@ -35,12 +35,26 @@ configuration produces it.
 
 Reproducibility: a report is a pure function of (seed, trials, n_range,
 tolerance), whichever claims are selected beside it. Each trial is drawn
-once from its own stream keyed by (seed, n, t), negated and measured once,
-and shared by every selected claim; ``check_claim`` is the one-claim case.
-Within a claim the order is fixed: fixtures, then probes by n, then trials
-by trial index. The reported counterexample is the first violation in that
-order, and a maximizer's reported peak is the first point that attains the
-largest excess.
+once from its own stream, numpy's ``SeedSequence((seed, n, t))`` feeding
+PCG64, negated and measured once, and shared by every selected claim;
+``check_claim`` is the one-claim case. Within a claim the order is fixed:
+fixtures, then probes by n, then trials by trial index. The reported
+counterexample is the first violation in that order, and a maximizer's
+reported peak is the first point that attains the largest excess.
+
+The trial pass is batched. Trials are taken in index order, in chunks of
+at most ``_CHUNK_ENTRIES`` entries in all (but at least one trial, so n
+near 10^4 gives one trial per chunk). A chunk holds its trials' distributions as flat rows
+(``simplex._Rows``) and runs every step once for the whole chunk: seeding
+(see ``simplex._pcg64_states``), renormalisation, validation, negation,
+the near-uniform blend, the measures and C1's majorization check. Every
+step is the same IEEE operation, ``math.log`` or ``math.fsum`` per row
+that the one-distribution functions use, so every float equals theirs by
+construction; the properties in tests/test_properties.py pin it. The
+reducers then fold each chunk's float columns in trial order: sample
+before blend, the first violation wins, the first strict maximum is the
+peak, and ``min_margin`` keeps the first minimum with its sign of zero.
+Only a reported point is turned back into a tuple of probabilities.
 """
 
 from __future__ import annotations
@@ -49,14 +63,16 @@ import json
 import math
 from dataclasses import dataclass
 
-from .measures import measure_all
+from .measures import _measure_rows, measure_all
 from .negation import negate
 from .simplex import (
     Distribution,
     SimplexSamplerConfig,
-    majorizes,
+    _distribution_rows,
+    _Rows,
+    _majorizes_rows,
+    _sample_rows,
     make_distribution,
-    sample_uniform_simplex,
     uniform,
 )
 
@@ -277,6 +293,10 @@ def _report(claim, seed, trials_run, tolerance, counterexample, observed):
     )
 
 
+# Entries (trials x n) evaluated together; n near 10^4 gives one trial per chunk.
+_CHUNK_ENTRIES = 2**14
+
+
 @dataclass
 class _Inequality:
     """Running verdict of one inequality claim; the first violation wins."""
@@ -289,23 +309,38 @@ class _Inequality:
     reversed: int = 0
     reversible: int = 0  # trials with n >= 3
 
-    def point(self, p, negated, before, after, fixture=False) -> None:
-        """Compare p with its negation. A fixture only decides the verdict;
-        a trial also updates the observed statistics."""
-        lhs = getattr(after, _MEASURE_FIELD[self.claim.id])
-        rhs = getattr(before, _MEASURE_FIELD[self.claim.id])
+    def fixture(self, probs, before, after) -> None:
+        """A fixture only decides the verdict."""
+        field = _MEASURE_FIELD[self.claim.id]
+        lhs, rhs = getattr(after, field), getattr(before, field)
+        if lhs < rhs - self.tolerance:
+            self._violation(probs, lhs, rhs)
+
+    def trials(self, chunk) -> None:
+        """Fold a chunk's trials in trial order into the verdict and the
+        observed statistics."""
+        field = _MEASURE_FIELD[self.claim.id]
+        lhs = chunk.columns["negated", field]
+        rhs = chunk.columns["p", field]
+        margins = lhs - rhs
+        i = int(margins.argmin())  # the first minimum keeps its sign of zero
+        if margins[i] < self.min_margin:
+            self.min_margin = float(margins[i])
         violated = lhs < rhs - self.tolerance
-        if not fixture:
-            self.min_margin = min(self.min_margin, lhs - rhs)
-            if self.claim.id == "C1" and not majorizes(p, negated):
-                self.majorization_failures += 1
-                violated = True
-            if p.n >= 3:
-                self.reversible += 1
-                if lhs <= rhs:
-                    self.reversed += 1
-        if violated and self.counterexample is None:
-            self.counterexample = Counterexample(p.probs, lhs, rhs, rhs - lhs)
+        if self.claim.id == "C1":
+            failed = ~chunk.majorized
+            self.majorization_failures += int(failed.sum())
+            violated |= failed
+        reversible = chunk.n >= 3
+        self.reversible += int(reversible.sum())
+        self.reversed += int((reversible & (lhs <= rhs)).sum())
+        if self.counterexample is None and violated.any():
+            i = int(violated.argmax())
+            self._violation(chunk.probs(i), float(lhs[i]), float(rhs[i]))
+
+    def _violation(self, probs, lhs, rhs) -> None:
+        if self.counterexample is None:
+            self.counterexample = Counterexample(probs, lhs, rhs, rhs - lhs)
 
     def observed(self) -> dict:
         observed: dict = {"min_margin": self.min_margin}
@@ -326,16 +361,42 @@ class _Maximizer:
     counterexample: Counterexample | None = None
     peak: tuple | None = None  # (excess, value, probs)
 
-    def point(self, probs, after, negated_uniform) -> None:
-        # after and negated_uniform measure negate(probs) and negate(uniform(n))
+    def bound(self, n: int, negated_uniform) -> float:
+        """The claimed maximum at n; negated_uniform[n] measures negate(uniform(n))."""
         field = _MEASURE_FIELD[self.claim.id]
-        bound = math.log(len(probs)) if field == "H" else getattr(negated_uniform, field)
-        value = getattr(after, field)
+        return math.log(n) if field == "H" else getattr(negated_uniform[n], field)
+
+    def probes(self, points, values, negated_uniform) -> None:
+        import numpy as np
+
+        field = _MEASURE_FIELD[self.claim.id]
+        value = np.array([getattr(after, field) for after in values])
+        bound = np.full(len(points), self.bound(points[0].n, negated_uniform))
+        self._points(value, bound, lambda i: points[i].probs)
+
+    def trials(self, chunk, negated_uniform) -> None:
+        """Fold a chunk's points in trial order: each trial's sample, then
+        its blend."""
+        import numpy as np
+
+        field = _MEASURE_FIELD[self.claim.id]
+        value = np.column_stack(
+            (chunk.columns["negated", field], chunk.columns["blend", field])
+        ).ravel()
+        bound = chunk.per_n(lambda n: self.bound(n, negated_uniform)).repeat(2)
+        self._points(value, bound, lambda i: chunk.probs(i // 2, blend=i % 2 == 1))
+
+    def _points(self, value, bound, probs) -> None:
         excess = value - bound
-        if self.peak is None or excess > self.peak[0]:
-            self.peak = (excess, value, probs)
-        if excess > self.tolerance and self.counterexample is None:
-            self.counterexample = Counterexample(probs, value, bound, excess)
+        i = int(excess.argmax())  # the first strict maximum
+        if self.peak is None or excess[i] > self.peak[0]:
+            self.peak = (float(excess[i]), float(value[i]), probs(i))
+        over = excess > self.tolerance
+        if self.counterexample is None and over.any():
+            i = int(over.argmax())
+            self.counterexample = Counterexample(
+                probs(i), float(value[i]), float(bound[i]), float(excess[i])
+            )
 
     def observed(self) -> dict:
         return {
@@ -361,27 +422,89 @@ def _probe_points(n: int) -> list[Distribution]:
     return points
 
 
-def _near_uniform(x: Distribution) -> Distribution:
-    """Uniform nudged toward x; the per-trial perturbation of uniform."""
-    w = _NEAR_UNIFORM_WEIGHT
-    u = 1.0 / x.n
-    return make_distribution(
-        [(1.0 - w) * u + w * xi for xi in x.probs], renormalize=True
-    )
+class _Chunk:
+    """Consecutive trials t0, t0 + 1, ..., each drawn, negated and measured
+    once, as float columns in trial order.
+
+    The trials' distributions are ragged rows (see ``simplex``), so every
+    step runs once on the whole chunk whatever the mix of n.
+    ``columns[kind, field]`` holds H, VH or VJ of the sample ("p", only
+    with ``before``), of its negation ("negated") and of the negated
+    near-uniform blend ("blend", only with ``blend``). ``majorized`` holds
+    C1's ``majorizes(p, negate(p))`` decisions (only with ``majorization``).
+    """
+
+    def __init__(self, seed, t0, ns, before, blend, majorization):
+        rows = _Rows(ns)
+        self.n = rows.ns
+        self.slices = rows.slices
+        p = _sample_rows(seed, rows, range(t0, t0 + len(rows)))
+        scale = rows.repeat(self.n - 1.0)
+        negated = _distribution_rows((1.0 - p) / scale, rows)
+        measured = {"negated": negated}
+        if before:
+            measured["p"] = p
+        self.p, self.blend = p, None
+        if blend:
+            w = _NEAR_UNIFORM_WEIGHT
+            near = rows.repeat((1.0 - w) * (1.0 / self.n)) + w * p
+            self.blend = _distribution_rows(near, rows, renormalize=True)
+            measured["blend"] = _distribution_rows((1.0 - self.blend) / scale, rows)
+        self.columns = {
+            (kind, field): values
+            for kind, values in measured.items()
+            for field, values in zip(("H", "VH", "VJ"), _measure_rows(values, rows))
+        }
+        if majorization:
+            self.majorized = _majorizes_rows(p, negated, rows)
+
+    def per_n(self, value):
+        """The column that holds value(n) for each trial of n."""
+        import numpy as np
+
+        distinct, at = np.unique(self.n, return_inverse=True)
+        return np.array([value(n) for n in distinct.tolist()])[at]
+
+    def probs(self, i: int, blend: bool = False) -> tuple[float, ...]:
+        """The sample (or its blend) of the chunk's i-th trial."""
+        return tuple((self.blend if blend else self.p)[self.slices[i]].tolist())
+
+
+def _chunks(trials: int, n_min: int, n_max: int):
+    """(t0, ns) for consecutive runs of trials, in order: ns is each
+    trial's n, and their sum stays within ``_CHUNK_ENTRIES`` unless a
+    single trial exceeds it."""
+    import numpy as np
+
+    t0 = 0
+    while t0 < trials:
+        ns = n_min + np.arange(t0, min(trials, t0 + _CHUNK_ENTRIES // n_min)) % (
+            n_max - n_min + 1
+        )
+        m = max(1, int(np.searchsorted(np.cumsum(ns), _CHUNK_ENTRIES, side="right")))
+        yield t0, ns[:m]
+        t0 += m
 
 
 def _run(selected, seed, trials, n_range, tolerance) -> list[ClaimReport]:
     """Reports for the selected claims, in the order given: fixtures and
-    probes first, then one pass that draws, negates and measures each trial
-    once for every selected claim. The near-uniform blend is built only for
-    maximizer claims, and ``majorizes`` runs only for C1."""
-    n_min, n_max = int(n_range[0]), int(n_range[1])
+    probes first, then one pass over the trials in chunks, which draws,
+    negates and measures each trial once for every selected claim. The
+    near-uniform blend is built only for maximizer claims, and the
+    majorization check runs only for C1."""
+    for name, value in (("n_range[0]", n_range[0]), ("n_range[1]", n_range[1]),
+                        ("trials", trials)):
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ValueError(f"{name} = {value!r} must be an integer")
+    n_min, n_max = n_range[0], n_range[1]
     if not (2 <= n_min <= n_max <= MAX_OUTCOMES):
         raise ValueError(
             f"n_range = {n_range!r} must satisfy 2 <= n_min <= n_max <= {MAX_OUTCOMES}"
         )
     if trials < 1:
         raise ValueError(f"trials = {trials!r} must be positive")
+    if isinstance(tolerance, bool) or not isinstance(tolerance, (int, float)):
+        raise ValueError(f"tolerance = {tolerance!r} must be a real number")
     if not (math.isfinite(tolerance) and tolerance > 0.0):
         raise ValueError(f"tolerance = {tolerance!r} must be finite and > 0")
     if isinstance(seed, bool) or not isinstance(seed, int):
@@ -395,32 +518,21 @@ def _run(selected, seed, trials, n_range, tolerance) -> list[ClaimReport]:
         for probs in _INEQUALITY_FIXTURES.get(tally.claim.id, ()):
             if n_min <= len(probs) <= n_max:
                 p = make_distribution(probs)
-                negated = negate(p)
-                before, after = measure_all(p), measure_all(negated)
-                tally.point(p, negated, before, after, fixture=True)
+                tally.fixture(p.probs, measure_all(p), measure_all(negate(p)))
     for n in range(n_min, n_max + 1) if maximizers else ():
         points = _probe_points(n)  # points[0] is uniform(n)
         values = [measure_all(negate(q)) for q in points]
         negated_uniform[n] = values[0]
         for tally in maximizers:
-            for q, after in zip(points, values):
-                tally.point(q.probs, after, values[0])
+            tally.probes(points, values, negated_uniform)
 
-    for t in range(trials) if inequalities or maximizers else ():
-        n = n_min + t % (n_max - n_min + 1)
-        p = sample_uniform_simplex(SimplexSamplerConfig(seed, n, trials), t)
-        negated = negate(p)
-        after = measure_all(negated)
-        if inequalities:
-            before = measure_all(p)
-            for tally in inequalities:
-                tally.point(p, negated, before, after)
-        if maximizers:
-            blend = _near_uniform(p)
-            blend_after = measure_all(negate(blend))
-            for tally in maximizers:
-                tally.point(p.probs, after, negated_uniform[n])
-                tally.point(blend.probs, blend_after, negated_uniform[n])
+    for t0, ns in _chunks(trials, n_min, n_max) if inequalities or maximizers else ():
+        chunk = _Chunk(seed, t0, ns, before=bool(inequalities), blend=bool(maximizers),
+                       majorization=any(t.claim.id == "C1" for t in inequalities))
+        for tally in inequalities:
+            tally.trials(chunk)
+        for tally in maximizers:
+            tally.trials(chunk, negated_uniform)
 
     grid = _limit_grid(n_min, n_max)
     limits = any(c.kind == "limit" for c in selected)

@@ -38,11 +38,12 @@ from .measures import (
 from .negation import (
     DEFAULT_MAX_STEPS,
     DEFAULT_TOLERANCE,
-    NegationTrace,
     TraceStep,
+    converged_at,
     negate,
     negate_k,
-    trace_negation,
+    negation_steps,
+    summary_json,
 )
 from .simplex import (
     Distribution,
@@ -54,6 +55,9 @@ from .simplex import (
 )
 
 _LN2 = math.log(2.0)
+
+# Streamed output (iterate) is written in blocks of about this many characters.
+_BLOCK_CHARS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -123,13 +127,15 @@ def build_sweep_n(n_min: int = 2, n_max: int = 100) -> list[SweepRow]:
         raise ValueError(f"need 2 <= n_min <= n_max, got [{n_min}, {n_max}]")
     rows = []
     for n in range(n_min, n_max + 1):
-        u = uniform(n)
+        # measure_all takes O(1) sums on equal entries, bitwise equal to
+        # entropy and varentropy (see the measures module docstring).
+        at_uniform = measure_all(uniform(n))
         rows.append(
             SweepRow(
                 x=n,
                 columns={
-                    "H_uniform": entropy(u),
-                    "VH_uniform": varentropy(u),
+                    "H_uniform": at_uniform.H,
+                    "VH_uniform": at_uniform.VH,
                     "VJ_uniform": uniform_varextropy(n),
                 },
             )
@@ -174,28 +180,39 @@ def _print_sweep(rows: list[SweepRow], x_name: str, fmt: str, log_base: str) -> 
     print("\n".join(lines))
 
 
-def _rescale_trace(trace: NegationTrace, log_base: str) -> NegationTrace:
-    steps = tuple(
-        TraceStep(s.k, s.dist, MeasureSet(**_rescale(s.measures.as_dict(), log_base)))
-        for s in trace.steps
-    )
-    return NegationTrace(steps, trace.converged_at, trace.tolerance)
+def _iterate_lines(d: Distribution, args):
+    """The lines of ``iterate``, one step at a time: a CSV header and one
+    row per step, or one JSON object per step and a summary object."""
+    last = None
+    for step in negation_steps(d, max_steps=args.steps, tolerance=args.tol):
+        columns = _rescale(step.measures.as_dict(), args.log_base)
+        if args.format == "json":
+            yield TraceStep(step.k, step.dist, MeasureSet(**columns)).to_json()
+        else:
+            if last is None:
+                yield ",".join(["k", *columns, *(f"p_{i + 1}" for i in range(d.n))])
+            yield ",".join([_fmt(step.k), *map(_fmt, columns.values()),
+                            *map(_fmt, step.dist.probs)])
+        last = step
+    if args.format == "json":
+        yield summary_json(converged_at(last, args.tol), args.tol)
 
 
-def _trace_lines(trace: NegationTrace, fmt: str) -> str:
-    if fmt == "json":
-        return trace.to_json_lines()
-    n = trace.steps[0].dist.n
-    names = ["H", "H1", "J", "VH", "VJ"]
-    header = ["k"] + names + [f"p_{i + 1}" for i in range(n)]
-    lines = [",".join(header)]
-    for step in trace.steps:
-        cols = step.measures.as_dict()
-        row = [_fmt(step.k)]
-        row += [_fmt(cols[name]) for name in names]
-        row += [_fmt(p) for p in step.dist.probs]
-        lines.append(",".join(row))
-    return "\n".join(lines)
+def _write_lines(lines) -> None:
+    """Write each line and a newline to stdout, in blocks of about
+    ``_BLOCK_CHARS`` characters: one write per line would cost a system call
+    each on an unbuffered stream, and one write at the end would hold every
+    line in memory."""
+    block: list[str] = []
+    size = 0
+    for line in lines:
+        block.append(line)
+        size += len(line)
+        if size >= _BLOCK_CHARS:
+            sys.stdout.write("\n".join(block) + "\n")
+            block, size = [], 0
+    if block:
+        sys.stdout.write("\n".join(block) + "\n")
 
 
 def _parse_dist(args) -> Distribution:
@@ -223,8 +240,7 @@ def cmd_negate(args) -> int:
 
 
 def cmd_iterate(args) -> int:
-    trace = trace_negation(_parse_dist(args), max_steps=args.steps, tolerance=args.tol)
-    print(_trace_lines(_rescale_trace(trace, args.log_base), args.format))
+    _write_lines(_iterate_lines(_parse_dist(args), args))
     return 0
 
 

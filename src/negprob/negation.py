@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .measures import MeasureSet, measure_all
@@ -62,6 +63,12 @@ class TraceStep:
     dist: Distribution
     measures: MeasureSet
 
+    def to_json(self) -> str:
+        """One JSON object: k, the entries p, then the five measures."""
+        obj = {"k": self.k, "p": list(self.dist.probs)}
+        obj.update(self.measures.as_dict())
+        return json.dumps(obj, separators=(",", ":"))
+
 
 @dataclass(frozen=True)
 class NegationTrace:
@@ -80,14 +87,45 @@ class NegationTrace:
 
     def to_json_lines(self) -> str:
         """One JSON object per step, then a summary object."""
-        lines = []
-        for step in self.steps:
-            obj = {"k": step.k, "p": list(step.dist.probs)}
-            obj.update(step.measures.as_dict())
-            lines.append(json.dumps(obj, separators=(",", ":")))
-        summary = {"converged_at": self.converged_at, "tolerance": self.tolerance}
-        lines.append(json.dumps(summary, separators=(",", ":")))
+        lines = [step.to_json() for step in self.steps]
+        lines.append(summary_json(self.converged_at, self.tolerance))
         return "\n".join(lines)
+
+
+def summary_json(converged_at: int | None, tolerance: float) -> str:
+    """The summary object that ends a trace's JSON Lines."""
+    summary = {"converged_at": converged_at, "tolerance": tolerance}
+    return json.dumps(summary, separators=(",", ":"))
+
+
+def converged_at(last: TraceStep, tolerance: float) -> int | None:
+    """k of the last step of a trace when it is within ``tolerance`` of
+    uniform, else None (the step budget ran out first)."""
+    return last.k if last.dist.max_deviation_from_uniform() <= tolerance else None
+
+
+def negation_steps(
+    d: Distribution,
+    max_steps: int = DEFAULT_MAX_STEPS,
+    tolerance: float = DEFAULT_TOLERANCE,
+) -> Iterator[TraceStep]:
+    """The steps of ``trace_negation``, computed one at a time as they are
+    consumed, so memory stays O(n) whatever ``max_steps`` is. The
+    arguments are checked on the call, before any step is computed.
+    """
+    if max_steps < 1:
+        raise ValueError(f"max_steps = {max_steps} must be >= 1")
+    if not (math.isfinite(tolerance) and tolerance > 0.0):
+        raise ValueError(f"tolerance = {tolerance} must be finite and > 0")
+    return _steps(d, max_steps, tolerance)
+
+
+def _steps(current: Distribution, max_steps: int, tolerance: float) -> Iterator[TraceStep]:
+    for k in range(max_steps + 1):
+        yield TraceStep(k=k, dist=current, measures=measure_all(current))
+        if current.max_deviation_from_uniform() <= tolerance or k == max_steps:
+            return
+        current = negate(current)
 
 
 def trace_negation(
@@ -99,19 +137,5 @@ def trace_negation(
     within ``tolerance`` of uniform (sup-norm) or ``max_steps`` negations
     have been applied.
     """
-    if max_steps < 1:
-        raise ValueError(f"max_steps = {max_steps} must be >= 1")
-    if not (math.isfinite(tolerance) and tolerance > 0.0):
-        raise ValueError(f"tolerance = {tolerance} must be finite and > 0")
-    steps: list[TraceStep] = []
-    converged_at: int | None = None
-    current = d
-    for k in range(max_steps + 1):
-        steps.append(TraceStep(k=k, dist=current, measures=measure_all(current)))
-        if current.max_deviation_from_uniform() <= tolerance:
-            converged_at = k
-            break
-        if k == max_steps:
-            break
-        current = negate(current)
-    return NegationTrace(tuple(steps), converged_at, tolerance)
+    steps = tuple(negation_steps(d, max_steps, tolerance))
+    return NegationTrace(steps, converged_at(steps[-1], tolerance), tolerance)

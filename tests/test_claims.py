@@ -60,6 +60,23 @@ class TestParameterValidation:
         with pytest.raises(TypeError):
             check_claim("C1", workers=2)
 
+    @pytest.mark.parametrize("kwargs, name", [
+        ({"trials": True}, "trials"),
+        ({"trials": 1.5}, "trials"),
+        ({"n_range": (2.7, 5)}, "n_range"),
+        ({"n_range": ("3", "5")}, "n_range"),
+        ({"tolerance": True}, "tolerance"),
+    ])
+    def test_rejects_coercible_counts_and_bool_tolerance(self, kwargs, name):
+        for claim_id in ("C1", "C4", "C7"):
+            with pytest.raises(ValueError, match=name):
+                check_claim(claim_id, **kwargs)
+        with pytest.raises(ValueError, match=name):
+            check_all(**kwargs)
+
+    def test_accepts_integer_tolerance(self):
+        assert check_claim("C5", trials=1, tolerance=1).tolerance == 1
+
     def test_unknown_claim(self):
         with pytest.raises(UnknownClaim):
             check_claim("Z9")
@@ -232,16 +249,36 @@ class TestReports:
             check_all(claim_ids=["C1", "nope"])
 
     def test_one_pass_samples_each_trial_once(self, monkeypatch):
-        calls = []
+        from negprob import claims
 
-        def counting(config, trial_index):
-            calls.append((config.seed, config.n, trial_index))
-            return sample_uniform_simplex(config, trial_index)
+        drawn = []
 
-        monkeypatch.setattr("negprob.claims.sample_uniform_simplex", counting)
+        def counting(seed, rows, ts):
+            drawn.extend(zip([seed] * len(rows), rows.ns.tolist(), ts))
+            return sample_rows(seed, rows, ts)
+
+        sample_rows = claims._sample_rows
+        monkeypatch.setattr(claims, "_sample_rows", counting)
         check_all(seed=3, trials=50)
-        assert len(calls) == 50
-        assert len(set(calls)) == 50
+        assert drawn == [(3, 2 + t % 7, t) for t in range(50)]
+
+    @pytest.mark.parametrize("trials, n_range", [
+        (5000, (2, 8)), (7, (9998, 10_000)), (300, (2, 10_000)), (40, (3, 3)),
+    ])
+    def test_chunks_cover_the_trials_in_order_within_the_entry_budget(self, trials, n_range):
+        from negprob.claims import _CHUNK_ENTRIES, _chunks
+
+        n_min, n_max = n_range
+        t = 0
+        for t0, ns in _chunks(trials, n_min, n_max):
+            assert t0 == t
+            assert ns.tolist() == [n_min + u % (n_max - n_min + 1)
+                                   for u in range(t0, t0 + len(ns))]
+            assert len(ns) == 1 or ns.sum() <= _CHUNK_ENTRIES
+            if n_min > _CHUNK_ENTRIES // 2:  # n near 10^4: one trial per chunk
+                assert len(ns) == 1
+            t += len(ns)
+        assert t == trials
 
     def test_serialization_is_deterministic(self):
         a = reports_to_json(check_all(seed=4, trials=80))

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -10,15 +11,43 @@ import pytest
 import negprob
 from negprob import (
     NotADistribution,
+    entropy,
     make_distribution,
     measure_all,
     negate_k,
     trace_negation,
+    uniform,
     uniform_varextropy,
+    varentropy,
 )
 from negprob.cli import build_sweep_n, build_sweep_n2, main, parse_probs
 
 LN2 = math.log(2.0)
+
+
+class _LineCounter:
+    """A stdout stand-in that keeps the writes it is given, or for long runs
+    only their count, line count and the last one."""
+
+    def __init__(self, keep=10_000_000):
+        self.keep = keep
+        self.blocks = []
+        self.live_blocks = []
+        self.writes = self.lines = self.size = 0
+        self.last = ""
+
+    def write(self, text):
+        self.live_blocks.append(sys.getallocatedblocks())
+        self.writes += 1
+        self.lines += text.count("\n")
+        self.size += len(text)
+        self.last = text
+        if self.size <= self.keep:
+            self.blocks.append(text)
+        return len(text)
+
+    def flush(self):
+        pass
 
 
 def run_cli(capsys, *argv):
@@ -207,6 +236,44 @@ class TestIterateCommand:
         assert len(lines) == 4
         assert all(len(line.split(",")) == 9 for line in lines)
 
+    def test_memory_stays_flat_over_many_steps(self, monkeypatch):
+        # A non-uniform two-outcome input never converges, so this runs
+        # all 200,000 steps: 200,001 step lines and the summary line. The
+        # sink counts the interpreter's live memory blocks at every write;
+        # a trace held in memory would add millions of them by the end.
+        sink = _LineCounter(keep=0)
+        monkeypatch.setattr(sys, "stdout", sink)
+        assert main(["iterate", "-p", "0.3,0.7", "-k", "200000"]) == 0
+        assert sink.lines == 200_002
+        assert sink.last.endswith('{"converged_at":null,"tolerance":1e-09}\n')
+        assert max(sink.live_blocks) - sink.live_blocks[0] < 10_000
+
+    def test_traced_peak_does_not_grow_with_k(self, monkeypatch):
+        peaks = []
+        for k in ("500", "5000"):
+            monkeypatch.setattr(sys, "stdout", _LineCounter(keep=0))
+            tracemalloc.start()
+            try:
+                assert main(["iterate", "-p", "0.3,0.7", "-k", k]) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        # One output block and the step being written, whatever k is.
+        assert max(peaks) < 2**19
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_blocks_join_into_the_trace(self, monkeypatch, fmt):
+        sink = _LineCounter()
+        monkeypatch.setattr(sys, "stdout", sink)
+        assert main(["iterate", "-p", "0.3,0.7", "-k", "5000", "--format", fmt]) == 0
+        assert 1 < sink.writes < 100
+        assert all(block.endswith("\n") for block in sink.blocks)
+        trace = trace_negation(make_distribution([0.3, 0.7]), max_steps=5000)
+        if fmt == "json":
+            assert "".join(sink.blocks) == trace.to_json_lines() + "\n"
+        else:
+            assert sink.lines == len(trace.steps) + 1
+
     def test_csv_floats_round_trip(self, capsys):
         _, out, _ = run_cli(capsys, "iterate", "-p", "0.6,0.3,0.1", "-k", "1",
                             "--tol", "1e-12", "--format", "csv")
@@ -291,6 +358,24 @@ class TestSweepNCommand:
         objs = json.loads(out)
         rows = build_sweep_n(2, 4)
         assert objs == [{"n": r.x, **r.columns} for r in rows]
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("log_base, unit", [("e", 1.0), ("2", LN2)])
+    def test_bytes_match_the_scalar_measures(self, capsys, fmt, log_base, unit):
+        _, out, _ = run_cli(capsys, "sweep-n", "--n-min", "2", "--n-max", "400",
+                            "--format", fmt, "--log-base", log_base)
+        rows = []
+        for n in range(2, 401):
+            u = uniform(n)
+            rows.append({"n": n, "H_uniform": entropy(u) / unit,
+                         "VH_uniform": varentropy(u) / (unit * unit),
+                         "VJ_uniform": uniform_varextropy(n) / (unit * unit)})
+        if fmt == "json":
+            want = json.dumps(rows, separators=(",", ":"))
+        else:
+            want = "\n".join([",".join(rows[0])]
+                             + [",".join(map(repr, r.values())) for r in rows])
+        assert out == want + "\n"
 
     def test_rejects_bad_range(self, capsys):
         code, _, err = run_cli(capsys, "sweep-n", "--n-min", "5", "--n-max", "4")

@@ -1,10 +1,12 @@
 """Property tests for the invariants the shared claim pass relies on, and
 for the CLI's contract that every input either works or fails cleanly.
 
-``check_all`` measures each trial once with ``measure_all`` and hands the
-values to every claim, and the maximizer claims read them off negated
-points; the reports are byte-identical to per-claim evaluation only
-because these properties hold.
+``check_all`` measures each trial once and hands the values to every
+claim, and the maximizer claims read them off negated points; the reports
+are byte-identical to per-claim evaluation only because these properties
+hold. The trial pass works on batches of trials (flat rows, see
+``simplex._Rows``); its sampler, measures and majorization check must be
+bitwise equal to the public one-distribution functions.
 """
 
 import contextlib
@@ -13,6 +15,7 @@ import json
 import math
 import random
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -30,7 +33,10 @@ from negprob import (
     varentropy,
     varextropy,
 )
+from negprob import SimplexSamplerConfig, sample_uniform_simplex
 from negprob.cli import main
+from negprob.measures import _measure_rows
+from negprob.simplex import _majorizes_rows, _Rows, _sample_rows
 
 # Large distributions are slow to measure; no example database is written.
 SETTINGS = settings(max_examples=60, deadline=None, database=None)
@@ -106,6 +112,68 @@ def test_distribution_majorizes_its_negation(d):
     assert majorizes(d, negate(d))
 
 
+def flat(*dists):
+    """The distributions as flat rows and their layout."""
+    return np.array([x for d in dists for x in d.probs]), _Rows([d.n for d in dists])
+
+
+# Trial indices at the one-word / two-word boundary of SeedSequence's input.
+TRIAL_INDICES = st.one_of(st.sampled_from([0, 2**32 - 1, 2**32]),
+                          st.integers(0, 2**64 - 1))
+
+
+@SETTINGS
+@given(st.integers(0, 2**64 - 1),
+       st.lists(st.tuples(st.one_of(st.integers(2, 12), st.integers(2, 10_000)),
+                          TRIAL_INDICES), min_size=1, max_size=4))
+def test_batched_samples_are_bitwise_equal_to_the_sampler(seed, trials):
+    rows = _Rows([n for n, _ in trials])
+    got = _sample_rows(seed, rows, [t for _, t in trials]).tolist()
+    for (n, t), row in zip(trials, rows.slices):
+        want = sample_uniform_simplex(SimplexSamplerConfig(seed, n, t + 1), t).probs
+        assert [x.hex() for x in got[row]] == [x.hex() for x in want]
+
+
+@SETTINGS
+@given(st.lists(distributions(), min_size=1, max_size=3))
+def test_batched_measures_are_bitwise_equal_to_measure_all(dists):
+    dists += [negate(d) for d in dists]
+    columns = _measure_rows(*flat(*dists))
+    for i, d in enumerate(dists):
+        ms = measure_all(d)
+        assert [c[i].hex() for c in map(lambda c: c.tolist(), columns)] == [
+            ms.H.hex(), ms.VH.hex(), ms.VJ.hex()]
+
+
+@st.composite
+def distribution_pairs(draw):
+    """Pairs of distributions of one size, often close to majorizing each
+    other: a distribution and its negation, a permutation, itself, or an
+    independent draw."""
+    p = draw(distributions(max_n=2_000))
+    kind = draw(st.integers(0, 3))
+    if kind == 0:
+        return p, negate(p)
+    if kind == 1:
+        return p, make_distribution(draw(st.permutations(p.probs)))
+    if kind == 2:
+        return p, p
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    return p, make_distribution([rng.random() for _ in range(p.n)], renormalize=True)
+
+
+@SETTINGS
+@given(st.lists(distribution_pairs(), min_size=1, max_size=4))
+def test_batched_majorization_equals_majorizes(pairs):
+    ps, qs = [p for p, _ in pairs], [q for _, q in pairs]
+    values_p, rows = flat(*ps)
+    values_q, _ = flat(*qs)
+    assert _majorizes_rows(values_p, values_q, rows).tolist() == [
+        majorizes(p, q) for p, q in pairs]
+    assert _majorizes_rows(values_q, values_p, rows).tolist() == [
+        majorizes(q, p) for p, q in pairs]
+
+
 # Entries as a user might type them: floats of any size and sign, including
 # -0.0, 1e308, subnormals, nan and inf, and ints beyond float range.
 ENTRIES = st.one_of(
@@ -155,10 +223,35 @@ def test_negate_returns_zero_or_two(text, renormalize, k):
     _assert_clean(*run_main(argv + ["--renormalize"] * renormalize))
 
 
-# iterate stores every step it takes, so k stays small here: a
-# non-uniform two-outcome input never converges and runs all k steps.
+class _Enough(Exception):
+    """Raised by ``_CappedOutput`` once a run has written its limit."""
+
+
+class _CappedOutput(io.StringIO):
+    """stdout for runs that may stream without end: writing past ``limit``
+    characters stops the run."""
+
+    limit = 1 << 18
+
+    def write(self, text):
+        if self.tell() + len(text) > self.limit:
+            raise _Enough
+        return super().write(text)
+
+
+# iterate streams its steps, so any k is fair: a non-uniform two-outcome
+# input never converges and would run all k steps, so such a run is
+# stopped once it has written a quarter MiB, which counts as clean.
 @settings(max_examples=200, deadline=None, database=None)
-@given(probs_text(), st.booleans(), st.integers(-3, 60))
+@given(probs_text(), st.booleans(),
+       st.one_of(st.integers(-3, 60), st.integers(2**53 - 2, 2**53 + 2),
+                 st.integers(0, 10**400)))
 def test_iterate_returns_zero_or_two(text, renormalize, k):
     argv = ["iterate", f"--probs={text}", f"--steps={k}"]
-    _assert_clean(*run_main(argv + ["--renormalize"] * renormalize))
+    out, err = _CappedOutput(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv + ["--renormalize"] * renormalize)
+    except _Enough:
+        code = 0
+    _assert_clean(code, err.getvalue())

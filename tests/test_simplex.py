@@ -15,6 +15,7 @@ from negprob import (
     sample_uniform_simplex,
     uniform,
 )
+from negprob.simplex import _distribution_rows, _Rows
 
 
 def random_distributions(seed, count, n_lo=2, n_hi=10):
@@ -213,3 +214,29 @@ class TestMajorizes:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             majorizes(uniform(3), uniform(4))
+
+
+class TestBatchedRows:
+    # Two good rows around a bad one: the batch must raise what
+    # make_distribution raises on the bad row.
+    @pytest.mark.parametrize("bad, renormalize", [
+        ([0.7, 0.7], False),
+        ([0.5, float("nan")], False),
+        ([1.5, -0.5], False),
+        ([0.0, 0.0], True),
+        ([2.0, -1.0], True),
+        ([1e308, 1e308], True),
+    ])
+    def test_bad_row_raises_what_make_distribution_raises(self, bad, renormalize):
+        values = np.array([0.25, 0.75, *bad, 0.5, 0.5])
+        with pytest.raises(NotADistribution) as batched:
+            _distribution_rows(values, _Rows([2, 2, 2]), renormalize)
+        with pytest.raises(NotADistribution) as scalar:
+            make_distribution(bad, renormalize)
+        assert str(batched.value) == str(scalar.value)
+
+    def test_rows_of_mixed_sizes_renormalize_like_make_distribution(self):
+        raw = [[1.0, 2.0], [3.0, 1.0, 1.0, 5.0], [0.0, 7.0, 0.25]]
+        got = _distribution_rows(np.array([x for r in raw for x in r]),
+                                 _Rows([2, 4, 3]), renormalize=True).tolist()
+        assert got == [x for r in raw for x in make_distribution(r, renormalize=True).probs]
