@@ -160,7 +160,7 @@ def _measure_rows(values, rows: _Rows):
     import numpy as np
 
     def logs(x):
-        return np.fromiter(map(log, np.where(x > 0.0, x, 1.0).tolist()), float, len(x))
+        return np.fromiter(map(log, memoryview(np.where(x > 0.0, x, 1.0))), float, len(x))
 
     qs = 1.0 - values
     lps = logs(values)

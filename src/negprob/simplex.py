@@ -276,10 +276,11 @@ class _Rows:
         return np.repeat(per_row, self.ns)
 
     def fsums(self, values):
-        """One ``fsum`` per row, as an array."""
+        """One ``fsum`` per row, as an array. The rows are read through a
+        memoryview, which yields Python floats without a list of them."""
         import numpy as np
 
-        entries = values.tolist()
+        entries = memoryview(values)
         return np.array(list(map(fsum, map(entries.__getitem__, self.slices))))
 
 

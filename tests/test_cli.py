@@ -26,18 +26,20 @@ LN2 = math.log(2.0)
 
 
 class _LineCounter:
-    """A stdout stand-in that keeps the writes it is given, or for long runs
-    only their count, line count and the last one."""
+    """A stdout stand-in that keeps the writes it is given (up to ``keep``
+    characters), their count, line count, largest size and last one, and
+    the interpreter's live memory blocks at each write."""
 
     def __init__(self, keep=10_000_000):
         self.keep = keep
         self.blocks = []
         self.live_blocks = []
-        self.writes = self.lines = self.size = 0
+        self.writes = self.lines = self.size = self.largest = 0
         self.last = ""
 
     def write(self, text):
         self.live_blocks.append(sys.getallocatedblocks())
+        self.largest = max(self.largest, len(text))
         self.writes += 1
         self.lines += text.count("\n")
         self.size += len(text)
@@ -238,15 +240,18 @@ class TestIterateCommand:
 
     def test_memory_stays_flat_over_many_steps(self, monkeypatch):
         # A non-uniform two-outcome input never converges, so this runs
-        # all 200,000 steps: 200,001 step lines and the summary line. The
-        # sink counts the interpreter's live memory blocks at every write;
-        # a trace held in memory would add millions of them by the end.
+        # all 200,000 steps: 200,001 step lines and the summary line. A
+        # trace held in memory would show as millions of live blocks at
+        # the last write, or as one 32 MB write. (tracemalloc would make
+        # this run take about 40 s; the next test uses it at smaller k.)
         sink = _LineCounter(keep=0)
         monkeypatch.setattr(sys, "stdout", sink)
+        before = sys.getallocatedblocks()
         assert main(["iterate", "-p", "0.3,0.7", "-k", "200000"]) == 0
         assert sink.lines == 200_002
         assert sink.last.endswith('{"converged_at":null,"tolerance":1e-09}\n')
-        assert max(sink.live_blocks) - sink.live_blocks[0] < 10_000
+        assert max(sink.live_blocks) - before < 10_000
+        assert sink.largest < 2**17
 
     def test_traced_peak_does_not_grow_with_k(self, monkeypatch):
         peaks = []
@@ -448,3 +453,21 @@ class TestNoNumpyWithoutSampling:
                                 capture_output=True, text=True, timeout=60)
         assert result.returncode == 0, result.stderr
         assert json.loads(result.stdout)["H"] == math.log(2.0)
+
+    @pytest.mark.parametrize("argv", [
+        ["negate", "-p", "0.2,0.8", "-k", "3"],
+        ["iterate", "-p", "0.2,0.3,0.5"],
+        ["sweep-n", "--n-min", "3", "--n-max", "300"],
+    ])
+    def test_other_commands_without_sampling_do_not_import_numpy(self, argv):
+        src = str(Path(negprob.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": src}
+        script = (
+            "import sys\n"
+            "from negprob.cli import main\n"
+            f"assert main({argv!r}) == 0\n"
+            "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
+        )
+        result = subprocess.run([sys.executable, "-c", script], env=env,
+                                capture_output=True, text=True, timeout=60)
+        assert result.returncode == 0, result.stderr
