@@ -42,19 +42,18 @@ fixtures, then probes by n, then trials by trial index. The reported
 counterexample is the first violation in that order, and a maximizer's
 reported peak is the first point that attains the largest excess.
 
-The trial pass is batched. Trials are taken in index order, in chunks of
-at most ``_CHUNK_ENTRIES`` entries in all (but at least one trial, so n
-near 10^4 gives one trial per chunk). A chunk holds its trials' distributions as flat rows
-(``simplex._Rows``) and runs every step once for the whole chunk: seeding
-(see ``simplex._pcg64_states``), renormalisation, validation, negation,
-the near-uniform blend, the measures and C1's majorization check. Every
-step is the same IEEE operation, ``math.log`` or ``math.fsum`` per row
-that the one-distribution functions use, so every float equals theirs by
-construction; the properties in tests/test_properties.py pin it. The
-reducers then fold each chunk's float columns in trial order: sample
-before blend, the first violation wins, the first strict maximum is the
-peak, and ``min_margin`` keeps the first minimum with its sign of zero.
-Only a reported point is turned back into a tuple of probabilities.
+The trial pass is batched (``_batch``). Trials are taken in index order,
+in chunks of at most ``_batch.CHUNK_ENTRIES`` entries (but at least one
+trial, so n near 10^4 gives one trial per chunk), and every step runs
+once per chunk: seeding, renormalisation, validation, negation, the
+near-uniform blend, the measures and C1's majorization check. Every step
+is the same IEEE operation, ``math.log`` or ``math.fsum`` per row that
+the one-distribution functions use, so every float equals theirs by
+construction. The reducers then fold each chunk's float columns in trial
+order: sample before blend, the first violation wins, the first strict
+maximum is the peak, and ``min_margin`` keeps the first minimum with its
+sign of zero. Only a reported point is turned back into a tuple of
+probabilities.
 """
 
 from __future__ import annotations
@@ -63,18 +62,9 @@ import json
 import math
 from dataclasses import dataclass
 
-from .measures import _measure_rows, measure_all
+from .measures import measure_all
 from .negation import negate
-from .simplex import (
-    Distribution,
-    SimplexSamplerConfig,
-    _distribution_rows,
-    _Rows,
-    _majorizes_rows,
-    _sample_rows,
-    make_distribution,
-    uniform,
-)
+from .simplex import Distribution, SimplexSamplerConfig, make_distribution, uniform
 
 CONFIRMED = "CONFIRMED"
 REFUTED = "REFUTED"
@@ -293,10 +283,6 @@ def _report(claim, seed, trials_run, tolerance, counterexample, observed):
     )
 
 
-# Entries (trials x n) evaluated together; n near 10^4 gives one trial per chunk.
-_CHUNK_ENTRIES = 2**14
-
-
 @dataclass
 class _Inequality:
     """Running verdict of one inequality claim; the first violation wins."""
@@ -422,70 +408,6 @@ def _probe_points(n: int) -> list[Distribution]:
     return points
 
 
-class _Chunk:
-    """Consecutive trials t0, t0 + 1, ..., each drawn, negated and measured
-    once, as float columns in trial order.
-
-    The trials' distributions are ragged rows (see ``simplex``), so every
-    step runs once on the whole chunk whatever the mix of n.
-    ``columns[kind, field]`` holds H, VH or VJ of the sample ("p", only
-    with ``before``), of its negation ("negated") and of the negated
-    near-uniform blend ("blend", only with ``blend``). ``majorized`` holds
-    C1's ``majorizes(p, negate(p))`` decisions (only with ``majorization``).
-    """
-
-    def __init__(self, seed, t0, ns, before, blend, majorization):
-        rows = _Rows(ns)
-        self.n = rows.ns
-        self.slices = rows.slices
-        p = _sample_rows(seed, rows, range(t0, t0 + len(rows)))
-        scale = rows.repeat(self.n - 1.0)
-        negated = _distribution_rows((1.0 - p) / scale, rows)
-        measured = {"negated": negated}
-        if before:
-            measured["p"] = p
-        self.p, self.blend = p, None
-        if blend:
-            w = _NEAR_UNIFORM_WEIGHT
-            near = rows.repeat((1.0 - w) * (1.0 / self.n)) + w * p
-            self.blend = _distribution_rows(near, rows, renormalize=True)
-            measured["blend"] = _distribution_rows((1.0 - self.blend) / scale, rows)
-        self.columns = {
-            (kind, field): values
-            for kind, values in measured.items()
-            for field, values in zip(("H", "VH", "VJ"), _measure_rows(values, rows))
-        }
-        if majorization:
-            self.majorized = _majorizes_rows(p, negated, rows)
-
-    def per_n(self, value):
-        """The column that holds value(n) for each trial of n."""
-        import numpy as np
-
-        distinct, at = np.unique(self.n, return_inverse=True)
-        return np.array([value(n) for n in distinct.tolist()])[at]
-
-    def probs(self, i: int, blend: bool = False) -> tuple[float, ...]:
-        """The sample (or its blend) of the chunk's i-th trial."""
-        return tuple((self.blend if blend else self.p)[self.slices[i]].tolist())
-
-
-def _chunks(trials: int, n_min: int, n_max: int):
-    """(t0, ns) for consecutive runs of trials, in order: ns is each
-    trial's n, and their sum stays within ``_CHUNK_ENTRIES`` unless a
-    single trial exceeds it."""
-    import numpy as np
-
-    t0 = 0
-    while t0 < trials:
-        ns = n_min + np.arange(t0, min(trials, t0 + _CHUNK_ENTRIES // n_min)) % (
-            n_max - n_min + 1
-        )
-        m = max(1, int(np.searchsorted(np.cumsum(ns), _CHUNK_ENTRIES, side="right")))
-        yield t0, ns[:m]
-        t0 += m
-
-
 def _run(selected, seed, trials, n_range, tolerance) -> list[ClaimReport]:
     """Reports for the selected claims, in the order given: fixtures and
     probes first, then one pass over the trials in chunks, which draws,
@@ -526,13 +448,18 @@ def _run(selected, seed, trials, n_range, tolerance) -> list[ClaimReport]:
         for tally in maximizers:
             tally.probes(points, values, negated_uniform)
 
-    for t0, ns in _chunks(trials, n_min, n_max) if inequalities or maximizers else ():
-        chunk = _Chunk(seed, t0, ns, before=bool(inequalities), blend=bool(maximizers),
-                       majorization=any(t.claim.id == "C1" for t in inequalities))
-        for tally in inequalities:
-            tally.trials(chunk)
-        for tally in maximizers:
-            tally.trials(chunk, negated_uniform)
+    if inequalities or maximizers:
+        from ._batch import trial_chunks  # numpy loads only when trials are drawn
+
+        for chunk in trial_chunks(
+            seed, trials, n_min, n_max, before=bool(inequalities),
+            blend=_NEAR_UNIFORM_WEIGHT if maximizers else None,
+            majorization=any(t.claim.id == "C1" for t in inequalities),
+        ):
+            for tally in inequalities:
+                tally.trials(chunk)
+            for tally in maximizers:
+                tally.trials(chunk, negated_uniform)
 
     grid = _limit_grid(n_min, n_max)
     limits = any(c.kind == "limit" for c in selected)

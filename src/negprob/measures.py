@@ -43,7 +43,7 @@ from dataclasses import dataclass
 from math import fsum, log
 from operator import mul
 
-from .simplex import Distribution, TooFewOutcomes, _Rows
+from .simplex import Distribution, TooFewOutcomes
 
 VARENTROPY_CLAMP = 1e-12
 
@@ -145,33 +145,6 @@ def measure_all(d: Distribution) -> MeasureSet:
     if -VARENTROPY_CLAMP < vh < 0.0:
         vh = 0.0
     return MeasureSet(H=-s1 + 0.0, H1=1.0 - sq, J=-t1 + 0.0, VH=vh, VJ=t2 - t1 * t1)
-
-
-def _measure_rows(values, rows: _Rows):
-    """H, VH and VJ of each distribution in the flat rows ``values`` (see
-    ``simplex._Rows``), as three arrays, each entry bitwise equal to that
-    field of ``measure_all``.
-
-    The logarithms are ``math.log`` with the scalar guard (a guarded entry
-    takes log(1.0) = 0.0), each term is the same numpy product in the same
-    order as in ``measure_all``, and each sum is one ``fsum`` per row. Rows
-    with equal entries are summed in full; ``n * t`` gives the same float.
-    """
-    import numpy as np
-
-    def logs(x):
-        return np.fromiter(map(log, memoryview(np.where(x > 0.0, x, 1.0))), float, len(x))
-
-    qs = 1.0 - values
-    lps = logs(values)
-    lqs = logs(qs)
-    s1 = rows.fsums(values * lps)
-    s2 = rows.fsums(values * (lps * lps))
-    t1 = rows.fsums(qs * lqs)
-    t2 = rows.fsums(qs * (lqs * lqs))
-    vh = s2 - s1 * s1
-    vh[(-VARENTROPY_CLAMP < vh) & (vh < 0.0)] = 0.0
-    return -s1 + 0.0, vh, t2 - t1 * t1
 
 
 def uniform_varextropy(n: int) -> float:

@@ -12,14 +12,8 @@ unit-exponential draws. Each trial's random stream is derived from
 (seed, n, trial_index) alone, so a given trial yields the same sample no
 matter in which order trials are evaluated.
 
-The claim engine samples, validates and compares many distributions at
-once as flat rows (``_Rows``). The batch functions reproduce the public
-ones bit for bit rather than approximately. ``_pcg64_states`` runs numpy's
-documented SeedSequence hash and PCG64 seeding on columns of (n, t), so
-``_sample_rows`` draws from exactly the stream ``sample_uniform_simplex``
-draws from. ``_distribution_rows`` makes ``make_distribution``'s checks
-as array scans plus one ``fsum`` per row. ``_majorizes_rows`` adds prefix
-sums left to right like ``majorizes``.
+These functions are the reference for the claim engine's batched trial
+pass (``_batch``), which must reproduce them bit for bit.
 """
 
 from __future__ import annotations
@@ -27,7 +21,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from math import fsum
 
 SUM_TOLERANCE = 1e-9
 
@@ -37,15 +30,6 @@ MAJORIZATION_SLACK = 1e-12
 
 _UINT64_MAX = 2**64 - 1
 
-# numpy's SeedSequence hash constants (32-bit words, pool of four).
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_POOL_SIZE = 4
-# PCG64's 128-bit LCG multiplier.
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK32 = 2**32 - 1
-_MASK128 = 2**128 - 1
 
 
 class TooFewOutcomes(ValueError):
@@ -179,192 +163,6 @@ def sample_uniform_simplex(
     seq = np.random.SeedSequence((config.seed, config.n, trial_index))
     gaps = np.random.default_rng(seq).standard_exponential(config.n)
     return make_distribution((gaps / gaps.sum()).tolist(), renormalize=True)
-
-
-def _words(x: int) -> list[int]:
-    """x as little-endian 32-bit words, the way SeedSequence splits an int."""
-    words = [x & _MASK32]
-    x >>= 32
-    while x:
-        words.append(x & _MASK32)
-        x >>= 32
-    return words
-
-
-def _pcg64_states(seed: int, ns, ts) -> list[tuple[int, int]]:
-    """The PCG64 (state, inc) that ``SeedSequence((seed, n, t))`` seeds, for
-    each pair of ns (every n below 2**32) and ts.
-
-    This is numpy's SeedSequence pool hash and ``generate_state(4,
-    uint64)``, run on uint32 columns with one entry per pair, followed by
-    PCG64's seeding (two LCG steps) in Python's 128-bit integers.
-    """
-    import numpy as np
-
-    t = np.array(ts, dtype=np.uint64)
-    long = t > _MASK32  # t takes one word below 2**32 and two from there on
-    if 0 < long.sum() < len(t):
-        states = [None] * len(t)
-        for part in (~long, long):
-            at = np.flatnonzero(part)
-            for i, state in zip(at.tolist(), _pcg64_states(seed, np.take(ns, at), t[at])):
-                states[i] = state
-        return states
-    entropy = [np.full(len(t), w, np.uint32) for w in _words(seed)]
-    entropy += [np.asarray(ns, dtype=np.uint32), (t & _MASK32).astype(np.uint32)]
-    if long.any():
-        entropy.append((t >> 32).astype(np.uint32))
-
-    hash_const = _INIT_A
-
-    def hashmix(value):
-        nonlocal hash_const
-        value = value ^ hash_const
-        hash_const = hash_const * _MULT_A & _MASK32
-        value = value * hash_const
-        return value ^ (value >> 16)
-
-    def mix(x, y):
-        result = _MIX_MULT_L * x - _MIX_MULT_R * y
-        return result ^ (result >> 16)
-
-    zero = np.zeros(len(t), np.uint32)
-    pool = [hashmix(entropy[i] if i < len(entropy) else zero) for i in range(_POOL_SIZE)]
-    for i_src in range(_POOL_SIZE):
-        for i_dst in range(_POOL_SIZE):
-            if i_src != i_dst:
-                pool[i_dst] = mix(pool[i_dst], hashmix(pool[i_src]))
-    for word in entropy[_POOL_SIZE:]:
-        for i_dst in range(_POOL_SIZE):
-            pool[i_dst] = mix(pool[i_dst], hashmix(word))
-
-    hash_const = _INIT_B
-    state = []
-    for i in range(2 * _POOL_SIZE):
-        value = pool[i % _POOL_SIZE] ^ hash_const
-        hash_const = hash_const * _MULT_B & _MASK32
-        value = value * hash_const
-        state.append((value ^ (value >> 16)).astype(np.uint64))
-    # Little-endian uint32 pairs make the four uint64 seed words.
-    words = [(state[2 * k] | state[2 * k + 1] << 32).tolist() for k in range(4)]
-    out = []
-    for seed_hi, seed_lo, seq_hi, seq_lo in zip(*words):
-        inc = ((seq_hi << 64 | seq_lo) << 1 | 1) & _MASK128
-        out.append(((((seed_hi << 64 | seed_lo) + inc) * _PCG_MULT + inc) & _MASK128, inc))
-    return out
-
-
-class _Rows:
-    """The layout of ragged rows: distributions of mixed sizes stored one
-    after another in one flat float array. ``ns`` holds each row's length
-    and ``slices`` the part of the flat array that holds each row."""
-
-    def __init__(self, ns):
-        import numpy as np
-
-        self.ns = np.asarray(ns)
-        ends = np.cumsum(self.ns).tolist()
-        self.slices = list(map(slice, [0, *ends[:-1]], ends))
-
-    def __len__(self) -> int:
-        return len(self.slices)
-
-    def repeat(self, per_row):
-        """Each row's value, once for every entry of the row."""
-        import numpy as np
-
-        return np.repeat(per_row, self.ns)
-
-    def fsums(self, values):
-        """One ``fsum`` per row, as an array. The rows are read through a
-        memoryview, which yields Python floats without a list of them."""
-        import numpy as np
-
-        entries = memoryview(values)
-        return np.array(list(map(fsum, map(entries.__getitem__, self.slices))))
-
-
-def _sample_rows(seed: int, rows: _Rows, ts):
-    """``sample_uniform_simplex(SimplexSamplerConfig(seed, n, trials), t)``
-    for each n of ``rows.ns`` and t of ts, bit for bit, as flat rows.
-
-    Every row is drawn from its own PCG64 stream, set from
-    ``_pcg64_states`` on one Generator, and ``gaps / gaps.sum()`` is taken
-    with numpy's own sum of that row; the renormalisation and validation
-    then run on all rows at once (see ``_distribution_rows``).
-    """
-    import numpy as np
-
-    bits = np.random.PCG64(0)
-    gen = np.random.Generator(bits)
-    seeded = {"state": 0, "inc": 0}
-    state = {"bit_generator": "PCG64", "state": seeded, "has_uint32": 0, "uinteger": 0}
-    draws = []
-    ns = rows.ns.tolist()
-    for n, (seeded["state"], seeded["inc"]) in zip(ns, _pcg64_states(seed, ns, ts)):
-        bits.state = state
-        draws.append(gen.standard_exponential(n))
-    sums = np.array(list(map(np.add.reduce, draws)))  # gaps.sum() of each row
-    return _distribution_rows(np.concatenate(draws) / rows.repeat(sums), rows,
-                              renormalize=True)
-
-
-def _distribution_rows(values, rows: _Rows, renormalize: bool = False):
-    """``make_distribution(row, renormalize).probs`` for each row of the
-    flat array ``values``, bit for bit, as flat rows.
-
-    The entry checks are scans of the whole array and each row sum is one
-    ``fsum``; division is a single IEEE operation in numpy as in Python.
-    When a scan finds any row that ``make_distribution`` would not accept
-    as is, every row is rebuilt by it in order, so the first bad row
-    raises the usual error.
-    """
-    import numpy as np
-
-    out = values
-    ok = bool(np.isfinite(values).all()) and values.min() >= 0.0
-    try:
-        if ok and renormalize:
-            totals = rows.fsums(values)
-            ok = bool(np.isfinite(totals).all()) and totals.min() > 0.0
-            if ok:
-                out = values / rows.repeat(totals)
-        ok = ok and out.max() <= 1.0 and (
-            np.abs(rows.fsums(out) - 1.0).max() <= SUM_TOLERANCE
-        )
-    except OverflowError:  # an fsum of finite entries beyond float range
-        ok = False
-    if ok:
-        return out
-    entries = values.tolist()
-    return np.array([
-        x for row in rows.slices
-        for x in make_distribution(entries[row], renormalize).probs
-    ])
-
-
-def _majorizes_rows(p, q, rows: _Rows, slack: float = MAJORIZATION_SLACK):
-    """``majorizes`` of each pair of rows of the flat arrays p and q, as a
-    bool array.
-
-    The rows are padded with zeros to one width, sorted in descending order
-    and summed with ``cumsum``, which adds left to right like the scalar
-    loop, so every prefix sum and comparison is the same float operation.
-    Entries are nonnegative, so the padding sorts last, leaves each prefix
-    sum as it is and repeats the full-row comparison.
-    """
-    import numpy as np
-
-    ns = rows.ns
-    row = rows.repeat(np.arange(len(ns)))
-    column = np.arange(len(row)) - rows.repeat(np.cumsum(ns) - ns)
-
-    def prefix_sums(x):
-        padded = np.zeros((len(ns), ns.max()))
-        padded[row, column] = x
-        return np.cumsum(np.sort(padded, axis=1)[:, ::-1], axis=1)
-
-    return ~(prefix_sums(p) < prefix_sums(q) - slack).any(axis=1)
 
 
 def majorizes(p: Distribution, q: Distribution, slack: float = MAJORIZATION_SLACK) -> bool:

@@ -249,7 +249,7 @@ class TestReports:
             check_all(claim_ids=["C1", "nope"])
 
     def test_one_pass_samples_each_trial_once(self, monkeypatch):
-        from negprob import claims
+        from negprob import _batch
 
         drawn = []
 
@@ -257,8 +257,8 @@ class TestReports:
             drawn.extend(zip([seed] * len(rows), rows.ns.tolist(), ts))
             return sample_rows(seed, rows, ts)
 
-        sample_rows = claims._sample_rows
-        monkeypatch.setattr(claims, "_sample_rows", counting)
+        sample_rows = _batch.sample_rows
+        monkeypatch.setattr(_batch, "sample_rows", counting)
         check_all(seed=3, trials=50)
         assert drawn == [(3, 2 + t % 7, t) for t in range(50)]
 
@@ -266,19 +266,17 @@ class TestReports:
         (5000, (2, 8)), (7, (9998, 10_000)), (300, (2, 10_000)), (40, (3, 3)),
     ])
     def test_chunks_cover_the_trials_in_order_within_the_entry_budget(self, trials, n_range):
-        from negprob.claims import _CHUNK_ENTRIES, _chunks
+        from negprob._batch import CHUNK_ENTRIES, trial_chunks
 
         n_min, n_max = n_range
-        t = 0
-        for t0, ns in _chunks(trials, n_min, n_max):
-            assert t0 == t
-            assert ns.tolist() == [n_min + u % (n_max - n_min + 1)
-                                   for u in range(t0, t0 + len(ns))]
-            assert len(ns) == 1 or ns.sum() <= _CHUNK_ENTRIES
-            if n_min > _CHUNK_ENTRIES // 2:  # n near 10^4: one trial per chunk
-                assert len(ns) == 1
-            t += len(ns)
-        assert t == trials
+        ns = []
+        for chunk in trial_chunks(0, trials, n_min, n_max, before=False, blend=None,
+                                  majorization=False):
+            assert len(chunk.n) == 1 or chunk.n.sum() <= CHUNK_ENTRIES
+            if n_min > CHUNK_ENTRIES // 2:  # n near 10^4: one trial per chunk
+                assert len(chunk.n) == 1
+            ns += chunk.n.tolist()
+        assert ns == [n_min + t % (n_max - n_min + 1) for t in range(trials)]
 
     def test_serialization_is_deterministic(self):
         a = reports_to_json(check_all(seed=4, trials=80))

@@ -5,7 +5,7 @@ for the CLI's contract that every input either works or fails cleanly.
 claim, and the maximizer claims read them off negated points; the reports
 are byte-identical to per-claim evaluation only because these properties
 hold. The trial pass works on batches of trials (flat rows, see
-``simplex._Rows``); its sampler, measures and majorization check must be
+``negprob._batch``); its sampler, measures and majorization check must be
 bitwise equal to the public one-distribution functions.
 """
 
@@ -34,9 +34,8 @@ from negprob import (
     varextropy,
 )
 from negprob import SimplexSamplerConfig, sample_uniform_simplex
+from negprob._batch import Rows, majorizes_rows, measure_rows, sample_rows
 from negprob.cli import main
-from negprob.measures import _measure_rows
-from negprob.simplex import _majorizes_rows, _Rows, _sample_rows
 
 # Large distributions are slow to measure; no example database is written.
 SETTINGS = settings(max_examples=60, deadline=None, database=None)
@@ -114,7 +113,7 @@ def test_distribution_majorizes_its_negation(d):
 
 def flat(*dists):
     """The distributions as flat rows and their layout."""
-    return np.array([x for d in dists for x in d.probs]), _Rows([d.n for d in dists])
+    return np.array([x for d in dists for x in d.probs]), Rows([d.n for d in dists])
 
 
 # Trial indices at the one-word / two-word boundary of SeedSequence's input.
@@ -127,8 +126,8 @@ TRIAL_INDICES = st.one_of(st.sampled_from([0, 2**32 - 1, 2**32]),
        st.lists(st.tuples(st.one_of(st.integers(2, 12), st.integers(2, 10_000)),
                           TRIAL_INDICES), min_size=1, max_size=4))
 def test_batched_samples_are_bitwise_equal_to_the_sampler(seed, trials):
-    rows = _Rows([n for n, _ in trials])
-    got = _sample_rows(seed, rows, [t for _, t in trials]).tolist()
+    rows = Rows([n for n, _ in trials])
+    got = sample_rows(seed, rows, [t for _, t in trials]).tolist()
     for (n, t), row in zip(trials, rows.slices):
         want = sample_uniform_simplex(SimplexSamplerConfig(seed, n, t + 1), t).probs
         assert [x.hex() for x in got[row]] == [x.hex() for x in want]
@@ -138,7 +137,7 @@ def test_batched_samples_are_bitwise_equal_to_the_sampler(seed, trials):
 @given(st.lists(distributions(), min_size=1, max_size=3))
 def test_batched_measures_are_bitwise_equal_to_measure_all(dists):
     dists += [negate(d) for d in dists]
-    columns = _measure_rows(*flat(*dists))
+    columns = measure_rows(*flat(*dists))
     for i, d in enumerate(dists):
         ms = measure_all(d)
         assert [c[i].hex() for c in map(lambda c: c.tolist(), columns)] == [
@@ -153,7 +152,7 @@ def test_batched_measures_equal_measure_all_on_many_small_rows():
     dists = [make_distribution([rng.random() for _ in range(rng.randint(2, 6))],
                                renormalize=True) for _ in range(3000)]
     dists += [negate(d) for d in dists]
-    columns = [c.tolist() for c in _measure_rows(*flat(*dists))]
+    columns = [c.tolist() for c in measure_rows(*flat(*dists))]
     assert list(zip(*columns)) == [(m.H, m.VH, m.VJ) for m in map(measure_all, dists)]
 
 
@@ -180,9 +179,9 @@ def test_batched_majorization_equals_majorizes(pairs):
     ps, qs = [p for p, _ in pairs], [q for _, q in pairs]
     values_p, rows = flat(*ps)
     values_q, _ = flat(*qs)
-    assert _majorizes_rows(values_p, values_q, rows).tolist() == [
+    assert majorizes_rows(values_p, values_q, rows).tolist() == [
         majorizes(p, q) for p, q in pairs]
-    assert _majorizes_rows(values_q, values_p, rows).tolist() == [
+    assert majorizes_rows(values_q, values_p, rows).tolist() == [
         majorizes(q, p) for p, q in pairs]
 
 

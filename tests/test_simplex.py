@@ -15,7 +15,7 @@ from negprob import (
     sample_uniform_simplex,
     uniform,
 )
-from negprob.simplex import _distribution_rows, _Rows
+from negprob._batch import Rows, distribution_rows
 
 
 def random_distributions(seed, count, n_lo=2, n_hi=10):
@@ -230,13 +230,13 @@ class TestBatchedRows:
     def test_bad_row_raises_what_make_distribution_raises(self, bad, renormalize):
         values = np.array([0.25, 0.75, *bad, 0.5, 0.5])
         with pytest.raises(NotADistribution) as batched:
-            _distribution_rows(values, _Rows([2, 2, 2]), renormalize)
+            distribution_rows(values, Rows([2, 2, 2]), renormalize)
         with pytest.raises(NotADistribution) as scalar:
             make_distribution(bad, renormalize)
         assert str(batched.value) == str(scalar.value)
 
     def test_rows_of_mixed_sizes_renormalize_like_make_distribution(self):
         raw = [[1.0, 2.0], [3.0, 1.0, 1.0, 5.0], [0.0, 7.0, 0.25]]
-        got = _distribution_rows(np.array([x for r in raw for x in r]),
-                                 _Rows([2, 4, 3]), renormalize=True).tolist()
+        got = distribution_rows(np.array([x for r in raw for x in r]),
+                                 Rows([2, 4, 3]), renormalize=True).tolist()
         assert got == [x for r in raw for x in make_distribution(r, renormalize=True).probs]
