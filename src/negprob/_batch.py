@@ -196,6 +196,14 @@ def distribution_rows(values, rows: Rows, renormalize: bool = False):
     ])
 
 
+def negate_rows(values, rows: Rows):
+    """(1 - p) / (n - 1) for every entry, the operations ``negate`` applies;
+    the result is not yet validated."""
+    negated = 1.0 - values
+    negated /= rows.repeat(rows.ns - 1.0)
+    return negated
+
+
 def majorizes_rows(p, q, rows: Rows, slack: float = MAJORIZATION_SLACK):
     """``majorizes`` of each pair of rows of the flat arrays p and q, as a
     bool array.
@@ -257,8 +265,8 @@ class TrialChunk:
 
     ``columns[kind, field]`` holds H, VH or VJ of the sample ("p", only
     with ``before``), of its negation ("negated") and of its negated
-    near-uniform blend ("blend", only with a ``blend`` weight). The blend
-    is (1 - w) / n + w * p, renormalised. ``majorized`` holds
+    near-uniform blend ("blend", only with a ``blend`` weight w). The blend
+    is (1 - w) * (1 / n) + w * p, renormalised. ``majorized`` holds
     ``majorizes(p, negate(p))`` (only with ``majorization``).
     """
 
@@ -268,7 +276,7 @@ class TrialChunk:
         self.slices = rows.slices
         self._probs = {}
         p = sample_rows(seed, rows, range(t0, t0 + len(rows)))
-        negated = distribution_rows(self._negate(p, rows), rows)
+        negated = distribution_rows(negate_rows(p, rows), rows)
         measured = {"negated": negated}
         if before:
             measured["p"] = p
@@ -276,21 +284,14 @@ class TrialChunk:
         if blend is not None:
             near = rows.repeat((1.0 - blend) * (1.0 / self.n)) + blend * p
             self.blend = distribution_rows(near, rows, renormalize=True)
-            measured["blend"] = distribution_rows(self._negate(self.blend, rows), rows)
+            measured["blend"] = distribution_rows(negate_rows(self.blend, rows), rows)
         self.columns = {
-            (kind, field): values
+            (kind, field): column
             for kind, values in measured.items()
-            for field, values in zip(("H", "VH", "VJ"), measure_rows(values, rows))
+            for field, column in zip(("H", "VH", "VJ"), measure_rows(values, rows))
         }
         if majorization:
             self.majorized = majorizes_rows(p, negated, rows)
-
-    @staticmethod
-    def _negate(p, rows):
-        """(1 - p) / (n - 1) for every entry, as ``negate`` computes it."""
-        negated = 1.0 - p
-        negated /= rows.repeat(rows.ns - 1.0)
-        return negated
 
     def per_n(self, value):
         """The column that holds value(n) for each trial of n."""
