@@ -353,6 +353,7 @@ class _Maximizer:
         return math.log(n) if field == "H" else getattr(negated_uniform[n], field)
 
     def probes(self, points, values, negated_uniform) -> None:
+        """Fold one n's probe points in order; values measure their negations."""
         import numpy as np
 
         field = _MEASURE_FIELD[self.claim.id]
