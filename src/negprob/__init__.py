@@ -27,14 +27,7 @@ from .measures import (
     varentropy,
     varextropy,
 )
-from .negation import (
-    NegationTrace,
-    TraceStep,
-    negate,
-    negate_k,
-    negation_steps,
-    trace_negation,
-)
+from .negation import NegationTrace, TraceStep, negate, negate_k, trace_negation
 from .simplex import (
     SUM_TOLERANCE,
     DimensionMismatch,
@@ -79,7 +72,6 @@ __all__ = [
     "measure_all",
     "negate",
     "negate_k",
-    "negation_steps",
     "reports_to_json",
     "sample_uniform_simplex",
     "trace_negation",

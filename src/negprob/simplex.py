@@ -31,7 +31,6 @@ MAJORIZATION_SLACK = 1e-12
 _UINT64_MAX = 2**64 - 1
 
 
-
 class TooFewOutcomes(ValueError):
     """Fewer than two outcomes: negation is undefined for n < 2."""
 
