@@ -23,7 +23,8 @@ numpy, so it is imported only when trials are sampled.
 
 from __future__ import annotations
 
-from math import fsum, log
+from itertools import accumulate
+from math import fsum, inf, log
 
 import numpy as np
 
@@ -51,7 +52,7 @@ class Rows:
 
     def __init__(self, ns):
         self.ns = np.asarray(ns)
-        ends = np.cumsum(self.ns).tolist()
+        ends = list(accumulate(self.ns.tolist()))
         self.slices = list(map(slice, [0, *ends[:-1]], ends))
 
     def __len__(self) -> int:
@@ -80,25 +81,26 @@ def _words(x: int) -> list[int]:
 
 def pcg64_states(seed: int, ns, ts) -> list[tuple[int, int]]:
     """The PCG64 (state, inc) that ``SeedSequence((seed, n, t))`` seeds, for
-    each pair of ns (every n below 2**32) and ts.
+    each pair of ns (every n below 2**32) and ts (every t below 2**64).
 
     This is numpy's SeedSequence pool hash and ``generate_state(4,
     uint64)``, run on uint32 columns with one entry per pair, followed by
     PCG64's seeding (two LCG steps) in Python's 128-bit integers.
     """
-    t = np.array(ts, dtype=np.uint64)
-    long = t > _MASK32  # t takes one word below 2**32 and two from there on
-    if 0 < long.sum() < len(t):
-        states = [None] * len(t)
-        for part in (~long, long):
-            at = np.flatnonzero(part)
-            for i, state in zip(at.tolist(), pcg64_states(seed, np.take(ns, at), t[at])):
+    ns, ts = list(ns), list(ts)
+    highs = [t >> 32 for t in ts]  # t takes one word below 2**32 and two from there on
+    if any(highs) and not all(highs):
+        states = [None] * len(ts)
+        for long in (False, True):
+            at = [i for i, high in enumerate(highs) if bool(high) == long]
+            parts = pcg64_states(seed, [ns[i] for i in at], [ts[i] for i in at])
+            for i, state in zip(at, parts):
                 states[i] = state
         return states
-    entropy = [np.full(len(t), w, np.uint32) for w in _words(seed)]
-    entropy += [np.asarray(ns, dtype=np.uint32), (t & _MASK32).astype(np.uint32)]
-    if long.any():
-        entropy.append((t >> 32).astype(np.uint32))
+    entropy = [np.full(len(ts), w, np.uint32) for w in _words(seed)]
+    entropy += [np.array(ns, np.uint32), np.array([t & _MASK32 for t in ts], np.uint32)]
+    if any(highs):
+        entropy.append(np.array(highs, np.uint32))
 
     hash_const = _INIT_A
 
@@ -113,7 +115,7 @@ def pcg64_states(seed: int, ns, ts) -> list[tuple[int, int]]:
         result = _MIX_MULT_L * x - _MIX_MULT_R * y
         return result ^ (result >> 16)
 
-    zero = np.zeros(len(t), np.uint32)
+    zero = np.zeros(len(ts), np.uint32)
     pool = [hashmix(entropy[i] if i < len(entropy) else zero) for i in range(_POOL_SIZE)]
     for i_src in range(_POOL_SIZE):
         for i_dst in range(_POOL_SIZE):
@@ -129,11 +131,12 @@ def pcg64_states(seed: int, ns, ts) -> list[tuple[int, int]]:
         value = pool[i % _POOL_SIZE] ^ hash_const
         hash_const = hash_const * _MULT_B & _MASK32
         value = value * hash_const
-        state.append((value ^ (value >> 16)).astype(np.uint64))
-    # Little-endian uint32 pairs make the four uint64 seed words.
-    words = [(state[2 * k] | state[2 * k + 1] << 32).tolist() for k in range(4)]
+        state.append((value ^ (value >> 16)).tolist())
     out = []
-    for seed_hi, seed_lo, seq_hi, seq_lo in zip(*words):
+    # Little-endian uint32 pairs make the four uint64 seed words.
+    for a, b, c, d, e, f, g, h in zip(*state):
+        seed_hi, seed_lo = a | b << 32, c | d << 32
+        seq_hi, seq_lo = e | f << 32, g | h << 32
         inc = ((seq_hi << 64 | seq_lo) << 1 | 1) & _MASK128
         out.append(((((seed_hi << 64 | seed_lo) + inc) * _PCG_MULT + inc) & _MASK128, inc))
     return out
@@ -174,11 +177,11 @@ def distribution_rows(values, rows: Rows, renormalize: bool = False):
     bad row raises the usual error.
     """
     out = values
-    ok = bool(np.isfinite(values).all()) and values.min() >= 0.0
+    ok = values.min() >= 0.0  # False on nan; an inf entry fails a later check
     try:
         if ok and renormalize:
             totals = rows.fsums(values)
-            ok = bool(np.isfinite(totals).all()) and totals.min() > 0.0
+            ok = totals.min() > 0.0 and totals.max() < inf  # no inf / inf below
             if ok:
                 out = rows.repeat(totals)
                 np.divide(values, out, out=out)
@@ -204,30 +207,24 @@ def negate_rows(values, rows: Rows):
     return negated
 
 
-def majorizes_rows(p, q, rows: Rows, slack: float = MAJORIZATION_SLACK):
+def majorizes_rows(p, q, rows: Rows):
     """``majorizes`` of each pair of rows of the flat arrays p and q, as a
-    bool array.
+    list of bools.
 
-    The rows are padded with zeros to one width, sorted in descending order
-    (as their negations, ascending) and summed with ``cumsum``, which adds
-    left to right like the scalar loop, so every prefix sum and comparison
-    is the same float operation. Entries are nonnegative, so the padding
-    sorts last, leaves each prefix sum as it is and repeats the full-row
-    comparison.
+    Each row is sorted in descending order by ``sorted`` and summed by
+    ``accumulate``, which adds left to right like the scalar loop, so every
+    prefix sum and comparison is the same float operation.
     """
-    width = rows.ns.max()
-    filled = np.arange(width) < rows.ns[:, None]  # row-major, like the flat rows
-
-    def prefix_sums(x):
-        padded = np.zeros((len(rows), width))
-        padded[filled] = -x  # sorted ascending, -x is x in descending order
-        padded.sort(axis=1)
-        np.negative(padded, out=padded)
-        return np.cumsum(padded, axis=1, out=padded)
-
-    bound = prefix_sums(q)
-    bound -= slack
-    return ~(prefix_sums(p) < bound).any(axis=1)
+    p_entries, q_entries = memoryview(p), memoryview(q)
+    minus_slack = MAJORIZATION_SLACK.__rsub__  # s -> s - MAJORIZATION_SLACK
+    return [
+        not any(map(
+            float.__lt__,
+            accumulate(sorted(p_entries[row], reverse=True)),
+            map(minus_slack, accumulate(sorted(q_entries[row], reverse=True))),
+        ))
+        for row in rows.slices
+    ]
 
 
 def measure_rows(values, rows: Rows):
@@ -254,9 +251,9 @@ def measure_rows(values, rows: Rows):
     t1 = rows.fsums(qs * lqs)
     lqs *= lqs
     t2 = rows.fsums(qs * lqs)
-    vh = s2 - s1 * s1
-    vh[(-VARENTROPY_CLAMP < vh) & (vh < 0.0)] = 0.0
-    return -s1 + 0.0, vh, t2 - t1 * t1
+    vh = [0.0 if -VARENTROPY_CLAMP < v < 0.0 else v for v in (s2 - s1 * s1).tolist()]
+    # 0.0 - s1 equals measure_all's -s1 + 0.0, zeros included.
+    return 0.0 - s1, np.array(vh), t2 - t1 * t1
 
 
 class TrialChunk:
@@ -295,8 +292,9 @@ class TrialChunk:
 
     def per_n(self, value):
         """The column that holds value(n) for each trial of n."""
-        distinct, at = np.unique(self.n, return_inverse=True)
-        return np.array([value(n) for n in distinct.tolist()])[at]
+        ns = self.n.tolist()
+        values = {n: value(n) for n in set(ns)}
+        return np.array(list(map(values.__getitem__, ns)))
 
     def probs(self, i: int, blend: bool = False) -> tuple[float, ...]:
         """The sample (or its blend) of the chunk's i-th trial, built once
@@ -313,9 +311,12 @@ def trial_chunks(seed, trials, n_min, n_max, *, before, blend, majorization):
     at most ``CHUNK_ENTRIES``, unless its one trial alone exceeds it."""
     t0 = 0
     while t0 < trials:
-        ns = n_min + np.arange(t0, min(trials, t0 + CHUNK_ENTRIES // n_min)) % (
-            n_max - n_min + 1
-        )
-        m = max(1, int(np.searchsorted(np.cumsum(ns), CHUNK_ENTRIES, side="right")))
-        yield TrialChunk(seed, t0, ns[:m], before, blend, majorization)
-        t0 += m
+        ns, entries = [], 0
+        for t in range(t0, trials):
+            n = n_min + t % (n_max - n_min + 1)
+            if ns and entries + n > CHUNK_ENTRIES:
+                break
+            ns.append(n)
+            entries += n
+        yield TrialChunk(seed, t0, ns, before, blend, majorization)
+        t0 += len(ns)

@@ -308,20 +308,18 @@ class _Inequality:
         field = _MEASURE_FIELD[self.claim.id]
         lhs = chunk.columns["negated", field]
         rhs = chunk.columns["p", field]
-        margins = lhs - rhs
-        i = int(margins.argmin())  # the first minimum keeps its sign of zero
-        if margins[i] < self.min_margin:
-            self.min_margin = float(margins[i])
-        violated = lhs < rhs - self.tolerance
+        # min() keeps the first minimum, with its sign of zero
+        self.min_margin = min(self.min_margin, *(lhs - rhs).tolist())
+        violated = (lhs < rhs - self.tolerance).tolist()
         if self.claim.id == "C1":
-            failed = ~chunk.majorized
-            self.majorization_failures += int(failed.sum())
-            violated |= failed
-        reversible = chunk.n >= 3
-        self.reversible += int(reversible.sum())
-        self.reversed += int((reversible & (lhs <= rhs)).sum())
-        if self.counterexample is None and violated.any():
-            i = int(violated.argmax())
+            self.majorization_failures += chunk.majorized.count(False)
+            violated = [v or not m for v, m in zip(violated, chunk.majorized)]
+        for n, reversed_ in zip(chunk.n.tolist(), (lhs <= rhs).tolist()):
+            if n >= 3:
+                self.reversible += 1
+                self.reversed += reversed_
+        if self.counterexample is None and True in violated:
+            i = violated.index(True)
             self._violation(chunk.probs(i), float(lhs[i]), float(rhs[i]))
 
     def _violation(self, probs, lhs, rhs) -> None:
@@ -374,16 +372,18 @@ class _Maximizer:
         self._points(value, bound, lambda i: chunk.probs(i // 2, blend=i % 2 == 1))
 
     def _points(self, value, bound, probs) -> None:
-        excess = value - bound
-        i = int(excess.argmax())  # the first strict maximum
-        if self.peak is None or excess[i] > self.peak[0]:
-            self.peak = (float(excess[i]), float(value[i]), probs(i))
-        over = excess > self.tolerance
-        if self.counterexample is None and over.any():
-            i = int(over.argmax())
-            self.counterexample = Counterexample(
-                probs(i), float(value[i]), float(bound[i]), float(excess[i])
-            )
+        excess = (value - bound).tolist()
+        top = max(excess)  # max() and index() find the first strict maximum
+        i = excess.index(top)
+        if self.peak is None or top > self.peak[0]:
+            self.peak = (top, float(value[i]), probs(i))
+        if self.counterexample is None:
+            over = [x > self.tolerance for x in excess]
+            if True in over:
+                i = over.index(True)
+                self.counterexample = Counterexample(
+                    probs(i), float(value[i]), float(bound[i]), excess[i]
+                )
 
     def observed(self) -> dict:
         return {

@@ -262,13 +262,51 @@ class TestReports:
         check_all(seed=3, trials=50)
         assert drawn == [(3, 2 + t % 7, t) for t in range(50)]
 
+    def test_trial_fold_takes_the_first_violation_in_trial_order(self):
+        from types import SimpleNamespace
+
+        import numpy as np
+
+        from negprob.claims import _Inequality
+
+        chunk = SimpleNamespace(
+            n=np.array([2, 3, 3, 4]),
+            columns={("negated", "H"): np.array([1.0, 1.0, 0.5, 1.0]),
+                     ("p", "H"): np.array([0.5, 1.0, 1.0, 0.5])},
+            majorized=[True, False, True, True],
+            probs=lambda i: ("trial", i),
+        )
+        tally = _Inequality(claim_by_id("C1"), 1e-9)
+        tally.trials(chunk)
+        # Trial 1 fails majorization before trial 2 breaks the inequality.
+        assert tally.counterexample.p == ("trial", 1)
+        assert tally.majorization_failures == 1
+        assert tally.min_margin == -0.5
+        # Trials with n >= 3 are 1, 2 and 3; H does not rise at 1 and 2.
+        assert (tally.reversible, tally.reversed) == (3, 2)
+
+    def test_point_fold_reports_the_first_strict_maximum(self):
+        import numpy as np
+
+        from negprob.claims import _Maximizer
+
+        tally = _Maximizer(claim_by_id("C7"), 1.0)
+        tally._points(np.array([0.5, 1.0, 2.0, 2.0]), np.zeros(4), lambda i: ("first", i))
+        tally._points(np.array([2.5, 1.0]), np.array([0.5, 0.0]), lambda i: ("second", i))
+        # Excess 1.0 equals the tolerance, so point 2 is the first violation;
+        # ties, within a call or across calls, keep the earlier point.
+        assert tally.counterexample.p == ("first", 2)
+        assert tally.peak == (2.0, 2.0, ("first", 2))
+
     @pytest.mark.parametrize("trials, n_range", [
         (5000, (2, 8)), (7, (9998, 10_000)), (300, (2, 10_000)), (40, (3, 3)),
+        (9000, (2, 2)),  # 8192 trials of n = 2 fill a chunk exactly
     ])
     def test_chunks_cover_the_trials_in_order_within_the_entry_budget(self, trials, n_range):
         from negprob._batch import CHUNK_ENTRIES, trial_chunks
 
         n_min, n_max = n_range
+        want = [n_min + t % (n_max - n_min + 1) for t in range(trials)]
         ns = []
         for chunk in trial_chunks(0, trials, n_min, n_max, before=False, blend=None,
                                   majorization=False):
@@ -276,7 +314,9 @@ class TestReports:
             if n_min > CHUNK_ENTRIES // 2:  # n near 10^4: one trial per chunk
                 assert len(chunk.n) == 1
             ns += chunk.n.tolist()
-        assert ns == [n_min + t % (n_max - n_min + 1) for t in range(trials)]
+            if len(ns) < trials:  # full: the next trial would not fit
+                assert chunk.n.sum() + want[len(ns)] > CHUNK_ENTRIES
+        assert ns == want
 
     def test_serialization_is_deterministic(self):
         a = reports_to_json(check_all(seed=4, trials=80))

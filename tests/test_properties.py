@@ -14,6 +14,7 @@ import io
 import json
 import math
 import random
+import tracemalloc
 
 import numpy as np
 from hypothesis import given, settings
@@ -179,10 +180,41 @@ def test_batched_majorization_equals_majorizes(pairs):
     ps, qs = [p for p, _ in pairs], [q for _, q in pairs]
     values_p, rows = flat(*ps)
     values_q, _ = flat(*qs)
-    assert majorizes_rows(values_p, values_q, rows).tolist() == [
+    assert majorizes_rows(values_p, values_q, rows) == [
         majorizes(p, q) for p, q in pairs]
-    assert majorizes_rows(values_q, values_p, rows).tolist() == [
+    assert majorizes_rows(values_q, values_p, rows) == [
         majorizes(q, p) for p, q in pairs]
+
+
+def test_batched_majorization_keeps_row_order_across_repeated_sizes():
+    rng = random.Random(5)
+    pairs = []
+    for n in [3, 2, 3, 7, 2, 7, 7, 3, 2, 3] * 3:
+        p = make_distribution([rng.random() for _ in range(n)], renormalize=True)
+        pairs.append((p, negate(p)) if rng.random() < 0.5 else (negate(p), p))
+    values_p, rows = flat(*[p for p, _ in pairs])
+    values_q, _ = flat(*[q for _, q in pairs])
+    want = [majorizes(p, q) for p, q in pairs]
+    assert True in want and False in want
+    assert majorizes_rows(values_p, values_q, rows) == want
+
+
+def test_batched_majorization_memory_follows_the_entries_not_the_widest_row():
+    # A chunk at the wrap of n 2..10^4: padding every row to n = 10^4 would
+    # hold 112 x 10^4 floats (about 9 MB) per prefix-sum array.
+    ns = [10_000, *range(2, 113)]
+    dists = [make_distribution([1.0 + (i % 5) for i in range(n)], renormalize=True)
+             for n in ns]
+    values, rows = flat(*dists)
+    negated, _ = flat(*map(negate, dists))
+    tracemalloc.start()
+    try:
+        decided = majorizes_rows(values, negated, rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(decided)
+    assert peak < 8 * values.nbytes
 
 
 # Entries as a user might type them: floats of any size and sign, including

@@ -226,11 +226,17 @@ class TestBatchedRows:
         ([0.0, 0.0], True),
         ([2.0, -1.0], True),
         ([1e308, 1e308], True),
+        ([float("inf"), 0.0], False),
+        ([float("inf"), 1.0], True),
+        ([float("nan"), 1.0], True),
+        ([0.6, 0.6, -0.2], False),
+        ([0.6, 0.6, -0.2], True),
     ])
+    @pytest.mark.filterwarnings("error")
     def test_bad_row_raises_what_make_distribution_raises(self, bad, renormalize):
         values = np.array([0.25, 0.75, *bad, 0.5, 0.5])
         with pytest.raises(NotADistribution) as batched:
-            distribution_rows(values, Rows([2, 2, 2]), renormalize)
+            distribution_rows(values, Rows([2, len(bad), 2]), renormalize)
         with pytest.raises(NotADistribution) as scalar:
             make_distribution(bad, renormalize)
         assert str(batched.value) == str(scalar.value)
