@@ -34,6 +34,11 @@ CONFIGS = {
     "seed9001_n9998-10000_C1-C6": ["--seed", "9001", "--trials", "3",
                                    "--n-min", "9998", "--n-max", "10000",
                                    "--claims", "C1,C2,C3,C4,C5,C6"],
+    # The maximizer claims near 10^4: probe points, their negations and
+    # the reported peaks all have about 10^4 entries.
+    "seed9001_n9999-10000_C7-C9": ["--seed", "9001", "--trials", "2",
+                                   "--n-min", "9999", "--n-max", "10000",
+                                   "--claims", "C7,C8,C9"],
 }
 
 
