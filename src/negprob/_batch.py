@@ -13,7 +13,9 @@ array and is the same float operation as its scalar reference:
   as in Python, every logarithm is ``math.log`` and every sum is one
   ``math.fsum`` per row, so ``distribution_rows`` matches
   ``make_distribution`` and ``measure_rows`` matches ``measure_all``.
-- ``majorizes_rows`` adds prefix sums left to right like ``majorizes``.
+- ``majorizes_rows`` decides all rows of one n together: ``np.sort``
+  along the rows, a reversed view, and ``cumsum`` along the rows, which
+  adds each row's prefix sums left to right like ``majorizes``.
 
 numpy's ``log`` is never used: it differs from ``math.log`` in the last
 bit on a fraction of inputs. The properties in tests/test_properties.py
@@ -211,20 +213,30 @@ def majorizes_rows(p, q, rows: Rows):
     """``majorizes`` of each pair of rows of the flat arrays p and q, as a
     list of bools.
 
-    Each row is sorted in descending order by ``sorted`` and summed by
-    ``accumulate``, which adds left to right like the scalar loop, so every
-    prefix sum and comparison is the same float operation.
+    Rows of one n are decided together, as the rows of an (rows, n)
+    matrix: ``descending_prefix_sums`` of p's and of q's rows are the
+    prefix sums ``majorizes`` forms, and every comparison is the same
+    float operation.
     """
-    p_entries, q_entries = memoryview(p), memoryview(q)
-    minus_slack = MAJORIZATION_SLACK.__rsub__  # s -> s - MAJORIZATION_SLACK
-    return [
-        not any(map(
-            float.__lt__,
-            accumulate(sorted(p_entries[row], reverse=True)),
-            map(minus_slack, accumulate(sorted(q_entries[row], reverse=True))),
-        ))
-        for row in rows.slices
-    ]
+    rows_of = {}  # n -> the indices of its rows, in order
+    for i, n in enumerate(rows.ns.tolist()):
+        rows_of.setdefault(n, []).append(i)
+    decided = [True] * len(rows)
+    for n, members in rows_of.items():
+        at = np.array([rows.slices[i].start for i in members])[:, None] + np.arange(n)
+        sums_q = descending_prefix_sums(q[at])
+        sums_q -= MAJORIZATION_SLACK
+        failed = (descending_prefix_sums(p[at]) < sums_q).any(axis=1)
+        for i, fail in zip(members, failed.tolist()):
+            decided[i] = not fail
+    return decided
+
+
+def descending_prefix_sums(matrix):
+    """The prefix sums of each row sorted in descending order, added left
+    to right: numpy's cumsum is a sequential add along the axis, the same
+    float operations as ``itertools.accumulate``."""
+    return np.sort(matrix)[:, ::-1].cumsum(axis=1)
 
 
 def measure_rows(values, rows: Rows):

@@ -33,6 +33,15 @@ of the negated second-moment measures. VACUOUS is reserved for a claim
 whose quantified scope is empty under the requested n range; no default
 configuration produces it.
 
+C1 and C7 are theorems. Negation is p -> M p with M = (11^T - I)/(n - 1),
+a doubly stochastic matrix, so p majorizes negate(p) (Hardy, Littlewood
+and Polya; Marshall, Olkin and Arnold, "Inequalities: Theory of
+Majorization", ch. 2). Entropy is Schur-concave, so it cannot decrease
+under negation (C1); and H <= ln n with equality only at uniform, which
+negation, a one-to-one map, reaches only from uniform (C7). C4 and C5 are
+identities: H(uniform(n)) = ln n and VH(uniform(n)) = 0. C1's
+majorization check tests the theorem's premise on every trial.
+
 Reproducibility: a report is a pure function of (seed, trials, n_range,
 tolerance), whichever claims are selected beside it. Each trial is drawn
 once from its own stream, numpy's ``SeedSequence((seed, n, t))`` feeding
@@ -46,14 +55,24 @@ The trial pass is batched (``_batch``). Trials are taken in index order,
 in chunks of at most ``_batch.CHUNK_ENTRIES`` entries (but at least one
 trial, so n near 10^4 gives one trial per chunk), and every step runs
 once per chunk: seeding, renormalisation, validation, negation, the
-near-uniform blend, the measures and C1's majorization check. Every step
-is the same IEEE operation, ``math.log`` or ``math.fsum`` per row that
-the one-distribution functions use, so every float equals theirs by
+near-uniform blend, the measures and C1's majorization check (rows of
+one n sorted and prefix-summed together). Every step is the same IEEE
+operation, ``math.log`` or ``math.fsum`` per row that the
+one-distribution functions use, so every float equals theirs by
 construction. The reducers then fold each chunk's float columns in trial
 order: sample before blend, the first violation wins, the first strict
 maximum is the peak, and ``min_margin`` keeps the first minimum with its
 sign of zero. Only a reported point is turned back into a tuple of
 probabilities.
+
+Points with few distinct entries are held as (value, count) runs and
+measured by ``measures.measure_runs`` in O(1) per point, bitwise equal to
+``measure_all`` of the expanded tuple (see the measures module for the
+exact split products and the fallback for terms near underflow). The
+limit grid's uniform(n) is one run. Each maximizer probe is three runs,
+renormalised, validated and negated run by run with the checks that
+``make_distribution`` applies entry by entry; its tuple is built once,
+and only if a report shows the point as a counterexample or a peak.
 """
 
 from __future__ import annotations
@@ -61,10 +80,12 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain, repeat
 
-from .measures import measure_all
+from .measures import fsum_runs, measure_all, measure_runs
 from .negation import negate
-from .simplex import Distribution, SimplexSamplerConfig, make_distribution, uniform
+from .simplex import SUM_TOLERANCE, SimplexSamplerConfig, make_distribution, uniform
 
 CONFIRMED = "CONFIRMED"
 REFUTED = "REFUTED"
@@ -350,14 +371,15 @@ class _Maximizer:
         field = _MEASURE_FIELD[self.claim.id]
         return math.log(n) if field == "H" else getattr(negated_uniform[n], field)
 
-    def probes(self, points, values, negated_uniform) -> None:
-        """Fold one n's probe points in order; values measure their negations."""
+    def probes(self, probes, negated_uniform) -> None:
+        """Fold the probe points in order; each probe is (n, point,
+        measures of the point's negation)."""
         import numpy as np
 
         field = _MEASURE_FIELD[self.claim.id]
-        value = np.array([getattr(after, field) for after in values])
-        bound = np.full(len(points), self.bound(points[0].n, negated_uniform))
-        self._points(value, bound, lambda i: points[i].probs)
+        value = np.array([getattr(after, field) for _, _, after in probes])
+        bound = np.array([self.bound(n, negated_uniform) for n, _, _ in probes])
+        self._points(value, bound, lambda i: probes[i][1])
 
     def trials(self, chunk, negated_uniform) -> None:
         """Fold a chunk's points in trial order: each trial's sample, then
@@ -382,7 +404,7 @@ class _Maximizer:
             if True in over:
                 i = over.index(True)
                 self.counterexample = Counterexample(
-                    probs(i), float(value[i]), float(bound[i]), excess[i]
+                    tuple(probs(i)), float(value[i]), float(bound[i]), excess[i]
                 )
 
     def observed(self) -> dict:
@@ -393,20 +415,59 @@ class _Maximizer:
         }
 
 
-def _probe_points(n: int) -> list[Distribution]:
-    """Uniform, then uniform + eps*(e_0 - e_1) for each probe eps.
+class _RunPoint:
+    """A probe point held as (value, count) runs, in entry order. Its
+    tuple of probabilities is built the first time it is iterated, and
+    only then, so a point costs O(n) only when a report shows it."""
+
+    def __init__(self, runs):
+        self.runs = runs
+
+    @cached_property
+    def probs(self) -> tuple[float, ...]:
+        return tuple(chain.from_iterable(repeat(v, c) for v, c in self.runs))
+
+    def __iter__(self):
+        return iter(self.probs)
+
+
+def _distribution_runs(runs, renormalize: bool = False):
+    """``make_distribution`` of the values the runs expand to, as runs:
+    the same renormalisation and checks, once per run, with the sums
+    taken by ``fsum_runs``. Runs that fail a check are rebuilt entry by
+    entry by ``make_distribution``, which raises its usual error."""
+    values = [v for v, _ in runs]
+    if all(map(math.isfinite, values)) and min(values) >= 0.0:
+        out = runs
+        if renormalize:
+            total = fsum_runs(runs)
+            if 0.0 < total < math.inf:
+                out = [(v / total, c) for v, c in runs]
+        if (sum(c for _, c in out) >= 2 and max(v for v, _ in out) <= 1.0
+                and abs(fsum_runs(out) - 1.0) <= SUM_TOLERANCE):
+            return out
+    entries = chain.from_iterable(repeat(v, c) for v, c in runs)
+    return [(p, 1) for p in make_distribution(entries, renormalize).probs]
+
+
+def _probe_points(n: int) -> list[_RunPoint]:
+    """Uniform, then uniform + eps*(e_0 - e_1) for each probe eps, as
+    runs: the perturbed pair and n - 2 entries of 1/n, renormalised.
 
     The (0, 1) pair stands for every pair (i, j): see the module docstring.
     """
-    u = uniform(n)
-    points = [u]
-    base = u.probs[0]
-    for eps in [e for e in (1e-3, 1e-2) if e <= base] or [base / 2.0]:
-        vals = list(u.probs)
-        vals[0] += eps
-        vals[1] -= eps
-        points.append(make_distribution(vals, renormalize=True))
+    u = 1.0 / n
+    points = [_RunPoint(_distribution_runs([(u, n)]))]
+    for eps in [e for e in (1e-3, 1e-2) if e <= u] or [u / 2.0]:
+        runs = [(u + eps, 1), (u - eps, 1), (u, n - 2)]
+        points.append(_RunPoint(_distribution_runs(runs, renormalize=True)))
     return points
+
+
+def _negated(point: _RunPoint):
+    """``negate`` of the point, as runs."""
+    scale = sum(c for _, c in point.runs) - 1
+    return _distribution_runs([((1.0 - v) / scale, c) for v, c in point.runs])
 
 
 def _run(selected, seed, trials, n_range, tolerance) -> list[ClaimReport]:
@@ -442,12 +503,13 @@ def _run(selected, seed, trials, n_range, tolerance) -> list[ClaimReport]:
             if n_min <= len(probs) <= n_max:
                 p = make_distribution(probs)
                 tally.fixture(p.probs, measure_all(p), measure_all(negate(p)))
+    probes = []  # (n, point, measures of its negation), by n
     for n in range(n_min, n_max + 1) if maximizers else ():
-        points = _probe_points(n)  # points[0] is uniform(n)
-        values = [measure_all(negate(q)) for q in points]
-        negated_uniform[n] = values[0]
-        for tally in maximizers:
-            tally.probes(points, values, negated_uniform)
+        at_n = [(n, q, measure_runs(_negated(q))) for q in _probe_points(n)]
+        negated_uniform[n] = at_n[0][2]  # the first point is uniform(n)
+        probes += at_n
+    for tally in maximizers:
+        tally.probes(probes, negated_uniform)
 
     if inequalities or maximizers:
         from ._batch import trial_chunks  # numpy loads only when trials are drawn
@@ -464,7 +526,7 @@ def _run(selected, seed, trials, n_range, tolerance) -> list[ClaimReport]:
 
     grid = _limit_grid(n_min, n_max)
     limits = any(c.kind == "limit" for c in selected)
-    at_uniform = [measure_all(uniform(n)) for n in grid] if limits else []
+    at_uniform = [measure_runs([(1.0 / n, n)]) for n in grid] if limits else []
     tallies = {tally.claim.id: tally for tally in inequalities + maximizers}
     return [
         _check_limit(c, seed, tolerance, grid, at_uniform) if c.kind == "limit"

@@ -24,17 +24,12 @@ import argparse
 import json
 import math
 import sys
+from collections.abc import Iterator
 from dataclasses import dataclass
+from itertools import repeat
 
 from .claims import UnknownClaim, check_all, reports_to_json
-from .measures import (
-    MeasureSet,
-    entropy,
-    measure_all,
-    uniform_varextropy,
-    varentropy,
-    varextropy,
-)
+from .measures import MeasureSet, measure_all, measure_runs, uniform_varextropy
 from .negation import (
     DEFAULT_MAX_STEPS,
     DEFAULT_TOLERANCE,
@@ -51,13 +46,15 @@ from .simplex import (
     NotADistribution,
     TooFewOutcomes,
     make_distribution,
-    uniform,
 )
 
 _LN2 = math.log(2.0)
 
-# Streamed output (iterate) is written in blocks of about this many characters.
+# Streamed output is written in blocks of about this many characters.
 _BLOCK_CHARS = 1 << 16
+
+# sweep-n's largest n: every n up to 2**53 is exact as a float.
+_SWEEP_N_MAX = 2**53
 
 
 @dataclass(frozen=True)
@@ -92,55 +89,58 @@ def parse_probs(text: str) -> list[float]:
     return out
 
 
-def build_sweep_n2(steps: int = 200) -> list[SweepRow]:
+def sweep_n2_rows(steps: int = 200) -> Iterator[SweepRow]:
     """Rows at p1 = i/steps for i = 0..steps on two outcomes, with measures
-    of the distribution and of its negation. The endpoint rows rely on the
-    0*ln(0) convention so the series closes at the axes.
+    of the distribution and of its negation, computed one at a time as
+    they are consumed. The endpoint rows rely on the 0*ln(0) convention so
+    the series closes at the axes. ``steps`` is checked on the call.
     """
     if steps < 2:
         raise ValueError(f"steps = {steps} must be >= 2")
-    rows = []
-    for i in range(steps + 1):
-        p1 = i / steps
-        d = make_distribution([p1, 1.0 - p1])
-        nd = negate(d)
-        rows.append(
-            SweepRow(
-                x=p1,
-                columns={
-                    "H_P": entropy(d),
-                    "H_neg": entropy(nd),
-                    "VH_P": varentropy(d),
-                    "VH_neg": varentropy(nd),
-                    "VJ_P": varextropy(d),
-                    "VJ_neg": varextropy(nd),
-                },
-            )
-        )
-    return rows
+    return map(_sweep_n2_row, repeat(steps), range(steps + 1))
 
 
-def build_sweep_n(n_min: int = 2, n_max: int = 100) -> list[SweepRow]:
+def _sweep_n2_row(steps: int, i: int) -> SweepRow:
+    p1 = i / steps
+    d = make_distribution([p1, 1.0 - p1])
+    # measure_all is bitwise equal to the scalar measures.
+    before, after = measure_all(d), measure_all(negate(d))
+    return SweepRow(
+        x=p1,
+        columns={
+            "H_P": before.H,
+            "H_neg": after.H,
+            "VH_P": before.VH,
+            "VH_neg": after.VH,
+            "VJ_P": before.VJ,
+            "VJ_neg": after.VJ,
+        },
+    )
+
+
+def sweep_n_rows(n_min: int = 2, n_max: int = 100) -> Iterator[SweepRow]:
     """One row per n with the uniform distribution's H, VH and the closed
-    form of its VJ."""
-    if not 2 <= n_min <= n_max:
-        raise ValueError(f"need 2 <= n_min <= n_max, got [{n_min}, {n_max}]")
-    rows = []
-    for n in range(n_min, n_max + 1):
-        # measure_all takes O(1) sums on equal entries, bitwise equal to
-        # entropy and varentropy (see the measures module docstring).
-        at_uniform = measure_all(uniform(n))
-        rows.append(
-            SweepRow(
-                x=n,
-                columns={
-                    "H_uniform": at_uniform.H,
-                    "VH_uniform": at_uniform.VH,
-                    "VJ_uniform": uniform_varextropy(n),
-                },
-            )
+    form of its VJ, computed one at a time as they are consumed. The range
+    is checked on the call; n stops at 2**53, beyond which n is no longer
+    exact as a float.
+    """
+    if not 2 <= n_min <= n_max <= _SWEEP_N_MAX:
+        raise ValueError(
+            f"need 2 <= n_min <= n_max <= 2**53, got [{n_min}, {n_max}]"
         )
-    return rows
+    return map(_sweep_n_row, range(n_min, n_max + 1))
+
+
+def _sweep_n_row(n: int) -> SweepRow:
+    at_uniform = measure_runs([(1.0 / n, n)])  # O(1): uniform(n) is one run
+    return SweepRow(
+        x=n,
+        columns={
+            "H_uniform": at_uniform.H,
+            "VH_uniform": at_uniform.VH,
+            "VJ_uniform": uniform_varextropy(n),
+        },
+    )
 
 
 def _fmt(v) -> str:
@@ -167,52 +167,56 @@ def _rescale(columns: dict[str, float], log_base: str) -> dict[str, float]:
     return {name: value / _BITS_DIVISOR[name] for name, value in columns.items()}
 
 
-def _print_sweep(rows: list[SweepRow], x_name: str, fmt: str, log_base: str) -> None:
-    converted = [_rescale(r.columns, log_base) for r in rows]
+def _sweep_text(rows, x_name: str, fmt: str, log_base: str):
+    """The output of a sweep, one row at a time: a JSON array on one line,
+    or a CSV header and one line per row."""
+    for i, r in enumerate(rows):
+        cols = _rescale(r.columns, log_base)
+        if fmt == "json":
+            yield ("[" if i == 0 else ",") + json.dumps(
+                {x_name: r.x, **cols}, separators=(",", ":"))
+        else:
+            if i == 0:
+                yield ",".join([x_name, *cols]) + "\n"
+            yield ",".join([_fmt(r.x), *map(_fmt, cols.values())]) + "\n"
     if fmt == "json":
-        objs = [{x_name: r.x, **cols} for r, cols in zip(rows, converted)]
-        print(json.dumps(objs, separators=(",", ":")))
-        return
-    header = [x_name] + list(converted[0])
-    lines = [",".join(header)]
-    for r, cols in zip(rows, converted):
-        lines.append(",".join([_fmt(r.x)] + [_fmt(v) for v in cols.values()]))
-    print("\n".join(lines))
+        yield "]\n"
 
 
-def _iterate_lines(d: Distribution, args):
-    """The lines of ``iterate``, one step at a time: a CSV header and one
-    row per step, or one JSON object per step and a summary object."""
+def _iterate_text(d: Distribution, args):
+    """The output of ``iterate``, one step at a time: a CSV header and one
+    row per step, or one JSON object per step and a summary object, each
+    on its own line."""
     last = None
     for step in negation_steps(d, max_steps=args.steps, tolerance=args.tol):
         columns = _rescale(step.measures.as_dict(), args.log_base)
         if args.format == "json":
-            yield TraceStep(step.k, step.dist, MeasureSet(**columns)).to_json()
+            yield TraceStep(step.k, step.dist, MeasureSet(**columns)).to_json() + "\n"
         else:
             if last is None:
-                yield ",".join(["k", *columns, *(f"p_{i + 1}" for i in range(d.n))])
+                yield ",".join(["k", *columns, *(f"p_{i + 1}" for i in range(d.n))]) + "\n"
             yield ",".join([_fmt(step.k), *map(_fmt, columns.values()),
-                            *map(_fmt, step.dist.probs)])
+                            *map(_fmt, step.dist.probs)]) + "\n"
         last = step
     if args.format == "json":
-        yield summary_json(converged_at(last, args.tol), args.tol)
+        yield summary_json(converged_at(last, args.tol), args.tol) + "\n"
 
 
-def _write_lines(lines) -> None:
-    """Write each line and a newline to stdout, in blocks of about
-    ``_BLOCK_CHARS`` characters: one write per line would cost a system call
-    each on an unbuffered stream, and one write at the end would hold every
-    line in memory."""
+def _write(pieces) -> None:
+    """Write the pieces of text to stdout, in blocks of about
+    ``_BLOCK_CHARS`` characters: one write per piece would cost a system
+    call each on an unbuffered stream, and one write at the end would hold
+    all of the output in memory."""
     block: list[str] = []
     size = 0
-    for line in lines:
-        block.append(line)
-        size += len(line)
+    for piece in pieces:
+        block.append(piece)
+        size += len(piece)
         if size >= _BLOCK_CHARS:
-            sys.stdout.write("\n".join(block) + "\n")
+            sys.stdout.write("".join(block))
             block, size = [], 0
     if block:
-        sys.stdout.write("\n".join(block) + "\n")
+        sys.stdout.write("".join(block))
 
 
 def _parse_dist(args) -> Distribution:
@@ -240,17 +244,18 @@ def cmd_negate(args) -> int:
 
 
 def cmd_iterate(args) -> int:
-    _write_lines(_iterate_lines(_parse_dist(args), args))
+    _write(_iterate_text(_parse_dist(args), args))
     return 0
 
 
 def cmd_sweep_n2(args) -> int:
-    _print_sweep(build_sweep_n2(args.steps), "p1", args.format, args.log_base)
+    _write(_sweep_text(sweep_n2_rows(args.steps), "p1", args.format, args.log_base))
     return 0
 
 
 def cmd_sweep_n(args) -> int:
-    _print_sweep(build_sweep_n(args.n_min, args.n_max), "n", args.format, args.log_base)
+    rows = sweep_n_rows(args.n_min, args.n_max)
+    _write(_sweep_text(rows, "n", args.format, args.log_base))
     return 0
 
 

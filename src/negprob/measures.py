@@ -27,12 +27,21 @@ same float operations in the same order (p * (lp * lp), not
 gives a -0.0 term where the scalar guard gives 0.0, which cannot move
 a sum that also holds the largest entry's term. And ``fsum`` is exactly
 rounded, so equal terms give an equal sum whichever list holds them.
-When all n entries are equal (uniform(n), its negation), each sum is n
-copies of one term t, whose exact value n * t ``fsum`` rounds once. An
-IEEE-754 product is also correctly rounded, and n < 2**53 converts to a
-float exactly, so the single product ``n * t`` is that same float, in
-O(1) instead of O(n). Such a term is never -0.0, so no signed zero
-separates the two either.
+
+``measure_runs`` takes a distribution as (value, count) runs, such as
+uniform(n) = [(1/n, n)] or a perturbed uniform point with three runs,
+and is bitwise equal to ``measure_all`` of the expanded tuple in
+O(number of runs). Each sum there is ``fsum`` of count copies of each
+run's term t, and ``fsum`` rounds the exact total once. So it suffices
+to feed ``fsum`` floats whose exact total is the same (``fsum_runs``).
+Veltkamp's split (Dekker, Numer. Math. 18, 1971) writes t = hi + lo
+exactly, each half with at most 26 significant bits, and a count is
+taken 26 bits at a time, so every product of a count piece and a half
+has at most 52 bits and is exact. When a term is so small that a half
+could fall below the normal range (only an entry below about 1e-146
+gives such a term), that sum is taken over the expanded copies instead.
+``measure_all`` uses ``measure_runs`` for a distribution whose entries
+are all equal, so uniform(n) and its negation cost O(1).
 """
 
 from __future__ import annotations
@@ -40,12 +49,23 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from itertools import chain, repeat
 from math import fsum, log
 from operator import mul
 
 from .simplex import Distribution, TooFewOutcomes
 
 VARENTROPY_CLAMP = 1e-12
+
+# Veltkamp's split of a float into two halves of at most 26 bits each.
+_SPLITTER = 2.0**27 + 1.0
+# Counts are multiplied 26 bits at a time: 26 + 26 bits fit in 53.
+_PIECE_BITS = 26
+_PIECE_MASK = 2**_PIECE_BITS - 1
+_PIECE_SCALE = 2.0**_PIECE_BITS
+# Terms at least this large split into normal halves: 2**-969 is 2**53
+# times the smallest normal float.
+_SPLIT_FLOOR = 2.0**-969
 
 
 @dataclass(frozen=True)
@@ -115,36 +135,88 @@ def measure_all(d: Distribution) -> MeasureSet:
 
     Each sum is fed the scalar functions' terms, built with the same
     operations in the same order, so results agree bit for bit with them.
-    When all n entries are equal, each sum is n copies of one term t and
-    ``n * t`` replaces it (see the module docstring).
+    A distribution whose entries are all equal is one run, measured by
+    ``measure_runs`` (see the module docstring).
     """
     probs = d.probs
-    n = len(probs)
-    if probs.count(probs[0]) == n:
-        p = probs[0]
-        q = 1.0 - p
-        lp = log(p) if p > 0.0 else 0.0
-        lq = log(q) if q > 0.0 else 0.0
-        sq = n * (p * p)
-        s1 = n * (p * lp)
-        s2 = n * (p * (lp * lp))
-        t1 = n * (q * lq)
-        t2 = n * (q * (lq * lq))
-    else:
-        # Three comprehensions, not one loop filling three lists: the loop
-        # is faster below n ~ 8 but raised check-large-n's peak RSS by ~1 MB.
-        lps = [log(p) if p > 0.0 else 0.0 for p in probs]
-        qs = [1.0 - p for p in probs]
-        lqs = [log(q) if q > 0.0 else 0.0 for q in qs]
-        sq = fsum(map(mul, probs, probs))
-        s1 = fsum(map(mul, probs, lps))
-        s2 = fsum(map(mul, probs, map(mul, lps, lps)))
-        t1 = fsum(map(mul, qs, lqs))
-        t2 = fsum(map(mul, qs, map(mul, lqs, lqs)))
+    if probs.count(probs[0]) == len(probs):
+        return measure_runs([(probs[0], len(probs))])
+    # Three comprehensions, not one loop filling three lists: the loop
+    # is faster below n ~ 8 but raised check-large-n's peak RSS by ~1 MB.
+    lps = [log(p) if p > 0.0 else 0.0 for p in probs]
+    qs = [1.0 - p for p in probs]
+    lqs = [log(q) if q > 0.0 else 0.0 for q in qs]
+    return _measure_set(
+        sq=fsum(map(mul, probs, probs)),
+        s1=fsum(map(mul, probs, lps)),
+        s2=fsum(map(mul, probs, map(mul, lps, lps))),
+        t1=fsum(map(mul, qs, lqs)),
+        t2=fsum(map(mul, qs, map(mul, lqs, lqs))),
+    )
+
+
+def measure_runs(runs) -> MeasureSet:
+    """``measure_all`` of the distribution that the (value, count) runs
+    expand to, bit for bit, in O(number of runs).
+
+    Values are floats and counts nonnegative integers; the runs are not
+    checked to form a distribution. Each run's terms are ``measure_all``'s
+    for one entry, and each sum is ``fsum_runs`` of the terms with their
+    counts (see the module docstring).
+    """
+    ps = [p for p, _ in runs]
+    counts = [c for _, c in runs]
+    lps = [log(p) if p > 0.0 else 0.0 for p in ps]
+    qs = [1.0 - p for p in ps]
+    lqs = [log(q) if q > 0.0 else 0.0 for q in qs]
+    return _measure_set(
+        sq=fsum_runs(zip(map(mul, ps, ps), counts)),
+        s1=fsum_runs(zip(map(mul, ps, lps), counts)),
+        s2=fsum_runs(zip(map(mul, ps, map(mul, lps, lps)), counts)),
+        t1=fsum_runs(zip(map(mul, qs, lqs), counts)),
+        t2=fsum_runs(zip(map(mul, qs, map(mul, lqs, lqs)), counts)),
+    )
+
+
+def _measure_set(sq, s1, s2, t1, t2) -> MeasureSet:
+    """The five measures from the sums of p^2, p ln p, p (ln p)^2,
+    q ln q and q (ln q)^2 over the entries, q = 1 - p."""
     vh = s2 - s1 * s1
     if -VARENTROPY_CLAMP < vh < 0.0:
         vh = 0.0
     return MeasureSet(H=-s1 + 0.0, H1=1.0 - sq, J=-t1 + 0.0, VH=vh, VJ=t2 - t1 * t1)
+
+
+def fsum_runs(runs) -> float:
+    """``math.fsum`` of each value repeated count times, bit for bit, from
+    two exact products per value and 26-bit piece of its count.
+
+    A nonzero value below ``_SPLIT_FLOOR`` in magnitude could split into
+    a half below the normal range; the sum is then taken over the
+    expanded copies.
+    """
+    runs = list(runs)
+    parts = []
+    for value, count in runs:
+        if count < 0:
+            raise ValueError(f"count = {count!r} must be nonnegative")
+        if not count:
+            continue
+        if not value:
+            parts.append(value)  # copies of a zero add only their sign
+            continue
+        if -_SPLIT_FLOOR < value < _SPLIT_FLOOR:
+            return fsum(chain.from_iterable(repeat(v, c) for v, c in runs))
+        hi = value * _SPLITTER
+        hi -= hi - value
+        lo = value - hi
+        scale = 1.0
+        while count:
+            piece = (count & _PIECE_MASK) * scale
+            parts += (piece * hi, piece * lo)
+            count >>= _PIECE_BITS
+            scale *= _PIECE_SCALE
+    return fsum(parts)
 
 
 def uniform_varextropy(n: int) -> float:

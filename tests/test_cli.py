@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 import os
@@ -14,24 +15,34 @@ from negprob import (
     entropy,
     make_distribution,
     measure_all,
+    negate,
     negate_k,
     trace_negation,
     uniform,
     uniform_varextropy,
     varentropy,
+    varextropy,
 )
-from negprob.cli import build_sweep_n, build_sweep_n2, main, parse_probs
+from negprob.cli import main, parse_probs, sweep_n2_rows, sweep_n_rows
 
 LN2 = math.log(2.0)
+
+
+class _Enough(Exception):
+    """Raised by ``_LineCounter`` once a run has written ``stop_after``
+    characters."""
 
 
 class _LineCounter:
     """A stdout stand-in that keeps the writes it is given (up to ``keep``
     characters), their count, line count, largest size and last one, and
-    the interpreter's live memory blocks at each write."""
+    the interpreter's live memory blocks at each write. With
+    ``stop_after`` set, a write past that many characters raises
+    ``_Enough``."""
 
-    def __init__(self, keep=10_000_000):
+    def __init__(self, keep=10_000_000, stop_after=None):
         self.keep = keep
+        self.stop_after = stop_after
         self.blocks = []
         self.live_blocks = []
         self.writes = self.lines = self.size = self.largest = 0
@@ -46,6 +57,8 @@ class _LineCounter:
         self.last = text
         if self.size <= self.keep:
             self.blocks.append(text)
+        if self.stop_after is not None and self.size > self.stop_after:
+            raise _Enough
         return len(text)
 
     def flush(self):
@@ -287,6 +300,42 @@ class TestIterateCommand:
         assert float(row[1]) == measure_all(d).H
 
 
+@functools.cache
+def sweep_rows_by_scalar_measures(command):
+    """The rows of a sweep in nats, built with the scalar measures on each
+    whole distribution: sweep-n over n = 2..1500, or sweep-n2 with 3000
+    steps."""
+    if command == "sweep-n":
+        return [{"n": n, "H_uniform": entropy(uniform(n)),
+                 "VH_uniform": varentropy(uniform(n)),
+                 "VJ_uniform": uniform_varextropy(n)} for n in range(2, 1501)]
+    rows = []
+    for i in range(3001):
+        d = make_distribution([i / 3000, 1.0 - i / 3000])
+        nd = negate(d)
+        rows.append({"p1": i / 3000, "H_P": entropy(d), "H_neg": entropy(nd),
+                     "VH_P": varentropy(d), "VH_neg": varentropy(nd),
+                     "VJ_P": varextropy(d), "VJ_neg": varextropy(nd)})
+    return rows
+
+
+def assert_sweep_bytes(monkeypatch, argv, fmt, log_base, unit):
+    """The sweep's output, written in several blocks, joins into the JSON
+    array (or CSV) of the rows the scalar measures give, in the unit."""
+    sink = _LineCounter()
+    monkeypatch.setattr(sys, "stdout", sink)
+    assert main([*argv, "--format", fmt, "--log-base", log_base]) == 0
+    rows = [{k: v if k in ("n", "p1") else v / (unit if k.startswith("H") else unit * unit)
+             for k, v in r.items()} for r in sweep_rows_by_scalar_measures(argv[0])]
+    if fmt == "json":
+        want = json.dumps(rows, separators=(",", ":"))
+    else:
+        want = "\n".join([",".join(rows[0])]
+                         + [",".join(map(repr, r.values())) for r in rows])
+    assert sink.writes > 1
+    assert "".join(sink.blocks) == want + "\n"
+
+
 class TestSweepN2Command:
     def test_grid_and_invariance(self, capsys):
         code, out, _ = run_cli(capsys, "sweep-n2", "--steps", "8", "--format", "csv")
@@ -321,16 +370,22 @@ class TestSweepN2Command:
     def test_json_matches_api(self, capsys):
         _, out, _ = run_cli(capsys, "sweep-n2", "--steps", "5")
         objs = json.loads(out)
-        rows = build_sweep_n2(5)
+        rows = list(sweep_n2_rows(5))
         assert len(objs) == 6
         assert objs[2] == {"p1": rows[2].x, **rows[2].columns}
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("log_base, unit", [("e", 1.0), ("2", LN2)])
+    def test_bytes_match_the_scalar_measures(self, monkeypatch, fmt, log_base, unit):
+        assert_sweep_bytes(monkeypatch, ["sweep-n2", "--steps", "3000"],
+                           fmt, log_base, unit)
 
     def test_rejects_tiny_step_count(self, capsys):
         code, _, err = run_cli(capsys, "sweep-n2", "--steps", "1")
         assert code != 0 and "steps" in err
 
     def test_default_resolution(self):
-        rows = build_sweep_n2()
+        rows = list(sweep_n2_rows())
         assert len(rows) == 201
         assert rows[0].x == 0.0 and rows[-1].x == 1.0
 
@@ -361,30 +416,57 @@ class TestSweepNCommand:
     def test_json_matches_api(self, capsys):
         _, out, _ = run_cli(capsys, "sweep-n", "--n-min", "2", "--n-max", "4")
         objs = json.loads(out)
-        rows = build_sweep_n(2, 4)
+        rows = list(sweep_n_rows(2, 4))
         assert objs == [{"n": r.x, **r.columns} for r in rows]
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("log_base, unit", [("e", 1.0), ("2", LN2)])
-    def test_bytes_match_the_scalar_measures(self, capsys, fmt, log_base, unit):
-        _, out, _ = run_cli(capsys, "sweep-n", "--n-min", "2", "--n-max", "400",
-                            "--format", fmt, "--log-base", log_base)
-        rows = []
-        for n in range(2, 401):
-            u = uniform(n)
-            rows.append({"n": n, "H_uniform": entropy(u) / unit,
-                         "VH_uniform": varentropy(u) / (unit * unit),
-                         "VJ_uniform": uniform_varextropy(n) / (unit * unit)})
-        if fmt == "json":
-            want = json.dumps(rows, separators=(",", ":"))
-        else:
-            want = "\n".join([",".join(rows[0])]
-                             + [",".join(map(repr, r.values())) for r in rows])
-        assert out == want + "\n"
+    def test_bytes_match_the_scalar_measures(self, monkeypatch, fmt, log_base, unit):
+        assert_sweep_bytes(monkeypatch, ["sweep-n", "--n-min", "2", "--n-max", "1500"],
+                           fmt, log_base, unit)
 
     def test_rejects_bad_range(self, capsys):
         code, _, err = run_cli(capsys, "sweep-n", "--n-min", "5", "--n-max", "4")
         assert code != 0
+
+    @pytest.mark.parametrize("n_min, n_max", [(2, 2**53 + 1), (2**60, 2**60),
+                                              (2, 10**400)])
+    def test_rejects_n_beyond_two_to_the_53(self, capsys, n_min, n_max):
+        code, out, err = run_cli(capsys, "sweep-n", "--n-min", str(n_min),
+                                 "--n-max", str(n_max))
+        assert code == 2
+        assert out == ""
+        assert "2**53" in err
+
+    def test_rows_near_two_to_the_53(self, capsys):
+        code, out, _ = run_cli(capsys, "sweep-n", "--n-min", str(2**53 - 1),
+                               "--n-max", str(2**53))
+        assert code == 0
+        rows = json.loads(out)
+        assert [r["n"] for r in rows] == [2**53 - 1, 2**53]
+        assert all(r["H_uniform"] == pytest.approx(math.log(r["n"]), rel=1e-15)
+                   for r in rows)
+
+
+class TestSweepStreaming:
+    @pytest.mark.parametrize("argv", [
+        ["sweep-n", "--n-max", "400000"],
+        ["sweep-n", "--n-max", "400000", "--format", "csv"],
+        ["sweep-n2", "--steps", "400000"],
+    ])
+    def test_memory_stays_flat_over_many_rows(self, monkeypatch, argv):
+        # Each run is stopped after 2 MiB of its 30 MB or more of output. A
+        # sweep held in memory would build every row before its first
+        # write, and show as one huge write or as a growing count of live
+        # blocks from one write to the next.
+        sink = _LineCounter(keep=0, stop_after=2**21)
+        monkeypatch.setattr(sys, "stdout", sink)
+        before = sys.getallocatedblocks()
+        with pytest.raises(_Enough):
+            main(argv)
+        assert sink.writes > 20
+        assert max(sink.live_blocks) - before < 10_000
+        assert sink.largest < 2**17
 
 
 class TestCheckCommand:
@@ -458,6 +540,9 @@ class TestNoNumpyWithoutSampling:
         ["negate", "-p", "0.2,0.8", "-k", "3"],
         ["iterate", "-p", "0.2,0.3,0.5"],
         ["sweep-n", "--n-min", "3", "--n-max", "300"],
+        ["sweep-n2"],
+        # The limit claims measure uniform(n) as one run, with no sampling.
+        ["check", "--claims", "C4,C5,C6", "--n-min", "9000", "--n-max", "10000"],
     ])
     def test_other_commands_without_sampling_do_not_import_numpy(self, argv):
         src = str(Path(negprob.__file__).resolve().parent.parent)

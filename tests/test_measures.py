@@ -1,5 +1,9 @@
+import json
 import math
+import random
+from decimal import Decimal, localcontext
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,12 +15,17 @@ from negprob import (
     gini_entropy,
     make_distribution,
     measure_all,
+    measure_runs,
     negate,
     uniform,
     uniform_varextropy,
     varentropy,
     varextropy,
 )
+from negprob.measures import fsum_runs
+
+
+DATA = Path(__file__).parent / "data"
 
 # Expected values frozen from a 40-digit evaluation of the defining sums
 # (mpmath), rounded to the nearest double.
@@ -136,8 +145,8 @@ class TestVarextropy:
 
 class TestMeasureAll:
     def test_matches_single_measures_bitwise(self):
-        # uniform(n) and its negation have all entries equal, which takes
-        # measure_all's n * term path.
+        # uniform(n) and its negation have all entries equal, which
+        # measure_all measures as one run.
         constant_ns = [*range(2, 258), 997, 1000, 1024, 4093, 9973, 9999, 10_000]
         for d in random_distributions(seed=6, count=100) + [
             make_distribution(FOUR_OUTCOMES),
@@ -152,15 +161,24 @@ class TestMeasureAll:
 
     def test_n_copies_of_a_constant_term_round_to_n_times_it(self):
         # fsum rounds the exact sum of n copies of t, which is Fraction(t) * n,
-        # once; the path for constant inputs relies on n * t being that float
-        # for every term of uniform(n) and negate(uniform(n)).
-        for n in range(2, 10_001):
+        # once; a run of n copies must give that float for every term of
+        # uniform(n) and negate(uniform(n)), and for counts past 2**26.
+        for n in [*range(2, 10_001), 2**26 + 1, 2**40 - 1, 2**53 - 1, 2**53]:
             for p in (1.0 / n, (1.0 - 1.0 / n) / (n - 1)):
                 q = 1.0 - p
                 lp = math.log(p)
                 lq = math.log(q)
                 for t in (p * p, p * lp, p * (lp * lp), q * lq, q * (lq * lq)):
-                    assert n * t == float(Fraction(t) * n), (n, p, t)
+                    assert fsum_runs([(t, n)]) == float(Fraction(t) * n), (n, p, t)
+
+    def test_runs_that_cancel_leave_the_exact_remainder(self):
+        # c copies of t less c - 1 copies of t: the exact total is t, and
+        # the cancellation shows any product fed to fsum that was rounded.
+        rng = random.Random(3)
+        for c in [3, 10_000, 2**26 + 1, 2**40 - 1, 2**53 - 1]:
+            for _ in range(50):
+                t = rng.random() * 2.0 ** rng.randint(-900, 10)
+                assert fsum_runs([(t, c), (-t, c - 1)]) == t, (t, c)
 
     def test_degenerate_all_zero(self):
         ms = measure_all(make_distribution([1.0, 0.0]))
@@ -183,6 +201,49 @@ class TestMeasureAll:
             perm = rng.permutation(d.n)
             shuffled = make_distribution([d.probs[i] for i in perm])
             assert measure_all(shuffled) == measure_all(d)
+
+
+def golden_grid_ns():
+    """Every n of the limit grids that the golden reports hold."""
+    ns = set()
+    for path in DATA.glob("check_*.jsonl"):
+        for line in path.read_text().splitlines():
+            report = json.loads(line)
+            if report["claim"] in ("C4", "C5", "C6"):
+                ns.update(report["observed"]["n_grid"])
+    return sorted(ns)
+
+
+class TestUniformOracle:
+    """H, VH and VJ of uniform(n), measured as one run, against their
+    closed forms ln n, 0 and -(n-1)(n-2) ln(1-1/n)^2 evaluated in 60-digit
+    decimal arithmetic (``Decimal.ln`` is correctly rounded).
+
+    The ulp budgets: H within 4 ulp of ln n and VH within 8 ulp of
+    (ln n)^2, the size of the two sums it subtracts. VJ within n ulp of 1:
+    1 - 1/n is rounded once before its logarithm is taken, and ln(1 - x)
+    turns that rounding into a relative error n times as large. Over
+    n = 2..10^4 the worst cases are 2.35, 4.0 and 0.503 n. Even n ulp of 1
+    at n = 10^4 is 2.2e-12, far inside the default tolerance of 1e-9.
+    """
+
+    NS = sorted({*range(2, 65), *golden_grid_ns()})
+
+    def test_the_golden_grids_are_read(self):
+        assert {999, 9_998, 10_000} <= set(self.NS)
+
+    @pytest.mark.parametrize("n", NS)
+    def test_within_the_ulp_budget(self, n):
+        ms = measure_runs([(1.0 / n, n)])
+        with localcontext() as ctx:
+            ctx.prec = 60
+            big_n = Decimal(n)
+            ln_n = big_n.ln()
+            ln_t = (1 - 1 / big_n).ln()
+            vj = -(big_n - 1) * (big_n - 2) * ln_t * ln_t
+            assert abs(Decimal(ms.H) - ln_n) <= 4 * Decimal(math.ulp(math.log(n)))
+            assert abs(Decimal(ms.VH)) <= 8 * Decimal(math.ulp(math.log(n) ** 2))
+            assert abs(Decimal(ms.VJ) - vj) <= n * Decimal(math.ulp(1.0))
 
 
 class TestUniformVarextropy:

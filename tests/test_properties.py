@@ -15,8 +15,10 @@ import json
 import math
 import random
 import tracemalloc
+from itertools import accumulate
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -34,9 +36,17 @@ from negprob import (
     varentropy,
     varextropy,
 )
-from negprob import SimplexSamplerConfig, sample_uniform_simplex
-from negprob._batch import Rows, majorizes_rows, measure_rows, sample_rows
+from negprob import SimplexSamplerConfig, measure_runs, sample_uniform_simplex
+from negprob._batch import (
+    Rows,
+    descending_prefix_sums,
+    majorizes_rows,
+    measure_rows,
+    sample_rows,
+)
+from negprob.claims import _negated, _probe_points
 from negprob.cli import main
+from negprob.measures import fsum_runs
 
 # Large distributions are slow to measure; no example database is written.
 SETTINGS = settings(max_examples=60, deadline=None, database=None)
@@ -78,6 +88,75 @@ def test_measure_all_is_bitwise_equal_to_the_scalar_measures(d):
     assert ms.J.hex() == extropy(d).hex()
     assert ms.VH.hex() == varentropy(d).hex()
     assert ms.VJ.hex() == varextropy(d).hex()
+
+
+# Entry values for runs: zero, subnormal, and tiny normal values whose
+# terms fall below the split floor, as well as ordinary ones.
+RUN_VALUES = st.one_of(
+    st.just(0.0),
+    st.sampled_from([5e-324, 2.0**-1060, 1e-300, 2.0**-600, 2.0**-500, 2.0**-480]),
+    st.floats(1e-320, 1.0),
+)
+
+
+@st.composite
+def runs(draw):
+    """A distribution as (value, count) runs with counts up to 10^4 (zero
+    too) and at least one ordinary run, renormalised run by run."""
+    k = draw(st.integers(0, 3))
+    values = draw(st.lists(RUN_VALUES, min_size=k, max_size=k))
+    counts = draw(st.lists(st.one_of(st.integers(0, 3), st.integers(0, 10_000)),
+                           min_size=k, max_size=k))
+    out = [*zip(values, counts), (draw(st.floats(0.01, 1.0)), draw(st.integers(1, 10_000)))]
+    out.insert(draw(st.integers(0, k)), out.pop())
+    if sum(c for _, c in out) < 2:
+        out.append((out[-1][0], 1))
+    total = fsum_runs(out)
+    return [(v / total, c) for v, c in out]
+
+
+def expanded(runs):
+    return [v for v, c in runs for _ in range(c)]
+
+
+@SETTINGS
+@given(runs())
+def test_measure_runs_is_bitwise_equal_to_measure_all_of_the_expanded_runs(rs):
+    entries = expanded(rs)
+    assert fsum_runs(rs).hex() == math.fsum(entries).hex()
+    want, got = measure_all(make_distribution(entries)), measure_runs(rs)
+    assert [x.hex() for x in got.as_dict().values()] == [
+        x.hex() for x in want.as_dict().values()]
+
+
+def reference_probe_points(n):
+    """The maximizer probes, built entry by entry: uniform, then uniform +
+    eps*(e_0 - e_1) renormalised, for each probe eps."""
+    u = uniform(n)
+    base = u.probs[0]
+    points = [u]
+    for eps in [e for e in (1e-3, 1e-2) if e <= base] or [base / 2.0]:
+        vals = list(u.probs)
+        vals[0] += eps
+        vals[1] -= eps
+        points.append(make_distribution(vals, renormalize=True))
+    return points
+
+
+@SETTINGS
+@given(st.one_of(st.integers(2, 40), st.integers(2, 10_000), st.integers(9_990, 10_000)))
+def test_probe_points_as_runs_equal_the_points_built_entry_by_entry(n):
+    points = _probe_points(n)
+    reference = reference_probe_points(n)
+    assert len(points) == len(reference)
+    for point, want in zip(points, reference):
+        assert point.probs == want.probs
+        assert measure_runs(point.runs) == measure_all(want)
+        negated = _negated(point)
+        assert expanded(negated) == list(negate(want).probs)
+        got, want_negated = measure_runs(negated), measure_all(negate(want))
+        assert [x.hex() for x in got.as_dict().values()] == [
+            x.hex() for x in want_negated.as_dict().values()]
 
 
 @SETTINGS
@@ -197,6 +276,36 @@ def test_batched_majorization_keeps_row_order_across_repeated_sizes():
     want = [majorizes(p, q) for p, q in pairs]
     assert True in want and False in want
     assert majorizes_rows(values_p, values_q, rows) == want
+
+
+def test_batched_majorization_equals_majorizes_across_the_wrap_of_n():
+    # Trials of n = 2..10^4 wrap from 10^4 back to 2 inside one chunk,
+    # which then holds one row of each large n and many rows of small n.
+    rng = random.Random(9)
+    ns = [9_999, 10_000, *range(2, 40), *range(2, 40)]
+    pairs = []
+    for n in ns:
+        p = make_distribution([rng.random() ** 3 for _ in range(n)], renormalize=True)
+        kind = rng.randrange(3)
+        q = negate(p) if kind == 0 else make_distribution(
+            [rng.random() for _ in range(n)], renormalize=True) if kind == 1 else p
+        pairs.append((p, q) if rng.random() < 0.5 else (q, p))
+    values_p, rows = flat(*[p for p, _ in pairs])
+    values_q, _ = flat(*[q for _, q in pairs])
+    want = [majorizes(p, q) for p, q in pairs]
+    assert True in want and False in want
+    assert majorizes_rows(values_p, values_q, rows) == want
+
+
+@pytest.mark.parametrize("n", [2, 3, 7, 100, 10_000])
+def test_row_prefix_sums_are_accumulate_of_the_sorted_row(n):
+    rng = random.Random(n)
+    matrix = np.array([[rng.random() * 10.0 ** rng.randint(-20, 0) for _ in range(n)]
+                       for _ in range(max(1, 2_000 // n))])
+    got = descending_prefix_sums(matrix).tolist()
+    for row, sums in zip(matrix.tolist(), got):
+        want = list(accumulate(sorted(row, reverse=True)))
+        assert [x.hex() for x in sums] == [x.hex() for x in want]
 
 
 def test_batched_majorization_memory_follows_the_entries_not_the_widest_row():
