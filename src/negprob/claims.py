@@ -82,6 +82,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, repeat
+from operator import sub
 
 from .measures import fsum_runs, measure_all, measure_runs
 from .negation import negate
@@ -371,15 +372,12 @@ class _Maximizer:
         field = _MEASURE_FIELD[self.claim.id]
         return math.log(n) if field == "H" else getattr(negated_uniform[n], field)
 
-    def probes(self, probes, negated_uniform) -> None:
-        """Fold the probe points in order; each probe is (n, point,
-        measures of the point's negation)."""
-        import numpy as np
-
+    def probes(self, n, points, values, negated_uniform) -> None:
+        """Fold one n's probe points in order; values measure their negations."""
         field = _MEASURE_FIELD[self.claim.id]
-        value = np.array([getattr(after, field) for _, _, after in probes])
-        bound = np.array([self.bound(n, negated_uniform) for n, _, _ in probes])
-        self._points(value, bound, lambda i: probes[i][1])
+        value = [getattr(after, field) for after in values]
+        bound = [self.bound(n, negated_uniform)] * len(points)
+        self._points(value, bound, points.__getitem__)
 
     def trials(self, chunk, negated_uniform) -> None:
         """Fold a chunk's points in trial order: each trial's sample, then
@@ -391,10 +389,14 @@ class _Maximizer:
             (chunk.columns["negated", field], chunk.columns["blend", field])
         ).ravel()
         bound = chunk.per_n(lambda n: self.bound(n, negated_uniform)).repeat(2)
-        self._points(value, bound, lambda i: chunk.probs(i // 2, blend=i % 2 == 1))
+        self._points(value.tolist(), bound.tolist(),
+                     lambda i: chunk.probs(i // 2, blend=i % 2 == 1))
 
     def _points(self, value, bound, probs) -> None:
-        excess = (value - bound).tolist()
+        """Fold points in order: value[i] and bound[i] are the i-th point's
+        negated measure and claimed maximum, and probs(i) gives the point,
+        as a sequence of probabilities, when it is reported."""
+        excess = list(map(sub, value, bound))
         top = max(excess)  # max() and index() find the first strict maximum
         i = excess.index(top)
         if self.peak is None or top > self.peak[0]:
@@ -503,13 +505,12 @@ def _run(selected, seed, trials, n_range, tolerance) -> list[ClaimReport]:
             if n_min <= len(probs) <= n_max:
                 p = make_distribution(probs)
                 tally.fixture(p.probs, measure_all(p), measure_all(negate(p)))
-    probes = []  # (n, point, measures of its negation), by n
     for n in range(n_min, n_max + 1) if maximizers else ():
-        at_n = [(n, q, measure_runs(_negated(q))) for q in _probe_points(n)]
-        negated_uniform[n] = at_n[0][2]  # the first point is uniform(n)
-        probes += at_n
-    for tally in maximizers:
-        tally.probes(probes, negated_uniform)
+        points = _probe_points(n)  # points[0] is uniform(n)
+        values = [measure_runs(_negated(q)) for q in points]
+        negated_uniform[n] = values[0]
+        for tally in maximizers:
+            tally.probes(n, points, values, negated_uniform)
 
     if inequalities or maximizers:
         from ._batch import trial_chunks  # numpy loads only when trials are drawn

@@ -26,7 +26,6 @@ import math
 import sys
 from collections.abc import Iterator
 from dataclasses import dataclass
-from itertools import repeat
 
 from .claims import UnknownClaim, check_all, reports_to_json
 from .measures import MeasureSet, measure_all, measure_runs, uniform_varextropy
@@ -97,11 +96,10 @@ def sweep_n2_rows(steps: int = 200) -> Iterator[SweepRow]:
     """
     if steps < 2:
         raise ValueError(f"steps = {steps} must be >= 2")
-    return map(_sweep_n2_row, repeat(steps), range(steps + 1))
+    return (_sweep_n2_row(i / steps) for i in range(steps + 1))
 
 
-def _sweep_n2_row(steps: int, i: int) -> SweepRow:
-    p1 = i / steps
+def _sweep_n2_row(p1: float) -> SweepRow:
     d = make_distribution([p1, 1.0 - p1])
     # measure_all is bitwise equal to the scalar measures.
     before, after = measure_all(d), measure_all(negate(d))

@@ -195,18 +195,16 @@ def fsum_runs(runs) -> float:
     a half below the normal range; the sum is then taken over the
     expanded copies.
     """
-    runs = list(runs)
+    runs = [(v, c) for v, c in runs if c]
+    if any(c < 0 for _, c in runs):
+        raise ValueError("run counts must be nonnegative")
+    if any(v and -_SPLIT_FLOOR < v < _SPLIT_FLOOR for v, _ in runs):
+        return fsum(chain.from_iterable(repeat(v, c) for v, c in runs))
     parts = []
     for value, count in runs:
-        if count < 0:
-            raise ValueError(f"count = {count!r} must be nonnegative")
-        if not count:
-            continue
         if not value:
             parts.append(value)  # copies of a zero add only their sign
             continue
-        if -_SPLIT_FLOOR < value < _SPLIT_FLOOR:
-            return fsum(chain.from_iterable(repeat(v, c) for v, c in runs))
         hi = value * _SPLITTER
         hi -= hi - value
         lo = value - hi

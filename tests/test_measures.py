@@ -180,6 +180,10 @@ class TestMeasureAll:
                 t = rng.random() * 2.0 ** rng.randint(-900, 10)
                 assert fsum_runs([(t, c), (-t, c - 1)]) == t, (t, c)
 
+    def test_runs_reject_negative_counts(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            measure_runs([(0.5, 3), (0.25, -1)])
+
     def test_degenerate_all_zero(self):
         ms = measure_all(make_distribution([1.0, 0.0]))
         assert (ms.H, ms.H1, ms.J, ms.VH, ms.VJ) == (0.0, 0.0, 0.0, 0.0, 0.0)
