@@ -191,20 +191,22 @@ def fsum_runs(runs) -> float:
     """``math.fsum`` of each value repeated count times, bit for bit, from
     two exact products per value and 26-bit piece of its count.
 
-    A nonzero value below ``_SPLIT_FLOOR`` in magnitude could split into
-    a half below the normal range; the sum is then taken over the
-    expanded copies.
+    Counts must be nonnegative integers. A single copy, or the copies of
+    a zero, go to ``fsum`` as they are. A nonzero value below
+    ``_SPLIT_FLOOR`` in magnitude could split into a half below the
+    normal range; the sum is then taken over the expanded copies.
     """
-    runs = [(v, c) for v, c in runs if c]
-    if any(c < 0 for _, c in runs):
-        raise ValueError("run counts must be nonnegative")
-    if any(v and -_SPLIT_FLOOR < v < _SPLIT_FLOOR for v, _ in runs):
-        return fsum(chain.from_iterable(repeat(v, c) for v, c in runs))
+    runs = list(runs)
     parts = []
     for value, count in runs:
-        if not value:
-            parts.append(value)  # copies of a zero add only their sign
+        if count <= 1 or not value:
+            if count < 0:
+                raise ValueError(f"run count {count!r} is negative")
+            if count:
+                parts.append(value)  # a zero's copies add only its sign
             continue
+        if -_SPLIT_FLOOR < value < _SPLIT_FLOOR:
+            return fsum(chain.from_iterable(repeat(v, c) for v, c in runs))
         hi = value * _SPLITTER
         hi -= hi - value
         lo = value - hi

@@ -181,7 +181,7 @@ class TestMeasureAll:
                 assert fsum_runs([(t, c), (-t, c - 1)]) == t, (t, c)
 
     def test_runs_reject_negative_counts(self):
-        with pytest.raises(ValueError, match="nonnegative"):
+        with pytest.raises(ValueError, match="negative"):
             measure_runs([(0.5, 3), (0.25, -1)])
 
     def test_degenerate_all_zero(self):
