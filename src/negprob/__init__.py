@@ -23,7 +23,6 @@ from .measures import (
     extropy,
     gini_entropy,
     measure_all,
-    measure_runs,
     uniform_varextropy,
     varentropy,
     varextropy,
@@ -71,7 +70,6 @@ __all__ = [
     "majorizes",
     "make_distribution",
     "measure_all",
-    "measure_runs",
     "negate",
     "negate_k",
     "reports_to_json",

@@ -67,12 +67,12 @@ probabilities.
 
 Points with few distinct entries are held as (value, count) runs and
 measured by ``measures.measure_runs`` in O(1) per point, bitwise equal to
-``measure_all`` of the expanded tuple (see the measures module for the
-exact split products and the fallback for terms near underflow). The
-limit grid's uniform(n) is one run. Each maximizer probe is three runs,
-renormalised, validated and negated run by run with the checks that
-``make_distribution`` applies entry by entry; its tuple is built once,
-and only if a report shows the point as a counterexample or a peak.
+``measure_all`` of the expanded tuple (see ``simplex.fsum_runs`` for the
+exact split products). The limit grid's uniform(n) is one run. Each
+maximizer probe is three runs, renormalised, validated and negated run
+by run by ``simplex.make_distribution_runs``, with ``make_distribution``'s
+rules; its tuple is built only when the point becomes a counterexample
+or the running peak.
 """
 
 from __future__ import annotations
@@ -80,13 +80,17 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import chain, repeat
 from operator import sub
 
-from .measures import fsum_runs, measure_all, measure_runs
+from .measures import measure_all, measure_runs
 from .negation import negate
-from .simplex import SUM_TOLERANCE, SimplexSamplerConfig, make_distribution, uniform
+from .simplex import (
+    SimplexSamplerConfig,
+    make_distribution,
+    make_distribution_runs,
+    uniform,
+)
 
 CONFIRMED = "CONFIRMED"
 REFUTED = "REFUTED"
@@ -373,11 +377,13 @@ class _Maximizer:
         return math.log(n) if field == "H" else getattr(negated_uniform[n], field)
 
     def probes(self, n, points, values, negated_uniform) -> None:
-        """Fold one n's probe points in order; values measure their negations."""
+        """Fold one n's probe points, each given as runs, in order; values
+        measure their negations."""
         field = _MEASURE_FIELD[self.claim.id]
         value = [getattr(after, field) for after in values]
         bound = [self.bound(n, negated_uniform)] * len(points)
-        self._points(value, bound, points.__getitem__)
+        self._points(value, bound, lambda i: tuple(
+            chain.from_iterable(repeat(v, c) for v, c in points[i])))
 
     def trials(self, chunk, negated_uniform) -> None:
         """Fold a chunk's points in trial order: each trial's sample, then
@@ -417,59 +423,24 @@ class _Maximizer:
         }
 
 
-class _RunPoint:
-    """A probe point held as (value, count) runs, in entry order. Its
-    tuple of probabilities is built the first time it is iterated, and
-    only then, so a point costs O(n) only when a report shows it."""
-
-    def __init__(self, runs):
-        self.runs = runs
-
-    @cached_property
-    def probs(self) -> tuple[float, ...]:
-        return tuple(chain.from_iterable(repeat(v, c) for v, c in self.runs))
-
-    def __iter__(self):
-        return iter(self.probs)
-
-
-def _distribution_runs(runs, renormalize: bool = False):
-    """``make_distribution`` of the values the runs expand to, as runs:
-    the same renormalisation and checks, once per run, with the sums
-    taken by ``fsum_runs``. Runs that fail a check are rebuilt entry by
-    entry by ``make_distribution``, which raises its usual error."""
-    values = [v for v, _ in runs]
-    if all(map(math.isfinite, values)) and min(values) >= 0.0:
-        out = runs
-        if renormalize:
-            total = fsum_runs(runs)
-            if 0.0 < total < math.inf:
-                out = [(v / total, c) for v, c in runs]
-        if (sum(c for _, c in out) >= 2 and max(v for v, _ in out) <= 1.0
-                and abs(fsum_runs(out) - 1.0) <= SUM_TOLERANCE):
-            return out
-    entries = chain.from_iterable(repeat(v, c) for v, c in runs)
-    return [(p, 1) for p in make_distribution(entries, renormalize).probs]
-
-
-def _probe_points(n: int) -> list[_RunPoint]:
+def _probe_points(n: int) -> list[list[tuple[float, int]]]:
     """Uniform, then uniform + eps*(e_0 - e_1) for each probe eps, as
     runs: the perturbed pair and n - 2 entries of 1/n, renormalised.
 
     The (0, 1) pair stands for every pair (i, j): see the module docstring.
     """
     u = 1.0 / n
-    points = [_RunPoint(_distribution_runs([(u, n)]))]
+    points = [make_distribution_runs([(u, n)])]
     for eps in [e for e in (1e-3, 1e-2) if e <= u] or [u / 2.0]:
         runs = [(u + eps, 1), (u - eps, 1), (u, n - 2)]
-        points.append(_RunPoint(_distribution_runs(runs, renormalize=True)))
+        points.append(make_distribution_runs(runs, renormalize=True))
     return points
 
 
-def _negated(point: _RunPoint):
-    """``negate`` of the point, as runs."""
-    scale = sum(c for _, c in point.runs) - 1
-    return _distribution_runs([((1.0 - v) / scale, c) for v, c in point.runs])
+def _negated(runs):
+    """``negate`` of the point that the runs expand to, as runs."""
+    scale = sum(c for _, c in runs) - 1
+    return make_distribution_runs([((1.0 - v) / scale, c) for v, c in runs])
 
 
 def _run(selected, seed, trials, n_range, tolerance) -> list[ClaimReport]:

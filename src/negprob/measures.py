@@ -32,16 +32,11 @@ rounded, so equal terms give an equal sum whichever list holds them.
 uniform(n) = [(1/n, n)] or a perturbed uniform point with three runs,
 and is bitwise equal to ``measure_all`` of the expanded tuple in
 O(number of runs). Each sum there is ``fsum`` of count copies of each
-run's term t, and ``fsum`` rounds the exact total once. So it suffices
-to feed ``fsum`` floats whose exact total is the same (``fsum_runs``).
-Veltkamp's split (Dekker, Numer. Math. 18, 1971) writes t = hi + lo
-exactly, each half with at most 26 significant bits, and a count is
-taken 26 bits at a time, so every product of a count piece and a half
-has at most 52 bits and is exact. When a term is so small that a half
-could fall below the normal range (only an entry below about 1e-146
-gives such a term), that sum is taken over the expanded copies instead.
-``measure_all`` uses ``measure_runs`` for a distribution whose entries
-are all equal, so uniform(n) and its negation cost O(1).
+run's term, and ``simplex.fsum_runs`` gives that float from two exact
+products per run and 26-bit piece of its count (Veltkamp's split,
+exact for every term, subnormal ones included). ``measure_all`` uses
+``measure_runs`` for a distribution whose entries are all equal, so
+uniform(n) and its negation cost O(1).
 """
 
 from __future__ import annotations
@@ -49,23 +44,12 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from itertools import chain, repeat
 from math import fsum, log
 from operator import mul
 
-from .simplex import Distribution, TooFewOutcomes
+from .simplex import Distribution, TooFewOutcomes, fsum_runs
 
 VARENTROPY_CLAMP = 1e-12
-
-# Veltkamp's split of a float into two halves of at most 26 bits each.
-_SPLITTER = 2.0**27 + 1.0
-# Counts are multiplied 26 bits at a time: 26 + 26 bits fit in 53.
-_PIECE_BITS = 26
-_PIECE_MASK = 2**_PIECE_BITS - 1
-_PIECE_SCALE = 2.0**_PIECE_BITS
-# Terms at least this large split into normal halves: 2**-969 is 2**53
-# times the smallest normal float.
-_SPLIT_FLOOR = 2.0**-969
 
 
 @dataclass(frozen=True)
@@ -159,10 +143,10 @@ def measure_runs(runs) -> MeasureSet:
     """``measure_all`` of the distribution that the (value, count) runs
     expand to, bit for bit, in O(number of runs).
 
-    Values are floats and counts nonnegative integers; the runs are not
-    checked to form a distribution. Each run's terms are ``measure_all``'s
-    for one entry, and each sum is ``fsum_runs`` of the terms with their
-    counts (see the module docstring).
+    Values are floats in [0, 1] and counts nonnegative integers; the runs
+    are not checked to form a distribution. Each run's terms are
+    ``measure_all``'s for one entry, and each sum is ``fsum_runs`` of the
+    terms with their counts (see the module docstring).
     """
     ps = [p for p, _ in runs]
     counts = [c for _, c in runs]
@@ -185,38 +169,6 @@ def _measure_set(sq, s1, s2, t1, t2) -> MeasureSet:
     if -VARENTROPY_CLAMP < vh < 0.0:
         vh = 0.0
     return MeasureSet(H=-s1 + 0.0, H1=1.0 - sq, J=-t1 + 0.0, VH=vh, VJ=t2 - t1 * t1)
-
-
-def fsum_runs(runs) -> float:
-    """``math.fsum`` of each value repeated count times, bit for bit, from
-    two exact products per value and 26-bit piece of its count.
-
-    Counts must be nonnegative integers. A single copy, or the copies of
-    a zero, go to ``fsum`` as they are. A nonzero value below
-    ``_SPLIT_FLOOR`` in magnitude could split into a half below the
-    normal range; the sum is then taken over the expanded copies.
-    """
-    runs = list(runs)
-    parts = []
-    for value, count in runs:
-        if count <= 1 or not value:
-            if count < 0:
-                raise ValueError(f"run count {count!r} is negative")
-            if count:
-                parts.append(value)  # a zero's copies add only its sign
-            continue
-        if -_SPLIT_FLOOR < value < _SPLIT_FLOOR:
-            return fsum(chain.from_iterable(repeat(v, c) for v, c in runs))
-        hi = value * _SPLITTER
-        hi -= hi - value
-        lo = value - hi
-        scale = 1.0
-        while count:
-            piece = (count & _PIECE_MASK) * scale
-            parts += (piece * hi, piece * lo)
-            count >>= _PIECE_BITS
-            scale *= _PIECE_SCALE
-    return fsum(parts)
 
 
 def uniform_varextropy(n: int) -> float:

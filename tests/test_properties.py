@@ -19,7 +19,7 @@ from itertools import accumulate
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from negprob import (
@@ -36,7 +36,7 @@ from negprob import (
     varentropy,
     varextropy,
 )
-from negprob import SimplexSamplerConfig, measure_runs, sample_uniform_simplex
+from negprob import SimplexSamplerConfig, sample_uniform_simplex
 from negprob._batch import (
     Rows,
     descending_prefix_sums,
@@ -46,7 +46,8 @@ from negprob._batch import (
 )
 from negprob.claims import _negated, _probe_points
 from negprob.cli import main
-from negprob.measures import fsum_runs
+from negprob.measures import measure_runs
+from negprob.simplex import fsum_runs, make_distribution_runs
 
 # Large distributions are slow to measure; no example database is written.
 SETTINGS = settings(max_examples=60, deadline=None, database=None)
@@ -91,7 +92,7 @@ def test_measure_all_is_bitwise_equal_to_the_scalar_measures(d):
 
 
 # Entry values for runs: zero, subnormal, and tiny normal values whose
-# terms fall below the split floor, as well as ordinary ones.
+# terms split into subnormal halves, as well as ordinary ones.
 RUN_VALUES = st.one_of(
     st.just(0.0),
     st.sampled_from([5e-324, 2.0**-1060, 1e-300, 2.0**-600, 2.0**-500, 2.0**-480]),
@@ -129,6 +130,30 @@ def test_measure_runs_is_bitwise_equal_to_measure_all_of_the_expanded_runs(rs):
         x.hex() for x in want.as_dict().values()]
 
 
+def built(make, *args):
+    """What make(*args) returns, or the type and text of what it raises."""
+    try:
+        return make(*args)
+    except (ValueError, OverflowError) as exc:
+        return type(exc), str(exc)
+
+
+@SETTINGS
+@given(st.lists(st.tuples(
+    st.one_of(RUN_VALUES, st.sampled_from([-0.0, -1e-3, 1.5, 1e300, math.inf, math.nan])),
+    st.one_of(st.integers(0, 3), st.integers(0, 10_000)),
+), max_size=4), st.booleans())
+@example([(0.3, 1)], True)  # one entry, whatever its value, is too few
+@example([(5e-324, 865), (1e-300, 0), (1e-320, 353)], True)  # an empty run above 1
+def test_distribution_runs_are_make_distribution_of_the_expanded_runs(rs, renormalize):
+    got = built(make_distribution_runs, rs, renormalize)
+    want = built(make_distribution, expanded(rs), renormalize)
+    if isinstance(want, tuple):
+        assert got == want
+    else:
+        assert [x.hex() for x in expanded(got)] == [x.hex() for x in want.probs]
+
+
 def reference_probe_points(n):
     """The maximizer probes, built entry by entry: uniform, then uniform +
     eps*(e_0 - e_1) renormalised, for each probe eps."""
@@ -150,8 +175,8 @@ def test_probe_points_as_runs_equal_the_points_built_entry_by_entry(n):
     reference = reference_probe_points(n)
     assert len(points) == len(reference)
     for point, want in zip(points, reference):
-        assert point.probs == want.probs
-        assert measure_runs(point.runs) == measure_all(want)
+        assert expanded(point) == list(want.probs)
+        assert measure_runs(point) == measure_all(want)
         negated = _negated(point)
         assert expanded(negated) == list(negate(want).probs)
         got, want_negated = measure_runs(negated), measure_all(negate(want))
