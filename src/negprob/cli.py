@@ -28,7 +28,15 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .claims import UnknownClaim, check_all, reports_to_json
-from .measures import MeasureSet, measure_all, measure_runs, uniform_varextropy
+from .measures import (
+    MeasureSet,
+    entropy,
+    measure_all,
+    measure_runs,
+    uniform_varextropy,
+    varentropy,
+    varextropy,
+)
 from .negation import (
     DEFAULT_MAX_STEPS,
     DEFAULT_TOLERANCE,
@@ -101,17 +109,16 @@ def sweep_n2_rows(steps: int = 200) -> Iterator[SweepRow]:
 
 def _sweep_n2_row(p1: float) -> SweepRow:
     d = make_distribution([p1, 1.0 - p1])
-    # measure_all is bitwise equal to the scalar measures.
-    before, after = measure_all(d), measure_all(negate(d))
+    nd = negate(d)
     return SweepRow(
         x=p1,
         columns={
-            "H_P": before.H,
-            "H_neg": after.H,
-            "VH_P": before.VH,
-            "VH_neg": after.VH,
-            "VJ_P": before.VJ,
-            "VJ_neg": after.VJ,
+            "H_P": entropy(d),
+            "H_neg": entropy(nd),
+            "VH_P": varentropy(d),
+            "VH_neg": varentropy(nd),
+            "VJ_P": varextropy(d),
+            "VJ_neg": varextropy(nd),
         },
     )
 
