@@ -25,6 +25,7 @@ numpy, so it is imported only when trials are sampled.
 
 from __future__ import annotations
 
+from functools import cached_property
 from itertools import accumulate
 from math import fsum, inf, log
 
@@ -246,8 +247,7 @@ def measure_rows(values, rows: Rows):
 
     The logarithms are ``math.log`` with the scalar guard (a guarded entry
     takes log(1.0) = 0.0), each term is the same numpy product in the same
-    order as in ``measure_all``, and each sum is one ``fsum`` per row. Rows
-    with equal entries are summed in full; ``n * t`` gives the same float.
+    order as in ``measure_all``, and each sum is one ``fsum`` per row.
     """
 
     def logs(x):
@@ -269,38 +269,49 @@ def measure_rows(values, rows: Rows):
 
 
 class TrialChunk:
-    """Consecutive trials t0, t0 + 1, ..., each drawn, negated and measured
-    once, as float columns in trial order.
+    """Consecutive trials t0, t0 + 1, ..., as flat rows in trial order.
 
-    ``columns[kind, field]`` holds H, VH or VJ of the sample ("p", only
-    with ``before``), of its negation ("negated") and of its negated
-    near-uniform blend ("blend", only with a ``blend`` weight w). The blend
-    is (1 - w) * (1 / n) + w * p, renormalised. ``majorized`` holds
-    ``majorizes(p, negate(p))`` (only with ``majorization``).
+    The sample rows ``p`` are drawn when the chunk is made. Every other
+    value is computed the first time a claim reads it and then kept for
+    the chunk's life, so a chunk does only the work its readers need:
+    ``negated`` (the negation of each sample), ``blend`` (the near-uniform
+    blend (1 - w) * (1 / n) + w * p of each sample, renormalised, for the
+    chunk's blend weight w), ``majorized`` (``majorizes(p, negate(p))`` of
+    each trial) and ``measures(kind)``.
     """
 
-    def __init__(self, seed, t0, ns, before, blend, majorization):
-        rows = Rows(ns)
-        self.n = rows.ns
-        self.slices = rows.slices
-        self._probs = {}
-        p = sample_rows(seed, rows, range(t0, t0 + len(rows)))
-        negated = distribution_rows(negate_rows(p, rows), rows)
-        measured = {"negated": negated}
-        if before:
-            measured["p"] = p
-        self.p, self.blend = p, None
-        if blend is not None:
-            near = rows.repeat((1.0 - blend) * (1.0 / self.n)) + blend * p
-            self.blend = distribution_rows(near, rows, renormalize=True)
-            measured["blend"] = distribution_rows(negate_rows(self.blend, rows), rows)
-        self.columns = {
-            (kind, field): column
-            for kind, values in measured.items()
-            for field, column in zip(("H", "VH", "VJ"), measure_rows(values, rows))
-        }
-        if majorization:
-            self.majorized = majorizes_rows(p, negated, rows)
+    def __init__(self, seed, t0, ns, blend_weight):
+        self.rows = Rows(ns)
+        self.n = self.rows.ns
+        self.blend_weight = blend_weight
+        self.p = sample_rows(seed, self.rows, range(t0, t0 + len(self.rows)))
+        self._measures = {}
+
+    @cached_property
+    def negated(self):
+        return distribution_rows(negate_rows(self.p, self.rows), self.rows)
+
+    @cached_property
+    def blend(self):
+        w = self.blend_weight
+        near = self.rows.repeat((1.0 - w) * (1.0 / self.n)) + w * self.p
+        return distribution_rows(near, self.rows, renormalize=True)
+
+    @cached_property
+    def majorized(self):
+        return majorizes_rows(self.p, self.negated, self.rows)
+
+    def measures(self, kind):
+        """The columns of H, VH and VJ, by field name, of each trial's
+        sample (kind "p"), its negation ("negated") or its blend's
+        negation ("blend")."""
+        if kind not in self._measures:
+            if kind == "blend":
+                values = distribution_rows(negate_rows(self.blend, self.rows), self.rows)
+            else:
+                values = getattr(self, kind)  # self.p or self.negated
+            self._measures[kind] = dict(zip(("H", "VH", "VJ"), measure_rows(values, self.rows)))
+        return self._measures[kind]
 
     def per_n(self, value):
         """The column that holds value(n) for each trial of n."""
@@ -309,18 +320,16 @@ class TrialChunk:
         return np.array(list(map(values.__getitem__, ns)))
 
     def probs(self, i: int, blend: bool = False) -> tuple[float, ...]:
-        """The sample (or its blend) of the chunk's i-th trial, built once
-        and shared by every claim that reports it."""
-        if (i, blend) not in self._probs:
-            rows = self.blend if blend else self.p
-            self._probs[i, blend] = tuple(rows[self.slices[i]].tolist())
-        return self._probs[i, blend]
+        """The sample (or its blend) of the chunk's i-th trial."""
+        rows = self.blend if blend else self.p
+        return tuple(rows[self.rows.slices[i]].tolist())
 
 
-def trial_chunks(seed, trials, n_min, n_max, *, before, blend, majorization):
+def trial_chunks(seed, trials, n_min, n_max, blend_weight):
     """``TrialChunk``s of trials 0, 1, ..., trials - 1 in order, trial t
-    having n = n_min + t % (n_max - n_min + 1). A chunk's entries sum to
-    at most ``CHUNK_ENTRIES``, unless its one trial alone exceeds it."""
+    having n = n_min + t % (n_max - n_min + 1), each blending toward
+    uniform with ``blend_weight``. A chunk's entries sum to at most
+    ``CHUNK_ENTRIES``, unless its one trial alone exceeds it."""
     t0 = 0
     while t0 < trials:
         ns, entries = [], 0
@@ -330,5 +339,5 @@ def trial_chunks(seed, trials, n_min, n_max, *, before, blend, majorization):
                 break
             ns.append(n)
             entries += n
-        yield TrialChunk(seed, t0, ns, before, blend, majorization)
+        yield TrialChunk(seed, t0, ns, blend_weight)
         t0 += len(ns)

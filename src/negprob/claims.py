@@ -53,26 +53,28 @@ reported peak is the first point that attains the largest excess.
 
 The trial pass is batched (``_batch``). Trials are taken in index order,
 in chunks of at most ``_batch.CHUNK_ENTRIES`` entries (but at least one
-trial, so n near 10^4 gives one trial per chunk), and every step runs
-once per chunk: seeding, renormalisation, validation, negation, the
+trial, so n near 10^4 gives one trial per chunk), and every step runs at
+most once per chunk: seeding, renormalisation, validation, negation, the
 near-uniform blend, the measures and C1's majorization check (rows of
-one n sorted and prefix-summed together). Every step is the same IEEE
-operation, ``math.log`` or ``math.fsum`` per row that the
-one-distribution functions use, so every float equals theirs by
-construction. The reducers then fold each chunk's float columns in trial
-order: sample before blend, the first violation wins, the first strict
-maximum is the peak, and ``min_margin`` keeps the first minimum with its
-sign of zero. Only a reported point is turned back into a tuple of
-probabilities.
+one n sorted and prefix-summed together). A chunk draws its samples
+when it is made and takes each later step only when a reducer first
+reads its result, so a subset of claims costs only what it reads. Every
+step is the same IEEE operation, ``math.log`` or ``math.fsum`` per row
+that the one-distribution functions use, so every float equals theirs
+by construction. The reducers then fold each chunk's float columns in
+trial order: sample before blend, the first violation wins, the first
+strict maximum is the peak, and ``min_margin`` keeps the first minimum
+with its sign of zero. Only a reported point is turned back into a
+tuple of probabilities.
 
 Points with few distinct entries are held as (value, count) runs and
 measured by ``measures.measure_runs`` in O(1) per point, bitwise equal to
 ``measure_all`` of the expanded tuple (see ``simplex.fsum_runs`` for the
 exact split products). The limit grid's uniform(n) is one run. Each
-maximizer probe is three runs, renormalised, validated and negated run
-by run by ``simplex.make_distribution_runs``, with ``make_distribution``'s
-rules; its tuple is built only when the point becomes a counterexample
-or the running peak.
+maximizer probe is three runs, renormalised and validated run by run by
+``simplex.make_distribution_runs``, with ``make_distribution``'s rules,
+and negated by ``negation.negate_runs``; its tuple is built only when the
+point becomes a counterexample or the running peak.
 """
 
 from __future__ import annotations
@@ -84,7 +86,7 @@ from itertools import chain, repeat
 from operator import sub
 
 from .measures import measure_all, measure_runs
-from .negation import negate
+from .negation import negate, negate_runs
 from .simplex import (
     SimplexSamplerConfig,
     make_distribution,
@@ -332,8 +334,8 @@ class _Inequality:
         """Fold a chunk's trials in trial order into the verdict and the
         observed statistics."""
         field = _MEASURE_FIELD[self.claim.id]
-        lhs = chunk.columns["negated", field]
-        rhs = chunk.columns["p", field]
+        lhs = chunk.measures("negated")[field]
+        rhs = chunk.measures("p")[field]
         # min() keeps the first minimum, with its sign of zero
         self.min_margin = min(self.min_margin, *(lhs - rhs).tolist())
         violated = (lhs < rhs - self.tolerance).tolist()
@@ -392,7 +394,7 @@ class _Maximizer:
 
         field = _MEASURE_FIELD[self.claim.id]
         value = np.column_stack(
-            (chunk.columns["negated", field], chunk.columns["blend", field])
+            (chunk.measures("negated")[field], chunk.measures("blend")[field])
         ).ravel()
         bound = chunk.per_n(lambda n: self.bound(n, negated_uniform)).repeat(2)
         self._points(value.tolist(), bound.tolist(),
@@ -437,18 +439,11 @@ def _probe_points(n: int) -> list[list[tuple[float, int]]]:
     return points
 
 
-def _negated(runs):
-    """``negate`` of the point that the runs expand to, as runs."""
-    scale = sum(c for _, c in runs) - 1
-    return make_distribution_runs([((1.0 - v) / scale, c) for v, c in runs])
-
-
 def _run(selected, seed, trials, n_range, tolerance) -> list[ClaimReport]:
     """Reports for the selected claims, in the order given: fixtures and
-    probes first, then one pass over the trials in chunks, which draws,
-    negates and measures each trial once for every selected claim. The
-    near-uniform blend is built only for maximizer claims, and the
-    majorization check runs only for C1."""
+    probes first, then one pass over the trials in chunks. Each chunk draws
+    its trials once, and negates, blends, measures and checks them only as
+    far as the selected claims read, once for all of them."""
     for name, value in (("n_range[0]", n_range[0]), ("n_range[1]", n_range[1]),
                         ("trials", trials)):
         if isinstance(value, bool) or not isinstance(value, int):
@@ -478,7 +473,7 @@ def _run(selected, seed, trials, n_range, tolerance) -> list[ClaimReport]:
                 tally.fixture(p.probs, measure_all(p), measure_all(negate(p)))
     for n in range(n_min, n_max + 1) if maximizers else ():
         points = _probe_points(n)  # points[0] is uniform(n)
-        values = [measure_runs(_negated(q)) for q in points]
+        values = [measure_runs(negate_runs(q)) for q in points]
         negated_uniform[n] = values[0]
         for tally in maximizers:
             tally.probes(n, points, values, negated_uniform)
@@ -486,11 +481,7 @@ def _run(selected, seed, trials, n_range, tolerance) -> list[ClaimReport]:
     if inequalities or maximizers:
         from ._batch import trial_chunks  # numpy loads only when trials are drawn
 
-        for chunk in trial_chunks(
-            seed, trials, n_min, n_max, before=bool(inequalities),
-            blend=_NEAR_UNIFORM_WEIGHT if maximizers else None,
-            majorization=any(t.claim.id == "C1" for t in inequalities),
-        ):
+        for chunk in trial_chunks(seed, trials, n_min, n_max, _NEAR_UNIFORM_WEIGHT):
             for tally in inequalities:
                 tally.trials(chunk)
             for tally in maximizers:

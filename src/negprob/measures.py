@@ -125,18 +125,7 @@ def measure_all(d: Distribution) -> MeasureSet:
     probs = d.probs
     if probs.count(probs[0]) == len(probs):
         return measure_runs([(probs[0], len(probs))])
-    # Three comprehensions, not one loop filling three lists: the loop
-    # is faster below n ~ 8 but raised check-large-n's peak RSS by ~1 MB.
-    lps = [log(p) if p > 0.0 else 0.0 for p in probs]
-    qs = [1.0 - p for p in probs]
-    lqs = [log(q) if q > 0.0 else 0.0 for q in qs]
-    return _measure_set(
-        sq=fsum(map(mul, probs, probs)),
-        s1=fsum(map(mul, probs, lps)),
-        s2=fsum(map(mul, probs, map(mul, lps, lps))),
-        t1=fsum(map(mul, qs, lqs)),
-        t2=fsum(map(mul, qs, map(mul, lqs, lqs))),
-    )
+    return _measure_set(probs, fsum)
 
 
 def measure_runs(runs) -> MeasureSet:
@@ -148,23 +137,24 @@ def measure_runs(runs) -> MeasureSet:
     ``measure_all``'s for one entry, and each sum is ``fsum_runs`` of the
     terms with their counts (see the module docstring).
     """
-    ps = [p for p, _ in runs]
     counts = [c for _, c in runs]
+    return _measure_set([p for p, _ in runs], lambda terms: fsum_runs(zip(terms, counts)))
+
+
+def _measure_set(ps, total) -> MeasureSet:
+    """The five measures from the sums of p^2, p ln p, p (ln p)^2, q ln q
+    and q (ln q)^2, q = 1 - p, where total(terms) sums the terms of the
+    entries ps, one per entry, in order."""
+    # Three comprehensions, not one loop filling three lists: the loop
+    # is faster below n ~ 8 but raised check-large-n's peak RSS by ~1 MB.
     lps = [log(p) if p > 0.0 else 0.0 for p in ps]
     qs = [1.0 - p for p in ps]
     lqs = [log(q) if q > 0.0 else 0.0 for q in qs]
-    return _measure_set(
-        sq=fsum_runs(zip(map(mul, ps, ps), counts)),
-        s1=fsum_runs(zip(map(mul, ps, lps), counts)),
-        s2=fsum_runs(zip(map(mul, ps, map(mul, lps, lps)), counts)),
-        t1=fsum_runs(zip(map(mul, qs, lqs), counts)),
-        t2=fsum_runs(zip(map(mul, qs, map(mul, lqs, lqs)), counts)),
-    )
-
-
-def _measure_set(sq, s1, s2, t1, t2) -> MeasureSet:
-    """The five measures from the sums of p^2, p ln p, p (ln p)^2,
-    q ln q and q (ln q)^2 over the entries, q = 1 - p."""
+    sq = total(map(mul, ps, ps))
+    s1 = total(map(mul, ps, lps))
+    s2 = total(map(mul, ps, map(mul, lps, lps)))
+    t1 = total(map(mul, qs, lqs))
+    t2 = total(map(mul, qs, map(mul, lqs, lqs)))
     vh = s2 - s1 * s1
     if -VARENTROPY_CLAMP < vh < 0.0:
         vh = 0.0

@@ -21,7 +21,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .measures import MeasureSet, measure_all
-from .simplex import Distribution
+from .simplex import Distribution, make_distribution_runs
 
 DEFAULT_MAX_STEPS = 100
 DEFAULT_TOLERANCE = 1e-9
@@ -31,6 +31,13 @@ def negate(d: Distribution) -> Distribution:
     """One application of the negation map; output is validated on the way out."""
     scale = d.n - 1
     return Distribution(tuple((1.0 - p) / scale for p in d.probs))
+
+
+def negate_runs(runs) -> list[tuple[float, int]]:
+    """``negate`` of the distribution that the (value, count) runs expand
+    to, as runs; the output is validated like ``negate``'s."""
+    scale = sum(c for _, c in runs) - 1
+    return make_distribution_runs([((1.0 - v) / scale, c) for v, c in runs])
 
 
 def negate_k(d: Distribution, k: int) -> Distribution:

@@ -262,6 +262,31 @@ class TestReports:
         check_all(seed=3, trials=50)
         assert drawn == [(3, 2 + t % 7, t) for t in range(50)]
 
+    @pytest.mark.parametrize("claim_ids, measured, majorized, measures_samples", [
+        (None, 3, 1, True),  # the sample, its negation and its blend's negation
+        (["C7", "C8", "C9"], 2, 0, False),
+        (["C2", "C3", "C4"], 2, 0, True),
+        (["C1"], 2, 1, True),
+    ])
+    def test_chunks_compute_only_what_the_selected_claims_read(
+            self, monkeypatch, claim_ids, measured, majorized, measures_samples):
+        from negprob import _batch
+
+        calls = {name: [] for name in ("sample_rows", "measure_rows", "majorizes_rows")}
+        for name, seen in calls.items():
+            def spy(*args, real=getattr(_batch, name), seen=seen):
+                seen.append((args[0], real(*args)))  # (first argument, result)
+                return seen[-1][1]
+
+            monkeypatch.setattr(_batch, name, spy)
+        check_all(seed=5, trials=5000, claim_ids=claim_ids)
+        samples = [rows for _, rows in calls["sample_rows"]]
+        assert len(samples) == 2  # 25,000 entries of n = 2..8 make two chunks
+        assert len(calls["measure_rows"]) == measured * 2
+        assert len(calls["majorizes_rows"]) == majorized * 2
+        assert any(values is p for values, _ in calls["measure_rows"]
+                   for p in samples) == measures_samples
+
     def test_trial_fold_takes_the_first_violation_in_trial_order(self):
         from types import SimpleNamespace
 
@@ -271,8 +296,8 @@ class TestReports:
 
         chunk = SimpleNamespace(
             n=np.array([2, 3, 3, 4]),
-            columns={("negated", "H"): np.array([1.0, 1.0, 0.5, 1.0]),
-                     ("p", "H"): np.array([0.5, 1.0, 1.0, 0.5])},
+            measures={"negated": {"H": np.array([1.0, 1.0, 0.5, 1.0])},
+                      "p": {"H": np.array([0.5, 1.0, 1.0, 0.5])}}.__getitem__,
             majorized=[True, False, True, True],
             probs=lambda i: ("trial", i),
         )
@@ -308,8 +333,7 @@ class TestReports:
         n_min, n_max = n_range
         want = [n_min + t % (n_max - n_min + 1) for t in range(trials)]
         ns = []
-        for chunk in trial_chunks(0, trials, n_min, n_max, before=False, blend=None,
-                                  majorization=False):
+        for chunk in trial_chunks(0, trials, n_min, n_max, 0.01):
             assert len(chunk.n) == 1 or chunk.n.sum() <= CHUNK_ENTRIES
             if n_min > CHUNK_ENTRIES // 2:  # n near 10^4: one trial per chunk
                 assert len(chunk.n) == 1

@@ -44,9 +44,10 @@ from negprob._batch import (
     measure_rows,
     sample_rows,
 )
-from negprob.claims import _negated, _probe_points
+from negprob.claims import _probe_points
 from negprob.cli import main
 from negprob.measures import measure_runs
+from negprob.negation import negate_runs
 from negprob.simplex import fsum_runs, make_distribution_runs
 
 # Large distributions are slow to measure; no example database is written.
@@ -177,7 +178,7 @@ def test_probe_points_as_runs_equal_the_points_built_entry_by_entry(n):
     for point, want in zip(points, reference):
         assert expanded(point) == list(want.probs)
         assert measure_runs(point) == measure_all(want)
-        negated = _negated(point)
+        negated = negate_runs(point)
         assert expanded(negated) == list(negate(want).probs)
         got, want_negated = measure_runs(negated), measure_all(negate(want))
         assert [x.hex() for x in got.as_dict().values()] == [
