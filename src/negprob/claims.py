@@ -75,6 +75,17 @@ maximizer probe is three runs, renormalised and validated run by run by
 ``simplex.make_distribution_runs``, with ``make_distribution``'s rules,
 and negated by ``negation.negate_runs``; its tuple is built only when the
 point becomes a counterexample or the running peak.
+
+A report line has one writer, ``ClaimReport.to_json``: the compact JSON
+of ``to_json_obj()``, put together from ``json``'s encodings of its parts
+in the same key order, so every number is still formatted by ``json``.
+It saves formatting work only. ``_run`` hands claims that report the same
+fixture or trial point (C2 and C3 often do) the same tuple, and
+``reports_to_json`` formats each distinct tuple once per call; a point of
+n equal entries, such as uniform(n) in a limit claim's counterexample, is
+one formatted value repeated n times. ``reports_to_json`` joins the pieces
+of all lines at once, so a long point's text is not first copied into a
+line of its own.
 """
 
 from __future__ import annotations
@@ -102,6 +113,9 @@ MAX_OUTCOMES = 10_000
 
 # Decides C2 and C3 on its own whenever n = 4 is in scope.
 REFUTATION_FIXTURE = (0.4, 0.3, 0.2, 0.1)
+
+# json.dumps(obj, separators=(",", ":")), with its encoder made once.
+_compact_json = json.JSONEncoder(separators=(",", ":")).encode
 
 # Blend weight pulling a random sample toward uniform for the extra
 # near-uniform point each maximizer trial contributes.
@@ -228,6 +242,8 @@ class ClaimReport:
     observed: dict | None
 
     def to_json_obj(self) -> dict:
+        """The report as a JSON object; ``to_json`` writes the text of its
+        ``json.dumps`` with compact separators."""
         obj: dict = {
             "claim": self.claim_id,
             "verdict": self.verdict,
@@ -243,12 +259,61 @@ class ClaimReport:
         return obj
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_obj(), separators=(",", ":"))
+        """``to_json_obj()`` as compact JSON: one line of ``reports_to_json``."""
+        return "".join(self._pieces({}))
+
+    def _pieces(self, point_texts: dict) -> list[str]:
+        """The pieces of text that join into ``json.dumps(self.to_json_obj(),
+        separators=(",", ":"))``: the same keys and values, encoded by the
+        same encoder in the same order, with the counterexample's point put
+        in as text. point_texts maps id(p) to (p, the text of p) for every
+        point already formatted, so a point that several reports share is
+        formatted once; holding p keeps its id from being reused while the
+        map lives."""
+        head = _compact_json({
+            "claim": self.claim_id,
+            "verdict": self.verdict,
+            "trials": self.trials_run,
+            "seed": self.seed,
+            "tolerance": self.tolerance,
+        })
+        line = [head[:-1], ',"counterexample":']
+        ce = self.counterexample
+        if ce is None:
+            line.append("null")
+        else:
+            if id(ce.p) not in point_texts:
+                point_texts[id(ce.p)] = (ce.p, _point_json(ce.p))
+            numbers = _compact_json({"lhs": ce.lhs, "rhs": ce.rhs, "margin": ce.margin})
+            line += ['{"p":', point_texts[id(ce.p)][1], ",", numbers[1:]]
+        if self.observed is not None:
+            line += [',"observed":', _compact_json(self.observed)]
+        line.append("}")
+        return line
+
+
+def _point_json(p) -> str:
+    """The JSON array of the probabilities p. When all n entries equal one
+    value, that value is formatted once and repeated n times. Only a
+    nonzero, non-integral float qualifies: -0.0 equals 0.0 and an int
+    equals an integral float, yet each prints differently."""
+    v = p[0] if p else None
+    if type(v) is float and v != 0.0 and not v.is_integer() and p.count(v) == len(p):
+        return "[" + ",".join([json.dumps(v)] * len(p)) + "]"
+    return _compact_json(list(p))
 
 
 def reports_to_json(reports) -> str:
-    """One JSON object per line, in the order given."""
-    return "\n".join(r.to_json() for r in reports)
+    """One JSON object per line, in the order given. A counterexample point
+    that several reports share (C2 and C3 often report the same trial) is
+    formatted once for all of them."""
+    point_texts: dict = {}
+    pieces: list[str] = []
+    for r in reports:
+        if pieces:
+            pieces.append("\n")
+        pieces += r._pieces(point_texts)
+    return "".join(pieces)  # one copy of each long point text, not two
 
 
 def claim_by_id(claim_id: str) -> Claim:
@@ -330,9 +395,9 @@ class _Inequality:
         if lhs < rhs - self.tolerance:
             self._violation(probs, lhs, rhs)
 
-    def trials(self, chunk) -> None:
+    def trials(self, chunk, probs) -> None:
         """Fold a chunk's trials in trial order into the verdict and the
-        observed statistics."""
+        observed statistics; probs(i, False) is the i-th trial's sample."""
         field = _MEASURE_FIELD[self.claim.id]
         lhs = chunk.measures("negated")[field]
         rhs = chunk.measures("p")[field]
@@ -348,7 +413,7 @@ class _Inequality:
                 self.reversed += reversed_
         if self.counterexample is None and True in violated:
             i = violated.index(True)
-            self._violation(chunk.probs(i), float(lhs[i]), float(rhs[i]))
+            self._violation(probs(i, False), float(lhs[i]), float(rhs[i]))
 
     def _violation(self, probs, lhs, rhs) -> None:
         if self.counterexample is None:
@@ -387,9 +452,9 @@ class _Maximizer:
         self._points(value, bound, lambda i: tuple(
             chain.from_iterable(repeat(v, c) for v, c in points[i])))
 
-    def trials(self, chunk, negated_uniform) -> None:
+    def trials(self, chunk, negated_uniform, probs) -> None:
         """Fold a chunk's points in trial order: each trial's sample, then
-        its blend."""
+        its blend; probs(i, blend) is the i-th trial's sample or blend."""
         import numpy as np
 
         field = _MEASURE_FIELD[self.claim.id]
@@ -398,7 +463,7 @@ class _Maximizer:
         ).ravel()
         bound = chunk.per_n(lambda n: self.bound(n, negated_uniform)).repeat(2)
         self._points(value.tolist(), bound.tolist(),
-                     lambda i: chunk.probs(i // 2, blend=i % 2 == 1))
+                     lambda i: probs(i // 2, i % 2 == 1))
 
     def _points(self, value, bound, probs) -> None:
         """Fold points in order: value[i] and bound[i] are the i-th point's
@@ -443,7 +508,9 @@ def _run(selected, seed, trials, n_range, tolerance) -> list[ClaimReport]:
     """Reports for the selected claims, in the order given: fixtures and
     probes first, then one pass over the trials in chunks. Each chunk draws
     its trials once, and negates, blends, measures and checks them only as
-    far as the selected claims read, once for all of them."""
+    far as the selected claims read, once for all of them. Claims that
+    report the same fixture or trial point get the same tuple, so
+    ``reports_to_json`` formats it once."""
     for name, value in (("n_range[0]", n_range[0]), ("n_range[1]", n_range[1]),
                         ("trials", trials)):
         if isinstance(value, bool) or not isinstance(value, int):
@@ -466,11 +533,14 @@ def _run(selected, seed, trials, n_range, tolerance) -> list[ClaimReport]:
     maximizers = [_Maximizer(c, tolerance) for c in selected if c.kind == "maximizer"]
     negated_uniform = {}  # n -> measures of negate(uniform(n))
 
+    fixtures = {}  # probs -> (its point, measures of it and of its negation)
     for tally in inequalities:
         for probs in _INEQUALITY_FIXTURES.get(tally.claim.id, ()):
             if n_min <= len(probs) <= n_max:
-                p = make_distribution(probs)
-                tally.fixture(p.probs, measure_all(p), measure_all(negate(p)))
+                if probs not in fixtures:
+                    p = make_distribution(probs)
+                    fixtures[probs] = (p.probs, measure_all(p), measure_all(negate(p)))
+                tally.fixture(*fixtures[probs])
     for n in range(n_min, n_max + 1) if maximizers else ():
         points = _probe_points(n)  # points[0] is uniform(n)
         values = [measure_runs(negate_runs(q)) for q in points]
@@ -482,10 +552,17 @@ def _run(selected, seed, trials, n_range, tolerance) -> list[ClaimReport]:
         from ._batch import trial_chunks  # numpy loads only when trials are drawn
 
         for chunk in trial_chunks(seed, trials, n_min, n_max, _NEAR_UNIFORM_WEIGHT):
+            points = {}  # (i, blend) -> the tuple every claim reports for it
+
+            def probs(i, blend, chunk=chunk, points=points):
+                if (i, blend) not in points:
+                    points[i, blend] = chunk.probs(i, blend)
+                return points[i, blend]
+
             for tally in inequalities:
-                tally.trials(chunk)
+                tally.trials(chunk, probs)
             for tally in maximizers:
-                tally.trials(chunk, negated_uniform)
+                tally.trials(chunk, negated_uniform, probs)
 
     grid = _limit_grid(n_min, n_max)
     limits = any(c.kind == "limit" for c in selected)

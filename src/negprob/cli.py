@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -265,7 +266,7 @@ def cmd_sweep_n(args) -> int:
 
 
 def cmd_check(args) -> int:
-    claim_ids = args.claims.split(",") if args.claims else None
+    claim_ids = None if args.claims is None else args.claims.split(",")
     reports = check_all(
         seed=args.seed,
         trials=args.trials,
@@ -367,11 +368,21 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except (NotADistribution, TooFewOutcomes, DimensionMismatch, UnknownClaim,
             ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # The reader closed stdout (e.g. `negprob sweep-n2 | head`). Point
+        # stdout at devnull, so the flush at exit cannot fail again, and
+        # exit 1 with nothing on stderr.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
 
 
 if __name__ == "__main__":

@@ -299,10 +299,9 @@ class TestReports:
             measures={"negated": {"H": np.array([1.0, 1.0, 0.5, 1.0])},
                       "p": {"H": np.array([0.5, 1.0, 1.0, 0.5])}}.__getitem__,
             majorized=[True, False, True, True],
-            probs=lambda i: ("trial", i),
         )
         tally = _Inequality(claim_by_id("C1"), 1e-9)
-        tally.trials(chunk)
+        tally.trials(chunk, lambda i, blend: ("trial", i))
         # Trial 1 fails majorization before trial 2 breaks the inequality.
         assert tally.counterexample.p == ("trial", 1)
         assert tally.majorization_failures == 1

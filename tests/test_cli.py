@@ -498,6 +498,13 @@ class TestCheckCommand:
         assert code != 0
         assert "C77" in err
 
+    @pytest.mark.parametrize("claims", ["", "C1,,C2", ","])
+    def test_empty_claim_id_fails(self, capsys, claims):
+        code, out, err = run_cli(capsys, "check", "--claims", claims, "--trials", "1")
+        assert code == 2
+        assert out == ""
+        assert "unknown claim ''" in err
+
     def test_csv_output_field_count(self, capsys):
         _, out, _ = run_cli(capsys, "check", "--trials", "20", "--format", "csv")
         lines = out.splitlines()
@@ -519,6 +526,29 @@ class TestCheckCommand:
         assert code == 2
         assert out == ""
         assert "tolerance" in err
+
+
+class TestClosedStdout:
+    @pytest.mark.parametrize("argv", [
+        ["sweep-n2", "--steps", "2000000"],
+        ["sweep-n", "--n-max", "1000000"],
+        ["iterate", "-p", "0.3,0.7", "-k", "200000"],
+        ["check", "--trials", "2", "--n-min", "9999", "--n-max", "10000"],
+    ])
+    def test_reader_closing_early_exits_one_without_a_traceback(self, argv):
+        src = str(Path(negprob.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": src}
+        proc = subprocess.Popen([sys.executable, "-m", "negprob.cli", *argv], env=env,
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        try:
+            assert len(proc.stdout.read(100)) == 100
+            proc.stdout.close()
+            err = proc.stderr.read()
+            assert proc.wait(timeout=60) == 1
+        finally:
+            proc.kill()
+            proc.stderr.close()
+        assert err == b""
 
 
 class TestNoNumpyWithoutSampling:

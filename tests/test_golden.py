@@ -77,6 +77,17 @@ def test_check_claim_equals_its_line_of_check_all(name):
     assert [check_claim(cid, **kwargs).to_json() for cid in ids] == lines
 
 
+@pytest.mark.parametrize("name", ["default", "seed9001_n9998-10000_C1-C6"])
+def test_c2_and_c3_report_one_point_as_one_tuple(name):
+    # The default config's C2 and C3 both fall to the fixture; at n near
+    # 10^4 both fall to the first trial. reports_to_json formats the
+    # shared tuple once.
+    reports = check_all(**api_kwargs(name), claim_ids=claim_ids(name))
+    c2, c3 = reports[1], reports[2]
+    assert (c2.claim_id, c3.claim_id) == ("C2", "C3")
+    assert c2.counterexample.p is c3.counterexample.p
+
+
 @pytest.mark.parametrize("subset", [{"C1"}, {"C7"}, {"C2", "C8"}, {"C4", "C5", "C6"}])
 def test_subset_equals_matching_lines_of_full_run(subset):
     full = (DATA / "check_default.jsonl").read_text().splitlines()

@@ -6,7 +6,9 @@ claim, and the maximizer claims read them off negated points; the reports
 are byte-identical to per-claim evaluation only because these properties
 hold. The trial pass works on batches of trials (flat rows, see
 ``negprob._batch``); its sampler, measures and majorization check must be
-bitwise equal to the public one-distribution functions.
+bitwise equal to the public one-distribution functions. The report
+writer builds each line from pieces and must give the text of
+``json.dumps`` of the report's reference object.
 """
 
 import contextlib
@@ -44,7 +46,16 @@ from negprob._batch import (
     measure_rows,
     sample_rows,
 )
-from negprob.claims import _probe_points
+from negprob.claims import (
+    CLAIMS,
+    CONFIRMED,
+    REFUTED,
+    VACUOUS,
+    ClaimReport,
+    Counterexample,
+    _probe_points,
+    reports_to_json,
+)
 from negprob.cli import main
 from negprob.measures import measure_runs
 from negprob.negation import negate_runs
@@ -350,6 +361,94 @@ def test_batched_majorization_memory_follows_the_entries_not_the_widest_row():
         tracemalloc.stop()
     assert all(decided)
     assert peak < 8 * values.nbytes
+
+
+# Floats whose JSON text is easy to get wrong: signed zeros, subnormals,
+# the exponent forms json takes from repr (1e-05, 1e+16), integral values,
+# and the non-finite values json writes as Infinity and NaN.
+REPORT_FLOATS = st.one_of(
+    st.floats(),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3,
+                     1e-05, 1e+16, 1e16 + 2.0, 1.0, 0.1, math.inf, -math.inf]),
+)
+
+
+@st.composite
+def report_points(draw):
+    """A counterexample point: often n equal entries, n up to 10^4 (one
+    object repeated, or n equal objects), else a few arbitrary floats, a
+    constant point with one entry changed, or entries that compare equal
+    yet print differently."""
+    kind = draw(st.integers(0, 4))
+    v = draw(REPORT_FLOATS)
+    n = draw(st.one_of(st.integers(1, 12), st.integers(1, 10_000)))
+    if kind == 0:
+        return (v,) * n
+    if kind == 1:
+        return tuple(float(repr(v)) for _ in range(n))
+    if kind == 2:
+        point = [v] * n
+        point[draw(st.integers(0, n - 1))] = draw(REPORT_FLOATS)
+        return tuple(point)
+    if kind == 3:
+        return draw(st.sampled_from([(0.0, -0.0), (-0.0, 0.0), (1.0, 1), (1.0, True)]))
+    return tuple(draw(st.lists(REPORT_FLOATS, min_size=1, max_size=12)))
+
+
+OBSERVED = st.one_of(
+    st.none(),
+    st.fixed_dictionaries({"min_margin": REPORT_FLOATS,
+                           "majorization_failures": st.integers(0, 10**6)}),
+    st.fixed_dictionaries({"min_margin": REPORT_FLOATS,
+                           "reversal_fraction": REPORT_FLOATS}),
+    st.builds(lambda excess, value, p: {"max_excess": excess, "argmax_value": value,
+                                        "argmax_p": list(p)},
+              REPORT_FLOATS, REPORT_FLOATS, report_points()),
+    st.lists(st.tuples(st.integers(2, 10_000), REPORT_FLOATS), max_size=16).map(
+        lambda grid: {"n_grid": [n for n, _ in grid], "values": [v for _, v in grid]}),
+)
+
+
+@st.composite
+def report_lists(draw):
+    """Claim reports in which some counterexamples share one point tuple."""
+    pool = draw(st.lists(report_points(), min_size=1, max_size=3))
+    reports = []
+    for _ in range(draw(st.integers(1, 6))):
+        counterexample = None
+        if draw(st.booleans()):
+            counterexample = Counterexample(
+                pool[draw(st.integers(0, len(pool) - 1))],
+                draw(REPORT_FLOATS), draw(REPORT_FLOATS), draw(REPORT_FLOATS))
+        reports.append(ClaimReport(
+            claim_id=draw(st.sampled_from([c.id for c in CLAIMS])),
+            verdict=draw(st.sampled_from([CONFIRMED, REFUTED, VACUOUS])),
+            trials_run=draw(st.integers(0, 10**6)),
+            seed=draw(st.integers(0, 2**64 - 1)),
+            tolerance=draw(REPORT_FLOATS),
+            counterexample=counterexample,
+            observed=draw(OBSERVED),
+        ))
+    return reports
+
+
+@SETTINGS
+@given(report_lists())
+@example([ClaimReport("C6", REFUTED, 16, 0, 1e-9,
+                      Counterexample((0.0001,) * 10_000, math.inf, -math.inf, 1e16),
+                      {"n_grid": [2, 3], "values": [-0.0, 5e-324]})] * 2)
+# Points of one length that differ, constant non-finite points, non-finite
+# entries outside a constant point, and entries equal to their neighbour
+# that print differently.
+@example([ClaimReport(cid, REFUTED, 1, 0, 1e-05, Counterexample(p, 0.5, 1e+16, 2.0), None)
+          for cid, p in (("C2", (0.25, 0.75)), ("C3", (0.75, 0.25)),
+                         ("C9", (math.inf,) * 3), ("C8", (math.nan,) * 3),
+                         ("C7", (0.5, -math.inf, math.nan)), ("C1", (0.0, -0.0)),
+                         ("C4", (1.0, 1)))])
+def test_report_lines_equal_json_dumps_of_the_reference_object(reports):
+    want = [json.dumps(r.to_json_obj(), separators=(",", ":")) for r in reports]
+    assert [r.to_json() for r in reports] == want
+    assert reports_to_json(reports) == "\n".join(want)
 
 
 # Entries as a user might type them: floats of any size and sign, including
