@@ -10,9 +10,13 @@ array and is the same float operation as its scalar reference:
   PCG64 seeding, run on integer columns, so ``sample_rows`` draws from
   exactly the stream ``simplex.sample_uniform_simplex`` draws from.
 - Division, ``1 - p`` and products are single IEEE operations in numpy
-  as in Python, every logarithm is ``math.log`` and every sum is one
-  ``math.fsum`` per row, so ``distribution_rows`` matches
-  ``make_distribution`` and ``measure_rows`` matches ``measure_all``.
+  as in Python, and every logarithm is ``math.log``. Every sum is
+  ``math.fsum``'s, the correctly rounded exact sum: ``Rows.fsums`` takes
+  it by error-free extraction for all rows at once, and by ``fsum``
+  itself for a row outside the extraction's window (a nonzero entry
+  below about 2**(b - 52) times the row's sum of magnitudes, for
+  n <= 2**b). So ``distribution_rows`` matches ``make_distribution``
+  and ``measure_rows`` matches ``measure_all``.
 - ``majorizes_rows`` decides all rows of one n together: ``np.sort``
   along the rows, a reversed view, and ``cumsum`` along the rows, which
   adds each row's prefix sums left to right like ``majorizes``.
@@ -50,13 +54,18 @@ _MASK128 = 2**128 - 1
 
 class Rows:
     """The layout of flat rows: distributions of mixed sizes stored one
-    after another in one float array. ``ns`` holds each row's length and
-    ``slices`` the part of the flat array that holds each row."""
+    after another in one float array, none of them empty. ``ns`` holds
+    each row's length, ``slices`` the part of the flat array that holds
+    each row, ``starts`` where each row begins and ``bits`` each row's
+    (n - 1).bit_length(), the b with n <= 2**b."""
 
     def __init__(self, ns):
         self.ns = np.asarray(ns)
         ends = list(accumulate(self.ns.tolist()))
-        self.slices = list(map(slice, [0, *ends[:-1]], ends))
+        starts = [0, *ends[:-1]]
+        self.slices = list(map(slice, starts, ends))
+        self.starts = np.array(starts, np.intp)
+        self.bits = np.frexp(self.ns - 1.0)[1]
 
     def __len__(self) -> int:
         return len(self.slices)
@@ -65,11 +74,65 @@ class Rows:
         """Each row's value, once for every entry of the row."""
         return np.repeat(per_row, self.ns)
 
+    def by_n(self):
+        """The rows of each size n, in order: the indices of the rows and
+        the (rows, n) matrix of their entries' places in the flat array."""
+        rows_of = {}
+        for i, n in enumerate(self.ns.tolist()):
+            rows_of.setdefault(n, []).append(i)
+        for n, members in rows_of.items():
+            yield members, self.starts[members][:, None] + np.arange(n)
+
     def fsums(self, values):
-        """One ``fsum`` per row, as an array. The rows are read through a
-        memoryview, which yields Python floats without a list of them."""
-        entries = memoryview(values)
-        return np.array(list(map(fsum, map(entries.__getitem__, self.slices))))
+        """``fsum`` of each row, bit for bit, as an array: the correctly
+        rounded exact sum, by error-free extraction (Rump, Ogita and
+        Oishi, SIAM J. Sci. Comput. 31(1), 2008) in a fixed number of
+        numpy passes.
+
+        A row of n entries whose sum(|x|), as numpy rounds it, is below
+        2**(k - 1) is split at sigma = 2**k: each entry x is hi = (sigma +
+        x) - sigma plus lo = x - hi, both exact (FastTwoSum, as |x| <
+        sigma). Each hi is a multiple of 2**(k - 53) and every partial sum
+        of them is below 2**k, so numpy adds them exactly in any order.
+        Each |lo| is at most 2**(k - 53). With b = (n - 1).bit_length(), so
+        that n <= 2**b, the window is: every nonzero |x| is at least
+        2**(k + b - 54). Then each lo is a multiple of 2**(k + b - 106),
+        no partial sum of them exceeds 2**53 such units, and numpy adds
+        them exactly too. One IEEE addition of the two exact sums rounds
+        the exact row sum once, ties to even, as ``fsum`` does. A
+        subnormal entry needs no rule of its own: it is in the window only
+        when 2**(k + b - 106) is below 2**-1074, and every float is a
+        multiple of that.
+
+        ``fsum`` itself sums, in row order, every row outside the window,
+        every row with an entry that is not finite or with a sum(|x|) of
+        2**999 or more, and every row whose sum is zero (``fsum`` decides
+        the sign of zero). So a bad row gives or raises exactly what
+        ``fsum`` does, and the first such row raises.
+        """
+        with np.errstate(all="ignore"):  # a bad row makes inf and nan here
+            split = np.empty((2, len(values)))
+            size = np.abs(values, out=split[0])
+            total = np.add.reduceat(size, self.starts)
+            k = np.frexp(total)[1] + 1
+            ok = total < 2.0**999  # False on inf and nan
+            below = size < self.repeat(np.ldexp(1.0, k + self.bits - 54))
+            if below.any():  # zeros, or entries outside the window
+                below &= size > 0.0
+                ok &= ~np.logical_or.reduceat(below, self.starts)
+            sigma = self.repeat(np.ldexp(1.0, k))
+            hi, lo = split
+            np.add(values, sigma, out=hi)
+            hi -= sigma
+            np.subtract(values, hi, out=lo)
+            hi_sums, lo_sums = np.add.reduceat(split, self.starts, axis=1)
+            sums = hi_sums + lo_sums
+        slow = np.flatnonzero(~ok | (sums == 0.0))
+        if len(slow):
+            entries = memoryview(values)
+            for i in slow.tolist():
+                sums[i] = fsum(entries[self.slices[i]])
+        return sums
 
 
 def _words(x: int) -> list[int]:
@@ -151,8 +214,9 @@ def sample_rows(seed: int, rows: Rows, ts):
 
     Every row is drawn from its own PCG64 stream, set from
     ``pcg64_states`` on one Generator, and ``gaps / gaps.sum()`` is taken
-    with numpy's own sum of that row; the renormalisation and validation
-    then run on all rows at once (see ``distribution_rows``).
+    with numpy's own sum of that row, taken for all rows of one n as the
+    rows of a matrix; the renormalisation and validation then run on all
+    rows at once (see ``distribution_rows``).
     """
     bits = np.random.PCG64(0)
     gen = np.random.Generator(bits)
@@ -163,9 +227,12 @@ def sample_rows(seed: int, rows: Rows, ts):
     for n, (seeded["state"], seeded["inc"]) in zip(ns, pcg64_states(seed, ns, ts)):
         bits.state = state
         draws.append(gen.standard_exponential(n))
-    sums = np.array(list(map(np.add.reduce, draws)))  # gaps.sum() of each row
     gaps = np.concatenate(draws)
     del draws
+    sums = np.empty(len(rows))
+    for members, at in rows.by_n():
+        # A row of a C-ordered matrix is summed like the row alone (pairwise).
+        sums[members] = gaps[at].sum(axis=1)
     gaps /= rows.repeat(sums)
     return distribution_rows(gaps, rows, renormalize=True)
 
@@ -174,10 +241,10 @@ def distribution_rows(values, rows: Rows, renormalize: bool = False):
     """``make_distribution(row, renormalize).probs`` for each row of the
     flat array ``values``, bit for bit, as flat rows.
 
-    The entry checks are scans of the whole array and each row sum is one
-    ``fsum``. When a scan finds any row that ``make_distribution`` would
-    not accept as is, every row is rebuilt by it in order, so the first
-    bad row raises the usual error.
+    The entry checks are scans of the whole array and the row sums are
+    ``Rows.fsums``. When a scan finds any row that ``make_distribution``
+    would not accept as is, every row is rebuilt by it in order, so the
+    first bad row raises the usual error.
     """
     out = values
     ok = values.min() >= 0.0  # False on nan; an inf entry fails a later check
@@ -219,12 +286,8 @@ def majorizes_rows(p, q, rows: Rows):
     prefix sums ``majorizes`` forms, and every comparison is the same
     float operation.
     """
-    rows_of = {}  # n -> the indices of its rows, in order
-    for i, n in enumerate(rows.ns.tolist()):
-        rows_of.setdefault(n, []).append(i)
     decided = [True] * len(rows)
-    for n, members in rows_of.items():
-        at = np.array([rows.slices[i].start for i in members])[:, None] + np.arange(n)
+    for members, at in rows.by_n():
         sums_q = descending_prefix_sums(q[at])
         sums_q -= MAJORIZATION_SLACK
         failed = (descending_prefix_sums(p[at]) < sums_q).any(axis=1)
@@ -247,7 +310,7 @@ def measure_rows(values, rows: Rows):
 
     The logarithms are ``math.log`` with the scalar guard (a guarded entry
     takes log(1.0) = 0.0), each term is the same numpy product in the same
-    order as in ``measure_all``, and each sum is one ``fsum`` per row.
+    order as in ``measure_all``, and each sum is ``fsum``'s (``Rows.fsums``).
     """
 
     def logs(x):

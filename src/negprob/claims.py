@@ -59,13 +59,15 @@ near-uniform blend, the measures and C1's majorization check (rows of
 one n sorted and prefix-summed together). A chunk draws its samples
 when it is made and takes each later step only when a reducer first
 reads its result, so a subset of claims costs only what it reads. Every
-step is the same IEEE operation, ``math.log`` or ``math.fsum`` per row
-that the one-distribution functions use, so every float equals theirs
-by construction. The reducers then fold each chunk's float columns in
-trial order: sample before blend, the first violation wins, the first
-strict maximum is the peak, and ``min_margin`` keeps the first minimum
-with its sign of zero. Only a reported point is turned back into a
-tuple of probabilities.
+step is the same IEEE operation or ``math.log`` that the
+one-distribution functions use, and every row sum is ``math.fsum``'s
+correctly rounded exact sum (taken by error-free extraction, with
+``fsum`` itself for a row outside the window, see ``_batch.Rows.fsums``),
+so every float equals theirs by construction. The reducers then fold
+each chunk's float columns in trial order: sample before blend, the
+first violation wins, the first strict maximum is the peak, and
+``min_margin`` keeps the first minimum with its sign of zero. Only a
+reported point is turned back into a tuple of probabilities.
 
 Points with few distinct entries are held as (value, count) runs and
 measured by ``measures.measure_runs`` in O(1) per point, bitwise equal to
@@ -471,15 +473,19 @@ class _Maximizer:
         as a sequence of probabilities, when it is reported."""
         excess = list(map(sub, value, bound))
         top = max(excess)  # max() and index() find the first strict maximum
-        i = excess.index(top)
+        peak = excess.index(top)
         if self.peak is None or top > self.peak[0]:
-            self.peak = (top, float(value[i]), probs(i))
+            self.peak = (top, float(value[peak]), probs(peak))
+        else:
+            peak = None
         if self.counterexample is None:
             over = [x > self.tolerance for x in excess]
             if True in over:
                 i = over.index(True)
+                # A point that is both the new peak and the violation is built once.
                 self.counterexample = Counterexample(
-                    tuple(probs(i)), float(value[i]), float(bound[i]), excess[i]
+                    self.peak[2] if i == peak else probs(i),
+                    float(value[i]), float(bound[i]), excess[i]
                 )
 
     def observed(self) -> dict:

@@ -322,6 +322,25 @@ class TestReports:
         assert tally.counterexample.p == ("first", 2)
         assert tally.peak == (2.0, 2.0, ("first", 2))
 
+    def test_point_fold_builds_a_point_that_is_peak_and_violation_once(self):
+        import numpy as np
+
+        from negprob.claims import _Maximizer
+
+        built = []
+
+        def probs(i):
+            built.append(i)
+            return ("point", i)
+
+        tally = _Maximizer(claim_by_id("C7"), 1.0)
+        tally._points(np.array([0.5, 3.0, 2.0]), np.zeros(3), probs)
+        assert built == [1]
+        assert tally.counterexample.p is tally.peak[2]
+        tally._points(np.array([4.0, 0.0]), np.zeros(2), probs)  # a later peak only
+        assert built == [1, 0]
+        assert tally.counterexample.p == ("point", 1)
+
     @pytest.mark.parametrize("trials, n_range", [
         (5000, (2, 8)), (7, (9998, 10_000)), (300, (2, 10_000)), (40, (3, 3)),
         (9000, (2, 2)),  # 8192 trials of n = 2 fill a chunk exactly

@@ -16,6 +16,7 @@ import io
 import json
 import math
 import random
+import re
 import tracemalloc
 from itertools import accumulate
 
@@ -241,13 +242,138 @@ TRIAL_INDICES = st.one_of(st.sampled_from([0, 2**32 - 1, 2**32]),
 @SETTINGS
 @given(st.integers(0, 2**64 - 1),
        st.lists(st.tuples(st.one_of(st.integers(2, 12), st.integers(2, 10_000)),
-                          TRIAL_INDICES), min_size=1, max_size=4))
-def test_batched_samples_are_bitwise_equal_to_the_sampler(seed, trials):
+                          TRIAL_INDICES, st.integers(1, 3)), min_size=1, max_size=4))
+def test_batched_samples_are_bitwise_equal_to_the_sampler(seed, draws):
+    # A count above 1 gives rows of one n, which sample_rows sums as a matrix.
+    trials = [(n, (t + j) % 2**64) for n, t, count in draws for j in range(count)]
     rows = Rows([n for n, _ in trials])
     got = sample_rows(seed, rows, [t for _, t in trials]).tolist()
     for (n, t), row in zip(trials, rows.slices):
         want = sample_uniform_simplex(SimplexSamplerConfig(seed, n, t + 1), t).probs
         assert [x.hex() for x in got[row]] == [x.hex() for x in want]
+
+
+@SETTINGS
+@given(st.integers(2, 10_000), st.integers(0, 2**32 - 1))
+def test_a_matrix_row_sum_is_the_sum_of_the_row_alone(n, seed):
+    # The float sums sample_rows takes of each n's rows, against each row's
+    # own gaps.sum(): numpy sums both pairwise, in the same blocks.
+    rng = np.random.default_rng(seed)
+    draws = [rng.standard_exponential(n) for _ in range(max(2, 40_000 // n))]
+    rows = Rows([n] * len(draws))
+    ((members, at),) = rows.by_n()
+    got = np.concatenate(draws)[at].sum(axis=1).tolist()
+    assert [x.hex() for x in got] == [draws[i].sum().hex() for i in members]
+
+
+# Entries fsum treats apart: signed zeros, subnormals, the smallest
+# normal; and entries it passes through or raises on.
+SUM_SPECIALS = [0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.0**-1022, -2.0**-1022, 1.0, -3.0]
+SUM_BAD = [math.inf, -math.inf, math.nan, 1e308, -1e308]
+
+
+@st.composite
+def sum_rows(draw):
+    """A row of floats to sum: a near tie (x, an odd multiple of ulp(x)/2
+    below x, and at times a tiny tail or a zero), special values with
+    mixed signs, or n up to 10^4 entries of random sign spread over up to
+    120 binades below a random scale (either side of the extraction
+    window), at times with every entry negated too (an exact zero sum).
+    One row in ten holds inf, nan or 1e308."""
+    kind = draw(st.integers(0, 3))
+    if kind == 0:
+        x = draw(st.floats(-1e300, 1e300).filter(bool))
+        odd = draw(st.sampled_from([1.0, -1.0])) * (2 * draw(st.integers(2**49, 2**50)) + 1)
+        tail = draw(st.sampled_from([0.0, 1.0, -1.0])) * 2.0 ** -draw(st.integers(1, 80))
+        row = [x, odd * math.ulp(x) / 2, tail * math.ulp(x)]
+    elif kind == 1:
+        row = draw(st.lists(st.sampled_from(SUM_SPECIALS) | st.floats(allow_nan=False),
+                            min_size=1, max_size=12))
+    else:
+        n = draw(st.integers(1, 12) if kind == 2 else st.integers(1, 10_000))
+        rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+        scale, spread = draw(st.integers(-1080, 1000)), draw(st.integers(0, 120))
+        row = [rng.choice((-1.0, 1.0)) * rng.random() * 2.0 ** (scale - rng.randint(0, spread))
+               for _ in range(n)]
+        if draw(st.booleans()):
+            row += [-x for x in row]
+    if draw(st.integers(0, 9)) == 0:
+        row.insert(draw(st.integers(0, len(row))), draw(st.sampled_from(SUM_BAD)))
+    return row
+
+
+def sum_bits(x):
+    """x's bits as text, its sign of zero included."""
+    return x.hex(), math.copysign(1.0, x)
+
+
+@SETTINGS
+@given(st.lists(sum_rows(), min_size=1, max_size=5))
+@example([[1.0, 0.5 + 2.0**-53]])  # a tie, rounded down to even
+@example([[1.0 + 2.0**-52, 0.5 + 2.0**-53]])  # a tie, rounded up to even
+@example([[1.0, 0.5 + 2.0**-53, 2.0**-130]])  # just above a tie
+@example([[-0.0, -0.0], [0.0, -0.0], [1.0, -1.0]])
+@example([[1.0, 5e-324], [2.0**-1022, -2.0**-1023]])
+@example([[1.0, 2.0], [math.inf, -math.inf], [1e308, 1e308]])  # fsum raises on row 1
+@example([[1.0, 2.0], [1e308, 1e308, -1e308], [math.inf, -math.inf]])
+@example([[math.nan, 1.0], [math.inf, 1.0], [-math.inf, 1e308]])
+def test_row_sums_are_fsum_of_each_row_bit_for_bit(entries):
+    rows = Rows([len(row) for row in entries])
+    values = np.array([x for row in entries for x in row])
+    want = []
+    try:
+        for row in entries:
+            want.append(math.fsum(row))
+    except (OverflowError, ValueError) as error:
+        with pytest.raises(type(error), match=f"^{re.escape(str(error))}$"):
+            rows.fsums(values)
+        return
+    assert list(map(sum_bits, rows.fsums(values).tolist())) == list(map(sum_bits, want))
+
+
+@pytest.mark.parametrize("row, extracted", [
+    ([1.0, 2.0**-51], True),  # sum(|x|) < 2, so k = 2 and b = 1: the floor is 2**-51
+    ([1.0, 0.5 + 2.0**-53], True),  # a tie, rounded down to even
+    ([1.0 + 2.0**-52, 0.5 + 2.0**-53], True),  # a tie, rounded up to even
+    ([1.0, 2.0**-52], False),  # below the window
+    ([0.75, 0.0, -2.0**-50], True),  # zeros do not count
+    ([1.0, 5e-324], False),
+    ([2.0**-1000, 5e-324], False),  # a subnormal below the window
+    ([2.0**-1060, -5e-324], True),  # subnormals inside it: 2**(k + b - 106) < 2**-1074
+    ([2.0**998, 2.0**997], True),
+    ([2.0**998, 2.0**998], False),  # sum(|x|) reaches 2**999
+    ([1.0, -1.0], False),  # a zero sum keeps fsum's sign of zero
+    ([1.0, math.inf], False),
+])
+def test_row_sums_fall_back_to_fsum_outside_the_window(monkeypatch, row, extracted):
+    import negprob._batch as batch
+
+    summed = []
+    monkeypatch.setattr(batch, "fsum", lambda entries: summed.append(1) or math.fsum(entries))
+    got = Rows([len(row)]).fsums(np.array(row)).tolist()
+    assert sum_bits(got[0]) == sum_bits(math.fsum(row))
+    assert summed == ([] if extracted else [1])
+
+
+def test_trial_rows_are_summed_without_the_fsum_fallback(monkeypatch):
+    # A silent slow path would keep the reports and lose the speed: the
+    # default check, and full chunks shaped as check-small-n's (n = 2..8),
+    # sum every row by extraction.
+    import negprob._batch as batch
+    from negprob import check_all
+    from negprob.claims import _NEAR_UNIFORM_WEIGHT
+
+    slow, rows_summed = [], []
+    fsums = Rows.fsums
+    monkeypatch.setattr(batch, "fsum", lambda entries: slow.append(1) or math.fsum(entries))
+    monkeypatch.setattr(Rows, "fsums",
+                        lambda rows, values: rows_summed.append(len(rows)) or fsums(rows, values))
+    check_all()
+    for seed in (1, 9001):
+        for chunk in batch.trial_chunks(seed, 4_700, 2, 8, _NEAR_UNIFORM_WEIGHT):
+            for kind in ("p", "negated", "blend"):
+                chunk.measures(kind)
+    assert sum(rows_summed) > 150_000 and slow == []
 
 
 @SETTINGS
