@@ -74,14 +74,16 @@ class Rows:
         """Each row's value, once for every entry of the row."""
         return np.repeat(per_row, self.ns)
 
+    @cached_property
     def by_n(self):
-        """The rows of each size n, in order: the indices of the rows and
-        the (rows, n) matrix of their entries' places in the flat array."""
+        """The rows of each size n, in order of first appearance: a list of
+        the indices of the rows and the (rows, n) matrix of their entries'
+        places in the flat array, built once for all readers."""
         rows_of = {}
         for i, n in enumerate(self.ns.tolist()):
             rows_of.setdefault(n, []).append(i)
-        for n, members in rows_of.items():
-            yield members, self.starts[members][:, None] + np.arange(n)
+        return [(members, self.starts[members][:, None] + np.arange(n))
+                for n, members in rows_of.items()]
 
     def fsums(self, values):
         """``fsum`` of each row, bit for bit, as an array: the correctly
@@ -230,7 +232,7 @@ def sample_rows(seed: int, rows: Rows, ts):
     gaps = np.concatenate(draws)
     del draws
     sums = np.empty(len(rows))
-    for members, at in rows.by_n():
+    for members, at in rows.by_n:
         # A row of a C-ordered matrix is summed like the row alone (pairwise).
         sums[members] = gaps[at].sum(axis=1)
     gaps /= rows.repeat(sums)
@@ -287,7 +289,7 @@ def majorizes_rows(p, q, rows: Rows):
     float operation.
     """
     decided = [True] * len(rows)
-    for members, at in rows.by_n():
+    for members, at in rows.by_n:
         sums_q = descending_prefix_sums(q[at])
         sums_q -= MAJORIZATION_SLACK
         failed = (descending_prefix_sums(p[at]) < sums_q).any(axis=1)
@@ -337,28 +339,22 @@ class TrialChunk:
     The sample rows ``p`` are drawn when the chunk is made. Every other
     value is computed the first time a claim reads it and then kept for
     the chunk's life, so a chunk does only the work its readers need:
-    ``negated`` (the negation of each sample), ``blend`` (the near-uniform
-    blend (1 - w) * (1 / n) + w * p of each sample, renormalised, for the
-    chunk's blend weight w), ``majorized`` (``majorizes(p, negate(p))`` of
-    each trial) and ``measures(kind)``.
+    ``negated`` (the negation of each sample), ``majorized``
+    (``majorizes(p, negate(p))`` of each trial), ``measures(kind)`` and
+    ``probs(i)``, the tuple of the i-th trial's sample, one object for
+    every claim that reports it.
     """
 
-    def __init__(self, seed, t0, ns, blend_weight):
+    def __init__(self, seed, t0, ns):
         self.rows = Rows(ns)
         self.n = self.rows.ns
-        self.blend_weight = blend_weight
         self.p = sample_rows(seed, self.rows, range(t0, t0 + len(self.rows)))
         self._measures = {}
+        self._points = {}
 
     @cached_property
     def negated(self):
         return distribution_rows(negate_rows(self.p, self.rows), self.rows)
-
-    @cached_property
-    def blend(self):
-        w = self.blend_weight
-        near = self.rows.repeat((1.0 - w) * (1.0 / self.n)) + w * self.p
-        return distribution_rows(near, self.rows, renormalize=True)
 
     @cached_property
     def majorized(self):
@@ -366,13 +362,9 @@ class TrialChunk:
 
     def measures(self, kind):
         """The columns of H, VH and VJ, by field name, of each trial's
-        sample (kind "p"), its negation ("negated") or its blend's
-        negation ("blend")."""
+        sample (kind "p") or its negation ("negated")."""
         if kind not in self._measures:
-            if kind == "blend":
-                values = distribution_rows(negate_rows(self.blend, self.rows), self.rows)
-            else:
-                values = getattr(self, kind)  # self.p or self.negated
+            values = getattr(self, kind)
             self._measures[kind] = dict(zip(("H", "VH", "VJ"), measure_rows(values, self.rows)))
         return self._measures[kind]
 
@@ -382,17 +374,18 @@ class TrialChunk:
         values = {n: value(n) for n in set(ns)}
         return np.array(list(map(values.__getitem__, ns)))
 
-    def probs(self, i: int, blend: bool = False) -> tuple[float, ...]:
-        """The sample (or its blend) of the chunk's i-th trial."""
-        rows = self.blend if blend else self.p
-        return tuple(rows[self.rows.slices[i]].tolist())
+    def probs(self, i: int) -> tuple[float, ...]:
+        """The sample of the chunk's i-th trial, built on the first call and
+        then the same tuple on every call."""
+        if i not in self._points:
+            self._points[i] = tuple(self.p[self.rows.slices[i]].tolist())
+        return self._points[i]
 
 
-def trial_chunks(seed, trials, n_min, n_max, blend_weight):
+def trial_chunks(seed, trials, n_min, n_max):
     """``TrialChunk``s of trials 0, 1, ..., trials - 1 in order, trial t
-    having n = n_min + t % (n_max - n_min + 1), each blending toward
-    uniform with ``blend_weight``. A chunk's entries sum to at most
-    ``CHUNK_ENTRIES``, unless its one trial alone exceeds it."""
+    having n = n_min + t % (n_max - n_min + 1). A chunk's entries sum to
+    at most ``CHUNK_ENTRIES``, unless its one trial alone exceeds it."""
     t0 = 0
     while t0 < trials:
         ns, entries = [], 0
@@ -402,5 +395,5 @@ def trial_chunks(seed, trials, n_min, n_max, blend_weight):
                 break
             ns.append(n)
             entries += n
-        yield TrialChunk(seed, t0, ns, blend_weight)
+        yield TrialChunk(seed, t0, ns)
         t0 += len(ns)

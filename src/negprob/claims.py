@@ -20,9 +20,8 @@ maximizer (C7-C9)
     One pair stands for all pairs: every uniform + eps*(e_i - e_j) is a
     permutation of the (0, 1) probe, the measures are symmetric, and
     ``math.fsum`` is exactly rounded, so every pair at a given eps has the
-    same value bit for bit. Each random trial also contributes a mild
-    perturbation of uniform blended toward the sample, because boundary
-    structure is easy to miss by sampling alone.
+    same value bit for bit. Each random trial then adds its sample as one
+    point.
 
 Verdicts report what the formulas actually do. With default settings C1,
 C4, C5 and C7 come out CONFIRMED while C2, C3, C6, C8 and C9 come out
@@ -55,19 +54,19 @@ The trial pass is batched (``_batch``). Trials are taken in index order,
 in chunks of at most ``_batch.CHUNK_ENTRIES`` entries (but at least one
 trial, so n near 10^4 gives one trial per chunk), and every step runs at
 most once per chunk: seeding, renormalisation, validation, negation, the
-near-uniform blend, the measures and C1's majorization check (rows of
-one n sorted and prefix-summed together). A chunk draws its samples
-when it is made and takes each later step only when a reducer first
-reads its result, so a subset of claims costs only what it reads. Every
+measures and C1's majorization check (rows of one n sorted and
+prefix-summed together). A chunk draws its samples when it is made and
+takes each later step only when a reducer first reads its result, so a
+subset of claims costs only what it reads. Every
 step is the same IEEE operation or ``math.log`` that the
 one-distribution functions use, and every row sum is ``math.fsum``'s
 correctly rounded exact sum (taken by error-free extraction, with
 ``fsum`` itself for a row outside the window, see ``_batch.Rows.fsums``),
 so every float equals theirs by construction. The reducers then fold
-each chunk's float columns in trial order: sample before blend, the
-first violation wins, the first strict maximum is the peak, and
-``min_margin`` keeps the first minimum with its sign of zero. Only a
-reported point is turned back into a tuple of probabilities.
+each chunk's float columns in trial order: the first violation wins,
+the first strict maximum is the peak, and ``min_margin`` keeps the first
+minimum with its sign of zero. Only a reported point is turned back into
+a tuple of probabilities.
 
 Points with few distinct entries are held as (value, count) runs and
 measured by ``measures.measure_runs`` in O(1) per point, bitwise equal to
@@ -81,8 +80,9 @@ point becomes a counterexample or the running peak.
 A report line has one writer, ``ClaimReport.to_json``: the compact JSON
 of ``to_json_obj()``, put together from ``json``'s encodings of its parts
 in the same key order, so every number is still formatted by ``json``.
-It saves formatting work only. ``_run`` hands claims that report the same
-fixture or trial point (C2 and C3 often do) the same tuple, and
+It saves formatting work only. Claims that report the same fixture or
+trial point (C2 and C3 often do) get the same tuple, from ``_run``'s
+fixture map or the chunk's ``probs``, and
 ``reports_to_json`` formats each distinct tuple once per call; a point of
 n equal entries, such as uniform(n) in a limit claim's counterexample, is
 one formatted value repeated n times. ``reports_to_json`` joins the pieces
@@ -118,10 +118,6 @@ REFUTATION_FIXTURE = (0.4, 0.3, 0.2, 0.1)
 
 # json.dumps(obj, separators=(",", ":")), with its encoder made once.
 _compact_json = json.JSONEncoder(separators=(",", ":")).encode
-
-# Blend weight pulling a random sample toward uniform for the extra
-# near-uniform point each maximizer trial contributes.
-_NEAR_UNIFORM_WEIGHT = 0.01
 
 
 class UnknownClaim(ValueError):
@@ -397,9 +393,9 @@ class _Inequality:
         if lhs < rhs - self.tolerance:
             self._violation(probs, lhs, rhs)
 
-    def trials(self, chunk, probs) -> None:
+    def trials(self, chunk) -> None:
         """Fold a chunk's trials in trial order into the verdict and the
-        observed statistics; probs(i, False) is the i-th trial's sample."""
+        observed statistics."""
         field = _MEASURE_FIELD[self.claim.id]
         lhs = chunk.measures("negated")[field]
         rhs = chunk.measures("p")[field]
@@ -415,7 +411,7 @@ class _Inequality:
                 self.reversed += reversed_
         if self.counterexample is None and True in violated:
             i = violated.index(True)
-            self._violation(probs(i, False), float(lhs[i]), float(rhs[i]))
+            self._violation(chunk.probs(i), float(lhs[i]), float(rhs[i]))
 
     def _violation(self, probs, lhs, rhs) -> None:
         if self.counterexample is None:
@@ -454,18 +450,11 @@ class _Maximizer:
         self._points(value, bound, lambda i: tuple(
             chain.from_iterable(repeat(v, c) for v, c in points[i])))
 
-    def trials(self, chunk, negated_uniform, probs) -> None:
-        """Fold a chunk's points in trial order: each trial's sample, then
-        its blend; probs(i, blend) is the i-th trial's sample or blend."""
-        import numpy as np
-
-        field = _MEASURE_FIELD[self.claim.id]
-        value = np.column_stack(
-            (chunk.measures("negated")[field], chunk.measures("blend")[field])
-        ).ravel()
-        bound = chunk.per_n(lambda n: self.bound(n, negated_uniform)).repeat(2)
-        self._points(value.tolist(), bound.tolist(),
-                     lambda i: probs(i // 2, i % 2 == 1))
+    def trials(self, chunk, negated_uniform) -> None:
+        """Fold a chunk's trials, one sample each, in trial order."""
+        value = chunk.measures("negated")[_MEASURE_FIELD[self.claim.id]]
+        bound = chunk.per_n(lambda n: self.bound(n, negated_uniform))
+        self._points(value.tolist(), bound.tolist(), chunk.probs)
 
     def _points(self, value, bound, probs) -> None:
         """Fold points in order: value[i] and bound[i] are the i-th point's
@@ -513,15 +502,17 @@ def _probe_points(n: int) -> list[list[tuple[float, int]]]:
 def _run(selected, seed, trials, n_range, tolerance) -> list[ClaimReport]:
     """Reports for the selected claims, in the order given: fixtures and
     probes first, then one pass over the trials in chunks. Each chunk draws
-    its trials once, and negates, blends, measures and checks them only as
-    far as the selected claims read, once for all of them. Claims that
-    report the same fixture or trial point get the same tuple, so
-    ``reports_to_json`` formats it once."""
-    for name, value in (("n_range[0]", n_range[0]), ("n_range[1]", n_range[1]),
-                        ("trials", trials)):
+    its trials once, and negates, measures and checks them only as far as
+    the selected claims read, once for all of them. Claims that report the
+    same fixture or trial point get the same tuple (a trial's from
+    ``TrialChunk.probs``), so ``reports_to_json`` formats it once."""
+    try:
+        n_min, n_max = n_range
+    except (TypeError, ValueError):
+        raise ValueError(f"n_range = {n_range!r} must be a pair (n_min, n_max)") from None
+    for name, value in (("n_range[0]", n_min), ("n_range[1]", n_max), ("trials", trials)):
         if isinstance(value, bool) or not isinstance(value, int):
             raise ValueError(f"{name} = {value!r} must be an integer")
-    n_min, n_max = n_range[0], n_range[1]
     if not (2 <= n_min <= n_max <= MAX_OUTCOMES):
         raise ValueError(
             f"n_range = {n_range!r} must satisfy 2 <= n_min <= n_max <= {MAX_OUTCOMES}"
@@ -557,18 +548,11 @@ def _run(selected, seed, trials, n_range, tolerance) -> list[ClaimReport]:
     if inequalities or maximizers:
         from ._batch import trial_chunks  # numpy loads only when trials are drawn
 
-        for chunk in trial_chunks(seed, trials, n_min, n_max, _NEAR_UNIFORM_WEIGHT):
-            points = {}  # (i, blend) -> the tuple every claim reports for it
-
-            def probs(i, blend, chunk=chunk, points=points):
-                if (i, blend) not in points:
-                    points[i, blend] = chunk.probs(i, blend)
-                return points[i, blend]
-
+        for chunk in trial_chunks(seed, trials, n_min, n_max):
             for tally in inequalities:
-                tally.trials(chunk, probs)
+                tally.trials(chunk)
             for tally in maximizers:
-                tally.trials(chunk, negated_uniform, probs)
+                tally.trials(chunk, negated_uniform)
 
     grid = _limit_grid(n_min, n_max)
     limits = any(c.kind == "limit" for c in selected)

@@ -43,6 +43,7 @@ def negate_runs(runs) -> list[tuple[float, int]]:
 def negate_k(d: Distribution, k: int) -> Distribution:
     """The k-th iterate via the closed form, O(n) regardless of k.
 
+    k must be a nonnegative int; a bool or a float raises ValueError.
     k = 0 returns the input unchanged. Agreement with k explicit
     applications of ``negate`` is a tested invariant (1e-12 sup-norm).
     Entries are clamped at 0, where rounding can land an exact zero (the
@@ -53,6 +54,8 @@ def negate_k(d: Distribution, k: int) -> Distribution:
     ~1e308. |r|**k is 1 for n = 2 and underflows to 0 for n >= 3 long
     before k = 2**53, so capping the exponent there changes no bit.
     """
+    if isinstance(k, bool) or not isinstance(k, int):
+        raise ValueError(f"k = {k!r} must be an integer")
     if k < 0:
         raise ValueError(f"k = {k} must be nonnegative")
     if k == 0:

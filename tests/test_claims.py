@@ -65,6 +65,9 @@ class TestParameterValidation:
         ({"trials": 1.5}, "trials"),
         ({"n_range": (2.7, 5)}, "n_range"),
         ({"n_range": ("3", "5")}, "n_range"),
+        ({"n_range": (2, 8, "junk")}, "n_range"),
+        ({"n_range": (2,)}, "n_range"),
+        ({"n_range": 5}, "n_range"),
         ({"tolerance": True}, "tolerance"),
     ])
     def test_rejects_coercible_counts_and_bool_tolerance(self, kwargs, name):
@@ -263,8 +266,8 @@ class TestReports:
         assert drawn == [(3, 2 + t % 7, t) for t in range(50)]
 
     @pytest.mark.parametrize("claim_ids, measured, majorized, measures_samples", [
-        (None, 3, 1, True),  # the sample, its negation and its blend's negation
-        (["C7", "C8", "C9"], 2, 0, False),
+        (None, 2, 1, True),  # the sample and its negation
+        (["C7", "C8", "C9"], 1, 0, False),
         (["C2", "C3", "C4"], 2, 0, True),
         (["C1"], 2, 1, True),
     ])
@@ -299,15 +302,51 @@ class TestReports:
             measures={"negated": {"H": np.array([1.0, 1.0, 0.5, 1.0])},
                       "p": {"H": np.array([0.5, 1.0, 1.0, 0.5])}}.__getitem__,
             majorized=[True, False, True, True],
+            probs=lambda i: ("trial", i),
         )
         tally = _Inequality(claim_by_id("C1"), 1e-9)
-        tally.trials(chunk, lambda i, blend: ("trial", i))
+        tally.trials(chunk)
         # Trial 1 fails majorization before trial 2 breaks the inequality.
         assert tally.counterexample.p == ("trial", 1)
         assert tally.majorization_failures == 1
         assert tally.min_margin == -0.5
         # Trials with n >= 3 are 1, 2 and 3; H does not rise at 1 and 2.
         assert (tally.reversible, tally.reversed) == (3, 2)
+
+    def test_maximizer_trial_fold_bounds_each_trial_by_its_n(self):
+        from types import SimpleNamespace
+
+        import numpy as np
+
+        from negprob import measure_all
+        from negprob._batch import TrialChunk
+        from negprob.claims import _Inequality, _Maximizer
+
+        ns = [2, 3, 3, 4]
+        chunk = SimpleNamespace(
+            n=np.array(ns),
+            measures={"negated": {"VH": np.array([0.5, 2.5, 3.0, 4.0])}}.__getitem__,
+            per_n=lambda value: np.array([value(n) for n in ns]),
+            probs=lambda i: ("trial", i),
+        )
+        bounds = {n: SimpleNamespace(VH=n - 2.0) for n in ns}  # C8's bound is VH there
+        tally = _Maximizer(claim_by_id("C8"), 1.0)
+        tally.trials(chunk, bounds)
+        # Excesses are 0.5, 1.5, 2.0 and 2.0: trial 1 is the first above the
+        # tolerance, and trial 2 is the first of the two largest.
+        ce = tally.counterexample
+        assert (ce.p, ce.lhs, ce.rhs, ce.margin) == (("trial", 1), 2.5, 1.0, 1.5)
+        assert tally.peak == (2.0, 3.0, ("trial", 2))
+
+        # A real chunk hands both kinds of claim one tuple for one trial.
+        chunk = TrialChunk(7, 0, [3, 4, 5])
+        negated_uniform = {n: measure_all(negate(uniform(n))) for n in (3, 4, 5)}
+        inequality = _Inequality(claim_by_id("C2"), -math.inf)  # every trial violates
+        maximizer = _Maximizer(claim_by_id("C8"), -math.inf)
+        inequality.trials(chunk)
+        maximizer.trials(chunk, negated_uniform)
+        assert inequality.counterexample.p is maximizer.counterexample.p
+        assert inequality.counterexample.p == tuple(chunk.p[:3].tolist())
 
     def test_point_fold_reports_the_first_strict_maximum(self):
         import numpy as np
@@ -351,7 +390,7 @@ class TestReports:
         n_min, n_max = n_range
         want = [n_min + t % (n_max - n_min + 1) for t in range(trials)]
         ns = []
-        for chunk in trial_chunks(0, trials, n_min, n_max, 0.01):
+        for chunk in trial_chunks(0, trials, n_min, n_max):
             assert len(chunk.n) == 1 or chunk.n.sum() <= CHUNK_ENTRIES
             if n_min > CHUNK_ENTRIES // 2:  # n near 10^4: one trial per chunk
                 assert len(chunk.n) == 1

@@ -67,9 +67,10 @@ class TestNegateK:
         d = make_distribution([0.2, 0.8])
         assert negate_k(d, 0) is d
 
-    def test_negative_steps_rejected(self):
-        with pytest.raises(ValueError):
-            negate_k(uniform(2), -1)
+    @pytest.mark.parametrize("k", [-1, 1.5, True, 2.0])
+    def test_rejects_steps_that_are_not_nonnegative_ints(self, k):
+        with pytest.raises(ValueError, match="k = "):
+            negate_k(uniform(2), k)
 
     def test_one_step_three_outcome_fixture(self):
         d = make_distribution([0.6, 0.3, 0.1])
