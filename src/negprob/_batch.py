@@ -10,21 +10,29 @@ array and is the same float operation as its scalar reference:
   PCG64 seeding, run on integer columns, so ``sample_rows`` draws from
   exactly the stream ``simplex.sample_uniform_simplex`` draws from.
 - Division, ``1 - p`` and products are single IEEE operations in numpy
-  as in Python, and every logarithm is ``math.log``. Every sum is
-  ``math.fsum``'s, the correctly rounded exact sum: ``Rows.fsums`` takes
-  it by error-free extraction for all rows at once, and by ``fsum``
-  itself for a row outside the extraction's window (a nonzero entry
-  below about 2**(b - 52) times the row's sum of magnitudes, for
-  n <= 2**b). So ``distribution_rows`` matches ``make_distribution``
-  and ``measure_rows`` matches ``measure_all``.
+  as in Python, and every logarithm is ``math.log``'s (see below). Every
+  sum is ``math.fsum``'s, the correctly rounded exact sum: ``Rows.fsums``
+  takes it by error-free extraction for all rows at once, in two levels
+  when a row spans many binades, and by ``fsum`` itself for a row
+  outside the extraction's window (a nonzero entry below about
+  2**(2b - 104) times the row's sum of magnitudes, for n <= 2**b). So
+  ``distribution_rows`` matches ``make_distribution`` and
+  ``measure_rows`` matches ``measure_all``.
 - ``majorizes_rows`` decides all rows of one n together: ``np.sort``
   along the rows, a reversed view, and ``cumsum`` along the rows, which
   adds each row's prefix sums left to right like ``majorizes``.
 
-numpy's ``log`` is never used: it differs from ``math.log`` in the last
-bit on a fraction of inputs. The properties in tests/test_properties.py
-pin every function here against its reference. This module imports
-numpy, so it is imported only when trials are sampled.
+numpy's SIMD ``log`` is never used: it differs from ``math.log`` in the
+last bit on a fraction of inputs. ``np.log`` of a reversed view runs
+numpy's scalar loop instead, which calls the C library's ``log``, the
+same function ``math.log`` calls, at about a twentieth of the cost of
+``math.log`` per entry. Which loop numpy picks is its own dispatch
+detail, so ``log_kernel`` takes that path only when it gives
+``math.log``'s bits on ``LOG_WITNESS`` (checked once, at import), and
+``math.log`` entry by entry otherwise. The properties in
+tests/test_properties.py pin every function here against its reference.
+This module imports numpy, so it is imported only when trials are
+sampled.
 """
 
 from __future__ import annotations
@@ -87,9 +95,9 @@ class Rows:
 
     def fsums(self, values):
         """``fsum`` of each row, bit for bit, as an array: the correctly
-        rounded exact sum, by error-free extraction (Rump, Ogita and
-        Oishi, SIAM J. Sci. Comput. 31(1), 2008) in a fixed number of
-        numpy passes.
+        rounded exact sum, by one or two levels of error-free extraction
+        (Rump, Ogita and Oishi, SIAM J. Sci. Comput. 31(1), 2008) in a
+        fixed number of numpy passes.
 
         A row of n entries whose sum(|x|), as numpy rounds it, is below
         2**(k - 1) is split at sigma = 2**k: each entry x is hi = (sigma +
@@ -97,14 +105,23 @@ class Rows:
         sigma). Each hi is a multiple of 2**(k - 53) and every partial sum
         of them is below 2**k, so numpy adds them exactly in any order.
         Each |lo| is at most 2**(k - 53). With b = (n - 1).bit_length(), so
-        that n <= 2**b, the window is: every nonzero |x| is at least
-        2**(k + b - 54). Then each lo is a multiple of 2**(k + b - 106),
-        no partial sum of them exceeds 2**53 such units, and numpy adds
-        them exactly too. One IEEE addition of the two exact sums rounds
-        the exact row sum once, ties to even, as ``fsum`` does. A
-        subnormal entry needs no rule of its own: it is in the window only
-        when 2**(k + b - 106) is below 2**-1074, and every float is a
-        multiple of that.
+        that n <= 2**b, when every nonzero |x| is at least 2**(k + b - 54),
+        each lo is a multiple of 2**(k + b - 106), no partial sum of them
+        exceeds 2**53 such units, and numpy adds them exactly too; one
+        IEEE addition of the two exact sums rounds the row sum once, ties
+        to even, as ``fsum`` does.
+
+        When an entry of some row is smaller, a second level runs on all
+        rows: sum(|lo|) is at most 2**(j - 1) for j = k + b - 52, so the
+        lo parts split the same way at 2**j into mid and rest, the mids
+        add exactly, and each |rest| is at most 2**(j - 53). The window is
+        then: every nonzero |x| is at least 2**(j + b - 54), and the rests
+        add exactly by the argument above. The row sum is the exact sum of
+        the three column sums; TwoSum turns them into a nonoverlapping
+        expansion r + d + v, and ``fsum``'s own last step rounds that once.
+        A subnormal entry needs no rule of its own: it is in a window only
+        when that window's unit, 2**(k + b - 106) or 2**(j + b - 106), is
+        below 2**-1074, and every float is a multiple of that.
 
         ``fsum`` itself sums, in row order, every row outside the window,
         every row with an entry that is not finite or with a sum(|x|) of
@@ -119,22 +136,51 @@ class Rows:
             k = np.frexp(total)[1] + 1
             ok = total < 2.0**999  # False on inf and nan
             below = size < self.repeat(np.ldexp(1.0, k + self.bits - 54))
-            if below.any():  # zeros, or entries outside the window
+            deeper = False
+            if below.any():  # zeros, or entries the lo parts cannot sum exactly
                 below &= size > 0.0
-                ok &= ~np.logical_or.reduceat(below, self.starts)
-            sigma = self.repeat(np.ldexp(1.0, k))
+                deeper = below.any()
+                if deeper:  # the second level runs; each row must meet its window
+                    j = k + self.bits - 52
+                    below &= size < self.repeat(np.ldexp(1.0, j + self.bits - 54))
+                    ok &= ~np.logical_or.reduceat(below, self.starts)
             hi, lo = split
+            sigma = self.repeat(np.ldexp(1.0, k))
             np.add(values, sigma, out=hi)
             hi -= sigma
             np.subtract(values, hi, out=lo)
-            hi_sums, lo_sums = np.add.reduceat(split, self.starts, axis=1)
-            sums = hi_sums + lo_sums
+            if not deeper:  # every sum of lo parts is exact: one rounding
+                hi_sums, lo_sums = np.add.reduceat(split, self.starts, axis=1)
+                sums = hi_sums + lo_sums
+            else:
+                sigma = self.repeat(np.ldexp(1.0, j))
+                mid = lo + sigma
+                mid -= sigma
+                lo -= mid  # the rest
+                hi_sums, rest_sums = np.add.reduceat(split, self.starts, axis=1)
+                mid_sums = np.add.reduceat(mid, self.starts)
+                u, v = _two_sum(mid_sums, rest_sums)
+                r, d = _two_sum(hi_sums, u)
+                # r is r + d rounded; when d is half an ulp of r and v lies
+                # beyond it, the exact sum rounds away from r.
+                away = r + 2.0 * d
+                away_wins = (d != 0.0) & (v != 0.0) & ((d < 0.0) == (v < 0.0))
+                away_wins &= away - r == 2.0 * d
+                sums = np.where(d == 0.0, r + v, np.where(away_wins, away, r))
         slow = np.flatnonzero(~ok | (sums == 0.0))
         if len(slow):
             entries = memoryview(values)
             for i in slow.tolist():
                 sums[i] = fsum(entries[self.slices[i]])
         return sums
+
+
+def _two_sum(x, y):
+    """x + y as numpy rounds it, and the exact error of that rounding
+    (Knuth's TwoSum)."""
+    s = x + y
+    y_part = s - x
+    return s, (x - (s - y_part)) + (y - y_part)
 
 
 def _words(x: int) -> list[int]:
@@ -305,18 +351,61 @@ def descending_prefix_sums(matrix):
     return np.sort(matrix)[:, ::-1].cumsum(axis=1)
 
 
+def math_logs(x):
+    """``math.log`` of each entry of the contiguous float array x."""
+    return np.fromiter(map(log, memoryview(x)), float, len(x))
+
+
+def strided_logs(x):
+    """``np.log`` of each entry of x, taken through a reversed view: numpy
+    sends a negatively strided array through its scalar loop, which calls
+    the C library's ``log``, not through its SIMD kernel."""
+    return np.log(x[::-1])[::-1]
+
+
+# Inputs on which numpy's SIMD log has been seen to differ from math.log
+# in the last bit (x86-64 with AVX-512, numpy 2.4), then the edges of the
+# measures' domain 0 < x <= 1: subnormals, the smallest normal, 0.5 and
+# values just below 1.
+LOG_WITNESS = np.array([
+    *map(float.fromhex, (
+        "0x1.3c56175d4f3c4p-3", "0x1.fda00b1de131ap-1", "0x1.ddd1ef95b1f48p-2",
+        "0x1.e688c76083800p-2", "0x1.b8f8e768f4458p-3", "0x1.7eee35abc5901p-1",
+        "0x1.ffffe1cabaaecp-1", "0x1.ffffe00037e1fp-1", "0x1.455f59f642596p-20",
+        "0x1.6f583eecd5654p-14", "0x1.a9d02f7e49dfep-15",
+    )),
+    5e-324, 1e-310, 2.0**-1022, 1e-300, 1e-16, 1e-4, 0.1, 0.5,
+    1.0 - 2.0**-30, 1.0 - 2.0**-52, 1.0 - 2.0**-53, 1.0,
+])
+
+
+def guarded_logs(kernel):
+    """kernel when it gives ``math.log``'s bits on every ``LOG_WITNESS``
+    entry, and ``math_logs`` otherwise."""
+    want = math_logs(LOG_WITNESS).view(np.int64)
+    return kernel if np.array_equal(kernel(LOG_WITNESS).view(np.int64), want) else math_logs
+
+
+# The per-entry logarithm of measure_rows, chosen once per process.
+log_kernel = guarded_logs(strided_logs)
+
+
 def measure_rows(values, rows: Rows):
     """H, VH and VJ of each distribution in the flat rows ``values``, as
     three arrays, each entry bitwise equal to that field of
     ``measure_all``.
 
-    The logarithms are ``math.log`` with the scalar guard (a guarded entry
-    takes log(1.0) = 0.0), each term is the same numpy product in the same
-    order as in ``measure_all``, and each sum is ``fsum``'s (``Rows.fsums``).
+    The logarithms are ``math.log``'s with the scalar guard (a guarded
+    entry takes log(1.0) = 0.0): ``log_kernel`` is numpy's scalar loop,
+    which calls the same C library ``log`` as ``math.log``, when its
+    bits match on ``LOG_WITNESS``, and ``math.log`` itself otherwise;
+    numpy's SIMD ``log`` is never used. Each term is the same numpy
+    product in the same order as in ``measure_all``, and each sum is
+    ``fsum``'s (``Rows.fsums``).
     """
 
     def logs(x):
-        return np.fromiter(map(log, memoryview(np.where(x > 0.0, x, 1.0))), float, len(x))
+        return log_kernel(np.where(x > 0.0, x, 1.0))
 
     lps = logs(values)
     s1 = rows.fsums(values * lps)

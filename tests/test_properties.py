@@ -40,12 +40,18 @@ from negprob import (
     varextropy,
 )
 from negprob import SimplexSamplerConfig, sample_uniform_simplex
+import negprob._batch as batch
 from negprob._batch import (
+    LOG_WITNESS,
     Rows,
     descending_prefix_sums,
+    guarded_logs,
+    log_kernel,
     majorizes_rows,
+    math_logs,
     measure_rows,
     sample_rows,
+    strided_logs,
 )
 from negprob.claims import (
     CLAIMS,
@@ -312,6 +318,8 @@ def sum_bits(x):
 @example([[1.0, 0.5 + 2.0**-53]])  # a tie, rounded down to even
 @example([[1.0 + 2.0**-52, 0.5 + 2.0**-53]])  # a tie, rounded up to even
 @example([[1.0, 0.5 + 2.0**-53, 2.0**-130]])  # just above a tie
+@example([[1.0, 2.0**-53, 2.0**-80, 2.0**-132 - 2.0**-80]])  # a tie, and a tail past it up
+@example([[1.0 + 2.0**-52, 2.0**-53, -2.0**-80, 2.0**-80 - 2.0**-132]])  # and down
 @example([[-0.0, -0.0], [0.0, -0.0], [1.0, -1.0]])
 @example([[1.0, 5e-324], [2.0**-1022, -2.0**-1023]])
 @example([[1.0, 2.0], [math.inf, -math.inf], [1e308, 1e308]])  # fsum raises on row 1
@@ -332,22 +340,21 @@ def test_row_sums_are_fsum_of_each_row_bit_for_bit(entries):
 
 
 @pytest.mark.parametrize("row, extracted", [
-    ([1.0, 2.0**-51], True),  # sum(|x|) < 2, so k = 2 and b = 1: the floor is 2**-51
+    ([1.0, 2.0**-102], True),  # sum(|x|) < 2, so k = 2, b = 1, j = -49: the floor is 2**-102
     ([1.0, 0.5 + 2.0**-53], True),  # a tie, rounded down to even
     ([1.0 + 2.0**-52, 0.5 + 2.0**-53], True),  # a tie, rounded up to even
-    ([1.0, 2.0**-52], False),  # below the window
+    ([1.0, 2.0**-53, 2.0**-80, 2.0**-132 - 2.0**-80], True),  # a tie, and a tail past it
+    ([1.0, 2.0**-103], False),  # below the window
     ([0.75, 0.0, -2.0**-50], True),  # zeros do not count
     ([1.0, 5e-324], False),
-    ([2.0**-1000, 5e-324], False),  # a subnormal below the window
-    ([2.0**-1060, -5e-324], True),  # subnormals inside it: 2**(k + b - 106) < 2**-1074
+    ([2.0**-960, 5e-324], False),  # a subnormal below the window
+    ([2.0**-1060, -5e-324], True),  # subnormals inside it: 2**(j + b - 106) < 2**-1074
     ([2.0**998, 2.0**997], True),
     ([2.0**998, 2.0**998], False),  # sum(|x|) reaches 2**999
     ([1.0, -1.0], False),  # a zero sum keeps fsum's sign of zero
     ([1.0, math.inf], False),
 ])
 def test_row_sums_fall_back_to_fsum_outside_the_window(monkeypatch, row, extracted):
-    import negprob._batch as batch
-
     summed = []
     monkeypatch.setattr(batch, "fsum", lambda entries: summed.append(1) or math.fsum(entries))
     got = Rows([len(row)]).fsums(np.array(row)).tolist()
@@ -357,9 +364,8 @@ def test_row_sums_fall_back_to_fsum_outside_the_window(monkeypatch, row, extract
 
 def test_trial_rows_are_summed_without_the_fsum_fallback(monkeypatch):
     # A silent slow path would keep the reports and lose the speed: the
-    # default check, and full chunks shaped as check-small-n's (n = 2..8),
-    # sum every row by extraction.
-    import negprob._batch as batch
+    # default check, full chunks shaped as check-small-n's (n = 2..8) and
+    # trials at n near 10^4 as check-large-n's sum every row by extraction.
     from negprob import check_all
 
     slow, rows_summed = [], []
@@ -369,33 +375,100 @@ def test_trial_rows_are_summed_without_the_fsum_fallback(monkeypatch):
                         lambda rows, values: rows_summed.append(len(rows)) or fsums(rows, values))
     check_all()
     for seed in (1, 9001, 2**64 - 1):
-        for chunk in batch.trial_chunks(seed, 4_700, 2, 8):
+        for chunk in [*batch.trial_chunks(seed, 4_700, 2, 8),
+                      *batch.trial_chunks(seed, 8, 9000, 10_000)]:
             for kind in ("p", "negated"):
                 chunk.measures(kind)
     assert sum(rows_summed) > 150_000 and slow == []
 
 
+# The log kernels measure_rows may run: the one the guard chose on this
+# machine, and math.log entry by entry, its fallback.
+LOG_KERNELS = pytest.mark.parametrize("kernel", [log_kernel, math_logs],
+                                      ids=["chosen", "math_log"])
+
+
+@LOG_KERNELS
 @SETTINGS
-@given(st.lists(distributions(), min_size=1, max_size=3))
-def test_batched_measures_are_bitwise_equal_to_measure_all(dists):
+@given(dists=st.lists(distributions(), min_size=1, max_size=3))
+def test_batched_measures_are_bitwise_equal_to_measure_all(kernel, dists):
     dists += [negate(d) for d in dists]
-    columns = measure_rows(*flat(*dists))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(batch, "log_kernel", kernel)
+        columns = measure_rows(*flat(*dists))
     for i, d in enumerate(dists):
         ms = measure_all(d)
         assert [c[i].hex() for c in map(lambda c: c.tolist(), columns)] == [
             ms.H.hex(), ms.VH.hex(), ms.VJ.hex()]
 
 
-def test_batched_measures_equal_measure_all_on_many_small_rows():
-    # np.log differs from math.log in the last bit on about 0.4 % of
-    # inputs, which moves a sum of few terms; 6,000 small rows catch it
+@LOG_KERNELS
+def test_batched_measures_equal_measure_all_on_many_small_rows(monkeypatch, kernel):
+    # numpy's SIMD log differs from math.log in the last bit on about 0.4 %
+    # of inputs, which moves a sum of few terms; 6,000 small rows catch it
     # where a few dozen hypothesis examples need not.
+    monkeypatch.setattr(batch, "log_kernel", kernel)
     rng = random.Random(1)
     dists = [make_distribution([rng.random() for _ in range(rng.randint(2, 6))],
                                renormalize=True) for _ in range(3000)]
     dists += [negate(d) for d in dists]
     columns = [c.tolist() for c in measure_rows(*flat(*dists))]
     assert list(zip(*columns)) == [(m.H, m.VH, m.VJ) for m in map(measure_all, dists)]
+
+
+def test_the_guard_rejects_a_kernel_one_ulp_off_on_a_witness_entry(monkeypatch):
+    witness = LOG_WITNESS[0]
+
+    def one_ulp_off(x):
+        out = math_logs(x)
+        hit = x == witness
+        out[hit] = np.nextafter(out[hit], np.inf)
+        return out
+
+    assert guarded_logs(one_ulp_off) is math_logs
+    values, rows = np.array([witness, 1.0 - witness]), Rows([2])
+
+    def measured(kernel):
+        monkeypatch.setattr(batch, "log_kernel", kernel)
+        return [[x.hex() for x in column.tolist()] for column in measure_rows(values, rows)]
+
+    assert measured(guarded_logs(one_ulp_off)) == measured(math_logs)
+    assert measured(one_ulp_off) != measured(math_logs)  # the row shows the ulp
+
+
+def test_the_guard_takes_the_strided_path_exactly_when_its_bits_are_math_logs():
+    # No assumption about this CPU: its contiguous np.log may agree with
+    # math.log everywhere, and the strided path may not.
+    witness = LOG_WITNESS.tolist()
+    assert {5e-324, 0.5, 1.0, float.fromhex("0x1.3c56175d4f3c4p-3"),
+            float.fromhex("0x1.fda00b1de131ap-1"),
+            float.fromhex("0x1.ddd1ef95b1f48p-2")} <= set(witness)
+    assert any(1.0 - 2.0**-20 < x < 1.0 for x in witness)
+    agrees = ([x.hex() for x in strided_logs(LOG_WITNESS).tolist()]
+              == [math.log(x).hex() for x in witness])
+    assert guarded_logs(strided_logs) is (strided_logs if agrees else math_logs)
+    assert log_kernel is guarded_logs(strided_logs)
+
+
+def test_the_chosen_log_kernel_is_math_log_bit_for_bit_on_a_wide_sweep():
+    # The witness decides the path; this sweeps the inputs the measures
+    # see, over row lengths 1 to 17 and 16,385, with the integer view, so
+    # that -0.0 and nan would compare exactly.
+    rng = np.random.default_rng(20_251)
+    size = 250_000
+    x = np.concatenate([
+        rng.random(size),
+        1.0 - rng.random(size) * np.ldexp(1.0, -rng.integers(1, 53, size)),
+        rng.standard_exponential(size) / 1e4,
+        rng.random(size) * 2.0**-1022,
+    ])
+    x[x == 0.0] = 1.0
+    want = math_logs(x).view(np.int64)
+    assert np.array_equal(log_kernel(x).view(np.int64), want)
+    for n in [*range(1, 18), 16_385]:
+        for at in range(0, len(x) - n, 97 * n if n < 18 else n):
+            got = log_kernel(x[at:at + n].copy()).view(np.int64)
+            assert np.array_equal(got, want[at:at + n]), (n, at)
 
 
 @st.composite
