@@ -28,7 +28,7 @@ numpy's scalar loop instead, which calls the C library's ``log``, the
 same function ``math.log`` calls, at about a twentieth of the cost of
 ``math.log`` per entry. Which loop numpy picks is its own dispatch
 detail, so ``log_kernel`` takes that path only when it gives
-``math.log``'s bits on ``LOG_WITNESS`` (checked once, at import), and
+``math.log``'s bits on ``log_witness()`` (checked once, at import), and
 ``math.log`` entry by entry otherwise. The properties in
 tests/test_properties.py pin every function here against its reference.
 This module imports numpy, so it is imported only when trials are
@@ -111,12 +111,13 @@ class Rows:
         IEEE addition of the two exact sums rounds the row sum once, ties
         to even, as ``fsum`` does.
 
-        When an entry of some row is smaller, a second level runs on all
-        rows: sum(|lo|) is at most 2**(j - 1) for j = k + b - 52, so the
-        lo parts split the same way at 2**j into mid and rest, the mids
-        add exactly, and each |rest| is at most 2**(j - 53). The window is
-        then: every nonzero |x| is at least 2**(j + b - 54), and the rests
-        add exactly by the argument above. The row sum is the exact sum of
+        When an entry of some row is smaller, and only then, since it
+        about doubles the cost of a call on small rows, a second level
+        runs on all rows: sum(|lo|) is at most 2**(j - 1) for j = k + b -
+        52, so the lo parts split the same way at 2**j into mid and rest,
+        the mids add exactly, and each |rest| is at most 2**(j - 53). The
+        window is then: every nonzero |x| is at least 2**(j + b - 54), and
+        the rests add exactly by the argument above. The row sum is the exact sum of
         the three column sums; TwoSum turns them into a nonoverlapping
         expansion r + d + v, and ``fsum``'s own last step rounds that once.
         A subnormal entry needs no rule of its own: it is in a window only
@@ -363,11 +364,30 @@ def strided_logs(x):
     return np.log(x[::-1])[::-1]
 
 
+def _spread_log_inputs(size: int):
+    """size inputs in each of four kinds the measures take logs of: spread
+    evenly over (0, 1) (Weyl sequences, i * c mod 1 for irrational c,
+    whose low bits vary from one i to the next), 1 - tiny for tiny in
+    each binade down to 2**-52, their squares, and floats in each binade
+    from 2**-1022 down to the subnormals'. Plain arithmetic makes them:
+    drawing them from numpy's generators at import raised peak RSS."""
+    steps = np.arange(1, size + 1)
+    uniform = steps * 0.6180339887498949 % 1.0
+    other = steps * 0.7548776662466927 % 1.0
+    binades = steps % 52
+    return np.concatenate([
+        uniform,
+        1.0 - np.ldexp(other, -binades),
+        uniform * uniform,
+        np.ldexp(1.0 + other, -1022 - binades),
+    ])
+
+
 # Inputs on which numpy's SIMD log has been seen to differ from math.log
 # in the last bit (x86-64 with AVX-512, numpy 2.4), then the edges of the
 # measures' domain 0 < x <= 1: subnormals, the smallest normal, 0.5 and
 # values just below 1.
-LOG_WITNESS = np.array([
+LOG_WITNESS_HEAD = np.array([
     *map(float.fromhex, (
         "0x1.3c56175d4f3c4p-3", "0x1.fda00b1de131ap-1", "0x1.ddd1ef95b1f48p-2",
         "0x1.e688c76083800p-2", "0x1.b8f8e768f4458p-3", "0x1.7eee35abc5901p-1",
@@ -379,11 +399,26 @@ LOG_WITNESS = np.array([
 ])
 
 
+def log_witness():
+    """The inputs the guard checks: ``LOG_WITNESS_HEAD``, then as many
+    spread ones as a full trial chunk has entries, since another SIMD
+    kernel would differ on points of its own. The whole is past numpy's
+    8192-entry buffer, so that it takes the dispatch measure_rows takes
+    on a long array, as the head alone takes the one on a short array.
+    It is built for each check and then dropped."""
+    return np.concatenate([LOG_WITNESS_HEAD, _spread_log_inputs(CHUNK_ENTRIES // 4)])
+
+
 def guarded_logs(kernel):
-    """kernel when it gives ``math.log``'s bits on every ``LOG_WITNESS``
-    entry, and ``math_logs`` otherwise."""
-    want = math_logs(LOG_WITNESS).view(np.int64)
-    return kernel if np.array_equal(kernel(LOG_WITNESS).view(np.int64), want) else math_logs
+    """kernel when it gives ``math.log``'s bits on every entry of
+    ``log_witness()``, taken whole and its head alone, and ``math_logs``
+    otherwise."""
+    witness = log_witness()
+    want = math_logs(witness).view(np.int64)
+    for size in len(LOG_WITNESS_HEAD), len(witness):
+        if not np.array_equal(kernel(witness[:size]).view(np.int64), want[:size]):
+            return math_logs
+    return kernel
 
 
 # The per-entry logarithm of measure_rows, chosen once per process.
@@ -398,7 +433,7 @@ def measure_rows(values, rows: Rows):
     The logarithms are ``math.log``'s with the scalar guard (a guarded
     entry takes log(1.0) = 0.0): ``log_kernel`` is numpy's scalar loop,
     which calls the same C library ``log`` as ``math.log``, when its
-    bits match on ``LOG_WITNESS``, and ``math.log`` itself otherwise;
+    bits match on ``log_witness()``, and ``math.log`` itself otherwise;
     numpy's SIMD ``log`` is never used. Each term is the same numpy
     product in the same order as in ``measure_all``, and each sum is
     ``fsum``'s (``Rows.fsums``).

@@ -42,11 +42,13 @@ from negprob import (
 from negprob import SimplexSamplerConfig, sample_uniform_simplex
 import negprob._batch as batch
 from negprob._batch import (
-    LOG_WITNESS,
+    CHUNK_ENTRIES,
+    LOG_WITNESS_HEAD,
     Rows,
     descending_prefix_sums,
     guarded_logs,
     log_kernel,
+    log_witness,
     majorizes_rows,
     math_logs,
     measure_rows,
@@ -340,6 +342,8 @@ def test_row_sums_are_fsum_of_each_row_bit_for_bit(entries):
 
 
 @pytest.mark.parametrize("row, extracted", [
+    ([1.0, 2.0**-51], True),  # the one-level window's floor, 2**(k + b - 54)
+    ([1.0, 2.0**-52], True),  # below it: the second level extracts it
     ([1.0, 2.0**-102], True),  # sum(|x|) < 2, so k = 2, b = 1, j = -49: the floor is 2**-102
     ([1.0, 0.5 + 2.0**-53], True),  # a tie, rounded down to even
     ([1.0 + 2.0**-52, 0.5 + 2.0**-53], True),  # a tie, rounded up to even
@@ -348,6 +352,8 @@ def test_row_sums_are_fsum_of_each_row_bit_for_bit(entries):
     ([0.75, 0.0, -2.0**-50], True),  # zeros do not count
     ([1.0, 5e-324], False),
     ([2.0**-960, 5e-324], False),  # a subnormal below the window
+    ([2.0**-1000, 5e-324], True),  # j = -1050: the floor 2**(j + b - 54) is below 2**-1074
+    ([2.0**-1030, 5e-324], True),  # j = -1080: 2**j is 0.0, and every lo part is 0.0
     ([2.0**-1060, -5e-324], True),  # subnormals inside it: 2**(j + b - 106) < 2**-1074
     ([2.0**998, 2.0**997], True),
     ([2.0**998, 2.0**998], False),  # sum(|x|) reaches 2**999
@@ -417,7 +423,7 @@ def test_batched_measures_equal_measure_all_on_many_small_rows(monkeypatch, kern
 
 
 def test_the_guard_rejects_a_kernel_one_ulp_off_on_a_witness_entry(monkeypatch):
-    witness = LOG_WITNESS[0]
+    witness = LOG_WITNESS_HEAD[0]
 
     def one_ulp_off(x):
         out = math_logs(x)
@@ -439,15 +445,45 @@ def test_the_guard_rejects_a_kernel_one_ulp_off_on_a_witness_entry(monkeypatch):
 def test_the_guard_takes_the_strided_path_exactly_when_its_bits_are_math_logs():
     # No assumption about this CPU: its contiguous np.log may agree with
     # math.log everywhere, and the strided path may not.
-    witness = LOG_WITNESS.tolist()
+    head = LOG_WITNESS_HEAD.tolist()
     assert {5e-324, 0.5, 1.0, float.fromhex("0x1.3c56175d4f3c4p-3"),
             float.fromhex("0x1.fda00b1de131ap-1"),
-            float.fromhex("0x1.ddd1ef95b1f48p-2")} <= set(witness)
-    assert any(1.0 - 2.0**-20 < x < 1.0 for x in witness)
-    agrees = ([x.hex() for x in strided_logs(LOG_WITNESS).tolist()]
-              == [math.log(x).hex() for x in witness])
+            float.fromhex("0x1.ddd1ef95b1f48p-2")} <= set(head)
+    assert any(1.0 - 2.0**-20 < x < 1.0 for x in head)
+    # The same inputs on every call, a full chunk of them past numpy's
+    # 8192-entry buffer, of every kind: uniform, 1 - tiny, p**2, subnormals.
+    witness = log_witness().tolist()
+    assert log_witness().tolist() == witness and witness[:len(head)] == head
+    spread = np.array(witness[len(head):])
+    assert len(spread) == CHUNK_ENTRIES > 8192
+    assert (spread > 0.0).all() and (spread <= 1.0).all()
+    assert len(set(spread.tolist())) > 15_000
+    assert ((spread > 0.1) & (spread < 0.9)).sum() > 4000
+    assert ((spread > 1.0 - 2.0**-40) & (spread < 1.0)).sum() > 200
+    assert ((spread > 2.0**-100) & (spread < 2.0**-10)).sum() > 40
+    assert (spread < 2.0**-1022).sum() > 3900 and (spread < 2.0**-1070).sum() > 200
+    agrees = all([x.hex() for x in strided_logs(np.array(xs)).tolist()]
+                 == [math.log(x).hex() for x in xs] for xs in (head, witness))
     assert guarded_logs(strided_logs) is (strided_logs if agrees else math_logs)
     assert log_kernel is guarded_logs(strided_logs)
+
+
+@pytest.mark.parametrize("long, at", [
+    (True, -1),  # a spread subnormal
+    (True, len(LOG_WITNESS_HEAD) + 6000),  # a spread 1 - tiny
+    (False, 3),  # a head entry
+], ids=["long-last", "long-middle", "short"])
+def test_the_guard_rejects_a_kernel_one_ulp_off_on_one_entry_at_one_length(long, at):
+    # Another SIMD kernel would differ on points of its own, and numpy may
+    # dispatch long and short arrays apart: the guard must see both.
+    def one_ulp_off(x):
+        out = math_logs(x)
+        if (len(x) > 8192) == long:
+            out[at] = np.nextafter(out[at], -np.inf)
+        return out
+
+    assert guarded_logs(one_ulp_off) is math_logs
+    assert guarded_logs(math_logs) is math_logs
 
 
 def test_the_chosen_log_kernel_is_math_log_bit_for_bit_on_a_wide_sweep():
