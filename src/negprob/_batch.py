@@ -6,9 +6,13 @@ Trials of mixed n are held as flat rows (``Rows``): one float array with
 the distributions one after another. Each step runs once on the whole
 array and is the same float operation as its scalar reference:
 
-- ``pcg64_states`` is numpy's documented SeedSequence pool hash and
-  PCG64 seeding, run on integer columns, so ``sample_rows`` draws from
-  exactly the stream ``simplex.sample_uniform_simplex`` draws from.
+- ``pcg64_seeds`` is numpy's documented SeedSequence pool hash on
+  integer columns, and ``sample_rows`` draws all rows of at most
+  ``ZIGGURAT_MAX_N`` entries at once: PCG64 jumped ahead to each draw's
+  state, then numpy's ziggurat fast path, with tables read off the
+  installed numpy on first use and kept only when they match its
+  Generator on a witness. The Generator draws every other row, so each
+  row is exactly the stream ``simplex.sample_uniform_simplex`` draws.
 - Division, ``1 - p`` and products are single IEEE operations in numpy
   as in Python, and every logarithm is ``math.log``'s (see below). Every
   sum is ``math.fsum``'s, the correctly rounded exact sum: ``Rows.fsums``
@@ -37,7 +41,7 @@ sampled.
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import accumulate
 from math import fsum, inf, log
 
@@ -57,7 +61,12 @@ _POOL_SIZE = 4
 # PCG64's 128-bit LCG multiplier.
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _MASK32 = 2**32 - 1
+_MASK64 = 2**64 - 1
 _MASK128 = 2**128 - 1
+# Rows of at most this many draws are drawn at once, and a longer row by the
+# Generator: a row with any slow-path draw goes to the Generator anyway (42 %
+# of rows at n = 24), and from about 28 draws on a row costs less there.
+ZIGGURAT_MAX_N = 24
 
 
 class Rows:
@@ -194,28 +203,27 @@ def _words(x: int) -> list[int]:
     return words
 
 
-def pcg64_states(seed: int, ns, ts) -> list[tuple[int, int]]:
-    """The PCG64 (state, inc) that ``SeedSequence((seed, n, t))`` seeds, for
-    each pair of ns (every n below 2**32) and ts (every t below 2**64).
+def pcg64_seeds(seed: int, ns, ts):
+    """The PCG64 seed and inc that ``SeedSequence((seed, n, t))`` gives, for
+    each pair of ns (every n below 2**32) and ts (every t below 2**64), as
+    a (4, pairs) uint64 array: the seed's low and high words, then inc's.
 
     This is numpy's SeedSequence pool hash and ``generate_state(4,
-    uint64)``, run on uint32 columns with one entry per pair, followed by
-    PCG64's seeding (two LCG steps) in Python's 128-bit integers.
+    uint64)``, run on uint32 columns with one entry per pair; PCG64 takes
+    the first two words as the seed and inc = 2 * (the last two) + 1.
     """
-    ns, ts = list(ns), list(ts)
-    highs = [t >> 32 for t in ts]  # t takes one word below 2**32 and two from there on
-    if any(highs) and not all(highs):
-        states = [None] * len(ts)
-        for long in (False, True):
-            at = [i for i, high in enumerate(highs) if bool(high) == long]
-            parts = pcg64_states(seed, [ns[i] for i in at], [ts[i] for i in at])
-            for i, state in zip(at, parts):
-                states[i] = state
-        return states
+    ns, ts = np.asarray(ns, np.uint32), np.asarray(ts, np.uint64)
+    highs = ts >> 32
+    long = highs != 0  # t takes one word below 2**32 and two from there on
+    if long.any() and not long.all():
+        seeds = np.empty((4, len(ts)), np.uint64)
+        for part in long, ~long:
+            seeds[:, part] = pcg64_seeds(seed, ns[part], ts[part])
+        return seeds
     entropy = [np.full(len(ts), w, np.uint32) for w in _words(seed)]
-    entropy += [np.array(ns, np.uint32), np.array([t & _MASK32 for t in ts], np.uint32)]
-    if any(highs):
-        entropy.append(np.array(highs, np.uint32))
+    entropy += [ns, ts.astype(np.uint32)]
+    if long.any():
+        entropy.append(highs.astype(np.uint32))
 
     hash_const = _INIT_A
 
@@ -246,38 +254,238 @@ def pcg64_states(seed: int, ns, ts) -> list[tuple[int, int]]:
         value = pool[i % _POOL_SIZE] ^ hash_const
         hash_const = hash_const * _MULT_B & _MASK32
         value = value * hash_const
-        state.append((value ^ (value >> 16)).tolist())
-    out = []
-    # Little-endian uint32 pairs make the four uint64 seed words.
-    for a, b, c, d, e, f, g, h in zip(*state):
-        seed_hi, seed_lo = a | b << 32, c | d << 32
-        seq_hi, seq_lo = e | f << 32, g | h << 32
-        inc = ((seq_hi << 64 | seq_lo) << 1 | 1) & _MASK128
-        out.append(((((seed_hi << 64 | seed_lo) + inc) * _PCG_MULT + inc) & _MASK128, inc))
+        state.append(value ^ (value >> 16))
+    # generate_state(4, uint64) reads the uint32 words as little-endian pairs.
+    words = np.stack(state, axis=1).astype("<u4").view("<u8").astype(np.uint64)
+    seed_hi, seed_lo, seq_hi, seq_lo = words.T
+    return np.array([seed_lo, seed_hi, seq_lo << 1 | 1, seq_hi << 1 | seq_lo >> 63])
+
+
+def _jump_words(n_max: int):
+    """The (4, n_max) uint64 words of draw j's jump, in column j - 1: the
+    low and high words of M**(j + 1), then of C(j + 2), for PCG64's
+    multiplier M and C(k) = M**0 + ... + M**(k - 1), mod 2**128. Seeding
+    sets the state to M * (seed + inc) + inc, and each draw steps it to M *
+    state + inc first, so draw j comes from M**(j + 1) * seed + C(j + 2) *
+    inc."""
+    power = _PCG_MULT**2 & _MASK128
+    total = 1 + _PCG_MULT + power
+    columns = []
+    for _ in range(n_max):
+        columns.append([power & _MASK64, power >> 64, total & _MASK64, total >> 64])
+        power = power * _PCG_MULT & _MASK128
+        total = (total + power) & _MASK128
+    return np.array(columns, np.uint64).T.copy()
+
+
+_JUMPS = _jump_words(ZIGGURAT_MAX_N)
+
+
+def _mul128(a, at, b, bt):
+    """a[:, at] * b[:, bt] mod 2**128, for 128-bit numbers held as columns
+    of (low word, high word), as arrays of low and high words: numpy's
+    uint64 product wraps to the low word, and the products of 32-bit
+    halves give the high word of the low words' product."""
+    a_lo, b_lo = a[0].take(at), b[0].take(bt)
+    low = a_lo * b_lo
+    high = a[1].take(at) * b_lo
+    high += a_lo * b[1].take(bt)
+    a_hi, b_hi = a_lo >> 32, b_lo >> 32
+    a_lo &= _MASK32
+    b_lo &= _MASK32
+    high += a_hi * b_hi
+    a_hi *= b_lo  # the cross products
+    b_hi *= a_lo
+    a_lo *= b_lo
+    a_lo >>= 32  # the carry out of the low halves
+    a_lo += a_hi & _MASK32
+    a_lo += b_hi & _MASK32
+    high += a_hi >> 32
+    high += b_hi >> 32
+    high += a_lo >> 32
+    return low, high
+
+
+def pcg64_outputs(seeds, row, pos):
+    """PCG64's raw output for draw pos + 1 of stream row, for each pair of
+    row and pos, where column row of seeds holds ``pcg64_seeds`` words:
+    the state M**(j + 1) * seed + C(j + 2) * inc (see ``_jump_words``) put
+    through XSL-RR, the xor of its words rotated right by its top six
+    bits."""
+    low, high = _mul128(_JUMPS[:2], pos, seeds[:2], row)
+    low_inc, high_inc = _mul128(_JUMPS[2:], pos, seeds[2:], row)
+    high += high_inc
+    del high_inc
+    low += low_inc
+    high += low < low_inc  # the carry of the low words
+    del low_inc
+    low ^= high
+    high >>= 58
+    out = low >> high
+    high = (64 - high) & 63
+    low <<= high
+    out |= low
     return out
+
+
+def ziggurat_draws(outputs, tables):
+    """``standard_exponential``'s fast path on each PCG64 output (the array
+    is consumed): the draw, and whether numpy returns it, as arrays. Bits
+    3 to 10 of the output pick the layer and its top 53 bits are ri; the
+    draw is ri * we[layer], returned when ri < ke[layer] (Marsaglia and
+    Tsang, J. Stat. Softw. 5(8), 2000). Otherwise numpy's slow path draws
+    something else, from further outputs too."""
+    we, ke = tables
+    outputs >>= 3
+    layer = (outputs & 0xFF).astype(np.intp)
+    outputs >>= 8
+    x = outputs.astype(float)
+    x *= we[layer]
+    return x, outputs < ke[layer]
+
+
+def _ziggurat_rows(seeds, rows: Rows, tables, gaps):
+    """Write into gaps the fast-path draws of every row of at most
+    ``ZIGGURAT_MAX_N`` entries, and return the indices of the rows left to
+    the Generator: the longer rows and every row with a draw the fast path
+    does not return."""
+    short = np.flatnonzero(rows.ns <= ZIGGURAT_MAX_N)
+    ns = rows.ns[short]
+    starts = np.cumsum(ns) - ns
+    row = np.repeat(short, ns)
+    pos = np.arange(len(row)) - np.repeat(starts, ns)
+    x, fast = ziggurat_draws(pcg64_outputs(seeds, row, pos), tables)
+    gaps[rows.starts[row] + pos] = x
+    drawn = np.zeros(len(rows), bool)
+    drawn[short] = np.logical_and.reduceat(fast, starts)
+    return np.flatnonzero(~drawn)
+
+
+def exponential_rows(seeds, rows: Rows, tables):
+    """``Generator(PCG64).standard_exponential(n)`` of each row's stream,
+    given by its column of ``pcg64_seeds`` words, bit for bit, as flat
+    rows: by ``ziggurat_draws`` with tables where they serve, and by one
+    Generator for every other row (every row when tables is None)."""
+    gaps = np.empty(rows.starts[-1] + rows.ns[-1])
+    loop = np.arange(len(rows)) if tables is None else _ziggurat_rows(seeds, rows, tables, gaps)
+    if len(loop):
+        bits = np.random.PCG64(0)
+        gen = np.random.Generator(bits)
+        seeded = {"state": 0, "inc": 0}
+        state = {"bit_generator": "PCG64", "state": seeded, "has_uint32": 0, "uinteger": 0}
+        for i, (seed_lo, seed_hi, inc_lo, inc_hi) in zip(loop.tolist(), seeds[:, loop].T.tolist()):
+            inc = inc_hi << 64 | inc_lo
+            # PCG64's seeding: two LCG steps, adding the seed after the first.
+            seeded["state"] = ((seed_hi << 64 | seed_lo) + inc) * _PCG_MULT + inc & _MASK128
+            seeded["inc"] = inc
+            bits.state = state
+            gen.standard_exponential(out=gaps[rows.slices[i]])
+    return gaps
+
+
+def derive_ziggurat():
+    """The tables (we, ke) of the installed numpy's ``standard_exponential``,
+    read off crafted draws, or None when a boundary is not where it is
+    looked for. From state 0, PCG64 steps to state inc and outputs inc
+    itself (a state whose high word is zero), so inc is set to the output
+    wanted, made odd; a draw took the fast path when the raw output after
+    it is the one step from inc. A draw at ri = 1 gives we[layer] (layer
+    1's slow path returns it too). ke[layer], the least ri whose draw is
+    not fast, is walked to from one below the width ratio we[layer - 1] /
+    we[layer] * 2**53 (within 3 of it on numpy 2.4), from a bisection for
+    layer 0 (the tail), and from 0 for layer 1, which has no fast path."""
+    bits = np.random.PCG64(0)
+    gen = np.random.Generator(bits)
+    seeded = {"state": 0, "inc": 1}
+    state = {"bit_generator": "PCG64", "state": seeded, "has_uint32": 0, "uinteger": 0}
+
+    def draw(ri, layer):
+        seeded["inc"] = (ri << 8 | layer) << 3 | 1
+        bits.state = state
+        return gen.standard_exponential()
+
+    def fast(ri, layer):
+        draw(ri, layer)
+        return bits.random_raw() == _xsl_rr(seeded["inc"] * (_PCG_MULT + 1) & _MASK128)
+
+    we, ke = [draw(1, layer) for layer in range(256)], []
+    for layer in range(256):
+        if layer == 0:
+            k, high = 0, 2**53
+            while k < high:
+                mid = (k + high) // 2
+                k, high = (mid + 1, high) if fast(mid, layer) else (k, mid)
+        elif layer == 1:
+            k = 0
+        else:
+            try:  # clamped to an ri whose crafted output PCG64's inc can hold
+                k = min(max(int(we[layer - 1] / we[layer] * 2**53) - 1, 0), 2**53)
+            except (ArithmeticError, ValueError):  # a zero, inf or nan width
+                return None
+        k = _first_slow(lambda ri: fast(ri, layer), k)
+        if k is None:
+            return None
+        ke.append(k)
+    return np.array(we), np.array(ke, np.uint64)
+
+
+def _xsl_rr(state: int) -> int:
+    """PCG64's output at a 128-bit state."""
+    high, low = state >> 64, state & _MASK64
+    word, turn = high ^ low, high >> 58
+    return (word >> turn | word << (64 - turn)) & _MASK64
+
+
+def _first_slow(fast, k):
+    """The least ri >= 0 for which fast(ri) is false, by a walk of one unit
+    at a time from k that sees fast(ri - 1) and not fast(ri); None when
+    the walk takes more than 16 steps."""
+    up = fast(k)
+    for _ in range(16):
+        if up:
+            k += 1
+            if not fast(k):
+                return k
+        elif k == 0 or fast(k - 1):
+            return k
+        else:
+            k -= 1
+    return None
+
+
+def guarded_ziggurat(tables):
+    """tables when ``exponential_rows`` draws the witness rows with them
+    bit for bit as the Generator draws them, and None otherwise. The
+    witness is one row of each n up to ``ZIGGURAT_MAX_N``."""
+    if tables is None:
+        return None
+    rows = Rows(range(2, ZIGGURAT_MAX_N + 1))
+    seeds = pcg64_seeds(0, rows.ns, range(len(rows)))
+    want = exponential_rows(seeds, rows, None).view(np.int64)
+    got = exponential_rows(seeds, rows, tables).view(np.int64)
+    return tables if np.array_equal(got, want) else None
+
+
+@cache
+def ziggurat_tables():
+    """The tables ``sample_rows`` draws with, derived and guarded on first
+    use, once per process; None when the Generator draws every row."""
+    return guarded_ziggurat(derive_ziggurat())
 
 
 def sample_rows(seed: int, rows: Rows, ts):
     """``sample_uniform_simplex(SimplexSamplerConfig(seed, n, trials), t)``
     for each n of ``rows.ns`` and t of ts, bit for bit, as flat rows.
 
-    Every row is drawn from its own PCG64 stream, set from
-    ``pcg64_states`` on one Generator, and ``gaps / gaps.sum()`` is taken
-    with numpy's own sum of that row, taken for all rows of one n as the
-    rows of a matrix; the renormalisation and validation then run on all
-    rows at once (see ``distribution_rows``).
+    Each row's draws from its own stream are ``exponential_rows`` with the
+    ``ziggurat_tables``, and ``gaps / gaps.sum()`` is taken with numpy's
+    own sum of that row, taken for all rows of one n as the rows of a
+    matrix; the renormalisation and validation then run on all rows at
+    once (see ``distribution_rows``).
     """
-    bits = np.random.PCG64(0)
-    gen = np.random.Generator(bits)
-    seeded = {"state": 0, "inc": 0}
-    state = {"bit_generator": "PCG64", "state": seeded, "has_uint32": 0, "uinteger": 0}
-    draws = []
-    ns = rows.ns.tolist()
-    for n, (seeded["state"], seeded["inc"]) in zip(ns, pcg64_states(seed, ns, ts)):
-        bits.state = state
-        draws.append(gen.standard_exponential(n))
-    gaps = np.concatenate(draws)
-    del draws
+    # The tables are derived only once some row can use them.
+    tables = ziggurat_tables() if rows.ns.min() <= ZIGGURAT_MAX_N else None
+    gaps = exponential_rows(pcg64_seeds(seed, rows.ns, ts), rows, tables)
     sums = np.empty(len(rows))
     for members, at in rows.by_n:
         # A row of a C-ordered matrix is summed like the row alone (pairwise).

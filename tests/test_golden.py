@@ -56,6 +56,20 @@ def test_check_stdout_matches_golden(capsys, name, fmt, ext):
     assert out.encode("utf-8") == (DATA / f"check_{name}.{ext}").read_bytes()
 
 
+@pytest.mark.parametrize("fmt, ext", [("json", "jsonl"), ("csv", "csv")])
+@pytest.mark.parametrize("name", list(CONFIGS))
+def test_check_stdout_matches_golden_when_the_generator_draws_every_row(
+        monkeypatch, capsys, name, fmt, ext):
+    # The sampler's fallback, which its first-use guard takes when the
+    # vectorised draws differ from numpy's Generator in any bit.
+    import negprob._batch as batch
+
+    monkeypatch.setattr(batch, "ziggurat_tables", lambda: None)
+    code = main(["check", *CONFIGS[name], "--format", fmt])
+    assert code == 0
+    assert capsys.readouterr().out.encode("utf-8") == (DATA / f"check_{name}.{ext}").read_bytes()
+
+
 def api_kwargs(name):
     """The check_all keyword arguments behind a golden CLI configuration."""
     args = build_parser().parse_args(["check", *CONFIGS[name]])
