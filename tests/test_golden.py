@@ -35,6 +35,9 @@ CONFIGS = {
                                       "--trials", "5000", "--n-min", "2", "--n-max", "8"],
     "seed4294967296_n2-16": ["--seed", "4294967296", "--trials", "300",
                              "--n-min", "2", "--n-max", "16"],
+    # Three chunks of small n (529, 529 and 142 trials): each chunk
+    # boundary falls mid-period, and n wraps from 60 to 2 inside chunks.
+    "seed5_n2-60": ["--seed", "5", "--trials", "1200", "--n-min", "2", "--n-max", "60"],
     # n near 10^4, one trial per n, with C1's majorization check.
     "seed9001_n9998-10000_C1-C6": ["--seed", "9001", "--trials", "3",
                                    "--n-min", "9998", "--n-max", "10000",
