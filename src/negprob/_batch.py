@@ -42,7 +42,6 @@ sampled.
 from __future__ import annotations
 
 from functools import cache, cached_property
-from itertools import accumulate
 from math import fsum, inf, log
 
 import numpy as np
@@ -72,20 +71,22 @@ ZIGGURAT_MAX_N = 24
 class Rows:
     """The layout of flat rows: distributions of mixed sizes stored one
     after another in one float array, none of them empty. ``ns`` holds
-    each row's length, ``slices`` the part of the flat array that holds
-    each row, ``starts`` where each row begins and ``bits`` each row's
-    (n - 1).bit_length(), the b with n <= 2**b."""
+    each row's length, ``starts`` where each row begins and ``bits`` each
+    row's (n - 1).bit_length(), the b with n <= 2**b; ``slices`` builds
+    the slices of just the rows a reader asks for."""
 
     def __init__(self, ns):
         self.ns = np.asarray(ns)
-        ends = list(accumulate(self.ns.tolist()))
-        starts = [0, *ends[:-1]]
-        self.slices = list(map(slice, starts, ends))
-        self.starts = np.array(starts, np.intp)
+        self.starts = np.cumsum(self.ns) - self.ns
         self.bits = np.frexp(self.ns - 1.0)[1]
 
     def __len__(self) -> int:
-        return len(self.slices)
+        return len(self.ns)
+
+    def slices(self, rows):
+        """The part of the flat array that holds each of the given rows."""
+        starts = self.starts[rows]
+        return list(map(slice, starts.tolist(), (starts + self.ns[rows]).tolist()))
 
     def repeat(self, per_row):
         """Each row's value, once for every entry of the row."""
@@ -93,14 +94,14 @@ class Rows:
 
     @cached_property
     def by_n(self):
-        """The rows of each size n, in order of first appearance: a list of
-        the indices of the rows and the (rows, n) matrix of their entries'
-        places in the flat array, built once for all readers."""
-        rows_of = {}
-        for i, n in enumerate(self.ns.tolist()):
-            rows_of.setdefault(n, []).append(i)
-        return [(members, self.starts[members][:, None] + np.arange(n))
-                for n, members in rows_of.items()]
+        """The rows of each size n, in order of n: the rising indices of
+        the rows, sorted by the unique key n * len + index, and the (rows,
+        n) matrix of their entries' places, built once for all readers."""
+        order = np.argsort(self.ns * len(self) + np.arange(len(self)))
+        ns = self.ns[order]
+        cuts = [0, *(np.flatnonzero(ns[1:] != ns[:-1]) + 1).tolist(), len(ns)]
+        return [(order[a:b], self.starts[order[a:b]][:, None] + np.arange(ns[a]))
+                for a, b in zip(cuts, cuts[1:])]
 
     def fsums(self, values):
         """``fsum`` of each row, bit for bit, as an array: the correctly
@@ -180,8 +181,8 @@ class Rows:
         slow = np.flatnonzero(~ok | (sums == 0.0))
         if len(slow):
             entries = memoryview(values)
-            for i in slow.tolist():
-                sums[i] = fsum(entries[self.slices[i]])
+            for i, row in zip(slow.tolist(), self.slices(slow)):
+                sums[i] = fsum(entries[row])
         return sums
 
 
@@ -373,13 +374,14 @@ def exponential_rows(seeds, rows: Rows, tables):
         gen = np.random.Generator(bits)
         seeded = {"state": 0, "inc": 0}
         state = {"bit_generator": "PCG64", "state": seeded, "has_uint32": 0, "uinteger": 0}
-        for i, (seed_lo, seed_hi, inc_lo, inc_hi) in zip(loop.tolist(), seeds[:, loop].T.tolist()):
+        for row, (seed_lo, seed_hi, inc_lo, inc_hi) in zip(
+                rows.slices(loop), seeds[:, loop].T.tolist()):
             inc = inc_hi << 64 | inc_lo
             # PCG64's seeding: two LCG steps, adding the seed after the first.
             seeded["state"] = ((seed_hi << 64 | seed_lo) + inc) * _PCG_MULT + inc & _MASK128
             seeded["inc"] = inc
             bits.state = state
-            gen.standard_exponential(out=gaps[rows.slices[i]])
+            gen.standard_exponential(out=gaps[row])
     return gaps
 
 
@@ -521,7 +523,7 @@ def distribution_rows(values, rows: Rows, renormalize: bool = False):
         return out
     entries = values.tolist()
     return np.array([
-        x for row in rows.slices
+        x for row in rows.slices(np.arange(len(rows)))
         for x in make_distribution(entries[row], renormalize).probs
     ])
 
@@ -536,20 +538,18 @@ def negate_rows(values, rows: Rows):
 
 def majorizes_rows(p, q, rows: Rows):
     """``majorizes`` of each pair of rows of the flat arrays p and q, as a
-    list of bools.
+    bool array.
 
     Rows of one n are decided together, as the rows of an (rows, n)
     matrix: ``descending_prefix_sums`` of p's and of q's rows are the
     prefix sums ``majorizes`` forms, and every comparison is the same
     float operation.
     """
-    decided = [True] * len(rows)
+    decided = np.empty(len(rows), bool)
     for members, at in rows.by_n:
         sums_q = descending_prefix_sums(q[at])
         sums_q -= MAJORIZATION_SLACK
-        failed = (descending_prefix_sums(p[at]) < sums_q).any(axis=1)
-        for i, fail in zip(members, failed.tolist()):
-            decided[i] = not fail
+        decided[members] = ~(descending_prefix_sums(p[at]) < sums_q).any(axis=1)
     return decided
 
 
@@ -660,9 +660,10 @@ def measure_rows(values, rows: Rows):
     t1 = rows.fsums(qs * lqs)
     lqs *= lqs
     t2 = rows.fsums(qs * lqs)
-    vh = [0.0 if -VARENTROPY_CLAMP < v < 0.0 else v for v in (s2 - s1 * s1).tolist()]
+    vh = s2 - s1 * s1
+    vh[(-VARENTROPY_CLAMP < vh) & (vh < 0.0)] = 0.0
     # 0.0 - s1 equals measure_all's -s1 + 0.0, zeros included.
-    return 0.0 - s1, np.array(vh), t2 - t1 * t1
+    return 0.0 - s1, vh, t2 - t1 * t1
 
 
 class TrialChunk:
@@ -701,16 +702,17 @@ class TrialChunk:
         return self._measures[kind]
 
     def per_n(self, value):
-        """The column that holds value(n) for each trial of n."""
-        ns = self.n.tolist()
-        values = {n: value(n) for n in set(ns)}
-        return np.array(list(map(values.__getitem__, ns)))
+        """value(n) for each trial of n, looked up in a table of the chunk's n."""
+        sizes = [at.shape[1] for _, at in self.rows.by_n]  # rising
+        table = np.array([value(n) for n in sizes])
+        return table[np.searchsorted(sizes, self.n)]
 
     def probs(self, i: int) -> tuple[float, ...]:
         """The sample of the chunk's i-th trial, built on the first call and
         then the same tuple on every call."""
         if i not in self._points:
-            self._points[i] = tuple(self.p[self.rows.slices[i]].tolist())
+            (row,) = self.rows.slices([i])
+            self._points[i] = tuple(self.p[row].tolist())
         return self._points[i]
 
 
@@ -718,14 +720,10 @@ def trial_chunks(seed, trials, n_min, n_max):
     """``TrialChunk``s of trials 0, 1, ..., trials - 1 in order, trial t
     having n = n_min + t % (n_max - n_min + 1). A chunk's entries sum to
     at most ``CHUNK_ENTRIES``, unless its one trial alone exceeds it."""
+    most = max(1, CHUNK_ENTRIES // n_min)  # each trial has at least n_min entries
     t0 = 0
     while t0 < trials:
-        ns, entries = [], 0
-        for t in range(t0, trials):
-            n = n_min + t % (n_max - n_min + 1)
-            if ns and entries + n > CHUNK_ENTRIES:
-                break
-            ns.append(n)
-            entries += n
+        ns = n_min + np.arange(t0, min(trials, t0 + most)) % (n_max - n_min + 1)
+        ns = ns[:max(1, np.cumsum(ns).searchsorted(CHUNK_ENTRIES, "right"))]
         yield TrialChunk(seed, t0, ns)
         t0 += len(ns)

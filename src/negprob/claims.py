@@ -63,10 +63,11 @@ one-distribution functions use, and every row sum is ``math.fsum``'s
 correctly rounded exact sum (taken by error-free extraction, with
 ``fsum`` itself for a row outside the window, see ``_batch.Rows.fsums``),
 so every float equals theirs by construction. The reducers then fold
-each chunk's float columns in trial order: the first violation wins,
-the first strict maximum is the peak, and ``min_margin`` keeps the first
-minimum with its sign of zero. Only a reported point is turned back into
-a tuple of probabilities.
+each chunk's columns in trial order by their own reductions: ``argmax``
+and ``argmin`` keep the first extreme (no NaN reaches these columns),
+so the first violation wins, the first strict maximum is the peak, and
+``min_margin`` keeps the first minimum with its sign of zero. Only a
+reported point is turned back into a tuple of probabilities.
 
 Points with few distinct entries are held as (value, count) runs and
 measured by ``measures.measure_runs`` in O(1) per point, bitwise equal to
@@ -96,7 +97,6 @@ import json
 import math
 from dataclasses import dataclass
 from itertools import chain, repeat
-from operator import sub
 
 from .measures import measure_all, measure_runs
 from .negation import negate, negate_runs
@@ -352,6 +352,8 @@ def check_all(
     in registry order, from one shared pass over the trials."""
     if claim_ids is None:
         selected = CLAIMS
+    elif isinstance(claim_ids, str):  # iterated, it would give one character per id
+        raise ValueError(f"claim_ids = {claim_ids!r} must be a collection of claim ids")
     else:
         wanted = {claim_by_id(cid).id for cid in claim_ids}
         selected = tuple(c for c in CLAIMS if c.id in wanted)
@@ -399,18 +401,17 @@ class _Inequality:
         field = _MEASURE_FIELD[self.claim.id]
         lhs = chunk.measures("negated")[field]
         rhs = chunk.measures("p")[field]
-        # min() keeps the first minimum, with its sign of zero
-        self.min_margin = min(self.min_margin, *(lhs - rhs).tolist())
-        violated = (lhs < rhs - self.tolerance).tolist()
+        margin = lhs - rhs  # min() and argmin() keep the first minimum, with its sign of zero
+        self.min_margin = min(self.min_margin, float(margin[margin.argmin()]))
+        violated = lhs < rhs - self.tolerance
         if self.claim.id == "C1":
-            self.majorization_failures += chunk.majorized.count(False)
-            violated = [v or not m for v, m in zip(violated, chunk.majorized)]
-        for n, reversed_ in zip(chunk.n.tolist(), (lhs <= rhs).tolist()):
-            if n >= 3:
-                self.reversible += 1
-                self.reversed += reversed_
-        if self.counterexample is None and True in violated:
-            i = violated.index(True)
+            violated |= ~chunk.majorized
+            self.majorization_failures += len(chunk.majorized) - int(chunk.majorized.sum())
+        reversible = chunk.n >= 3
+        self.reversible += int(reversible.sum())
+        self.reversed += int((reversible & (lhs <= rhs)).sum())
+        i = int(violated.argmax())  # the first violation, when there is one
+        if self.counterexample is None and violated[i]:
             self._violation(chunk.probs(i), float(lhs[i]), float(rhs[i]))
 
     def _violation(self, probs, lhs, rhs) -> None:
@@ -444,9 +445,10 @@ class _Maximizer:
     def probes(self, n, points, values, negated_uniform) -> None:
         """Fold one n's probe points, each given as runs, in order; values
         measure their negations."""
+        import numpy as np  # loaded anyway: a maximizer claim always draws trials
         field = _MEASURE_FIELD[self.claim.id]
-        value = [getattr(after, field) for after in values]
-        bound = [self.bound(n, negated_uniform)] * len(points)
+        value = np.array([getattr(after, field) for after in values])
+        bound = np.full(len(points), self.bound(n, negated_uniform))
         self._points(value, bound, lambda i: tuple(
             chain.from_iterable(repeat(v, c) for v, c in points[i])))
 
@@ -454,27 +456,27 @@ class _Maximizer:
         """Fold a chunk's trials, one sample each, in trial order."""
         value = chunk.measures("negated")[_MEASURE_FIELD[self.claim.id]]
         bound = chunk.per_n(lambda n: self.bound(n, negated_uniform))
-        self._points(value.tolist(), bound.tolist(), chunk.probs)
+        self._points(value, bound, chunk.probs)
 
     def _points(self, value, bound, probs) -> None:
-        """Fold points in order: value[i] and bound[i] are the i-th point's
-        negated measure and claimed maximum, and probs(i) gives the point,
-        as a sequence of probabilities, when it is reported."""
-        excess = list(map(sub, value, bound))
-        top = max(excess)  # max() and index() find the first strict maximum
-        peak = excess.index(top)
+        """Fold points in order: the float arrays value and bound hold each
+        point's negated measure and claimed maximum, and probs(i) gives the
+        i-th point, as a sequence of probabilities, when it is reported."""
+        excess = value - bound
+        peak = int(excess.argmax())  # the first strict maximum
+        top = float(excess[peak])
         if self.peak is None or top > self.peak[0]:
             self.peak = (top, float(value[peak]), probs(peak))
         else:
             peak = None
         if self.counterexample is None:
-            over = [x > self.tolerance for x in excess]
-            if True in over:
-                i = over.index(True)
+            over = excess > self.tolerance
+            i = int(over.argmax())  # the first excess over the tolerance, when there is one
+            if over[i]:
                 # A point that is both the new peak and the violation is built once.
                 self.counterexample = Counterexample(
                     self.peak[2] if i == peak else probs(i),
-                    float(value[i]), float(bound[i]), excess[i]
+                    float(value[i]), float(bound[i]), float(excess[i])
                 )
 
     def observed(self) -> dict:

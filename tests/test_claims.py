@@ -251,6 +251,13 @@ class TestReports:
         with pytest.raises(UnknownClaim):
             check_all(claim_ids=["C1", "nope"])
 
+    @pytest.mark.parametrize("claim_ids", ["C1", "C1,C2", ""])
+    def test_claim_ids_must_be_a_collection_not_one_string(self, claim_ids):
+        # Iterated, a string gives one character per id ("unknown claim 'C'").
+        with pytest.raises(ValueError, match="must be a collection of claim ids") as raised:
+            check_all(claim_ids=claim_ids)
+        assert not isinstance(raised.value, UnknownClaim)
+
     def test_one_pass_samples_each_trial_once(self, monkeypatch):
         from negprob import _batch
 
@@ -301,7 +308,7 @@ class TestReports:
             n=np.array([2, 3, 3, 4]),
             measures={"negated": {"H": np.array([1.0, 1.0, 0.5, 1.0])},
                       "p": {"H": np.array([0.5, 1.0, 1.0, 0.5])}}.__getitem__,
-            majorized=[True, False, True, True],
+            majorized=np.array([True, False, True, True]),
             probs=lambda i: ("trial", i),
         )
         tally = _Inequality(claim_by_id("C1"), 1e-9)

@@ -18,6 +18,7 @@ import math
 import random
 import re
 import tracemalloc
+import types
 from itertools import accumulate
 
 import numpy as np
@@ -70,7 +71,11 @@ from negprob.claims import (
     VACUOUS,
     ClaimReport,
     Counterexample,
+    _MEASURE_FIELD,
+    _Inequality,
+    _Maximizer,
     _probe_points,
+    claim_by_id,
     reports_to_json,
 )
 from negprob.cli import main
@@ -270,7 +275,7 @@ def test_batched_samples_are_bitwise_equal_to_the_sampler(seed, draws):
     trials = [(n, (t + j) % 2**64) for n, t, count in draws for j in range(count)]
     rows = Rows([n for n, _ in trials])
     got = sample_rows(seed, rows, [t for _, t in trials]).tolist()
-    for (n, t), row in zip(trials, rows.slices):
+    for (n, t), row in zip(trials, rows.slices(np.arange(len(rows)))):
         want = sample_uniform_simplex(SimplexSamplerConfig(seed, n, t + 1), t).probs
         assert [x.hex() for x in got[row]] == [x.hex() for x in want]
 
@@ -654,9 +659,9 @@ def test_batched_majorization_equals_majorizes(pairs):
     ps, qs = [p for p, _ in pairs], [q for _, q in pairs]
     values_p, rows = flat(*ps)
     values_q, _ = flat(*qs)
-    assert majorizes_rows(values_p, values_q, rows) == [
+    assert majorizes_rows(values_p, values_q, rows).tolist() == [
         majorizes(p, q) for p, q in pairs]
-    assert majorizes_rows(values_q, values_p, rows) == [
+    assert majorizes_rows(values_q, values_p, rows).tolist() == [
         majorizes(q, p) for p, q in pairs]
 
 
@@ -670,7 +675,7 @@ def test_batched_majorization_keeps_row_order_across_repeated_sizes():
     values_q, _ = flat(*[q for _, q in pairs])
     want = [majorizes(p, q) for p, q in pairs]
     assert True in want and False in want
-    assert majorizes_rows(values_p, values_q, rows) == want
+    assert majorizes_rows(values_p, values_q, rows).tolist() == want
 
 
 def test_batched_majorization_equals_majorizes_across_the_wrap_of_n():
@@ -689,7 +694,7 @@ def test_batched_majorization_equals_majorizes_across_the_wrap_of_n():
     values_q, _ = flat(*[q for _, q in pairs])
     want = [majorizes(p, q) for p, q in pairs]
     assert True in want and False in want
-    assert majorizes_rows(values_p, values_q, rows) == want
+    assert majorizes_rows(values_p, values_q, rows).tolist() == want
 
 
 @pytest.mark.parametrize("n", [2, 3, 7, 100, 10_000])
@@ -719,6 +724,158 @@ def test_batched_majorization_memory_follows_the_entries_not_the_widest_row():
         tracemalloc.stop()
     assert all(decided)
     assert peak < 8 * values.nbytes
+
+
+def chunk_ns_trial_by_trial(trials, n_min, n_max):
+    """Each chunk's (t0, ns) as trial_chunks once built them, one trial at a
+    time: the reference for its columnar form."""
+    chunks, t0 = [], 0
+    while t0 < trials:
+        ns, entries = [], 0
+        for t in range(t0, trials):
+            n = n_min + t % (n_max - n_min + 1)
+            if ns and entries + n > CHUNK_ENTRIES:
+                break
+            ns.append(n)
+            entries += n
+        chunks.append((t0, ns))
+        t0 += len(ns)
+    return chunks
+
+
+@SETTINGS
+@given(st.integers(1, 30_000), st.integers(2, 10_000), st.integers(0, 10_000))
+@example(9000, 2, 0)  # 8192 trials of n = 2 fill a chunk exactly
+@example(1200, 2, 58)  # chunk boundaries mid-period, n wrapping inside chunks
+@example(5, CHUNK_ENTRIES // 2, 0)  # two trials fill a chunk exactly
+@example(7, CHUNK_ENTRIES // 2 + 1, 10_000)  # one trial per chunk
+@example(4, 9_998, 2)
+@example(3, CHUNK_ENTRIES + 5, 0)  # a trial larger than a chunk
+@example(400, 2, 9_998)  # the wrap from n = 10^4 back to 2
+def test_chunk_layout_and_rows_equal_their_python_references(trials, n_min, span):
+    n_max = n_min + span
+    trials = min(trials, 40 * CHUNK_ENTRIES // (n_min + span // 2) + 1)  # about 40 chunks
+    with pytest.MonkeyPatch.context() as patch:  # the layout alone, with no draws
+        patch.setattr(batch, "TrialChunk", lambda seed, t0, ns: (t0, ns))
+        chunks = list(batch.trial_chunks(0, trials, n_min, n_max))
+    assert [(t0, ns.tolist()) for t0, ns in chunks] == chunk_ns_trial_by_trial(
+        trials, n_min, n_max)
+    if n_min > CHUNK_ENTRIES // 2:
+        assert all(len(ns) == 1 for _, ns in chunks)
+    for _, ns in chunks:
+        rows, ns = Rows(ns), ns.tolist()
+        ends = list(accumulate(ns))
+        starts = [0, *ends[:-1]]
+        assert rows.starts.tolist() == starts
+        assert rows.slices(np.arange(len(ns))) == list(map(slice, starts, ends))
+        groups = [(members.tolist(), at.tolist()) for members, at in rows.by_n]
+        want = [([i for i, m in enumerate(ns) if m == n],
+                 [list(range(starts[i], ends[i])) for i, m in enumerate(ns) if m == n])
+                for n in sorted(set(ns))]
+        assert groups == want  # each row once, members rising within each n
+
+
+class ListInequality(_Inequality):
+    def trials(self, chunk) -> None:
+        """The fold as it was, over lists in a Python loop: the reference."""
+        field = _MEASURE_FIELD[self.claim.id]
+        lhs = chunk.measures("negated")[field]
+        rhs = chunk.measures("p")[field]
+        self.min_margin = min(self.min_margin, *(lhs - rhs).tolist())
+        violated = (lhs < rhs - self.tolerance).tolist()
+        if self.claim.id == "C1":
+            majorized = chunk.majorized.tolist()
+            self.majorization_failures += majorized.count(False)
+            violated = [v or not m for v, m in zip(violated, majorized)]
+        for n, reversed_ in zip(chunk.n.tolist(), (lhs <= rhs).tolist()):
+            if n >= 3:
+                self.reversible += 1
+                self.reversed += reversed_
+        if self.counterexample is None and True in violated:
+            i = violated.index(True)
+            self._violation(chunk.probs(i), float(lhs[i]), float(rhs[i]))
+
+
+class ListMaximizer(_Maximizer):
+    def _points(self, value, bound, probs) -> None:
+        """The fold as it was, over lists: the reference."""
+        value, bound = value.tolist(), bound.tolist()
+        excess = [v - b for v, b in zip(value, bound)]
+        top = max(excess)
+        peak = excess.index(top)
+        if self.peak is None or top > self.peak[0]:
+            self.peak = (top, float(value[peak]), probs(peak))
+        else:
+            peak = None
+        if self.counterexample is None:
+            over = [x > self.tolerance for x in excess]
+            if True in over:
+                i = over.index(True)
+                self.counterexample = Counterexample(
+                    self.peak[2] if i == peak else probs(i),
+                    float(value[i]), float(bound[i]), excess[i]
+                )
+
+
+# Values that tie and zeros of both signs, beside any float.
+FOLD_FLOATS = st.one_of(st.sampled_from([0.0, -0.0, 0.5, 1.0, -1.0]), st.floats(-2.0, 2.0))
+
+
+@st.composite
+def fold_chunks(draw):
+    """The columns of one chunk: n, lhs (negated measure), rhs and
+    majorized, of one to six trials."""
+    size = draw(st.integers(1, 6))
+    column = st.lists(FOLD_FLOATS, min_size=size, max_size=size)
+    return (draw(st.lists(st.integers(2, 5), min_size=size, max_size=size)),
+            draw(column), draw(column),
+            draw(st.lists(st.booleans(), min_size=size, max_size=size)))
+
+
+def fake_chunk(k, columns):
+    ns, lhs, rhs, majorized = map(np.array, columns)
+    return types.SimpleNamespace(
+        n=ns, majorized=majorized.astype(bool), probs=lambda i: ("chunk", k, i),
+        measures={"negated": {"H": lhs, "VH": lhs}, "p": {"H": rhs, "VH": rhs}}.__getitem__)
+
+
+@SETTINGS
+@given(st.lists(fold_chunks(), min_size=1, max_size=4), st.sampled_from([1e-9, 0.5]))
+@example([([3, 3], [0.0, -0.0], [0.0, 0.0], [True, True])], 1e-9)  # margins 0.0, -0.0
+@example([([3, 3], [-0.0, 0.0], [0.0, 0.0], [True, True])], 1e-9)  # margins -0.0, 0.0
+@example([([2], [0.0], [0.0], [True]), ([2], [-0.0], [0.0], [True])], 1e-9)
+@example([([2, 4, 3], [0.0, 1.0, 1.0], [1.0, 1.0, 1.0], [True] * 3)], 1e-9)  # first
+@example([([4, 2, 3], [1.0, 1.0, 0.0], [1.0, 1.0, 1.0], [True] * 3)], 1e-9)  # last
+@example([([3, 2], [1.0, 1.0], [1.0, 1.0], [True, False])], 1e-9)  # majorization fails last
+@example([([2, 3], [2.0, 2.0], [1.0, 1.0], [True, True]),
+          ([5, 2], [2.0, 3.0], [1.0, 2.0], [True, True])], 0.5)  # ties within and across
+def test_columnar_folds_equal_the_list_folds(chunks, tolerance):
+    # vars() holds every running value; repr tells -0.0 from 0.0 and a
+    # numpy scalar from a float.
+    for claim_id in ("C1", "C2"):
+        got, want = _Inequality(claim_by_id(claim_id), tolerance), ListInequality(
+            claim_by_id(claim_id), tolerance)
+        for k, columns in enumerate(chunks):
+            got.trials(fake_chunk(k, columns))
+            want.trials(fake_chunk(k, columns))
+            assert repr(vars(got)) == repr(vars(want))
+        assert repr(got.observed()) == repr(want.observed())
+    got, want = _Maximizer(claim_by_id("C8"), tolerance), ListMaximizer(
+        claim_by_id("C8"), tolerance)
+    for k, (_, lhs, rhs, _) in enumerate(chunks):
+        for tally in got, want:
+            tally._points(np.array(lhs), np.array(rhs), lambda i, k=k: ("chunk", k, i))
+        assert repr(vars(got)) == repr(vars(want))
+    assert repr(got.observed()) == repr(want.observed())
+
+
+@pytest.mark.parametrize("margins, kept", [((0.0, -0.0), "0.0"), ((-0.0, 0.0), "-0.0")])
+def test_min_margin_keeps_the_first_of_two_zeros(margins, kept):
+    for chunks in [[([3, 3], list(margins))], [([3], [margins[0]]), ([3], [margins[1]])]]:
+        tally = _Inequality(claim_by_id("C2"), 1e-9)
+        for k, (ns, lhs) in enumerate(chunks):
+            tally.trials(fake_chunk(k, (ns, lhs, [0.0] * len(ns), [True] * len(ns))))
+        assert repr(tally.min_margin) == kept
 
 
 # Floats whose JSON text is easy to get wrong: signed zeros, subnormals,
