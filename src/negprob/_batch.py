@@ -372,17 +372,20 @@ def exponential_rows(seeds, rows: Rows, tables):
     if len(loop):
         bits = np.random.PCG64(0)
         gen = np.random.Generator(bits)
-        seeded = {"state": 0, "inc": 0}
-        state = {"bit_generator": "PCG64", "state": seeded, "has_uint32": 0, "uinteger": 0}
         for row, (seed_lo, seed_hi, inc_lo, inc_hi) in zip(
                 rows.slices(loop), seeds[:, loop].T.tolist()):
             inc = inc_hi << 64 | inc_lo
             # PCG64's seeding: two LCG steps, adding the seed after the first.
-            seeded["state"] = ((seed_hi << 64 | seed_lo) + inc) * _PCG_MULT + inc & _MASK128
-            seeded["inc"] = inc
-            bits.state = state
+            _set_pcg64(bits, ((seed_hi << 64 | seed_lo) + inc) * _PCG_MULT + inc & _MASK128, inc)
             gen.standard_exponential(out=gaps[row])
     return gaps
+
+
+def _set_pcg64(bits, state: int, inc: int) -> None:
+    """Put the PCG64 bits at the given 128-bit LCG state and increment,
+    with no seeding step."""
+    bits.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                  "has_uint32": 0, "uinteger": 0}
 
 
 def derive_ziggurat():
@@ -398,19 +401,18 @@ def derive_ziggurat():
     layer 0 (the tail), and from 0 for layer 1, which has no fast path."""
     bits = np.random.PCG64(0)
     gen = np.random.Generator(bits)
-    seeded = {"state": 0, "inc": 1}
-    state = {"bit_generator": "PCG64", "state": seeded, "has_uint32": 0, "uinteger": 0}
 
     def draw(ri, layer):
-        seeded["inc"] = (ri << 8 | layer) << 3 | 1
-        bits.state = state
-        return gen.standard_exponential()
+        """The draw at ri in layer, and whether it took the fast path."""
+        inc = (ri << 8 | layer) << 3 | 1
+        _set_pcg64(bits, 0, inc)
+        x = gen.standard_exponential()
+        return x, bits.random_raw() == _xsl_rr(inc * (_PCG_MULT + 1) & _MASK128)
 
     def fast(ri, layer):
-        draw(ri, layer)
-        return bits.random_raw() == _xsl_rr(seeded["inc"] * (_PCG_MULT + 1) & _MASK128)
+        return draw(ri, layer)[1]
 
-    we, ke = [draw(1, layer) for layer in range(256)], []
+    we, ke = [draw(1, layer)[0] for layer in range(256)], []
     for layer in range(256):
         if layer == 0:
             k, high = 0, 2**53
@@ -700,12 +702,6 @@ class TrialChunk:
             values = getattr(self, kind)
             self._measures[kind] = dict(zip(("H", "VH", "VJ"), measure_rows(values, self.rows)))
         return self._measures[kind]
-
-    def per_n(self, value):
-        """value(n) for each trial of n, looked up in a table of the chunk's n."""
-        sizes = [at.shape[1] for _, at in self.rows.by_n]  # rising
-        table = np.array([value(n) for n in sizes])
-        return table[np.searchsorted(sizes, self.n)]
 
     def probs(self, i: int) -> tuple[float, ...]:
         """The sample of the chunk's i-th trial, built on the first call and

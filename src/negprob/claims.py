@@ -21,7 +21,10 @@ maximizer (C7-C9)
     permutation of the (0, 1) probe, the measures are symmetric, and
     ``math.fsum`` is exactly rounded, so every pair at a given eps has the
     same value bit for bit. Each random trial then adds its sample as one
-    point.
+    point. Probes and trials go through one fold, ``_Maximizer._points``,
+    against one bound table per claim, indexed by n - n_min and filled
+    from the probes: ln n for C7, and for C8 and C9 the measure of
+    negate(uniform(n)), the first probe negated.
 
 Verdicts report what the formulas actually do. With default settings C1,
 C4, C5 and C7 come out CONFIRMED while C2, C3, C6, C8 and C9 come out
@@ -29,8 +32,8 @@ REFUTED: the fixed four-outcome fixture [0.4, 0.3, 0.2, 0.1] moves both
 second-moment measures the other way, |varextropy(uniform(n))| grows with
 n instead of shrinking, and uniform is the minimizer (not the maximizer)
 of the negated second-moment measures. VACUOUS is reserved for a claim
-whose quantified scope is empty under the requested n range; no default
-configuration produces it.
+whose quantified scope is empty under the requested n range; no
+configuration produces it, since every report is CONFIRMED or REFUTED.
 
 C1 and C7 are theorems. Negation is p -> M p with M = (11^T - I)/(n - 1),
 a doubly stochastic matrix, so p majorizes negate(p) (Hardy, Littlewood
@@ -386,7 +389,7 @@ class _Inequality:
     min_margin: float = math.inf
     majorization_failures: int = 0
     reversed: int = 0
-    reversible: int = 0  # trials with n >= 3
+    reversible: int = 0  # trials with n >= 3, counted for C2 and C3
 
     def fixture(self, probs, before, after) -> None:
         """A fixture only decides the verdict."""
@@ -407,9 +410,10 @@ class _Inequality:
         if self.claim.id == "C1":
             violated |= ~chunk.majorized
             self.majorization_failures += len(chunk.majorized) - int(chunk.majorized.sum())
-        reversible = chunk.n >= 3
-        self.reversible += int(reversible.sum())
-        self.reversed += int((reversible & (lhs <= rhs)).sum())
+        else:  # C1 reports majorization failures, the others their reversals
+            reversible = chunk.n >= 3
+            self.reversible += int(reversible.sum())
+            self.reversed += int((reversible & (lhs <= rhs)).sum())
         i = int(violated.argmax())  # the first violation, when there is one
         if self.counterexample is None and violated[i]:
             self._violation(chunk.probs(i), float(lhs[i]), float(rhs[i]))
@@ -429,34 +433,15 @@ class _Inequality:
 
 @dataclass
 class _Maximizer:
-    """Running verdict of one maximizer claim; the first violation wins and
-    the first strict maximum is the reported peak."""
+    """Running verdict of one maximizer claim. ``_run`` hands ``_points``
+    each n's probes and then each trial chunk, each point with its claimed
+    maximum; the first violation wins and the first strict maximum is the
+    reported peak."""
 
     claim: Claim
     tolerance: float
     counterexample: Counterexample | None = None
     peak: tuple | None = None  # (excess, value, probs)
-
-    def bound(self, n: int, negated_uniform) -> float:
-        """The claimed maximum at n; negated_uniform[n] measures negate(uniform(n))."""
-        field = _MEASURE_FIELD[self.claim.id]
-        return math.log(n) if field == "H" else getattr(negated_uniform[n], field)
-
-    def probes(self, n, points, values, negated_uniform) -> None:
-        """Fold one n's probe points, each given as runs, in order; values
-        measure their negations."""
-        import numpy as np  # loaded anyway: a maximizer claim always draws trials
-        field = _MEASURE_FIELD[self.claim.id]
-        value = np.array([getattr(after, field) for after in values])
-        bound = np.full(len(points), self.bound(n, negated_uniform))
-        self._points(value, bound, lambda i: tuple(
-            chain.from_iterable(repeat(v, c) for v, c in points[i])))
-
-    def trials(self, chunk, negated_uniform) -> None:
-        """Fold a chunk's trials, one sample each, in trial order."""
-        value = chunk.measures("negated")[_MEASURE_FIELD[self.claim.id]]
-        bound = chunk.per_n(lambda n: self.bound(n, negated_uniform))
-        self._points(value, bound, chunk.probs)
 
     def _points(self, value, bound, probs) -> None:
         """Fold points in order: the float arrays value and bound hold each
@@ -530,7 +515,6 @@ def _run(selected, seed, trials, n_range, tolerance) -> list[ClaimReport]:
     SimplexSamplerConfig(seed, n_min, trials)  # the sampler's seed rule, for every claim
     inequalities = [_Inequality(c, tolerance) for c in selected if c.kind == "inequality"]
     maximizers = [_Maximizer(c, tolerance) for c in selected if c.kind == "maximizer"]
-    negated_uniform = {}  # n -> measures of negate(uniform(n))
 
     fixtures = {}  # probs -> (its point, measures of it and of its negation)
     for tally in inequalities:
@@ -540,21 +524,33 @@ def _run(selected, seed, trials, n_range, tolerance) -> list[ClaimReport]:
                     p = make_distribution(probs)
                     fixtures[probs] = (p.probs, measure_all(p), measure_all(negate(p)))
                 tally.fixture(*fixtures[probs])
-    for n in range(n_min, n_max + 1) if maximizers else ():
-        points = _probe_points(n)  # points[0] is uniform(n)
-        values = [measure_runs(negate_runs(q)) for q in points]
-        negated_uniform[n] = values[0]
-        for tally in maximizers:
-            tally.probes(n, points, values, negated_uniform)
 
     if inequalities or maximizers:
-        from ._batch import trial_chunks  # numpy loads only when trials are drawn
+        import numpy as np  # numpy loads only when trials are drawn
+
+        from ._batch import trial_chunks
+
+        # Each maximizer's field and its claimed maximum at n, at n - n_min:
+        # ln n for H, else the field of negate(uniform(n)), the first probe.
+        bounds = [(tally, _MEASURE_FIELD[tally.claim.id], np.empty(n_max - n_min + 1))
+                  for tally in maximizers]
+        for n in range(n_min, n_max + 1) if maximizers else ():
+            points = _probe_points(n)  # points[0] is uniform(n)
+            values = [measure_runs(negate_runs(q)) for q in points]
+            for tally, field, bound in bounds:
+                bound[n - n_min] = math.log(n) if field == "H" else getattr(values[0], field)
+                tally._points(
+                    np.array([getattr(after, field) for after in values]),
+                    np.full(len(points), bound[n - n_min]),
+                    lambda i: tuple(chain.from_iterable(repeat(v, c) for v, c in points[i])),
+                )
 
         for chunk in trial_chunks(seed, trials, n_min, n_max):
             for tally in inequalities:
                 tally.trials(chunk)
-            for tally in maximizers:
-                tally.trials(chunk, negated_uniform)
+            for tally, field, bound in bounds:
+                tally._points(chunk.measures("negated")[field], bound[chunk.n - n_min],
+                              chunk.probs)
 
     grid = _limit_grid(n_min, n_max)
     limits = any(c.kind == "limit" for c in selected)

@@ -28,7 +28,7 @@ import sys
 from collections.abc import Iterator
 from dataclasses import dataclass
 
-from .claims import UnknownClaim, check_all, reports_to_json
+from .claims import check_all, reports_to_json
 from .measures import (
     MeasureSet,
     entropy,
@@ -48,13 +48,7 @@ from .negation import (
     negation_steps,
     summary_json,
 )
-from .simplex import (
-    Distribution,
-    DimensionMismatch,
-    NotADistribution,
-    TooFewOutcomes,
-    make_distribution,
-)
+from .simplex import Distribution, NotADistribution, make_distribution
 
 _LN2 = math.log(2.0)
 
@@ -371,8 +365,7 @@ def main(argv=None) -> int:
         code = args.func(args)
         sys.stdout.flush()
         return code
-    except (NotADistribution, TooFewOutcomes, DimensionMismatch, UnknownClaim,
-            ValueError) as exc:
+    except ValueError as exc:  # NotADistribution, UnknownClaim and the rest subclass it
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BrokenPipeError:

@@ -251,13 +251,14 @@ def sample_uniform_simplex(
     return make_distribution((gaps / gaps.sum()).tolist(), renormalize=True)
 
 
-def majorizes(p: Distribution, q: Distribution, slack: float = MAJORIZATION_SLACK) -> bool:
+def majorizes(p: Distribution, q: Distribution) -> bool:
     """True when p majorizes q: every prefix sum of p's entries sorted in
     descending order dominates the corresponding prefix sum of q's.
 
     Both arguments are validated distributions, so the totals already agree.
-    Prefix sums are compared with ``slack`` to keep the predicate stable
-    under float noise; exact comparisons would flip on ~1e-16 differences.
+    Prefix sums are compared with ``MAJORIZATION_SLACK`` to keep the
+    predicate stable under float noise; exact comparisons would flip on
+    ~1e-16 differences.
     """
     if p.n != q.n:
         raise DimensionMismatch(f"sizes differ: {p.n} vs {q.n}")
@@ -268,6 +269,6 @@ def majorizes(p: Distribution, q: Distribution, slack: float = MAJORIZATION_SLAC
     for a, b in zip(ps, qs):
         sum_p += a
         sum_q += b
-        if sum_p < sum_q - slack:
+        if sum_p < sum_q - MAJORIZATION_SLACK:
             return False
     return True

@@ -304,10 +304,11 @@ class TestReports:
 
         from negprob.claims import _Inequality
 
+        after, before = np.array([1.0, 1.0, 0.5, 1.0]), np.array([0.5, 1.0, 1.0, 0.5])
         chunk = SimpleNamespace(
             n=np.array([2, 3, 3, 4]),
-            measures={"negated": {"H": np.array([1.0, 1.0, 0.5, 1.0])},
-                      "p": {"H": np.array([0.5, 1.0, 1.0, 0.5])}}.__getitem__,
+            measures={"negated": {"H": after, "VH": after},
+                      "p": {"H": before, "VH": before}}.__getitem__,
             majorized=np.array([True, False, True, True]),
             probs=lambda i: ("trial", i),
         )
@@ -317,41 +318,46 @@ class TestReports:
         assert tally.counterexample.p == ("trial", 1)
         assert tally.majorization_failures == 1
         assert tally.min_margin == -0.5
-        # Trials with n >= 3 are 1, 2 and 3; H does not rise at 1 and 2.
+        assert (tally.reversible, tally.reversed) == (0, 0)  # C1 reports no reversals
+        tally = _Inequality(claim_by_id("C2"), 1e-9)
+        tally.trials(chunk)
+        assert tally.counterexample.p == ("trial", 2)
+        # Trials with n >= 3 are 1, 2 and 3; VH does not rise at 1 and 2.
         assert (tally.reversible, tally.reversed) == (3, 2)
 
-    def test_maximizer_trial_fold_bounds_each_trial_by_its_n(self):
+    def test_maximizer_trial_fold_bounds_each_trial_by_its_n(self, monkeypatch):
         from types import SimpleNamespace
 
         import numpy as np
 
-        from negprob import measure_all
+        from negprob import _batch
         from negprob._batch import TrialChunk
         from negprob.claims import _Inequality, _Maximizer
 
         ns = [2, 3, 3, 4]
-        chunk = SimpleNamespace(
-            n=np.array(ns),
-            measures={"negated": {"VH": np.array([0.5, 2.5, 3.0, 4.0])}}.__getitem__,
-            per_n=lambda value: np.array([value(n) for n in ns]),
-            probs=lambda i: ("trial", i),
-        )
-        bounds = {n: SimpleNamespace(VH=n - 2.0) for n in ns}  # C8's bound is VH there
-        tally = _Maximizer(claim_by_id("C8"), 1.0)
-        tally.trials(chunk, bounds)
-        # Excesses are 0.5, 1.5, 2.0 and 2.0: trial 1 is the first above the
-        # tolerance, and trial 2 is the first of the two largest.
-        ce = tally.counterexample
-        assert (ce.p, ce.lhs, ce.rhs, ce.margin) == (("trial", 1), 2.5, 1.0, 1.5)
-        assert tally.peak == (2.0, 3.0, ("trial", 2))
+        value = np.array([math.log(n) + x for n, x in zip(ns, (0.5, 1.5, 2.5, 2.5))])
+        chunk = SimpleNamespace(n=np.array(ns), probs=lambda i: ("trial", i),
+                                measures={"negated": {"H": value}}.__getitem__)
+        monkeypatch.setattr(_batch, "trial_chunks", lambda *args: iter([chunk]))
+        report = check_claim("C7", trials=4, n_range=(2, 4), tolerance=1.0)
+        # C7's bound at n is ln n. No probe has a positive excess; trial 1
+        # is the first above the tolerance and the peak is the first of the
+        # largest excesses.
+        excess = [v - math.log(n) for v, n in zip(value.tolist(), ns)]
+        ce = report.counterexample
+        assert (ce.p, ce.lhs, ce.rhs, ce.margin) == (
+            ("trial", 1), value[1], math.log(3), excess[1])
+        peak = excess.index(max(excess))
+        assert report.observed == {"max_excess": excess[peak], "argmax_value": value[peak],
+                                   "argmax_p": ["trial", peak]}
+        monkeypatch.undo()
 
         # A real chunk hands both kinds of claim one tuple for one trial.
         chunk = TrialChunk(7, 0, [3, 4, 5])
-        negated_uniform = {n: measure_all(negate(uniform(n))) for n in (3, 4, 5)}
         inequality = _Inequality(claim_by_id("C2"), -math.inf)  # every trial violates
         maximizer = _Maximizer(claim_by_id("C8"), -math.inf)
         inequality.trials(chunk)
-        maximizer.trials(chunk, negated_uniform)
+        maximizer._points(chunk.measures("negated")["VH"], np.zeros(3), chunk.probs)
         assert inequality.counterexample.p is maximizer.counterexample.p
         assert inequality.counterexample.p == tuple(chunk.p[:3].tolist())
 

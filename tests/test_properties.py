@@ -19,7 +19,7 @@ import random
 import re
 import tracemalloc
 import types
-from itertools import accumulate
+from itertools import accumulate, chain, repeat
 
 import numpy as np
 import pytest
@@ -787,10 +787,11 @@ class ListInequality(_Inequality):
             majorized = chunk.majorized.tolist()
             self.majorization_failures += majorized.count(False)
             violated = [v or not m for v, m in zip(violated, majorized)]
-        for n, reversed_ in zip(chunk.n.tolist(), (lhs <= rhs).tolist()):
-            if n >= 3:
-                self.reversible += 1
-                self.reversed += reversed_
+        else:
+            for n, reversed_ in zip(chunk.n.tolist(), (lhs <= rhs).tolist()):
+                if n >= 3:
+                    self.reversible += 1
+                    self.reversed += reversed_
         if self.counterexample is None and True in violated:
             i = violated.index(True)
             self._violation(chunk.probs(i), float(lhs[i]), float(rhs[i]))
@@ -867,6 +868,118 @@ def test_columnar_folds_equal_the_list_folds(chunks, tolerance):
             tally._points(np.array(lhs), np.array(rhs), lambda i, k=k: ("chunk", k, i))
         assert repr(vars(got)) == repr(vars(want))
     assert repr(got.observed()) == repr(want.observed())
+
+
+class ReferenceMaximizer(_Maximizer):
+    """The maximizer fold as it was before ``_run`` built bound tables, kept
+    as the reference: each n's probes and each chunk reach ``_points``
+    through ``probes`` and ``trials``, which look the bound up per n."""
+
+    def bound(self, n: int, negated_uniform) -> float:
+        """The claimed maximum at n; negated_uniform[n] measures negate(uniform(n))."""
+        field = _MEASURE_FIELD[self.claim.id]
+        return math.log(n) if field == "H" else getattr(negated_uniform[n], field)
+
+    def probes(self, n, points, values, negated_uniform) -> None:
+        field = _MEASURE_FIELD[self.claim.id]
+        value = np.array([getattr(after, field) for after in values])
+        bound = np.full(len(points), self.bound(n, negated_uniform))
+        self._points(value, bound, lambda i: tuple(
+            chain.from_iterable(repeat(v, c) for v, c in points[i])))
+
+    def trials(self, chunk, negated_uniform) -> None:
+        value = chunk.measures("negated")[_MEASURE_FIELD[self.claim.id]]
+        bound = reference_per_n(chunk, lambda n: self.bound(n, negated_uniform))
+        self._points(value, bound, chunk.probs)
+
+
+def reference_per_n(chunk, value):
+    """value(n) for each trial of n, looked up in a table of the chunk's n."""
+    sizes = [at.shape[1] for _, at in chunk.rows.by_n]  # rising
+    table = np.array([value(n) for n in sizes])
+    return table[np.searchsorted(sizes, chunk.n)]
+
+
+MEASURE_TRIPLES = st.tuples(FOLD_FLOATS, FOLD_FLOATS, FOLD_FLOATS)  # H, VH, VJ
+
+
+@st.composite
+def maximizer_inputs(draw):
+    """An n range of one to four sizes, the measures of one to three probe
+    points for each n (the first standing for negate(uniform(n))), and
+    one to three chunks of one to five trials of any n in the range, so
+    a chunk's n may wrap."""
+    n_min = draw(st.integers(2, 4))
+    n_max = n_min + draw(st.integers(0, 3))
+    probes = {n: draw(st.lists(MEASURE_TRIPLES, min_size=1, max_size=3))
+              for n in range(n_min, n_max + 1)}
+    chunks = []
+    for _ in range(draw(st.integers(1, 3))):
+        size = draw(st.integers(1, 5))
+        chunks.append((draw(st.lists(st.integers(n_min, n_max), min_size=size, max_size=size)),
+                       draw(st.lists(MEASURE_TRIPLES, min_size=size, max_size=size))))
+    return n_min, n_max, probes, chunks
+
+
+def fake_maximizer_chunk(k, ns, triples):
+    rows = Rows(ns)
+    columns = dict(zip(("H", "VH", "VJ"), np.array(triples, dtype=float).T))
+    return types.SimpleNamespace(n=rows.ns, rows=rows, probs=lambda i: ("chunk", k, i),
+                                 measures={"negated": columns}.__getitem__)
+
+
+@SETTINGS
+@given(maximizer_inputs(), st.sampled_from([1e-9, 0.5]))
+# Ties across n: VH excess 1.0 at n = 2 and at n = 3; the n = 2 probe stays the peak.
+@example((2, 3, {2: [(0.0, 0.0, 0.0), (0.0, 1.0, 1.0)], 3: [(0.0, 0.0, 0.0), (0.0, 1.0, 1.0)]},
+          [([3, 2], [(0.0, 0.5, 0.5), (0.0, 0.5, 0.5)])]), 0.5)
+# Ties across the probe/trial boundary: a trial equals the probe peak.
+@example((3, 3, {3: [(0.0, 0.0, 0.0), (0.0, 1.0, -1.0)]},
+          [([3], [(1.0, 1.0, -1.0)]), ([3, 3], [(0.0, 1.0, 0.0), (0.0, -1.0, 1.0)])]), 1e-9)
+# A violation among the probes, then a larger one among the trials.
+@example((2, 2, {2: [(0.5, 0.5, 0.5), (1.0, 1.0, 1.0)]},
+          [([2, 2], [(0.0, 0.0, 0.0), (2.0, 2.0, 2.0)])]), 0.5)
+# A chunk whose n wraps from n_max to n_min, with the bounds of each n apart.
+@example((2, 4, {2: [(0.0, 0.0, -1.0)], 3: [(0.0, 0.5, 0.0)], 4: [(0.0, 1.0, 1.0)]},
+          [([3, 4, 2, 3], [(1.5, 1.2, 0.5), (1.5, 1.2, 0.5), (1.5, 1.2, 0.5), (2.0, 2.0, 2.0)])]),
+         0.5)
+def test_maximizer_fold_with_bound_tables_equals_the_per_n_fold(inputs, tolerance):
+    from negprob import claims
+
+    n_min, n_max, probes, chunks = inputs
+    trials = sum(len(ns) for ns, _ in chunks)
+    measured = {("probe", n, j): types.SimpleNamespace(H=h, VH=vh, VJ=vj)
+                for n, triples in probes.items() for j, (h, vh, vj) in enumerate(triples)}
+
+    def probe_points(n):  # each probe is one run of one token
+        return [[(("probe", n, j), 1)] for j in range(len(probes[n]))]
+
+    def fake_chunks(*args):
+        return (fake_maximizer_chunk(k, ns, triples) for k, (ns, triples) in enumerate(chunks))
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(claims, "_probe_points", probe_points)
+        patch.setattr(claims, "negate_runs", lambda runs: runs)
+        patch.setattr(claims, "measure_runs", lambda runs: measured[runs[0][0]])
+        patch.setattr(batch, "trial_chunks", fake_chunks)
+        got = claims.check_all(seed=0, trials=trials, n_range=(n_min, n_max),
+                               tolerance=tolerance, claim_ids=("C7", "C8", "C9"))
+
+    tallies = [ReferenceMaximizer(claim_by_id(c), tolerance) for c in ("C7", "C8", "C9")]
+    negated_uniform = {}
+    for n in range(n_min, n_max + 1):
+        points = probe_points(n)
+        values = [measured[q[0][0]] for q in points]
+        negated_uniform[n] = values[0]
+        for tally in tallies:
+            tally.probes(n, points, values, negated_uniform)
+    for chunk in fake_chunks():
+        for tally in tallies:
+            tally.trials(chunk, negated_uniform)
+    want = [claims._report(t.claim, 0, trials, tolerance, t.counterexample, t.observed())
+            for t in tallies]
+    # repr tells -0.0 from 0.0 and a numpy scalar from a float.
+    assert repr(got) == repr(want)
 
 
 @pytest.mark.parametrize("margins, kept", [((0.0, -0.0), "0.0"), ((-0.0, 0.0), "-0.0")])
