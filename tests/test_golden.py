@@ -29,6 +29,9 @@ CONFIGS = {
     "seed7_n60-70": ["--seed", "7", "--trials", "20", "--n-min", "60", "--n-max", "70"],
     "seed11_n999-1002": ["--seed", "11", "--trials", "3",
                          "--n-min", "999", "--n-max", "1002"],
+    # Across n = 100, where 1/n reaches the 1e-2 probe step: n = 95..100
+    # take three probes, n = 101..105 two.
+    "seed13_n95-105": ["--seed", "13", "--trials", "33", "--n-min", "95", "--n-max", "105"],
     # Two-word seeds: the largest 64-bit seed over many trials, and the
     # smallest seed that needs a second 32-bit word.
     "seed18446744073709551615_n2-8": ["--seed", "18446744073709551615",
