@@ -25,6 +25,10 @@ array and is the same float operation as its scalar reference:
 - ``majorizes_rows`` decides all rows of one n together: ``np.sort``
   along the rows, a reversed view, and ``cumsum`` along the rows, which
   adds each row's prefix sums left to right like ``majorizes``.
+- ``ProbeBlock`` builds the maximizer probes of consecutive n as rows of
+  (value, count) runs, and takes the scalar run code's steps on all of
+  them at once; each ``fsum_runs`` is ``Rows.fsums`` of the run's exact
+  split parts (``run_parts``).
 
 numpy's SIMD ``log`` is never used: it differs from ``math.log`` in the
 last bit on a fraction of inputs. ``np.log`` of a reversed view runs
@@ -36,18 +40,26 @@ detail, so ``log_kernel`` takes that path only when it gives
 ``math.log`` entry by entry otherwise. The properties in
 tests/test_properties.py pin every function here against its reference.
 This module imports numpy, so it is imported only when trials are
-sampled.
+sampled or probes measured.
 """
 
 from __future__ import annotations
 
 from functools import cache, cached_property
+from itertools import chain, repeat
 from math import fsum, inf, log
 
 import numpy as np
 
-from .measures import VARENTROPY_CLAMP
-from .simplex import MAJORIZATION_SLACK, SUM_TOLERANCE, make_distribution
+from .measures import VARENTROPY_CLAMP, measure_runs
+from .negation import negate_runs
+from .simplex import (
+    _SPLITTER,
+    MAJORIZATION_SLACK,
+    SUM_TOLERANCE,
+    make_distribution,
+    make_distribution_runs,
+)
 
 # Entries (trials x n) evaluated together; n near 10^4 gives one trial per chunk.
 CHUNK_ENTRIES = 2**14
@@ -662,10 +674,178 @@ def measure_rows(values, rows: Rows):
     t1 = rows.fsums(qs * lqs)
     lqs *= lqs
     t2 = rows.fsums(qs * lqs)
+    return _measure_fields(s1, s2, t1, t2)
+
+
+def _measure_fields(s1, s2, t1, t2):
+    """H, VH and VJ from the sums of p ln p, p (ln p)^2, q ln q and
+    q (ln q)^2, q = 1 - p, with ``measure_all``'s operations."""
     vh = s2 - s1 * s1
     vh[(-VARENTROPY_CLAMP < vh) & (vh < 0.0)] = 0.0
     # 0.0 - s1 equals measure_all's -s1 + 0.0, zeros included.
     return 0.0 - s1, vh, t2 - t1 * t1
+
+
+def probe_runs(n: int) -> list[list[tuple[float, int]]]:
+    """The maximizer probes of n as runs, built by the scalar run code:
+    uniform(n), then uniform + eps*(e_0 - e_1) for each eps in (1e-3,
+    1e-2) with eps <= 1/n (1/(2n) when neither is), renormalised. This is
+    the reference ``ProbeBlock`` reproduces, and its fallback.
+
+    The (0, 1) pair stands for every pair (i, j): see the ``claims``
+    module docstring.
+    """
+    u = 1.0 / n
+    points = [make_distribution_runs([(u, n)])]
+    for eps in [e for e in (1e-3, 1e-2) if e <= u] or [u / 2.0]:
+        runs = [(u + eps, 1), (u - eps, 1), (u, n - 2)]
+        points.append(make_distribution_runs(runs, renormalize=True))
+    return points
+
+
+# Each n has uniform(n) and one or two perturbed probes.
+_MAX_PROBES = 3
+# A probe is at most three runs, and each run enters an fsum as two parts.
+_PROBE_RUNS = 3
+# The sums taken for each probe in one Rows.fsums call: the point's and its
+# negation's (the validations), then s1, s2, t1 and t2 of the negation.
+_PROBE_SUMS = 6
+# Consecutive n whose probes are evaluated together: a block's sums hold at
+# most CHUNK_ENTRIES parts.
+PROBE_BLOCK_N = max(1, CHUNK_ENTRIES // (_MAX_PROBES * _PROBE_SUMS * 2 * _PROBE_RUNS))
+
+
+def run_parts(values, counts):
+    """The parts whose ``fsum`` is ``fsum_runs`` of each row of runs, bit for
+    bit, as rows of two parts per run, for float arrays of values and
+    counts that broadcast to the values' shape; each count is below 2**26,
+    as every n <= 10**4 is.
+
+    A run of count 1 enters as its value, any other run as count * hi and
+    count * lo, hi + lo being the value's Veltkamp split, which is exact
+    (see ``simplex.fsum_runs``). ``fsum_runs`` takes a zero's copies as one
+    zero and skips an empty run, where these parts are zeros: that moves
+    no nonzero sum, and ``fsum`` gives +0.0 for every zero sum, as
+    ``Rows.fsums`` does by handing those rows to it.
+    """
+    hi = values * _SPLITTER
+    hi -= hi - values
+    lo = values - hi
+    parts = np.empty(values.shape + (2,))
+    np.multiply(counts, hi, out=parts[..., 0])
+    np.multiply(counts, lo, out=parts[..., 1])
+    single = counts == 1.0
+    np.copyto(parts[..., 0], values, where=single)
+    np.copyto(parts[..., 1], 0.0, where=single)
+    return parts.ravel()
+
+
+class ProbeBlock:
+    """The maximizer probes of consecutive n, in (n, point) order, with the
+    H, VH and VJ of each probe's negation: bitwise ``measure_runs(
+    negate_runs(q))`` for q in ``probe_runs(n)``, and each probe's runs
+    those of ``probe_runs``.
+
+    ``ns`` holds the block's n, ``n`` each probe's n, ``uniform`` the
+    index of each n's first probe, uniform(n), and ``measures`` the three
+    columns by field name. ``probs(i)`` is the tuple of the i-th probe,
+    one object for every claim that reports it.
+
+    Each probe is a row of three (value, count) runs, uniform(n) being
+    (1/n, n) beside two empty runs of 1/n. The rows take the scalar run
+    code's IEEE steps as columns: the probe values, the renormalisation,
+    ``make_distribution_runs``' checks of the point and of its negation
+    (1 - v)/(n - 1), the ``log_kernel`` logs and the measures' term
+    products. Every ``fsum_runs`` is ``Rows.fsums`` of the row's
+    ``run_parts``: one call for the renormalisation totals, one for the
+    two validation sums and the four measure sums of every probe. When a
+    check fails, the scalar run code builds the whole block instead, probe
+    by probe, and raises its usual error.
+    """
+
+    def __init__(self, ns):
+        self.ns = np.asarray(ns)
+        u = 1.0 / self.ns
+        # Each n's probes: uniform (eps 0), eps 1e-3 or else 1/(2n), and eps
+        # 1e-2 where it fits.
+        eps = np.zeros((len(u), _MAX_PROBES))
+        eps[:, 1] = np.where(1e-3 <= u, 1e-3, u / 2.0)
+        eps[:, 2] = 1e-2
+        fits = np.ones(eps.shape, bool)
+        fits[:, 2] = 1e-2 <= u
+        per_n = fits.sum(axis=1)
+        self.n = np.repeat(self.ns, per_n)
+        self.uniform = np.cumsum(per_n) - per_n
+        self._runs = None
+        self._points = {}
+        if not self._columns(np.repeat(u, per_n), eps[fits]):
+            self._runs = [q for n in self.ns.tolist() for q in probe_runs(n)]
+            measured = [measure_runs(negate_runs(q)) for q in self._runs]
+            self.measures = {field: np.array([getattr(m, field) for m in measured])
+                             for field in ("H", "VH", "VJ")}
+
+    def _columns(self, u, eps) -> bool:
+        """Build the probes of each u = 1/n and eps as columns; False when a
+        check fails."""
+        values = np.empty((len(u), _PROBE_RUNS))
+        np.add(u, eps, out=values[:, 0])
+        np.subtract(u, eps, out=values[:, 1])
+        values[:, 2] = u
+        counts = np.ones(values.shape)
+        counts[:, 2] = self.n - 2.0
+        counts[self.uniform] = 0.0
+        counts[self.uniform, 0] = self.ns
+        if not (values.min() >= 0.0 and values.max() <= 1.0):  # False on nan
+            return False
+        rows = Rows(np.full(len(u), 2 * _PROBE_RUNS))
+        totals = rows.fsums(run_parts(values, counts))
+        if not totals.min() > 0.0:
+            return False
+        totals[self.uniform] = 1.0  # uniform(n) is not renormalised
+        terms = np.empty((_PROBE_SUMS,) + values.shape)
+        point, negated, s1, s2, t1, t2 = terms
+        np.divide(values, totals[:, None], out=point)
+        np.subtract(1.0, point, out=negated)
+        negated /= (self.n - 1.0)[:, None]
+        if not (point.max() <= 1.0 and negated.min() >= 0.0 and negated.max() <= 1.0):
+            return False
+        logs = np.empty((2,) + values.shape)
+        logs[0] = negated
+        qs = np.subtract(1.0, negated, out=logs[1])
+        lps, lqs = log_kernel(np.where(logs > 0.0, logs, 1.0).ravel()).reshape(logs.shape)
+        np.multiply(negated, lps, out=s1)
+        lps *= lps
+        np.multiply(negated, lps, out=s2)
+        np.multiply(qs, lqs, out=t1)
+        lqs *= lqs
+        np.multiply(qs, lqs, out=t2)
+        rows = Rows(np.full(_PROBE_SUMS * len(u), 2 * _PROBE_RUNS))
+        sums = rows.fsums(run_parts(terms, counts)).reshape(_PROBE_SUMS, -1)
+        if not np.abs(sums[:2] - 1.0).max() <= SUM_TOLERANCE:
+            return False
+        self._values, self._counts = point, counts.astype(int)
+        self.measures = dict(zip(("H", "VH", "VJ"), _measure_fields(*sums[2:])))
+        return True
+
+    def runs(self, i: int) -> list[tuple[float, int]]:
+        """The i-th probe as (value, count) runs."""
+        if self._runs is not None:
+            return self._runs[i]
+        return list(zip(self._values[i].tolist(), self._counts[i].tolist()))
+
+    def probs(self, i: int) -> tuple[float, ...]:
+        """The i-th probe's probabilities, built on the first call and then
+        the same tuple on every call."""
+        if i not in self._points:
+            self._points[i] = tuple(chain.from_iterable(repeat(v, c) for v, c in self.runs(i)))
+        return self._points[i]
+
+
+def probe_blocks(n_min, n_max):
+    """``ProbeBlock``s of n_min, n_min + 1, ..., n_max in order, each of at
+    most ``PROBE_BLOCK_N`` consecutive n."""
+    for n in range(n_min, n_max + 1, PROBE_BLOCK_N):
+        yield ProbeBlock(np.arange(n, min(n + PROBE_BLOCK_N, n_max + 1)))
 
 
 class TrialChunk:
@@ -675,7 +855,8 @@ class TrialChunk:
     value is computed the first time a claim reads it and then kept for
     the chunk's life, so a chunk does only the work its readers need:
     ``negated`` (the negation of each sample), ``majorized``
-    (``majorizes(p, negate(p))`` of each trial), ``measures(kind)`` and
+    (``majorizes(p, negate(p))`` of each trial), ``reversible``,
+    ``measures(kind)`` and
     ``probs(i)``, the tuple of the i-th trial's sample, one object for
     every claim that reports it.
     """
@@ -694,6 +875,14 @@ class TrialChunk:
     @cached_property
     def majorized(self):
         return majorizes_rows(self.p, self.negated, self.rows)
+
+    @cached_property
+    def reversible(self):
+        """Which trials have n >= 3, where negation cannot be undone, as a
+        bool array, and how many: read by every claim that counts
+        reversals."""
+        mask = self.n >= 3
+        return mask, int(np.count_nonzero(mask))
 
     def measures(self, kind):
         """The columns of H, VH and VJ, by field name, of each trial's

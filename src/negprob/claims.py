@@ -20,11 +20,15 @@ maximizer (C7-C9)
     One pair stands for all pairs: every uniform + eps*(e_i - e_j) is a
     permutation of the (0, 1) probe, the measures are symmetric, and
     ``math.fsum`` is exactly rounded, so every pair at a given eps has the
-    same value bit for bit. Each random trial then adds its sample as one
-    point. Probes and trials go through one fold, ``_Maximizer._points``,
+    same value bit for bit. The probes are measured block by block
+    (``_batch.ProbeBlock``, consecutive n at a time), and each random
+    trial then adds its sample as one point. Probes and trials go through
+    one fold, ``_Maximizer._points``, once per block and per chunk,
     against one bound table per claim, indexed by n - n_min and filled
-    from the probes: ln n for C7, and for C8 and C9 the measure of
-    negate(uniform(n)), the first probe negated.
+    from the probes: ln n for C7 (``math.log``'s bits), and for C8 and C9
+    the measure of negate(uniform(n)), each n's first probe negated.
+    Folding a block's probes in (n, point) order at once keeps the same
+    first strict maximum and first violation as folding them n by n.
 
 Verdicts report what the formulas actually do. With default settings C1,
 C4, C5 and C7 come out CONFIRMED while C2, C3, C6, C8 and C9 come out
@@ -76,18 +80,25 @@ Points with few distinct entries are held as (value, count) runs and
 measured by ``measures.measure_runs`` in O(1) per point, bitwise equal to
 ``measure_all`` of the expanded tuple (see ``simplex.fsum_runs`` for the
 exact split products). The limit grid's uniform(n) is one run. Each
-maximizer probe is three runs, renormalised and validated run by run by
-``simplex.make_distribution_runs``, with ``make_distribution``'s rules,
-and negated by ``negation.negate_runs``; its tuple is built only when the
-point becomes a counterexample or the running peak.
+maximizer probe is a row of three runs in a block's columns: the block
+takes ``simplex.make_distribution_runs``' renormalisation and checks,
+``negation.negate_runs`` and ``measure_runs`` as the same IEEE
+operations on all its probes at once, and every run sum as ``fsum`` of
+the split parts, by ``_batch.Rows.fsums``. A block that fails a check is
+built by that scalar run code instead (``_batch.probe_runs``), which
+raises its usual error. A probe's tuple is built only when the point
+becomes a counterexample or the running peak, once per block, so every
+claim that reports it gets the same tuple.
 
 A report line has one writer, ``ClaimReport.to_json``: the compact JSON
 of ``to_json_obj()``, put together from ``json``'s encodings of its parts
 in the same key order, so every number is still formatted by ``json``.
-It saves formatting work only. Claims that report the same fixture or
-trial point (C2 and C3 often do) get the same tuple, from ``_run``'s
-fixture map or the chunk's ``probs``, and
-``reports_to_json`` formats each distinct tuple once per call; a point of
+It saves formatting work only. Claims that report the same fixture,
+probe or trial point (C2 and C3 often do) get the same tuple, from
+``_run``'s fixture map, the block's or the chunk's ``probs``, and a
+maximizer's report keeps its peak's tuple as ``argmax_point``.
+``reports_to_json`` formats each distinct tuple once per call, whether
+it is a counterexample or an ``argmax_p``; a point of
 n equal entries, such as uniform(n) in a limit claim's counterexample, is
 one formatted value repeated n times. ``reports_to_json`` joins the pieces
 of all lines at once, so a long point's text is not first copied into a
@@ -98,17 +109,13 @@ from __future__ import annotations
 
 import json
 import math
+import dataclasses
 from dataclasses import dataclass
-from itertools import chain, repeat
+from operator import is_
 
 from .measures import measure_all, measure_runs
-from .negation import negate, negate_runs
-from .simplex import (
-    SimplexSamplerConfig,
-    make_distribution,
-    make_distribution_runs,
-    uniform,
-)
+from .negation import negate
+from .simplex import SimplexSamplerConfig, make_distribution, uniform
 
 CONFIRMED = "CONFIRMED"
 REFUTED = "REFUTED"
@@ -241,6 +248,9 @@ class ClaimReport:
     tolerance: float
     counterexample: Counterexample | None
     observed: dict | None
+    # A maximizer's reported peak, the tuple whose entries observed["argmax_p"]
+    # lists, so that the writer formats a point it shares with other reports once.
+    argmax_point: tuple | None = dataclasses.field(default=None, repr=False, compare=False)
 
     def to_json_obj(self) -> dict:
         """The report as a JSON object; ``to_json`` writes the text of its
@@ -266,11 +276,12 @@ class ClaimReport:
     def _pieces(self, point_texts: dict) -> list[str]:
         """The pieces of text that join into ``json.dumps(self.to_json_obj(),
         separators=(",", ":"))``: the same keys and values, encoded by the
-        same encoder in the same order, with the counterexample's point put
-        in as text. point_texts maps id(p) to (p, the text of p) for every
-        point already formatted, so a point that several reports share is
-        formatted once; holding p keeps its id from being reused while the
-        map lives."""
+        same encoder in the same order, with the counterexample's point and
+        the peak's ``argmax_point`` put in as text. point_texts maps id(p) to
+        (p, the text of p) for every point already formatted, so a point
+        that several reports share, or one report as both, is formatted
+        once; holding p keeps its id from being reused while the map
+        lives."""
         head = _compact_json({
             "claim": self.claim_id,
             "verdict": self.verdict,
@@ -283,14 +294,29 @@ class ClaimReport:
         if ce is None:
             line.append("null")
         else:
-            if id(ce.p) not in point_texts:
-                point_texts[id(ce.p)] = (ce.p, _point_json(ce.p))
             numbers = _compact_json({"lhs": ce.lhs, "rhs": ce.rhs, "margin": ce.margin})
-            line += ['{"p":', point_texts[id(ce.p)][1], ",", numbers[1:]]
-        if self.observed is not None:
-            line += [',"observed":', _compact_json(self.observed)]
+            line += ['{"p":', _point_text(ce.p, point_texts), ",", numbers[1:]]
+        observed, peak = self.observed, self.argmax_point
+        if observed is not None:
+            line.append(',"observed":')
+            if (peak is not None and list(observed) == ["max_excess", "argmax_value", "argmax_p"]
+                    and len(observed["argmax_p"]) == len(peak)
+                    and all(map(is_, observed["argmax_p"], peak))):  # it lists peak's entries
+                numbers = _compact_json({"max_excess": observed["max_excess"],
+                                         "argmax_value": observed["argmax_value"]})
+                line += [numbers[:-1], ',"argmax_p":', _point_text(peak, point_texts), "}"]
+            else:
+                line.append(_compact_json(observed))
         line.append("}")
         return line
+
+
+def _point_text(p, point_texts: dict) -> str:
+    """``_point_json(p)``, formatted on the first request for p in one
+    point_texts map (see ``ClaimReport._pieces``)."""
+    if id(p) not in point_texts:
+        point_texts[id(p)] = (p, _point_json(p))
+    return point_texts[id(p)][1]
 
 
 def _point_json(p) -> str:
@@ -367,7 +393,7 @@ def check_all(
 # engine internals
 
 
-def _report(claim, seed, trials_run, tolerance, counterexample, observed):
+def _report(claim, seed, trials_run, tolerance, counterexample, observed, argmax_point=None):
     return ClaimReport(
         claim_id=claim.id,
         verdict=REFUTED if counterexample is not None else CONFIRMED,
@@ -376,6 +402,7 @@ def _report(claim, seed, trials_run, tolerance, counterexample, observed):
         tolerance=tolerance,
         counterexample=counterexample,
         observed=observed,
+        argmax_point=argmax_point,
     )
 
 
@@ -411,8 +438,8 @@ class _Inequality:
             violated |= ~chunk.majorized
             self.majorization_failures += len(chunk.majorized) - int(chunk.majorized.sum())
         else:  # C1 reports majorization failures, the others their reversals
-            reversible = chunk.n >= 3
-            self.reversible += int(reversible.sum())
+            reversible, count = chunk.reversible
+            self.reversible += count
             self.reversed += int((reversible & (lhs <= rhs)).sum())
         i = int(violated.argmax())  # the first violation, when there is one
         if self.counterexample is None and violated[i]:
@@ -472,27 +499,14 @@ class _Maximizer:
         }
 
 
-def _probe_points(n: int) -> list[list[tuple[float, int]]]:
-    """Uniform, then uniform + eps*(e_0 - e_1) for each probe eps, as
-    runs: the perturbed pair and n - 2 entries of 1/n, renormalised.
-
-    The (0, 1) pair stands for every pair (i, j): see the module docstring.
-    """
-    u = 1.0 / n
-    points = [make_distribution_runs([(u, n)])]
-    for eps in [e for e in (1e-3, 1e-2) if e <= u] or [u / 2.0]:
-        runs = [(u + eps, 1), (u - eps, 1), (u, n - 2)]
-        points.append(make_distribution_runs(runs, renormalize=True))
-    return points
-
-
 def _run(selected, seed, trials, n_range, tolerance) -> list[ClaimReport]:
     """Reports for the selected claims, in the order given: fixtures and
     probes first, then one pass over the trials in chunks. Each chunk draws
     its trials once, and negates, measures and checks them only as far as
     the selected claims read, once for all of them. Claims that report the
-    same fixture or trial point get the same tuple (a trial's from
-    ``TrialChunk.probs``), so ``reports_to_json`` formats it once."""
+    same fixture, probe or trial point get the same tuple (a probe's from
+    ``ProbeBlock.probs``, a trial's from ``TrialChunk.probs``), so
+    ``reports_to_json`` formats it once."""
     try:
         n_min, n_max = n_range
     except (TypeError, ValueError):
@@ -528,22 +542,17 @@ def _run(selected, seed, trials, n_range, tolerance) -> list[ClaimReport]:
     if inequalities or maximizers:
         import numpy as np  # numpy loads only when trials are drawn
 
-        from ._batch import trial_chunks
+        from ._batch import log_kernel, probe_blocks, trial_chunks
 
         # Each maximizer's field and its claimed maximum at n, at n - n_min:
-        # ln n for H, else the field of negate(uniform(n)), the first probe.
+        # ln n for H, else the field of negate(uniform(n)), each n's first probe.
         bounds = [(tally, _MEASURE_FIELD[tally.claim.id], np.empty(n_max - n_min + 1))
                   for tally in maximizers]
-        for n in range(n_min, n_max + 1) if maximizers else ():
-            points = _probe_points(n)  # points[0] is uniform(n)
-            values = [measure_runs(negate_runs(q)) for q in points]
+        for block in probe_blocks(n_min, n_max) if maximizers else ():
             for tally, field, bound in bounds:
-                bound[n - n_min] = math.log(n) if field == "H" else getattr(values[0], field)
-                tally._points(
-                    np.array([getattr(after, field) for after in values]),
-                    np.full(len(points), bound[n - n_min]),
-                    lambda i: tuple(chain.from_iterable(repeat(v, c) for v, c in points[i])),
-                )
+                bound[block.ns - n_min] = (log_kernel(block.ns.astype(float)) if field == "H"
+                                           else block.measures[field][block.uniform])
+                tally._points(block.measures[field], bound[block.n - n_min], block.probs)
 
         for chunk in trial_chunks(seed, trials, n_min, n_max):
             for tally in inequalities:
@@ -559,7 +568,8 @@ def _run(selected, seed, trials, n_range, tolerance) -> list[ClaimReport]:
     return [
         _check_limit(c, seed, tolerance, grid, at_uniform) if c.kind == "limit"
         else _report(c, seed, trials, tolerance, tallies[c.id].counterexample,
-                     tallies[c.id].observed())
+                     tallies[c.id].observed(),
+                     tallies[c.id].peak[2] if c.kind == "maximizer" else None)
         for c in selected
     ]
 

@@ -305,8 +305,9 @@ class TestReports:
         from negprob.claims import _Inequality
 
         after, before = np.array([1.0, 1.0, 0.5, 1.0]), np.array([0.5, 1.0, 1.0, 0.5])
+        ns = np.array([2, 3, 3, 4])
         chunk = SimpleNamespace(
-            n=np.array([2, 3, 3, 4]),
+            n=ns, reversible=(ns >= 3, 3),
             measures={"negated": {"H": after, "VH": after},
                       "p": {"H": before, "VH": before}}.__getitem__,
             majorized=np.array([True, False, True, True]),

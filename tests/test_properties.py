@@ -12,6 +12,7 @@ writer builds each line from pieces and must give the text of
 """
 
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -45,6 +46,8 @@ import negprob._batch as batch
 from negprob._batch import (
     CHUNK_ENTRIES,
     LOG_WITNESS_HEAD,
+    PROBE_BLOCK_N,
+    ProbeBlock,
     Rows,
     ZIGGURAT_MAX_N,
     derive_ziggurat,
@@ -59,6 +62,9 @@ from negprob._batch import (
     measure_rows,
     pcg64_outputs,
     pcg64_seeds,
+    probe_blocks,
+    probe_runs,
+    run_parts,
     sample_rows,
     strided_logs,
     ziggurat_draws,
@@ -66,6 +72,7 @@ from negprob._batch import (
 )
 from negprob.claims import (
     CLAIMS,
+    MAX_OUTCOMES,
     CONFIRMED,
     REFUTED,
     VACUOUS,
@@ -74,7 +81,7 @@ from negprob.claims import (
     _MEASURE_FIELD,
     _Inequality,
     _Maximizer,
-    _probe_points,
+    check_all,
     claim_by_id,
     reports_to_json,
 )
@@ -205,7 +212,7 @@ def reference_probe_points(n):
 @SETTINGS
 @given(st.one_of(st.integers(2, 40), st.integers(2, 10_000), st.integers(9_990, 10_000)))
 def test_probe_points_as_runs_equal_the_points_built_entry_by_entry(n):
-    points = _probe_points(n)
+    points = probe_runs(n)
     reference = reference_probe_points(n)
     assert len(points) == len(reference)
     for point, want in zip(points, reference):
@@ -216,6 +223,143 @@ def test_probe_points_as_runs_equal_the_points_built_entry_by_entry(n):
         got, want_negated = measure_runs(negated), measure_all(negate(want))
         assert [x.hex() for x in got.as_dict().values()] == [
             x.hex() for x in want_negated.as_dict().values()]
+
+
+# Terms a run sum takes: measure terms are at most 1 in magnitude and of
+# either sign, and -0.0 is one of them.
+SIGNED_RUN_VALUES = st.one_of(RUN_VALUES, RUN_VALUES.map(lambda v: -v))
+
+
+@SETTINGS
+@given(st.lists(st.lists(st.tuples(SIGNED_RUN_VALUES, st.one_of(st.integers(0, 3),
+                                                                 st.integers(0, 10_000))),
+                         min_size=3, max_size=3), min_size=1, max_size=8))
+@example([[(0.1, 1), (-0.0, 5), (0.3, 0)]])  # a count-1 run, a zero's copies, an empty run
+@example([[(-0.0, 1), (0.0, 0), (-0.0, 2)]])  # a zero sum of negative zeros is +0.0
+@example([[(5e-324, 3), (1.0, 10_000), (-1.0, 9_999)]])  # far apart, nearly cancelling
+def test_run_parts_sum_to_fsum_runs(rows):
+    values = np.array([[v for v, _ in row] for row in rows])
+    counts = np.array([[c for _, c in row] for row in rows], dtype=float)
+    sums = Rows(np.full(len(rows), 6)).fsums(run_parts(values, counts))
+    assert [x.hex() for x in sums.tolist()] == [fsum_runs(row).hex() for row in rows]
+
+
+def bits(values):
+    return np.asarray(values, dtype=float).view(np.int64).tolist()
+
+
+def scalar_probes(n):
+    """Each probe of n as its runs without empty ones, and the H, VH and VJ
+    of its negation, by the scalar run code."""
+    return [([(v, c) for v, c in q if c], measure_runs(negate_runs(q))) for q in probe_runs(n)]
+
+
+def test_probe_blocks_equal_the_scalar_run_code_for_every_n():
+    n_max = MAX_OUTCOMES
+    seen = []
+    for block in probe_blocks(2, n_max):
+        assert len(block.ns) <= PROBE_BLOCK_N
+        assert block._runs is None  # built as columns, not by the fallback
+        assert block.ns.tolist() == list(range(block.ns[0], block.ns[-1] + 1))
+        i = 0
+        for k, n in enumerate(block.ns.tolist()):
+            assert block.uniform[k] == i  # each n's first probe is uniform(n)
+            for runs, measured in scalar_probes(n):
+                assert block.n[i] == n
+                assert [(bits(v), c) for v, c in block.runs(i) if c] == [
+                    (bits(v), c) for v, c in runs]
+                for field in ("H", "VH", "VJ"):
+                    assert bits(block.measures[field][i]) == bits(getattr(measured, field))
+                i += 1
+        assert i == len(block.n)
+        seen += block.ns.tolist()
+    assert seen == list(range(2, n_max + 1))
+
+
+@pytest.mark.parametrize("n", [2, 3, 100, 101, 1000, 1001, 9999, 10_000])
+def test_probe_tuples_equal_the_scalar_points(n):
+    block = ProbeBlock([n])
+    points = probe_runs(n)
+    assert len(block.n) == len(points) == (3 if n <= 100 else 2)
+    for i, q in enumerate(points):
+        want = tuple(chain.from_iterable(repeat(v, c) for v, c in q))
+        assert bits(block.probs(i)) == bits(want)
+        assert block.probs(i) is block.probs(i)
+        measured = measure_runs(negate_runs(q))
+        for field in ("H", "VH", "VJ"):
+            assert bits(block.measures[field][i]) == bits(getattr(measured, field))
+
+
+def test_a_probe_block_that_fails_a_check_is_built_by_the_scalar_run_code(monkeypatch):
+    import negprob.simplex as simplex
+
+    ns = np.arange(95, 105)
+    want = ProbeBlock(ns)
+    # No sum is within a negative tolerance of 1: the columnar checks fail
+    # and the scalar run code, whose checks still pass, builds the block.
+    monkeypatch.setattr(batch, "SUM_TOLERANCE", -1.0)
+    got = ProbeBlock(ns)
+    assert got._runs is not None
+    assert [bits(got.probs(i)) for i in range(len(got.n))] == [
+        bits(want.probs(i)) for i in range(len(want.n))]
+    for field in ("H", "VH", "VJ"):
+        assert bits(got.measures[field]) == bits(want.measures[field])
+    # When the scalar checks fail too, the engine raises the scalar error.
+    monkeypatch.setattr(simplex, "SUM_TOLERANCE", -1.0)
+    with pytest.raises(ValueError) as scalar:
+        probe_runs(95)
+    with pytest.raises(type(scalar.value), match=re.escape(str(scalar.value))):
+        check_all(seed=0, trials=1, n_range=(95, 105), claim_ids=["C8"])
+
+
+def test_maximizer_reports_at_wide_n_keep_their_bytes_and_memory():
+    # The sha256 of this call's reports before the probes were built as
+    # columns; tracemalloc's peak was 0.28 MB then, and whole-range columns
+    # would take tens of MB.
+    kwargs = dict(seed=3, trials=20, n_range=(2, MAX_OUTCOMES), claim_ids=("C7", "C8", "C9"))
+    check_all(**kwargs)  # warm-up: first-use tables and imports
+    tracemalloc.start()
+    try:
+        reports = check_all(**kwargs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert hashlib.sha256(reports_to_json(reports).encode()).hexdigest() == (
+        "c1bccd2eef732db444c18e2adef481de5564ecef924b016dd37b77d111ae4e51")
+    assert peak <= 2 * 2**20
+    # C8 and C9 fall to one probe point and peak at one: each is one tuple.
+    c7, c8, c9 = reports
+    assert c8.counterexample.p is c9.counterexample.p
+    assert c8.argmax_point is c9.argmax_point
+
+
+def test_reports_format_each_shared_point_once(monkeypatch):
+    import negprob.claims as claims
+
+    # C8's counterexample and the peaks of C8 and C9 are one trial point.
+    reports = check_all(seed=9001, trials=2, n_range=(9999, 10_000),
+                        claim_ids=("C7", "C8", "C9"))
+    c7, c8, c9 = reports
+    assert c8.counterexample.p is c8.argmax_point is c9.argmax_point
+    assert list(c8.argmax_point) == c8.observed["argmax_p"]
+    formatted = []
+    real = claims._point_json
+    monkeypatch.setattr(claims, "_point_json", lambda p: formatted.append(p) or real(p))
+    text = reports_to_json(reports)
+    assert [id(p) for p in formatted] == [id(c7.argmax_point), id(c8.argmax_point)]
+    assert text == "\n".join(json.dumps(r.to_json_obj(), separators=(",", ":"))
+                             for r in reports)
+
+
+def test_c2_and_c3_read_one_reversible_count_per_chunk():
+    chunk = batch.TrialChunk(7, 0, [2, 3, 4, 2, 5])
+    tallies = [_Inequality(claim_by_id(c), 1e-9) for c in ("C2", "C3")]
+    for tally in tallies:
+        tally.trials(chunk)
+    mask, count = chunk.reversible
+    assert mask.tolist() == [False, True, True, False, True] and count == 3
+    assert [t.reversible for t in tallies] == [3, 3]
+    assert chunk.reversible[0] is mask  # computed once, then kept
 
 
 @SETTINGS
@@ -837,6 +981,7 @@ def fake_chunk(k, columns):
     ns, lhs, rhs, majorized = map(np.array, columns)
     return types.SimpleNamespace(
         n=ns, majorized=majorized.astype(bool), probs=lambda i: ("chunk", k, i),
+        reversible=(ns >= 3, int((ns >= 3).sum())),
         measures={"negated": {"H": lhs, "VH": lhs}, "p": {"H": rhs, "VH": rhs}}.__getitem__)
 
 
@@ -928,22 +1073,38 @@ def fake_maximizer_chunk(k, ns, triples):
                                  measures={"negated": columns}.__getitem__)
 
 
+def fake_probe_block(ns, probes):
+    """A ProbeBlock of the n in ns whose probes are the triples probes[n];
+    probe j of n is the point ("probe", n, j)."""
+    per_n = [len(probes[n]) for n in ns]
+    triples = [t for n in ns for t in probes[n]]
+    columns = dict(zip(("H", "VH", "VJ"), np.array(triples, dtype=float).T))
+    tokens = [("probe", n, j) for n in ns for j in range(len(probes[n]))]
+    return types.SimpleNamespace(
+        ns=np.array(ns), n=np.repeat(ns, per_n), uniform=np.cumsum(per_n) - per_n,
+        measures=columns, probs=lambda i: (tokens[i],))
+
+
 @SETTINGS
-@given(maximizer_inputs(), st.sampled_from([1e-9, 0.5]))
+@given(maximizer_inputs(), st.integers(1, 4), st.sampled_from([1e-9, 0.5]))
 # Ties across n: VH excess 1.0 at n = 2 and at n = 3; the n = 2 probe stays the peak.
 @example((2, 3, {2: [(0.0, 0.0, 0.0), (0.0, 1.0, 1.0)], 3: [(0.0, 0.0, 0.0), (0.0, 1.0, 1.0)]},
-          [([3, 2], [(0.0, 0.5, 0.5), (0.0, 0.5, 0.5)])]), 0.5)
+          [([3, 2], [(0.0, 0.5, 0.5), (0.0, 0.5, 0.5)])]), 1, 0.5)
+# The same tie inside one block.
+@example((2, 3, {2: [(0.0, 0.0, 0.0), (0.0, 1.0, 1.0)], 3: [(0.0, 0.0, 0.0), (0.0, 1.0, 1.0)]},
+          [([3, 2], [(0.0, 0.5, 0.5), (0.0, 0.5, 0.5)])]), 2, 0.5)
 # Ties across the probe/trial boundary: a trial equals the probe peak.
 @example((3, 3, {3: [(0.0, 0.0, 0.0), (0.0, 1.0, -1.0)]},
-          [([3], [(1.0, 1.0, -1.0)]), ([3, 3], [(0.0, 1.0, 0.0), (0.0, -1.0, 1.0)])]), 1e-9)
+          [([3], [(1.0, 1.0, -1.0)]), ([3, 3], [(0.0, 1.0, 0.0), (0.0, -1.0, 1.0)])]), 1, 1e-9)
 # A violation among the probes, then a larger one among the trials.
 @example((2, 2, {2: [(0.5, 0.5, 0.5), (1.0, 1.0, 1.0)]},
-          [([2, 2], [(0.0, 0.0, 0.0), (2.0, 2.0, 2.0)])]), 0.5)
-# A chunk whose n wraps from n_max to n_min, with the bounds of each n apart.
+          [([2, 2], [(0.0, 0.0, 0.0), (2.0, 2.0, 2.0)])]), 1, 0.5)
+# A chunk whose n wraps from n_max to n_min, with the bounds of each n apart,
+# and probe blocks of two n and of one.
 @example((2, 4, {2: [(0.0, 0.0, -1.0)], 3: [(0.0, 0.5, 0.0)], 4: [(0.0, 1.0, 1.0)]},
           [([3, 4, 2, 3], [(1.5, 1.2, 0.5), (1.5, 1.2, 0.5), (1.5, 1.2, 0.5), (2.0, 2.0, 2.0)])]),
-         0.5)
-def test_maximizer_fold_with_bound_tables_equals_the_per_n_fold(inputs, tolerance):
+         2, 0.5)
+def test_maximizer_fold_with_bound_tables_equals_the_per_n_fold(inputs, block_n, tolerance):
     from negprob import claims
 
     n_min, n_max, probes, chunks = inputs
@@ -954,13 +1115,15 @@ def test_maximizer_fold_with_bound_tables_equals_the_per_n_fold(inputs, toleranc
     def probe_points(n):  # each probe is one run of one token
         return [[(("probe", n, j), 1)] for j in range(len(probes[n]))]
 
+    def fake_blocks(lo, hi):
+        for a in range(lo, hi + 1, block_n):
+            yield fake_probe_block(list(range(a, min(a + block_n, hi + 1))), probes)
+
     def fake_chunks(*args):
         return (fake_maximizer_chunk(k, ns, triples) for k, (ns, triples) in enumerate(chunks))
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(claims, "_probe_points", probe_points)
-        patch.setattr(claims, "negate_runs", lambda runs: runs)
-        patch.setattr(claims, "measure_runs", lambda runs: measured[runs[0][0]])
+        patch.setattr(batch, "probe_blocks", fake_blocks)
         patch.setattr(batch, "trial_chunks", fake_chunks)
         got = claims.check_all(seed=0, trials=trials, n_range=(n_min, n_max),
                                tolerance=tolerance, claim_ids=("C7", "C8", "C9"))
@@ -1048,6 +1211,11 @@ def report_lists(draw):
             counterexample = Counterexample(
                 pool[draw(st.integers(0, len(pool) - 1))],
                 draw(REPORT_FLOATS), draw(REPORT_FLOATS), draw(REPORT_FLOATS))
+        observed, argmax_point = draw(OBSERVED), None
+        if observed is not None and "argmax_p" in observed and draw(st.booleans()):
+            argmax_point = pool[draw(st.integers(0, len(pool) - 1))]
+            if draw(st.booleans()):  # as the engine reports a peak: its entries listed
+                observed["argmax_p"] = list(argmax_point)
         reports.append(ClaimReport(
             claim_id=draw(st.sampled_from([c.id for c in CLAIMS])),
             verdict=draw(st.sampled_from([CONFIRMED, REFUTED, VACUOUS])),
@@ -1055,9 +1223,13 @@ def report_lists(draw):
             seed=draw(st.integers(0, 2**64 - 1)),
             tolerance=draw(REPORT_FLOATS),
             counterexample=counterexample,
-            observed=draw(OBSERVED),
+            observed=observed,
+            argmax_point=argmax_point,
         ))
     return reports
+
+
+PEAK = (0.75, 0.25, 0.0)
 
 
 @SETTINGS
@@ -1073,6 +1245,13 @@ def report_lists(draw):
                          ("C9", (math.inf,) * 3), ("C8", (math.nan,) * 3),
                          ("C7", (0.5, -math.inf, math.nan)), ("C1", (0.0, -0.0)),
                          ("C4", (1.0, 1)))])
+# A peak shared with a counterexample, and a peak whose listed entries
+# differ from the point's (0.0 and -0.0 compare equal yet print apart).
+@example([ClaimReport("C8", REFUTED, 1, 0, 1e-9, Counterexample(PEAK, 0.5, 0.25, 0.25),
+                      {"max_excess": 0.25, "argmax_value": 0.5, "argmax_p": list(PEAK)}, PEAK),
+          ClaimReport("C9", CONFIRMED, 1, 0, 1e-9, None,
+                      {"max_excess": 0.0, "argmax_value": 0.5, "argmax_p": [0.75, 0.25, -0.0]},
+                      PEAK)])
 def test_report_lines_equal_json_dumps_of_the_reference_object(reports):
     want = [json.dumps(r.to_json_obj(), separators=(",", ":")) for r in reports]
     assert [r.to_json() for r in reports] == want
