@@ -107,9 +107,9 @@ line of its own.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
-import dataclasses
 from dataclasses import dataclass
 from operator import is_
 
