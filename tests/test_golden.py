@@ -7,6 +7,7 @@ behaviour change: regenerate the files on purpose, never to make a
 refactor pass.
 """
 
+import hashlib
 import json
 import math
 from collections import Counter
@@ -16,7 +17,7 @@ from pathlib import Path
 import pytest
 
 from negprob import CLAIMS, check_all, check_claim, claim_by_id
-from negprob.claims import _MEASURE_FIELD
+from negprob.claims import _MEASURE_FIELD, reports_to_json
 from negprob.cli import build_parser, main
 
 DATA = Path(__file__).parent / "data"
@@ -114,6 +115,33 @@ def test_subset_equals_matching_lines_of_full_run(subset):
     wanted = [line for c, line in zip(CLAIMS, full) if c.id in subset]
     reports = check_all(**api_kwargs("default"), claim_ids=sorted(subset))
     assert [r.to_json() for r in reports] == wanted
+
+
+# The sha256 of reports_to_json at n near 10^4, written before the long
+# points of C2/C3's trials and of C7-C9's probes and peaks were formatted
+# on numpy columns: (seed, claims, trials, n_range) -> sha256.
+LARGE_N_SHA256 = {
+    (0, "C1-C6"): "1530ee7cd21ba330a02afdabcf1dbfb24322477124766a0a68fccbecf11252d1",
+    (1, "C1-C6"): "9a22fc147f57a7bb3861c3da64052a9cdeaf78ad64c8ffe1aa7d34bf8196abad",
+    (9001, "C1-C6"): "7c544240360a82c37db52e132cb387179d2b3619e4d23bcbe78b0b691747034a",
+    (2**64 - 1, "C1-C6"): "b2fed6ea77221596213976ed8f0ffe0164723f51f415af2a496e0d88b68035aa",
+    (0, "C7-C9"): "8f0ca1d3f924efae4e5075f3e8e34a965933e9ee9f60939bfdf941a9b440e248",
+    (1, "C7-C9"): "82d001de62c318b04bd61b9f8c4ad7b25d0e32680ca32f8983cc9b17ce8da288",
+    (9001, "C7-C9"): "c7027fd8546dd0a182717c8ed007020d65696b59378d585e422ed40b17e98388",
+    (2**64 - 1, "C7-C9"): "c5411686833fcddb75ba313e29742801edade9c247cc94ba57995625cc6fcfc3",
+}
+LARGE_N_CONFIGS = {
+    "C1-C6": dict(trials=4, n_range=(9000, 10_000),
+                  claim_ids=("C1", "C2", "C3", "C4", "C5", "C6")),
+    "C7-C9": dict(trials=3, n_range=(9998, 10_000), claim_ids=("C7", "C8", "C9")),
+}
+
+
+@pytest.mark.parametrize("seed, claims", list(LARGE_N_SHA256))
+def test_reports_at_large_n_keep_their_sha256(seed, claims):
+    reports = check_all(seed=seed, **LARGE_N_CONFIGS[claims])
+    digest = hashlib.sha256(reports_to_json(reports).encode()).hexdigest()
+    assert digest == LARGE_N_SHA256[seed, claims]
 
 
 def refuted_reports():
