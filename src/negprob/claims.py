@@ -92,17 +92,23 @@ claim that reports it gets the same tuple.
 
 A report line has one writer, ``ClaimReport.to_json``: the compact JSON
 of ``to_json_obj()``, put together from ``json``'s encodings of its parts
-in the same key order, so every number is still formatted by ``json``.
-It saves formatting work only. Claims that report the same fixture,
-probe or trial point (C2 and C3 often do) get the same tuple, from
-``_run``'s fixture map, the block's or the chunk's ``probs``, and a
-maximizer's report keeps its peak's tuple as ``argmax_point``.
-``reports_to_json`` formats each distinct tuple once per call, whether
-it is a counterexample or an ``argmax_p``; a point of
+in the same key order. It saves formatting work only. Claims that report
+the same fixture, probe or trial point (C2 and C3 often do) get the same
+tuple, from ``_run``'s fixture map, the block's or the chunk's
+``probs``, and a maximizer's report keeps its peak's tuple as
+``argmax_point``. ``reports_to_json`` formats each distinct tuple once
+per call, whether it is a counterexample or an ``argmax_p``; a point of
 n equal entries, such as uniform(n) in a limit claim's counterexample, is
-one formatted value repeated n times. ``reports_to_json`` joins the pieces
-of all lines at once, so a long point's text is not first copied into a
-line of its own.
+one formatted value repeated n times. Every other number is formatted by
+``json``, except the entries of a long point: one of at least
+``COLUMNAR_POINT_MIN`` entries, all ``float``, is formatted on numpy
+columns by ``_float_json.array_json`` (Schubfach's shortest decimals for
+the entries in [2**-1022, 1), ``json``'s own text for the rest), which
+gives ``json``'s bytes by construction at under half its cost. It is
+imported only then, so the limit claims and the CLI's other commands
+still run without numpy. ``reports_to_json`` joins the pieces of all
+lines at once, so a long point's text is not first copied into a line
+of its own.
 """
 
 from __future__ import annotations
@@ -128,6 +134,10 @@ REFUTATION_FIXTURE = (0.4, 0.3, 0.2, 0.1)
 
 # json.dumps(obj, separators=(",", ":")), with its encoder made once.
 _compact_json = json.JSONEncoder(separators=(",", ":")).encode
+
+# Points of at least this many entries are formatted on numpy columns: the
+# measured crossover, below which json's float.__repr__ per entry costs less.
+COLUMNAR_POINT_MIN = 512
 
 
 class UnknownClaim(ValueError):
@@ -323,10 +333,19 @@ def _point_json(p) -> str:
     """The JSON array of the probabilities p. When all n entries equal one
     value, that value is formatted once and repeated n times. Only a
     nonzero, non-integral float qualifies: -0.0 equals 0.0 and an int
-    equals an integral float, yet each prints differently."""
+    equals an integral float, yet each prints differently. A point of at
+    least ``COLUMNAR_POINT_MIN`` entries, every one a ``float``, is
+    formatted on numpy columns by ``_float_json.array_json``, to the same
+    bytes; any other point by ``json`` itself."""
     v = p[0] if p else None
     if type(v) is float and v != 0.0 and not v.is_integer() and p.count(v) == len(p):
         return "[" + ",".join([json.dumps(v)] * len(p)) + "]"
+    if len(p) >= COLUMNAR_POINT_MIN and list(map(type, p)).count(float) == len(p):
+        import numpy as np  # numpy loads only for a long point
+
+        from ._float_json import array_json
+
+        return array_json(np.array(p, dtype=np.float64))
     return _compact_json(list(p))
 
 

@@ -72,6 +72,7 @@ from negprob._batch import (
 )
 from negprob.claims import (
     CLAIMS,
+    COLUMNAR_POINT_MIN,
     MAX_OUTCOMES,
     CONFIRMED,
     REFUTED,
@@ -1164,13 +1165,32 @@ REPORT_FLOATS = st.one_of(
 )
 
 
+def long_point(seed, n, spread):
+    """n entries from a seeded stream: uniform float64 bit patterns of
+    [2**-1022, 1) when spread, else a normalised exponential sample."""
+    rng = np.random.default_rng(seed)
+    if spread:
+        bits = rng.integers(0x0010000000000000, 0x3FF0000000000000, size=n, dtype=np.uint64)
+        return bits.view(np.float64).tolist()
+    e = rng.exponential(size=n)
+    return (e / e.sum()).tolist()
+
+
 @st.composite
 def report_points(draw):
     """A counterexample point: often n equal entries, n up to 10^4 (one
     object repeated, or n equal objects), else a few arbitrary floats, a
-    constant point with one entry changed, or entries that compare equal
-    yet print differently."""
-    kind = draw(st.integers(0, 4))
+    constant point with one entry changed, entries that compare equal yet
+    print differently, or a long point around the columnar writer's
+    cutoff, with a few special or non-float entries at drawn places."""
+    kind = draw(st.integers(0, 5))
+    if kind == 5:
+        n = draw(st.integers(COLUMNAR_POINT_MIN - 1, 3 * COLUMNAR_POINT_MIN))
+        point = long_point(draw(st.integers(0, 2**32 - 1)), n, draw(st.booleans()))
+        for _ in range(draw(st.integers(0, 3))):
+            point[draw(st.integers(0, n - 1))] = draw(
+                st.one_of(REPORT_FLOATS, st.sampled_from([1, True])))
+        return tuple(point)
     v = draw(REPORT_FLOATS)
     n = draw(st.one_of(st.integers(1, 12), st.integers(1, 10_000)))
     if kind == 0:
@@ -1230,6 +1250,7 @@ def report_lists(draw):
 
 
 PEAK = (0.75, 0.25, 0.0)
+LONG_POINT = (-0.0, *long_point(9, COLUMNAR_POINT_MIN, True), 5e-324, math.nan, 1.0)
 
 
 @SETTINGS
@@ -1252,6 +1273,11 @@ PEAK = (0.75, 0.25, 0.0)
           ClaimReport("C9", CONFIRMED, 1, 0, 1e-9, None,
                       {"max_excess": 0.0, "argmax_value": 0.5, "argmax_p": [0.75, 0.25, -0.0]},
                       PEAK)])
+# Long points: one on the columnar writer's path, shared by two reports,
+# with special entries at the ends; and one sent to json by an int entry.
+@example([ClaimReport(cid, REFUTED, 1, 0, 1e-9, Counterexample(p, 0.5, 0.25, 0.25), None)
+          for cid, p in (("C2", LONG_POINT), ("C3", LONG_POINT),
+                         ("C8", LONG_POINT[:-1] + (1,)))])
 def test_report_lines_equal_json_dumps_of_the_reference_object(reports):
     want = [json.dumps(r.to_json_obj(), separators=(",", ":")) for r in reports]
     assert [r.to_json() for r in reports] == want
