@@ -37,11 +37,12 @@ _M32, _M63 = _U(2**32 - 1), _U(2**63 - 1)
 _LOW_BITS, _ONE_BITS = _U(0x0010000000000000), _U(0x3FF0000000000000)
 _HALF_BITS = _U(0x3FE0000000000000)
 # The window's binary exponents q = -1074..-53 give decimal exponents
-# k = floor(log10(2**q)), or floor(log10(3/4 * 2**q)) just above a power of
-# two, with -k in _E_MIN.._E_MAX.
+# k = floor(log10(2**q)), or floor(log10(3/4 * 2**q)) at a power of two,
+# with -k in _E_MIN.._E_MAX.
 _E_MIN, _E_MAX = 16, 324
 _POW10 = np.array([10**i for i in range(18)], dtype=np.uint64)
-# Entries computed together: each temporary column stays a few kB.
+# Entries computed together, so that each temporary column stays at 16 kB:
+# larger blocks measured slower.
 _BLOCK = 2048
 # A row of the byte matrix is 32 bytes, 8 uint32 words: the head (two zero
 # bytes, '0' or the leading digit, '.'), 20 digit bytes in 5 words of 4,
@@ -79,10 +80,12 @@ def _layout_tables():
     - mask[:, n]: 5 words that keep the first n of 20 digit bytes;
     - tail[m]: 8 bytes, 'e-', the exponent m's digits and ',', or ','
       alone for m = 0."""
-    w = np.arange(10**4)
-    places = np.array([1000, 100, 10, 1])
-    digits = (w[:, None] // places % 10 + ord("0")).astype(np.uint8)
-    zeros = sum((w % (10 * p) == 0).astype(np.int8) for p in places.tolist())
+    pair = np.indices((10, 10)).reshape(2, -1).T  # the two digits of 0..99
+    digits = np.empty((100, 100, 4), dtype=np.uint8)  # [w // 100, w % 100]
+    digits[..., :2] = pair[:, None] + ord("0")
+    digits[..., 2:] = pair + ord("0")
+    pair_zeros = (pair[:, 1] == 0).astype(np.int8) + (pair[:, 0] + pair[:, 1] == 0)
+    zeros = np.where(pair_zeros == 2, 2 + pair_zeros[:, None], pair_zeros).reshape(-1)
     head = np.zeros((20, 4), dtype=np.uint8)
     head[:, 2] = np.arange(20) // 2 + ord("0")
     head[1::2, 3] = ord(".")
@@ -95,7 +98,7 @@ def _layout_tables():
     tail[1:, 3] = m[1:] // 10 % 10 + ord("0")
     tail[1:, 4] = m[1:] % 10 + ord("0")
     tail[:, 5] = ord(",")
-    return (head.view(np.uint32)[:, 0], digits.view(np.uint32)[:, 0], zeros,
+    return (head.view(np.uint32)[:, 0], digits.view(np.uint32).reshape(-1), zeros,
             np.ascontiguousarray(mask.view(np.uint32).T), tail.view(np.uint64)[:, 0])
 
 
@@ -123,8 +126,8 @@ def _shortest(bits):
     it of those, ties to even d. d may end in zeros."""
     c = (bits & _U(2**52 - 1)) | _U(2**52)
     q = (bits >> _U(52)).astype(np.int64) - 1075
-    # Just above a power of two (other than 2**-1022) the lower neighbour
-    # is half as far as the upper one.
+    # At a power of two (other than 2**-1022) the double below is half as
+    # far as the double above.
     irregular = (c == _U(2**52)) & (q > -1074)
     k = (q * 661971961083 - irregular * 274743187321) >> 41
     *g, log2 = _tables()

@@ -10,7 +10,6 @@ neighbours, the switch from ``0.0001`` to ``9.999999999999999e-05``,
 three-digit exponents, one- and seventeen-digit significands, and ties.
 """
 
-import json
 import math
 import os
 import struct
