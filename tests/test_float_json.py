@@ -130,10 +130,8 @@ def test_decimal_exponents_of_the_window():
     # of 2**52, from the two multiply-shift forms, against exact rationals,
     # for every binary exponent q of the window.
     for q in range(-1074, -52):
-        for c, irregular in ((2**52 + 1, False), (2**52, q > -1074)):
+        for irregular in {False, q > -1074}:
             k = (q * 661971961083 - irregular * 274743187321) >> 41
-            # 10**k <= the lower bound of c * 2**q's rounding interval's
-            # scale, 2**q (3/4 * 2**q when irregular), < 10**(k + 1).
             scale = Fraction(3, 4) * Fraction(2)**q if irregular else Fraction(2)**q
             assert Fraction(10)**k <= scale < Fraction(10)**(k + 1)
             assert _E_MIN <= -k <= _E_MAX

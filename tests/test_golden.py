@@ -117,9 +117,9 @@ def test_subset_equals_matching_lines_of_full_run(subset):
     assert [r.to_json() for r in reports] == wanted
 
 
-# The sha256 of reports_to_json at n near 10^4, written before the long
-# points of C2/C3's trials and of C7-C9's probes and peaks were formatted
-# on numpy columns: (seed, claims, trials, n_range) -> sha256.
+# The sha256 of reports_to_json at n near 10^4 for each (seed, claims) of
+# LARGE_N_CONFIGS, written before the long points of C2/C3's trials and of
+# C7-C9's probes and peaks were formatted on numpy columns.
 LARGE_N_SHA256 = {
     (0, "C1-C6"): "1530ee7cd21ba330a02afdabcf1dbfb24322477124766a0a68fccbecf11252d1",
     (1, "C1-C6"): "9a22fc147f57a7bb3861c3da64052a9cdeaf78ad64c8ffe1aa7d34bf8196abad",
