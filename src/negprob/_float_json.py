@@ -18,9 +18,10 @@ Every other entry (zeros, 1.0, subnormals, negatives, values above 1, inf
 and nan) gets ``json``'s own text in its row, so the result equals
 ``json.dumps(list(x), separators=(",", ":"))`` by construction.
 
-Only unsigned integers meet uint64 columns: a uint64 next to an int64
-array or a negative Python int promotes to float64 (and under numpy < 2.0
-next to any Python int), which would lose bits silently.
+Every operand of a uint64 operation here is a uint64 array or scalar, or
+a bool array: a uint64 next to an int64 array, or a uint64 scalar next
+to a Python int under numpy < 2.0 (before NEP 50), promotes to float64
+and would lose bits silently.
 """
 
 from __future__ import annotations
