@@ -1,22 +1,15 @@
 """Negation of discrete probability distributions, the uncertainty
 measures it interacts with, and a seeded engine that confirms or refutes
 structural claims about that interaction.
+
+The claim engine's names (``check_all``, ``CLAIMS``, ``ClaimReport`` and
+the rest from ``negprob.claims``) are resolved on first access, through
+the module ``__getattr__`` (PEP 562), so ``import negprob`` and the CLI's
+commands other than ``check`` do not load the engine. ``from negprob
+import check_all`` works as before, and each name, once resolved, is an
+attribute of the package like any other.
 """
 
-from .claims import (
-    CLAIMS,
-    CONFIRMED,
-    REFUTED,
-    VACUOUS,
-    Claim,
-    ClaimReport,
-    Counterexample,
-    UnknownClaim,
-    check_all,
-    check_claim,
-    claim_by_id,
-    reports_to_json,
-)
 from .measures import (
     MeasureSet,
     entropy,
@@ -80,3 +73,32 @@ __all__ = [
     "varentropy",
     "varextropy",
 ]
+
+# Names of negprob.claims, imported on first access by __getattr__.
+_CLAIM_NAMES = frozenset({
+    "CLAIMS",
+    "CONFIRMED",
+    "REFUTED",
+    "VACUOUS",
+    "Claim",
+    "ClaimReport",
+    "Counterexample",
+    "UnknownClaim",
+    "check_all",
+    "check_claim",
+    "claim_by_id",
+    "reports_to_json",
+})
+
+
+def __getattr__(name: str):
+    if name not in _CLAIM_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import claims
+
+    globals().update({n: getattr(claims, n) for n in _CLAIM_NAMES})
+    return globals()[name]
+
+
+def __dir__() -> list[str]:
+    return sorted(globals().keys() | _CLAIM_NAMES)

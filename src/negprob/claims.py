@@ -121,7 +121,7 @@ from operator import is_
 
 from .measures import measure_all, measure_runs
 from .negation import negate
-from .simplex import SimplexSamplerConfig, make_distribution, uniform
+from .simplex import SimplexSamplerConfig, make_distribution, require_int, uniform
 
 CONFIRMED = "CONFIRMED"
 REFUTED = "REFUTED"
@@ -531,8 +531,7 @@ def _run(selected, seed, trials, n_range, tolerance) -> list[ClaimReport]:
     except (TypeError, ValueError):
         raise ValueError(f"n_range = {n_range!r} must be a pair (n_min, n_max)") from None
     for name, value in (("n_range[0]", n_min), ("n_range[1]", n_max), ("trials", trials)):
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ValueError(f"{name} = {value!r} must be an integer")
+        require_int(name, value)
     if not (2 <= n_min <= n_max <= MAX_OUTCOMES):
         raise ValueError(
             f"n_range = {n_range!r} must satisfy 2 <= n_min <= n_max <= {MAX_OUTCOMES}"
@@ -543,8 +542,6 @@ def _run(selected, seed, trials, n_range, tolerance) -> list[ClaimReport]:
         raise ValueError(f"tolerance = {tolerance!r} must be a real number")
     if not (math.isfinite(tolerance) and tolerance > 0.0):
         raise ValueError(f"tolerance = {tolerance!r} must be finite and > 0")
-    if isinstance(seed, bool) or not isinstance(seed, int):
-        raise ValueError(f"seed = {seed!r} must be an integer")
     SimplexSamplerConfig(seed, n_min, trials)  # the sampler's seed rule, for every claim
     inequalities = [_Inequality(c, tolerance) for c in selected if c.kind == "inequality"]
     maximizers = [_Maximizer(c, tolerance) for c in selected if c.kind == "maximizer"]

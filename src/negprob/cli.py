@@ -26,9 +26,8 @@ import math
 import os
 import sys
 from collections.abc import Iterator
-from dataclasses import dataclass
 
-from .claims import check_all, reports_to_json
+from ._record import frozen_record
 from .measures import (
     MeasureSet,
     entropy,
@@ -59,7 +58,7 @@ _BLOCK_CHARS = 1 << 16
 _SWEEP_N_MAX = 2**53
 
 
-@dataclass(frozen=True)
+@frozen_record
 class SweepRow:
     """One output record: the sweep parameter plus its measure columns."""
 
@@ -260,6 +259,8 @@ def cmd_sweep_n(args) -> int:
 
 
 def cmd_check(args) -> int:
+    from .claims import check_all, reports_to_json  # the claim engine loads for check only
+
     claim_ids = None if args.claims is None else args.claims.split(",")
     reports = check_all(
         seed=args.seed,

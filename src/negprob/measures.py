@@ -43,16 +43,16 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from math import fsum, log
 from operator import mul
 
+from ._record import frozen_record
 from .simplex import Distribution, TooFewOutcomes, fsum_runs
 
 VARENTROPY_CLAMP = 1e-12
 
 
-@dataclass(frozen=True)
+@frozen_record
 class MeasureSet:
     """The five measures of one distribution, in nats / nats^2."""
 

@@ -18,8 +18,8 @@ from __future__ import annotations
 import json
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass
 
+from ._record import frozen_record
 from .measures import MeasureSet, measure_all
 from .simplex import Distribution, make_distribution_runs
 
@@ -67,7 +67,7 @@ def negate_k(d: Distribution, k: int) -> Distribution:
     return Distribution(tuple(max(0.0, u + rk * (p - u)) for p in d.probs))
 
 
-@dataclass(frozen=True)
+@frozen_record
 class TraceStep:
     k: int
     dist: Distribution
@@ -80,7 +80,7 @@ class TraceStep:
         return json.dumps(obj, separators=(",", ":"))
 
 
-@dataclass(frozen=True)
+@frozen_record
 class NegationTrace:
     """Iterates of the negation map with their measures.
 

@@ -24,8 +24,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from itertools import chain, repeat
+
+from ._record import frozen_record
 
 SUM_TOLERANCE = 1e-9
 
@@ -55,7 +56,7 @@ class DimensionMismatch(ValueError):
     """Two distributions with different outcome counts were compared."""
 
 
-@dataclass(frozen=True)
+@frozen_record
 class Distribution:
     """An immutable, validated discrete probability distribution.
 
@@ -203,6 +204,15 @@ def fsum_runs(runs) -> float:
     return math.fsum(parts)
 
 
+def require_int(name: str, value):
+    """value, when it is an int and not a bool; otherwise a ValueError that
+    names it. The sampler and the claim engine take their counts, indices
+    and seeds by this rule, so '7', 2.5 and True never reach numpy."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} = {value!r} must be an integer")
+    return value
+
+
 def uniform(n: int) -> Distribution:
     """The uniform distribution on n outcomes, the fixed point of negation."""
     if n < 2:
@@ -210,11 +220,12 @@ def uniform(n: int) -> Distribution:
     return Distribution((1.0 / n,) * n)
 
 
-@dataclass(frozen=True)
+@frozen_record
 class SimplexSamplerConfig:
     """Reproducible sampling plan: a seed, an outcome count, and a trial
-    budget. Identical (seed, n, trial_index) always yields the identical
-    sample regardless of evaluation order.
+    budget, each an int and not a bool (``require_int``). Identical (seed,
+    n, trial_index) always yields the identical sample regardless of
+    evaluation order.
     """
 
     seed: int
@@ -222,11 +233,11 @@ class SimplexSamplerConfig:
     trials: int
 
     def __post_init__(self) -> None:
-        if not 0 <= int(self.seed) <= _UINT64_MAX:
+        if not 0 <= require_int("seed", self.seed) <= _UINT64_MAX:
             raise ValueError(f"seed = {self.seed!r} is not a 64-bit unsigned integer")
-        if self.n < 2:
+        if require_int("n", self.n) < 2:
             raise TooFewOutcomes(f"need at least 2 outcomes, got {self.n}")
-        if self.trials < 1:
+        if require_int("trials", self.trials) < 1:
             raise ValueError(f"trials = {self.trials!r} must be positive")
 
 
@@ -242,7 +253,7 @@ def sample_uniform_simplex(
     """
     import numpy as np
 
-    if not 0 <= trial_index < config.trials:
+    if not 0 <= require_int("trial_index", trial_index) < config.trials:
         raise ValueError(
             f"trial_index = {trial_index} outside [0, {config.trials})"
         )

@@ -551,18 +551,35 @@ class TestClosedStdout:
         assert err == b""
 
 
+def _run_fresh(script: str) -> subprocess.CompletedProcess:
+    """Run a Python script in a fresh interpreter that imports negprob from
+    this source tree."""
+    src = str(Path(negprob.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    return subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+
+
+def _loaded_by(argv, modules) -> str:
+    """A script that runs the CLI on argv and fails when one of the modules
+    is loaded afterwards."""
+    return (
+        "import sys\n"
+        "from negprob.cli import main\n"
+        f"assert main({argv!r}) == 0\n"
+        f"loaded = [m for m in {modules!r} if m in sys.modules]\n"
+        "assert not loaded, f'loaded {loaded}'\n"
+    )
+
+
 class TestNoNumpyWithoutSampling:
+    """The commands that do not sample load neither numpy nor, apart from
+    check, the claim engine or ``dataclasses``: each is a fresh process,
+    whose imports are most of its cost."""
+
     def test_measure_does_not_import_numpy(self):
-        src = str(Path(negprob.__file__).resolve().parent.parent)
-        env = {**os.environ, "PYTHONPATH": src}
-        script = (
-            "import sys\n"
-            "from negprob.cli import main\n"
-            "assert main(['measure', '-p', '0.5,0.5']) == 0\n"
-            "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
-        )
-        result = subprocess.run([sys.executable, "-c", script], env=env,
-                                capture_output=True, text=True, timeout=60)
+        result = _run_fresh(_loaded_by(["measure", "-p", "0.5,0.5"],
+                                       ["numpy", "negprob.claims", "dataclasses"]))
         assert result.returncode == 0, result.stderr
         assert json.loads(result.stdout)["H"] == math.log(2.0)
 
@@ -575,14 +592,59 @@ class TestNoNumpyWithoutSampling:
         ["check", "--claims", "C4,C5,C6", "--n-min", "9000", "--n-max", "10000"],
     ])
     def test_other_commands_without_sampling_do_not_import_numpy(self, argv):
-        src = str(Path(negprob.__file__).resolve().parent.parent)
-        env = {**os.environ, "PYTHONPATH": src}
-        script = (
-            "import sys\n"
-            "from negprob.cli import main\n"
-            f"assert main({argv!r}) == 0\n"
-            "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
-        )
-        result = subprocess.run([sys.executable, "-c", script], env=env,
-                                capture_output=True, text=True, timeout=60)
+        modules = ["numpy"] if argv[0] == "check" else ["numpy", "negprob.claims", "dataclasses"]
+        result = _run_fresh(_loaded_by(argv, modules))
         assert result.returncode == 0, result.stderr
+
+
+class TestLazyClaimEngine:
+    def test_bare_import_does_not_load_the_engine(self):
+        result = _run_fresh(
+            "import sys\n"
+            "import negprob\n"
+            "assert 'negprob.claims' not in sys.modules, 'the engine was imported'\n"
+        )
+        assert result.returncode == 0, result.stderr
+
+    def test_every_public_name_resolves_in_a_fresh_process(self):
+        # From-imports come first, so that __getattr__ resolves them.
+        result = _run_fresh(
+            "import negprob\n"
+            "names = negprob.__all__\n"
+            "assert set(names) <= set(dir(negprob)), 'dir lacks a name'\n"
+            "for name in names:\n"
+            "    ns = {}\n"
+            "    exec(f'from negprob import {name}', ns)\n"
+            "    assert ns[name] is getattr(negprob, name), name\n"
+            "star = {}\n"
+            "exec('from negprob import *', star)\n"
+            "assert set(names) <= set(star)\n"
+            "import negprob.claims\n"
+            "assert negprob.check_all is negprob.claims.check_all\n"
+            "assert negprob.ClaimReport is negprob.claims.ClaimReport\n"
+            "assert set(names) <= set(dir(negprob))\n"
+        )
+        assert result.returncode == 0, result.stderr
+
+    def test_public_names_are_unchanged(self):
+        assert negprob.__all__ == [
+            "CLAIMS", "CONFIRMED", "REFUTED", "VACUOUS", "Claim", "ClaimReport",
+            "Counterexample", "DimensionMismatch", "Distribution", "MeasureSet",
+            "NegationTrace", "NotADistribution", "SUM_TOLERANCE", "SimplexSamplerConfig",
+            "TooFewOutcomes", "TraceStep", "UnknownClaim", "check_all", "check_claim",
+            "claim_by_id", "entropy", "extropy", "gini_entropy", "majorizes",
+            "make_distribution", "measure_all", "negate", "negate_k", "reports_to_json",
+            "sample_uniform_simplex", "trace_negation", "uniform", "uniform_varextropy",
+            "varentropy", "varextropy",
+        ]
+        assert set(negprob.__all__) <= set(dir(negprob))
+
+    def test_engine_names_are_the_engine_objects(self):
+        import negprob.claims
+
+        for name in ("CLAIMS", "check_all", "check_claim", "reports_to_json", "UnknownClaim"):
+            assert getattr(negprob, name) is getattr(negprob.claims, name)
+
+    def test_unknown_attribute_names_the_package(self):
+        with pytest.raises(AttributeError, match="module 'negprob' has no attribute 'no_such_name'"):
+            negprob.no_such_name  # noqa: B018

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -180,6 +181,45 @@ class TestSampler:
             SimplexSamplerConfig(seed=-1, n=2, trials=1)
         with pytest.raises(ValueError):
             SimplexSamplerConfig(seed=2**64, n=2, trials=1)
+
+    @pytest.mark.parametrize("field, value", [
+        ("seed", "7"), ("seed", True), ("seed", 1.5), ("seed", 7.0),
+        ("n", 2.5), ("n", True), ("n", 3.0), ("n", "3"),
+        ("trials", 2.5), ("trials", True), ("trials", 2.0), ("trials", "2"),
+    ])
+    def test_config_fields_must_be_ints_not_bools(self, field, value):
+        args = {"seed": 7, "n": 3, "trials": 2, field: value}
+        with pytest.raises(ValueError, match=f"^{field} = {re.escape(repr(value))} must be an integer$"):
+            SimplexSamplerConfig(**args)
+
+    @pytest.mark.parametrize("trial_index", [1.0, True, "1", None])
+    def test_trial_index_must_be_an_int_not_a_bool(self, trial_index):
+        cfg = SimplexSamplerConfig(seed=3, n=3, trials=2)
+        with pytest.raises(
+            ValueError, match=f"^trial_index = {re.escape(repr(trial_index))} must be an integer$"
+        ):
+            sample_uniform_simplex(cfg, trial_index)
+
+    def test_range_messages_are_kept(self):
+        with pytest.raises(TooFewOutcomes, match="need at least 2 outcomes, got 1"):
+            SimplexSamplerConfig(seed=0, n=1, trials=1)
+        with pytest.raises(ValueError, match="trials = 0 must be positive"):
+            SimplexSamplerConfig(seed=0, n=2, trials=0)
+        with pytest.raises(ValueError, match="is not a 64-bit unsigned integer"):
+            SimplexSamplerConfig(seed=2**64, n=2, trials=1)
+
+    def test_valid_inputs_sample_the_pinned_bits(self):
+        # Values taken before the integer rule was added: it rejects inputs
+        # only, and changes no sample.
+        cfg = SimplexSamplerConfig(seed=7, n=5, trials=10)
+        assert sample_uniform_simplex(cfg, 3).probs == (
+            0.3412788698402533, 0.03182495276990725, 0.5218439621902937,
+            0.09556340782541303, 0.009488807374132631,
+        )
+        cfg = SimplexSamplerConfig(seed=2**64 - 1, n=3, trials=2)
+        assert sample_uniform_simplex(cfg, 1).probs == (
+            0.26417735898690775, 0.41889475726754205, 0.31692788374555014,
+        )
 
 
 class TestMajorizes:
