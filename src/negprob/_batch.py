@@ -8,11 +8,14 @@ array and is the same float operation as its scalar reference:
 
 - ``pcg64_seeds`` is numpy's documented SeedSequence pool hash on
   integer columns, and ``sample_rows`` draws all rows of at most
-  ``ZIGGURAT_MAX_N`` entries at once: PCG64 jumped ahead to each draw's
-  state, then numpy's ziggurat fast path, with tables read off the
-  installed numpy on first use and kept only when they match its
-  Generator on a witness. The Generator draws every other row, so each
-  row is exactly the stream ``simplex.sample_uniform_simplex`` draws.
+  ``ZIGGURAT_MAX_N`` entries at once: PCG64 jumped ahead to each output,
+  then numpy's ziggurat for ``standard_exponential``, its fast path on
+  every row and its slow path (tail and wedge draws, and restarts) on the
+  rows that need it, with numpy's tables from ``_ziggurat_tables``, kept
+  only when they match the installed numpy's Generator on a witness. The
+  Generator draws each longer row, and each row whose restarts outrun its
+  window of outputs, so each row is exactly the stream
+  ``simplex.sample_uniform_simplex`` draws.
 - Division, ``1 - p`` and products are single IEEE operations in numpy
   as in Python, and every logarithm is ``math.log``'s (see below). Every
   sum is ``math.fsum``'s, the correctly rounded exact sum: ``Rows.fsums``
@@ -38,7 +41,8 @@ same function ``math.log`` calls, at about a twentieth of the cost of
 detail, so ``log_kernel`` takes that path only when it gives
 ``math.log``'s bits on ``log_witness()`` (checked once, at import), and
 ``math.log`` entry by entry otherwise. The properties in
-tests/test_properties.py pin every function here against its reference.
+tests/test_properties.py and tests/test_ziggurat.py pin every function
+here against its reference.
 This module imports numpy, so it is imported only when trials are
 sampled or probes measured.
 """
@@ -47,7 +51,7 @@ from __future__ import annotations
 
 from functools import cache, cached_property
 from itertools import chain, repeat
-from math import fsum, inf, log
+from math import exp, fsum, inf, log, log1p
 
 import numpy as np
 
@@ -60,6 +64,7 @@ from .simplex import (
     make_distribution,
     make_distribution_runs,
 )
+from ._ziggurat_tables import FE, KE, R, WE
 
 # Entries (trials x n) evaluated together; n near 10^4 gives one trial per chunk.
 CHUNK_ENTRIES = 2**14
@@ -74,10 +79,15 @@ _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _MASK32 = 2**32 - 1
 _MASK64 = 2**64 - 1
 _MASK128 = 2**128 - 1
-# Rows of at most this many draws are drawn at once, and a longer row by the
-# Generator: a row with any slow-path draw goes to the Generator anyway (42 %
-# of rows at n = 24), and from about 28 draws on a row costs less there.
-ZIGGURAT_MAX_N = 24
+# Rows of at most this many draws are drawn in numpy, and a longer row by the
+# Generator: on a 2-vCPU Xeon a Generator row costs about 3.7 us (mostly
+# setting its state) and a draw in numpy about 0.11 us, slow draws included,
+# so from about 34 draws on a row costs less there.
+ZIGGURAT_MAX_N = 32
+# Outputs past a row's n that its slow draws may read: each slow draw reads
+# one more output, and a restart two. A row that needs more is drawn by the
+# Generator.
+_SLOW_WINDOW = 8
 
 
 class Rows:
@@ -223,7 +233,10 @@ def pcg64_seeds(seed: int, ns, ts):
 
     This is numpy's SeedSequence pool hash and ``generate_state(4,
     uint64)``, run on uint32 columns with one entry per pair; PCG64 takes
-    the first two words as the seed and inc = 2 * (the last two) + 1.
+    the first two words as the seed and inc = 2 * (the last two) + 1. Each
+    hashmix call takes the next constant of a fixed sequence, so the calls
+    that hash one word into several pool words run as one operation on a
+    (words, pairs) array.
     """
     ns, ts = np.asarray(ns, np.uint32), np.asarray(ts, np.uint64)
     highs = ts >> 32
@@ -233,89 +246,98 @@ def pcg64_seeds(seed: int, ns, ts):
         for part in long, ~long:
             seeds[:, part] = pcg64_seeds(seed, ns[part], ts[part])
         return seeds
-    entropy = [np.full(len(ts), w, np.uint32) for w in _words(seed)]
-    entropy += [ns, ts.astype(np.uint32)]
+    words = _words(seed)
+    # The entropy words, padded with zero words to the pool's size.
+    entropy = np.zeros((max(_POOL_SIZE, len(words) + 2 + long.any()), len(ts)), np.uint32)
+    entropy[:len(words)] = np.array(words, np.uint32)[:, None]
+    entropy[len(words)] = ns
+    entropy[len(words) + 1] = ts  # its low word
     if long.any():
-        entropy.append(highs.astype(np.uint32))
+        entropy[len(words) + 2] = highs
+    hash_a = _hash_constants(_INIT_A, _MULT_A, _POOL_SIZE * len(entropy))
 
-    hash_const = _INIT_A
-
-    def hashmix(value):
-        nonlocal hash_const
-        value = value ^ hash_const
-        hash_const = hash_const * _MULT_A & _MASK32
-        value = value * hash_const
+    def hashmix(value, k, count):
+        """Hash calls k, k + 1, ..., k + count - 1 of value."""
+        value = value ^ hash_a[k:k + count]
+        value *= hash_a[k + 1:k + count + 1]
         return value ^ (value >> 16)
 
     def mix(x, y):
         result = _MIX_MULT_L * x - _MIX_MULT_R * y
         return result ^ (result >> 16)
 
-    zero = np.zeros(len(ts), np.uint32)
-    pool = [hashmix(entropy[i] if i < len(entropy) else zero) for i in range(_POOL_SIZE)]
+    pool = hashmix(entropy[:_POOL_SIZE], 0, _POOL_SIZE)
+    k = _POOL_SIZE
     for i_src in range(_POOL_SIZE):
-        for i_dst in range(_POOL_SIZE):
-            if i_src != i_dst:
-                pool[i_dst] = mix(pool[i_dst], hashmix(pool[i_src]))
+        others = [i for i in range(_POOL_SIZE) if i != i_src]
+        pool[others] = mix(pool[others], hashmix(pool[i_src], k, _POOL_SIZE - 1))
+        k += _POOL_SIZE - 1
     for word in entropy[_POOL_SIZE:]:
-        for i_dst in range(_POOL_SIZE):
-            pool[i_dst] = mix(pool[i_dst], hashmix(word))
-
-    hash_const = _INIT_B
-    state = []
-    for i in range(2 * _POOL_SIZE):
-        value = pool[i % _POOL_SIZE] ^ hash_const
-        hash_const = hash_const * _MULT_B & _MASK32
-        value = value * hash_const
-        state.append(value ^ (value >> 16))
+        pool = mix(pool, hashmix(word, k, _POOL_SIZE))
+        k += _POOL_SIZE
+    hash_b = _hash_constants(_INIT_B, _MULT_B, 2 * _POOL_SIZE)
+    state = np.concatenate([pool, pool]) ^ hash_b[:-1]
+    state *= hash_b[1:]
+    state ^= state >> 16
     # generate_state(4, uint64) reads the uint32 words as little-endian pairs.
-    words = np.stack(state, axis=1).astype("<u4").view("<u8").astype(np.uint64)
-    seed_hi, seed_lo, seq_hi, seq_lo = words.T
+    state = state.astype(np.uint64)
+    seed_hi, seed_lo, seq_hi, seq_lo = state[0::2] | state[1::2] << 32
     return np.array([seed_lo, seed_hi, seq_lo << 1 | 1, seq_hi << 1 | seq_lo >> 63])
 
 
+@cache
+def _hash_constants(init: int, mult: int, count: int):
+    """The first count + 1 hash constants of SeedSequence's sequence from
+    init, each mult times the one before mod 2**32, as a uint32 column."""
+    constants = [init]
+    for _ in range(count):
+        constants.append(constants[-1] * mult & _MASK32)
+    return np.array(constants, np.uint32)[:, None]
+
+
 def _jump_words(n_max: int):
-    """The (4, n_max) uint64 words of draw j's jump, in column j - 1: the
-    low and high words of M**(j + 1), then of C(j + 2), for PCG64's
-    multiplier M and C(k) = M**0 + ... + M**(k - 1), mod 2**128. Seeding
-    sets the state to M * (seed + inc) + inc, and each draw steps it to M *
-    state + inc first, so draw j comes from M**(j + 1) * seed + C(j + 2) *
-    inc."""
+    """The words of draw j's jump, in column j - 1, as a (2, 2, n_max)
+    uint64 array of [word][factor][column]: the low, then the high words
+    of M**(j + 1) and of C(j + 2), for PCG64's multiplier M and C(k) =
+    M**0 + ... + M**(k - 1), mod 2**128. Seeding sets the state to M *
+    (seed + inc) + inc, and each draw steps it to M * state + inc first, so
+    draw j comes from M**(j + 1) * seed + C(j + 2) * inc."""
     power = _PCG_MULT**2 & _MASK128
     total = 1 + _PCG_MULT + power
     columns = []
     for _ in range(n_max):
-        columns.append([power & _MASK64, power >> 64, total & _MASK64, total >> 64])
+        columns.append([[power & _MASK64, total & _MASK64], [power >> 64, total >> 64]])
         power = power * _PCG_MULT & _MASK128
         total = (total + power) & _MASK128
-    return np.array(columns, np.uint64).T.copy()
+    return np.array(columns, np.uint64).transpose(1, 2, 0).copy()
 
 
-_JUMPS = _jump_words(ZIGGURAT_MAX_N)
+_JUMPS = _jump_words(ZIGGURAT_MAX_N + _SLOW_WINDOW)
 
 
 def _mul128(a, at, b, bt):
-    """a[:, at] * b[:, bt] mod 2**128, for 128-bit numbers held as columns
-    of (low word, high word), as arrays of low and high words: numpy's
-    uint64 product wraps to the low word, and the products of 32-bit
-    halves give the high word of the low words' product."""
-    a_lo, b_lo = a[0].take(at), b[0].take(bt)
+    """a[..., at] * b[..., bt] mod 2**128, for 128-bit numbers held as
+    (low word, high word) along the first axis, as arrays of low and high
+    words: numpy's uint64 product wraps to the low word, and the products
+    of 32-bit halves give the high word of the low words' product (no sum
+    of them passes 2**64)."""
+    a_lo, b_lo = a[0].take(at, axis=-1), b[0].take(bt, axis=-1)
     low = a_lo * b_lo
-    high = a[1].take(at) * b_lo
-    high += a_lo * b[1].take(bt)
+    high = a[1].take(at, axis=-1) * b_lo
+    high += a_lo * b[1].take(bt, axis=-1)
     a_hi, b_hi = a_lo >> 32, b_lo >> 32
     a_lo &= _MASK32
     b_lo &= _MASK32
-    high += a_hi * b_hi
-    a_hi *= b_lo  # the cross products
-    b_hi *= a_lo
+    cross = a_hi * b_lo
+    high += cross >> 32
+    cross &= _MASK32
+    cross += a_lo * b_hi
     a_lo *= b_lo
     a_lo >>= 32  # the carry out of the low halves
-    a_lo += a_hi & _MASK32
-    a_lo += b_hi & _MASK32
-    high += a_hi >> 32
-    high += b_hi >> 32
-    high += a_lo >> 32
+    cross += a_lo
+    high += cross >> 32
+    a_hi *= b_hi
+    high += a_hi
     return low, high
 
 
@@ -324,14 +346,12 @@ def pcg64_outputs(seeds, row, pos):
     row and pos, where column row of seeds holds ``pcg64_seeds`` words:
     the state M**(j + 1) * seed + C(j + 2) * inc (see ``_jump_words``) put
     through XSL-RR, the xor of its words rotated right by its top six
-    bits."""
-    low, high = _mul128(_JUMPS[:2], pos, seeds[:2], row)
-    low_inc, high_inc = _mul128(_JUMPS[2:], pos, seeds[2:], row)
+    bits. Both products are taken in one ``_mul128`` call."""
+    (low, low_inc), (high, high_inc) = _mul128(
+        _JUMPS, pos, seeds.reshape(2, 2, -1).swapaxes(0, 1), row)
     high += high_inc
-    del high_inc
     low += low_inc
     high += low < low_inc  # the carry of the low words
-    del low_inc
     low ^= high
     high >>= 58
     out = low >> high
@@ -341,46 +361,126 @@ def pcg64_outputs(seeds, row, pos):
     return out
 
 
-def ziggurat_draws(outputs, tables):
-    """``standard_exponential``'s fast path on each PCG64 output (the array
-    is consumed): the draw, and whether numpy returns it, as arrays. Bits
-    3 to 10 of the output pick the layer and its top 53 bits are ri; the
-    draw is ri * we[layer], returned when ri < ke[layer] (Marsaglia and
-    Tsang, J. Stat. Softw. 5(8), 2000). Otherwise numpy's slow path draws
-    something else, from further outputs too."""
-    we, ke = tables
+def ziggurat_split(outputs):
+    """What numpy's ziggurat reads of each PCG64 output (the array is
+    consumed): ri, its top 53 bits, and the layer, bits 3 to 10."""
     outputs >>= 3
     layer = (outputs & 0xFF).astype(np.intp)
     outputs >>= 8
-    x = outputs.astype(float)
+    return outputs, layer
+
+
+def ziggurat_draws(ri, layer, tables):
+    """``standard_exponential``'s fast path: the draw ri * we[layer], and
+    whether numpy returns it, ri < ke[layer] (Marsaglia and Tsang, J. Stat.
+    Softw. 5(8), 2000), as arrays. Otherwise numpy takes its slow path,
+    which reads the next output too (see ``_slow_rows``)."""
+    we, ke = tables[:2]
+    x = ri.astype(float)
     x *= we[layer]
-    return x, outputs < ke[layer]
+    return x, ri < ke[layer]
+
+
+# The kinds of slow draw, in the codes _slow_rows gives them: a tail draw of
+# layer 0, a wedge draw the wedge test accepts, and one it rejects, which
+# restarts.
+SLOW_KINDS = ("tail", "wedge", "restart")
 
 
 def _ziggurat_rows(seeds, rows: Rows, tables, gaps):
-    """Write into gaps the fast-path draws of every row of at most
-    ``ZIGGURAT_MAX_N`` entries, and return the indices of the rows left to
-    the Generator: the longer rows and every row with a draw the fast path
-    does not return."""
+    """Write into gaps the draws of every row of at most ``ZIGGURAT_MAX_N``
+    entries that the ziggurat draws in numpy, and return the indices of the
+    rows left to the Generator, then the row and the ``SLOW_KINDS`` code of
+    each slow draw taken. The rows whose draws all take the fast path are
+    done at once; the others go to ``_slow_rows``."""
     short = np.flatnonzero(rows.ns <= ZIGGURAT_MAX_N)
     ns = rows.ns[short]
-    starts = np.cumsum(ns) - ns
     row = np.repeat(short, ns)
-    pos = np.arange(len(row)) - np.repeat(starts, ns)
-    x, fast = ziggurat_draws(pcg64_outputs(seeds, row, pos), tables)
+    pos = np.arange(len(row)) - np.repeat(np.cumsum(ns) - ns, ns)
+    ri, layer = ziggurat_split(pcg64_outputs(seeds, row, pos))
+    x, fast = ziggurat_draws(ri, layer, tables)
     gaps[rows.starts[row] + pos] = x
-    drawn = np.zeros(len(rows), bool)
-    drawn[short] = np.logical_and.reduceat(fast, starts)
-    return np.flatnonzero(~drawn)
+    slow = np.zeros(len(rows), bool)
+    slow[row[~fast]] = True
+    which = np.flatnonzero(slow)
+    left = rows.ns > ZIGGURAT_MAX_N
+    if not len(which):
+        return np.flatnonzero(left), which, which
+    entries = slow[row]
+    done, slow_row, kind = _slow_rows(seeds, rows, which, ri[entries], layer[entries],
+                                      tables, gaps)
+    left[which[~done]] = True
+    return np.flatnonzero(left), slow_row, kind
+
+
+def _slow_rows(seeds, rows: Rows, which, ri, layer, tables, gaps):
+    """Draw the rows ``which`` in full, numpy's slow path included, given
+    ri and layer of their first n outputs, row after row. Write into gaps
+    the draws of each row whose draws fit in a window of ``_SLOW_WINDOW``
+    outputs past its n, and return which rows those are, then the row and
+    ``SLOW_KINDS`` code of each slow draw they take.
+
+    This is numpy's ``random_standard_exponential`` on all rows at once,
+    as (rows, window) matrices. A draw at output p that misses the fast
+    path reads u = ri[p + 1] * 2**-53. In layer 0 it returns r -
+    log1p(-u), a tail draw. In any other layer i it returns its x when
+    (fe[i - 1] - fe[i]) * u + fe[i] < exp(-x), two roundings as in numpy's
+    C code, and otherwise restarts as a new draw. Either way the row goes
+    on at output p + 2. So output p starts a draw when an even number of
+    slow outputs lie between it and the last fast output before it, or
+    the row's start. ``math.exp`` and ``math.log1p`` are the C library's
+    functions numpy calls; numpy's SIMD ``exp`` is never used.
+    """
+    fe, r = tables[2:]
+    ns = rows.ns[which]
+    width = int(ns.max()) + _SLOW_WINDOW
+    known = np.arange(width) < ns[:, None]
+    more = ~known
+    at, pos = np.nonzero(more)
+    block_ri = np.empty(known.shape, np.uint64)
+    block_layer = np.empty(known.shape, np.intp)
+    block_ri[known], block_layer[known] = ri, layer
+    block_ri[more], block_layer[more] = ziggurat_split(pcg64_outputs(seeds, which[at], pos))
+    x, fast = ziggurat_draws(block_ri, block_layer, tables)
+    last_fast = np.where(fast, np.arange(width), -1)
+    np.maximum.accumulate(last_fast, axis=1, out=last_fast)
+    begins = np.ones(known.shape, bool)
+    begins[:, 1:] = (np.arange(1, width) - last_fast[:, :-1]) & 1
+    slow = begins & ~fast
+    slow[:, -1] = False  # its u lies past the window
+    returned = begins & fast
+    row, p = np.nonzero(slow)
+    u = block_ri[row, p + 1] * 2.0**-53
+    i = block_layer[row, p]
+    draws = x[row, p]
+    tail = i == 0
+    draws[tail] = [r - log1p(-v) for v in u[tail].tolist()]
+    wedge = ~tail
+    i = i[wedge]
+    accepted = tail.copy()
+    accepted[wedge] = (fe[i - 1] - fe[i]) * u[wedge] + fe[i] < np.array(
+        [exp(-d) for d in draws[wedge].tolist()])
+    x[row, p] = draws
+    returned[row, p] = accepted
+    count = returned.cumsum(axis=1)
+    done = count[:, -1] >= ns
+    taken = returned & (count <= ns[:, None])
+    taken &= done[:, None]
+    # The slow draws of the rows drawn, up to each row's n-th draw.
+    used = done[row] & (count[row, p] - accepted < ns[row])
+    count += rows.starts[which][:, None] - 1
+    gaps[count[taken]] = x[taken]
+    kind = np.where(accepted, wedge, 2)  # tail 0, accepted wedge 1, restart 2
+    return done, which[row[used]], kind[used]
 
 
 def exponential_rows(seeds, rows: Rows, tables):
     """``Generator(PCG64).standard_exponential(n)`` of each row's stream,
     given by its column of ``pcg64_seeds`` words, bit for bit, as flat
-    rows: by ``ziggurat_draws`` with tables where they serve, and by one
+    rows: by the ziggurat in numpy with tables where it serves, and by one
     Generator for every other row (every row when tables is None)."""
     gaps = np.empty(rows.starts[-1] + rows.ns[-1])
-    loop = np.arange(len(rows)) if tables is None else _ziggurat_rows(seeds, rows, tables, gaps)
+    loop = np.arange(len(rows)) if tables is None else _ziggurat_rows(seeds, rows, tables, gaps)[0]
     if len(loop):
         bits = np.random.PCG64(0)
         gen = np.random.Generator(bits)
@@ -400,83 +500,49 @@ def _set_pcg64(bits, state: int, inc: int) -> None:
                   "has_uint32": 0, "uinteger": 0}
 
 
-def derive_ziggurat():
-    """The tables (we, ke) of the installed numpy's ``standard_exponential``,
-    read off crafted draws, or None when a boundary is not where it is
-    looked for. From state 0, PCG64 steps to state inc and outputs inc
-    itself (a state whose high word is zero), so inc is set to the output
-    wanted, made odd; a draw took the fast path when the raw output after
-    it is the one step from inc. A draw at ri = 1 gives we[layer] (layer
-    1's slow path returns it too). ke[layer], the least ri whose draw is
-    not fast, is walked to from one below the width ratio we[layer - 1] /
-    we[layer] * 2**53 (within 3 of it on numpy 2.4), from a bisection for
-    layer 0 (the tail), and from 0 for layer 1, which has no fast path."""
-    bits = np.random.PCG64(0)
-    gen = np.random.Generator(bits)
-
-    def draw(ri, layer):
-        """The draw at ri in layer, and whether it took the fast path."""
-        inc = (ri << 8 | layer) << 3 | 1
-        _set_pcg64(bits, 0, inc)
-        x = gen.standard_exponential()
-        return x, bits.random_raw() == _xsl_rr(inc * (_PCG_MULT + 1) & _MASK128)
-
-    def fast(ri, layer):
-        return draw(ri, layer)[1]
-
-    we, ke = [draw(1, layer)[0] for layer in range(256)], []
-    for layer in range(256):
-        if layer == 0:
-            k, high = 0, 2**53
-            while k < high:
-                mid = (k + high) // 2
-                k, high = (mid + 1, high) if fast(mid, layer) else (k, mid)
-        elif layer == 1:
-            k = 0
-        else:
-            try:  # clamped to an ri whose crafted output PCG64's inc can hold
-                k = min(max(int(we[layer - 1] / we[layer] * 2**53) - 1, 0), 2**53)
-            except (ArithmeticError, ValueError):  # a zero, inf or nan width
-                return None
-        k = _first_slow(lambda ri: fast(ri, layer), k)
-        if k is None:
-            return None
-        ke.append(k)
-    return np.array(we), np.array(ke, np.uint64)
+def crafted_stream(first: int, second: int) -> list[int]:
+    """The ``pcg64_seeds`` words of a stream whose first two outputs are
+    first, an even number, and second, an odd one. A state whose high word
+    is zero outputs its low word, so the stream's first two states are
+    first and second, inc = second - M * first (odd), and seeding's two LCG
+    steps are undone from there."""
+    inc = (second - _PCG_MULT * first) & _MASK128
+    inverse = pow(_PCG_MULT, -1, 2**128)
+    seeded = (first - inc) * inverse
+    seed = ((seeded - inc) * inverse - inc) & _MASK128
+    return [seed & _MASK64, seed >> 64, inc & _MASK64, inc >> 64]
 
 
-def _xsl_rr(state: int) -> int:
-    """PCG64's output at a 128-bit state."""
-    high, low = state >> 64, state & _MASK64
-    word, turn = high ^ low, high >> 58
-    return (word >> turn | word << (64 - turn)) & _MASK64
+# Trials (n, t) of seed 0 whose draws take each kind of slow draw: at n = 2,
+# t = 46 a restart lands on a draw the wedge test accepts; at n = 13, t =
+# 172 a wedge draw and then a tail draw; at n = 20, t = 41 a restart.
+_WITNESS_TRIALS = ((2, 46), (13, 172), (20, 41))
+# (layer, ri, u): at this ri, the first that misses layer 100's fast path,
+# u * 2**-53 is the largest u the wedge test accepts, under numpy 2.4's fe.
+_WEDGE_EDGE = (100, 8931962646340834, 9007199254740906)
 
 
-def _first_slow(fast, k):
-    """The least ri >= 0 for which fast(ri) is false, by a walk of one unit
-    at a time from k that sees fast(ri - 1) and not fast(ri); None when
-    the walk takes more than 16 steps."""
-    up = fast(k)
-    for _ in range(16):
-        if up:
-            k += 1
-            if not fast(k):
-                return k
-        elif k == 0 or fast(k - 1):
-            return k
-        else:
-            k -= 1
-    return None
+def ziggurat_witness():
+    """The rows the guard draws both ways, as ``pcg64_seeds`` words and
+    ``Rows``: one row of seed 0 for each n up to ``ZIGGURAT_MAX_N``, the
+    trials of seed 0 in ``_WITNESS_TRIALS``, and two crafted rows of one
+    draw at ``_WEDGE_EDGE``, whose wedge test the least change to fe
+    turns."""
+    ns = [*range(2, ZIGGURAT_MAX_N + 1), *(n for n, _ in _WITNESS_TRIALS)]
+    ts = [*range(ZIGGURAT_MAX_N - 1), *(t for _, t in _WITNESS_TRIALS)]
+    layer, ri, u = _WEDGE_EDGE
+    crafted = [crafted_stream((ri << 8 | layer) << 3, u << 11 | 1) for u in (u, u + 1)]
+    seeds = np.concatenate([pcg64_seeds(0, ns, ts), np.array(crafted, np.uint64).T], axis=1)
+    return seeds, Rows([*ns, 1, 1])
 
 
 def guarded_ziggurat(tables):
-    """tables when ``exponential_rows`` draws the witness rows with them
-    bit for bit as the Generator draws them, and None otherwise. The
-    witness is one row of each n up to ``ZIGGURAT_MAX_N``."""
+    """tables when ``exponential_rows`` draws the ``ziggurat_witness`` rows
+    with them bit for bit as the Generator draws them, and None
+    otherwise."""
     if tables is None:
         return None
-    rows = Rows(range(2, ZIGGURAT_MAX_N + 1))
-    seeds = pcg64_seeds(0, rows.ns, range(len(rows)))
+    seeds, rows = ziggurat_witness()
     want = exponential_rows(seeds, rows, None).view(np.int64)
     got = exponential_rows(seeds, rows, tables).view(np.int64)
     return tables if np.array_equal(got, want) else None
@@ -484,14 +550,17 @@ def guarded_ziggurat(tables):
 
 @cache
 def ziggurat_tables():
-    """The tables ``sample_rows`` draws with, derived and guarded on first
-    use, once per process; None when the Generator draws every row."""
-    return guarded_ziggurat(derive_ziggurat())
+    """The tables ``sample_rows`` draws with, (we, ke, fe, r) from
+    ``_ziggurat_tables``, guarded on first use, once per process; None
+    when the Generator draws every row."""
+    return guarded_ziggurat((np.frombuffer(WE, "<f8"), np.frombuffer(KE, "<u8"),
+                             np.frombuffer(FE, "<f8"), R))
 
 
-def sample_rows(seed: int, rows: Rows, ts):
+def sample_rows(streams, rows: Rows):
     """``sample_uniform_simplex(SimplexSamplerConfig(seed, n, trials), t)``
-    for each n of ``rows.ns`` and t of ts, bit for bit, as flat rows.
+    for each row, bit for bit, as flat rows, where the row's column of
+    streams holds ``pcg64_seeds`` words of (seed, n, t).
 
     Each row's draws from its own stream are ``exponential_rows`` with the
     ``ziggurat_tables``, and ``gaps / gaps.sum()`` is taken with numpy's
@@ -499,9 +568,9 @@ def sample_rows(seed: int, rows: Rows, ts):
     matrix; the renormalisation and validation then run on all rows at
     once (see ``distribution_rows``).
     """
-    # The tables are derived only once some row can use them.
+    # The tables are guarded only once some row can use them.
     tables = ziggurat_tables() if rows.ns.min() <= ZIGGURAT_MAX_N else None
-    gaps = exponential_rows(pcg64_seeds(seed, rows.ns, ts), rows, tables)
+    gaps = exponential_rows(streams, rows, tables)
     sums = np.empty(len(rows))
     for members, at in rows.by_n:
         # A row of a C-ordered matrix is summed like the row alone (pairwise).
@@ -849,7 +918,8 @@ def probe_blocks(n_min, n_max):
 
 
 class TrialChunk:
-    """Consecutive trials t0, t0 + 1, ..., as flat rows in trial order.
+    """Consecutive trials, as flat rows in trial order: ns holds each
+    trial's n and streams its ``pcg64_seeds`` words, a column per trial.
 
     The sample rows ``p`` are drawn when the chunk is made. Every other
     value is computed the first time a claim reads it and then kept for
@@ -861,10 +931,10 @@ class TrialChunk:
     every claim that reports it.
     """
 
-    def __init__(self, seed, t0, ns):
+    def __init__(self, streams, ns):
         self.rows = Rows(ns)
         self.n = self.rows.ns
-        self.p = sample_rows(seed, self.rows, range(t0, t0 + len(self.rows)))
+        self.p = sample_rows(streams, self.rows)
         self._measures = {}
         self._points = {}
 
@@ -893,22 +963,38 @@ class TrialChunk:
         return self._measures[kind]
 
     def probs(self, i: int) -> tuple[float, ...]:
-        """The sample of the chunk's i-th trial, built on the first call and
-        then the same tuple on every call."""
+        """The sample of the chunk's i-th trial, a ``TrialPoint`` built on
+        the first call and then the same tuple on every call."""
         if i not in self._points:
             (row,) = self.rows.slices([i])
-            self._points[i] = tuple(self.p[row].tolist())
+            values = self.p[row].copy()  # not a view: a report may outlive the chunk
+            self._points[i] = point = TrialPoint(values.tolist())
+            point.row = values
         return self._points[i]
+
+
+class TrialPoint(tuple):
+    """A trial's sample: the tuple of its floats, and as ``row`` the float64
+    array it was made from, which the report writer formats without
+    checking or rebuilding the tuple (see ``claims._point_json``)."""
 
 
 def trial_chunks(seed, trials, n_min, n_max):
     """``TrialChunk``s of trials 0, 1, ..., trials - 1 in order, trial t
     having n = n_min + t % (n_max - n_min + 1). A chunk's entries sum to
-    at most ``CHUNK_ENTRIES``, unless its one trial alone exceeds it."""
+    at most ``CHUNK_ENTRIES``, unless its one trial alone exceeds it. The
+    streams are seeded by one ``pcg64_seeds`` call for each run of up to
+    ``CHUNK_ENTRIES`` consecutive trials, which covers at least one whole
+    chunk: at n near 10^4 that is one call for many one-trial chunks."""
     most = max(1, CHUNK_ENTRIES // n_min)  # each trial has at least n_min entries
-    t0 = 0
+    period = n_max - n_min + 1
+    t0 = start = end = 0
     while t0 < trials:
-        ns = n_min + np.arange(t0, min(trials, t0 + most)) % (n_max - n_min + 1)
+        ns = n_min + np.arange(t0, min(trials, t0 + most)) % period
         ns = ns[:max(1, np.cumsum(ns).searchsorted(CHUNK_ENTRIES, "right"))]
-        yield TrialChunk(seed, t0, ns)
+        if t0 + len(ns) > end:  # seed the next run
+            start, end = t0, min(trials, t0 + CHUNK_ENTRIES)
+            ts = np.arange(start, end, dtype=np.uint64)
+            streams = pcg64_seeds(seed, n_min + ts % period, ts)
+        yield TrialChunk(streams[:, t0 - start:t0 - start + len(ns)], ns)
         t0 += len(ns)

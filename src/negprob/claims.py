@@ -336,16 +336,22 @@ def _point_json(p) -> str:
     equals an integral float, yet each prints differently. A point of at
     least ``COLUMNAR_POINT_MIN`` entries, every one a ``float``, is
     formatted on numpy columns by ``_float_json.array_json``, to the same
-    bytes; any other point by ``json`` itself."""
+    bytes; any other point by ``json`` itself. A trial point
+    (``_batch.TrialPoint``) hands over the float64 row it was made from,
+    so its entries are neither checked nor copied again."""
     v = p[0] if p else None
     if type(v) is float and v != 0.0 and not v.is_integer() and p.count(v) == len(p):
         return "[" + ",".join([json.dumps(v)] * len(p)) + "]"
-    if len(p) >= COLUMNAR_POINT_MIN and list(map(type, p)).count(float) == len(p):
-        import numpy as np  # numpy loads only for a long point
+    if len(p) >= COLUMNAR_POINT_MIN:
+        row = getattr(p, "row", None)
+        if row is None and list(map(type, p)).count(float) == len(p):
+            import numpy as np  # numpy loads only for a long point
 
-        from ._float_json import array_json
+            row = np.array(p, dtype=np.float64)
+        if row is not None:
+            from ._float_json import array_json
 
-        return array_json(np.array(p, dtype=np.float64))
+            return array_json(row)
     return _compact_json(list(p))
 
 

@@ -263,12 +263,13 @@ class TestReports:
 
         drawn = []
 
-        def counting(seed, rows, ts):
-            drawn.extend(zip([seed] * len(rows), rows.ns.tolist(), ts))
-            return sample_rows(seed, rows, ts)
+        def counting(seed, ns, ts):
+            drawn.extend(zip([seed] * len(ts), ns.tolist(), ts.tolist()))
+            return pcg64_seeds(seed, ns, ts)
 
-        sample_rows = _batch.sample_rows
-        monkeypatch.setattr(_batch, "sample_rows", counting)
+        _batch.ziggurat_tables()  # its guard seeds witness rows on first use
+        pcg64_seeds = _batch.pcg64_seeds
+        monkeypatch.setattr(_batch, "pcg64_seeds", counting)
         check_all(seed=3, trials=50)
         assert drawn == [(3, 2 + t % 7, t) for t in range(50)]
 
@@ -332,7 +333,7 @@ class TestReports:
         import numpy as np
 
         from negprob import _batch
-        from negprob._batch import TrialChunk
+        from negprob._batch import trial_chunks
         from negprob.claims import _Inequality, _Maximizer
 
         ns = [2, 3, 3, 4]
@@ -354,7 +355,7 @@ class TestReports:
         monkeypatch.undo()
 
         # A real chunk hands both kinds of claim one tuple for one trial.
-        chunk = TrialChunk(7, 0, [3, 4, 5])
+        chunk = next(trial_chunks(7, 3, 3, 5))  # trials 0, 1, 2 of n = 3, 4, 5
         inequality = _Inequality(claim_by_id("C2"), -math.inf)  # every trial violates
         maximizer = _Maximizer(claim_by_id("C8"), -math.inf)
         inequality.trials(chunk)
@@ -412,6 +413,51 @@ class TestReports:
             if len(ns) < trials:  # full: the next trial would not fit
                 assert chunk.n.sum() + want[len(ns)] > CHUNK_ENTRIES
         assert ns == want
+
+    @pytest.mark.parametrize("trials, n_range, runs", [
+        (7, (9998, 10_000), 1),  # one call seeds seven one-trial chunks
+        (20_000, (2, 3), 2),  # the second run starts at the chunk the first cannot hold
+        (40, (3, 3), 1),
+    ])
+    def test_chunks_are_seeded_in_runs_of_consecutive_trials(self, monkeypatch, trials, n_range,
+                                                            runs):
+        import numpy as np
+
+        from negprob import _batch
+
+        real, seeded, chunks = _batch.pcg64_seeds, [], []
+
+        def counting(seed, ns, ts):
+            seeded.append(len(ts))
+            return real(seed, ns, ts)
+
+        monkeypatch.setattr(_batch, "pcg64_seeds", counting)
+        monkeypatch.setattr(_batch, "TrialChunk", lambda streams, ns: chunks.append((streams, ns)))
+        list(_batch.trial_chunks(11, trials, *n_range))
+        assert len(seeded) == runs and max(seeded) <= _batch.CHUNK_ENTRIES
+        t0 = 0
+        for streams, ns in chunks:
+            assert np.array_equal(streams, real(11, ns, np.arange(t0, t0 + len(ns))))
+            t0 += len(ns)
+        assert t0 == trials
+
+    def test_a_trial_point_hands_the_writer_its_float64_row(self, monkeypatch):
+        import numpy as np
+
+        from negprob import _batch, _float_json, claims
+
+        chunk = _batch.TrialChunk(_batch.pcg64_seeds(7, [600, 3], [0, 1]), [600, 3])
+        p = chunk.probs(0)
+        assert chunk.probs(0) is p and p == tuple(chunk.p[:600].tolist())
+        assert p.row.dtype == np.float64 and p.row.tolist() == list(p)
+        assert not np.shares_memory(p.row, chunk.p)  # a report does not keep the chunk
+        formatted, array_json = [], _float_json.array_json
+        monkeypatch.setattr(_float_json, "array_json",
+                            lambda x: formatted.append(x) or array_json(x))
+        text = claims._point_json(p)
+        assert formatted[0] is p.row  # neither checked nor rebuilt from the tuple
+        assert text == claims._point_json(tuple(p)) == json.dumps(list(p), separators=(",", ":"))
+        assert formatted[1] is not p.row
 
     def test_serialization_is_deterministic(self):
         a = reports_to_json(check_all(seed=4, trials=80))

@@ -50,25 +50,18 @@ from negprob._batch import (
     ProbeBlock,
     Rows,
     ZIGGURAT_MAX_N,
-    derive_ziggurat,
     descending_prefix_sums,
-    exponential_rows,
     guarded_logs,
-    guarded_ziggurat,
     log_kernel,
     log_witness,
     majorizes_rows,
     math_logs,
     measure_rows,
-    pcg64_outputs,
-    pcg64_seeds,
     probe_blocks,
     probe_runs,
     run_parts,
     sample_rows,
     strided_logs,
-    ziggurat_draws,
-    ziggurat_tables,
 )
 from negprob.claims import (
     CLAIMS,
@@ -353,7 +346,8 @@ def test_reports_format_each_shared_point_once(monkeypatch):
 
 
 def test_c2_and_c3_read_one_reversible_count_per_chunk():
-    chunk = batch.TrialChunk(7, 0, [2, 3, 4, 2, 5])
+    ns = [2, 3, 4, 2, 5]
+    chunk = batch.TrialChunk(batch.pcg64_seeds(7, ns, range(5)), ns)
     tallies = [_Inequality(claim_by_id(c), 1e-9) for c in ("C2", "C3")]
     for tally in tallies:
         tally.trials(chunk)
@@ -419,120 +413,10 @@ def test_batched_samples_are_bitwise_equal_to_the_sampler(seed, draws):
     # A count above 1 gives rows of one n, which sample_rows sums as a matrix.
     trials = [(n, (t + j) % 2**64) for n, t, count in draws for j in range(count)]
     rows = Rows([n for n, _ in trials])
-    got = sample_rows(seed, rows, [t for _, t in trials]).tolist()
+    got = sample_rows(batch.pcg64_seeds(seed, rows.ns, [t for _, t in trials]), rows).tolist()
     for (n, t), row in zip(trials, rows.slices(np.arange(len(rows)))):
         want = sample_uniform_simplex(SimplexSamplerConfig(seed, n, t + 1), t).probs
         assert [x.hex() for x in got[row]] == [x.hex() for x in want]
-
-
-def generator_draws(states):
-    """Generator.standard_exponential(1) from each PCG64 (state, inc), and
-    the state it leaves."""
-    bits = np.random.PCG64(0)
-    gen = np.random.Generator(bits)
-    out = []
-    for state, inc in states:
-        bits.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                      "has_uint32": 0, "uinteger": 0}
-        out.append((gen.standard_exponential(1).tolist(), bits.state["state"]["state"]))
-    return out
-
-
-def crafted_streams(outputs):
-    """pcg64_seeds-style words of streams whose first output is each of
-    outputs (a state whose high word is zero outputs its low word), and the
-    PCG64 (state, inc) that seeding sets for each."""
-    mult, mask = batch._PCG_MULT, 2**128 - 1
-    inverse = pow(mult * mult, -1, 2**128)
-    words, states = [], []
-    for i, output in enumerate(outputs):
-        inc = (0x9E3779B97F4A7C15F39CC0605CEDC835 * (2 * i + 1)) & mask | 1
-        # The first draw's state is M**2 * seed + (1 + M + M**2) * inc.
-        seed = (output - (1 + mult + mult * mult) * inc) * inverse & mask
-        words.append([seed & 2**64 - 1, seed >> 64, inc & 2**64 - 1, inc >> 64])
-        states.append((((seed + inc) * mult + inc) & mask, inc))
-    return np.array(words, np.uint64).T.copy(), states
-
-
-def test_the_fast_path_is_numpys_on_both_sides_of_every_layer_boundary():
-    # ri = ke - 1 is the largest the fast path returns and ri = ke the
-    # least it does not, for all 256 layers: layer 0's slow side is the
-    # tail and layer 1 (ke = 0) has no fast side. The low three bits of an
-    # output are not read; they vary here.
-    tables = ziggurat_tables()
-    assert tables is not None  # numpy's ziggurat is plain C, the same on every CPU
-    ke = tables[1].tolist()
-    assert ke[1] == 0
-    cases = [(layer, ri) for layer in range(256) for ri in (ke[layer] - 1, ke[layer]) if ri >= 0]
-    outputs = [(ri << 8 | layer) << 3 | layer % 8 for layer, ri in cases]
-    seeds, states = crafted_streams(outputs)
-    raw = pcg64_outputs(seeds, np.arange(len(cases)), np.zeros(len(cases), np.intp))
-    assert raw.tolist() == outputs
-    x, fast = ziggurat_draws(raw, tables)
-    want = generator_draws(states)
-    for (layer, ri), output, got, is_fast, (draws, state) in zip(
-            cases, outputs, x.tolist(), fast.tolist(), want):
-        assert is_fast == (ri < ke[layer]), (layer, ri)
-        # numpy took its fast path, one LCG step, exactly where flagged.
-        assert (state == output) == is_fast, (layer, ri)
-        if is_fast:
-            assert got.hex() == draws[0].hex(), (layer, ri)
-    # Every row of one draw, fast or not, comes out as the Generator's.
-    drawn = exponential_rows(seeds, Rows([1] * len(cases)), tables).tolist()
-    assert [x.hex() for x in drawn] == [draws[0].hex() for draws, _ in want]
-
-
-def test_the_ziggurat_tables_are_derived_once_and_pass_their_guard():
-    tables = ziggurat_tables()
-    assert ziggurat_tables() is tables
-    we, ke = derive_ziggurat()
-    assert np.array_equal(we.view(np.int64), tables[0].view(np.int64))
-    assert np.array_equal(ke, tables[1])
-    assert guarded_ziggurat(tables) is tables
-    # The witness has rows the kernel draws and rows it leaves to the
-    # Generator, so the guard compares both.
-    rows = Rows(range(2, ZIGGURAT_MAX_N + 1))
-    seeds = pcg64_seeds(0, rows.ns, range(len(rows)))
-    left = batch._ziggurat_rows(seeds, rows, tables, np.empty(int(rows.ns.sum())))
-    assert 0 < len(left) < len(rows)
-
-
-@pytest.mark.parametrize("off", ["we", "ke"])
-def test_the_guard_rejects_tables_that_change_a_draw(off):
-    we, ke = ziggurat_tables()
-    if off == "we":  # every draw one ulp off
-        we = np.nextafter(we, np.inf)
-    else:  # the fast path returns draws numpy sends to its slow path
-        ke = ke + np.uint64(2**50)
-    assert guarded_ziggurat((we, ke)) is None
-    assert guarded_ziggurat(None) is None
-
-
-def test_the_boundary_walk_confirms_both_sides_or_gives_up():
-    def fast(ri):
-        seen.append(ri)
-        return ri < 100
-
-    for start, want, probes in [(100, 100, [100, 99]), (97, 100, [97, 98, 99, 100]),
-                                (103, 100, [103, 102, 101, 100, 99]), (0, None, None),
-                                (150, None, None)]:
-        seen = []
-        assert batch._first_slow(fast, start) == want
-        if probes:
-            assert seen == probes
-    assert batch._first_slow(lambda ri: False, 2) == 0  # no fast side: ke = 0
-
-
-@pytest.mark.parametrize("n_range", [(2, 64), (20, 30)])
-def test_reports_are_the_same_when_the_generator_draws_every_row(monkeypatch, n_range):
-    # Ranges either side of ZIGGURAT_MAX_N; the golden files cover the rest.
-    from negprob import check_all
-
-    assert n_range[0] < ZIGGURAT_MAX_N < n_range[1]
-    kwargs = dict(seed=2**32 + 5, trials=300, n_range=n_range)
-    chosen = reports_to_json(check_all(**kwargs))
-    monkeypatch.setattr(batch, "ziggurat_tables", lambda: None)
-    assert reports_to_json(check_all(**kwargs)) == chosen
 
 
 @SETTINGS
@@ -901,8 +785,11 @@ def test_chunk_layout_and_rows_equal_their_python_references(trials, n_min, span
     n_max = n_min + span
     trials = min(trials, 40 * CHUNK_ENTRIES // (n_min + span // 2) + 1)  # about 40 chunks
     with pytest.MonkeyPatch.context() as patch:  # the layout alone, with no draws
-        patch.setattr(batch, "TrialChunk", lambda seed, t0, ns: (t0, ns))
+        patch.setattr(batch, "pcg64_seeds", lambda seed, ns, ts: np.zeros((4, len(ts)), np.uint64))
+        patch.setattr(batch, "TrialChunk", lambda streams, ns: ns)
         chunks = list(batch.trial_chunks(0, trials, n_min, n_max))
+    t0s = [0, *accumulate(map(len, chunks))][:-1]
+    chunks = list(zip(t0s, chunks))
     assert [(t0, ns.tolist()) for t0, ns in chunks] == chunk_ns_trial_by_trial(
         trials, n_min, n_max)
     if n_min > CHUNK_ENTRIES // 2:
