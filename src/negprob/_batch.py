@@ -296,48 +296,61 @@ def _hash_constants(init: int, mult: int, count: int):
 
 
 def _jump_words(n_max: int):
-    """The words of draw j's jump, in column j - 1, as a (2, 2, n_max)
-    uint64 array of [word][factor][column]: the low, then the high words
-    of M**(j + 1) and of C(j + 2), for PCG64's multiplier M and C(k) =
-    M**0 + ... + M**(k - 1), mod 2**128. Seeding sets the state to M *
-    (seed + inc) + inc, and each draw steps it to M * state + inc first, so
-    draw j comes from M**(j + 1) * seed + C(j + 2) * inc."""
+    """The (4, n_max) uint64 words of draw j's jump, in column j - 1: the
+    low and high words of M**(j + 1), then of C(j + 2), for PCG64's
+    multiplier M and C(k) = M**0 + ... + M**(k - 1), mod 2**128. Seeding
+    sets the state to M * (seed + inc) + inc, and each draw steps it to M *
+    state + inc first, so draw j comes from M**(j + 1) * seed + C(j + 2) *
+    inc."""
     power = _PCG_MULT**2 & _MASK128
     total = 1 + _PCG_MULT + power
     columns = []
     for _ in range(n_max):
-        columns.append([[power & _MASK64, total & _MASK64], [power >> 64, total >> 64]])
+        columns.append([power & _MASK64, power >> 64, total & _MASK64, total >> 64])
         power = power * _PCG_MULT & _MASK128
         total = (total + power) & _MASK128
-    return np.array(columns, np.uint64).transpose(1, 2, 0).copy()
+    return np.array(columns, np.uint64).T.copy()
 
 
 _JUMPS = _jump_words(ZIGGURAT_MAX_N + _SLOW_WINDOW)
 
 
 def _mul128(a, at, b, bt):
-    """a[..., at] * b[..., bt] mod 2**128, for 128-bit numbers held as
-    (low word, high word) along the first axis, as arrays of low and high
-    words: numpy's uint64 product wraps to the low word, and the products
-    of 32-bit halves give the high word of the low words' product (no sum
-    of them passes 2**64)."""
-    a_lo, b_lo = a[0].take(at, axis=-1), b[0].take(bt, axis=-1)
+    """a[:, at] * b[:, bt] mod 2**128, for 128-bit numbers held as columns
+    of (low word, high word), as arrays of low and high words: numpy's
+    uint64 product wraps to the low word, and the products of 32-bit
+    halves give the high word of the low words' product (no sum of them
+    passes 2**64).
+
+    It works in place on seven arrays: each further temporary is memory
+    that glibc hands back to the system once freed and page-faults in again
+    on the next call, which on a sampled chunk cost more than the
+    arithmetic (over a hundred faults per check-small-n op with twice the
+    arrays, about ten with these)."""
+    a_lo, b_lo = a[0].take(at), b[0].take(bt)
     low = a_lo * b_lo
-    high = a[1].take(at, axis=-1) * b_lo
-    high += a_lo * b[1].take(bt, axis=-1)
-    a_hi, b_hi = a_lo >> 32, b_lo >> 32
+    high = a[1].take(at)
+    high *= b_lo
+    part = b[1].take(bt)
+    part *= a_lo
+    high += part
+    a_hi = np.right_shift(a_lo, 32, out=part)
+    b_hi = b_lo >> 32
     a_lo &= _MASK32
     b_lo &= _MASK32
-    cross = a_hi * b_lo
-    high += cross >> 32
-    cross &= _MASK32
-    cross += a_lo * b_hi
-    a_lo *= b_lo
-    a_lo >>= 32  # the carry out of the low halves
-    cross += a_lo
-    high += cross >> 32
+    cross = a_hi * b_lo  # a cross product of halves, below 2**64
+    b_lo *= a_lo
+    b_lo >>= 32  # the carry out of the low halves
+    a_lo *= b_hi
     a_hi *= b_hi
     high += a_hi
+    np.right_shift(cross, 32, out=a_hi)
+    high += a_hi
+    cross &= _MASK32
+    cross += b_lo
+    cross += a_lo
+    cross >>= 32
+    high += cross
     return low, high
 
 
@@ -346,12 +359,14 @@ def pcg64_outputs(seeds, row, pos):
     row and pos, where column row of seeds holds ``pcg64_seeds`` words:
     the state M**(j + 1) * seed + C(j + 2) * inc (see ``_jump_words``) put
     through XSL-RR, the xor of its words rotated right by its top six
-    bits. Both products are taken in one ``_mul128`` call."""
-    (low, low_inc), (high, high_inc) = _mul128(
-        _JUMPS, pos, seeds.reshape(2, 2, -1).swapaxes(0, 1), row)
+    bits."""
+    low, high = _mul128(_JUMPS[:2], pos, seeds[:2], row)
+    low_inc, high_inc = _mul128(_JUMPS[2:], pos, seeds[2:], row)
     high += high_inc
+    del high_inc
     low += low_inc
     high += low < low_inc  # the carry of the low words
+    del low_inc
     low ^= high
     high >>= 58
     out = low >> high
