@@ -55,14 +55,13 @@ from math import exp, fsum, inf, log, log1p
 
 import numpy as np
 
-from .measures import VARENTROPY_CLAMP, measure_runs
-from .negation import negate_runs
+from .measures import VARENTROPY_CLAMP
 from .simplex import (
     _SPLITTER,
     MAJORIZATION_SLACK,
     SUM_TOLERANCE,
+    NotADistribution,
     make_distribution,
-    make_distribution_runs,
 )
 from ._ziggurat_tables import FE, KE, R, WE
 
@@ -770,23 +769,6 @@ def _measure_fields(s1, s2, t1, t2):
     return 0.0 - s1, vh, t2 - t1 * t1
 
 
-def probe_runs(n: int) -> list[list[tuple[float, int]]]:
-    """The maximizer probes of n as runs, built by the scalar run code:
-    uniform(n), then uniform + eps*(e_0 - e_1) for each eps in (1e-3,
-    1e-2) with eps <= 1/n (1/(2n) when neither is), renormalised. This is
-    the reference ``ProbeBlock`` reproduces, and its fallback.
-
-    The (0, 1) pair stands for every pair (i, j): see the ``claims``
-    module docstring.
-    """
-    u = 1.0 / n
-    points = [make_distribution_runs([(u, n)])]
-    for eps in [e for e in (1e-3, 1e-2) if e <= u] or [u / 2.0]:
-        runs = [(u + eps, 1), (u - eps, 1), (u, n - 2)]
-        points.append(make_distribution_runs(runs, renormalize=True))
-    return points
-
-
 # Each n has uniform(n) and one or two perturbed probes.
 _MAX_PROBES = 3
 # A probe is at most three runs, and each run enters an fsum as two parts.
@@ -826,9 +808,13 @@ def run_parts(values, counts):
 
 class ProbeBlock:
     """The maximizer probes of consecutive n, in (n, point) order, with the
-    H, VH and VJ of each probe's negation: bitwise ``measure_runs(
-    negate_runs(q))`` for q in ``probe_runs(n)``, and each probe's runs
-    those of ``probe_runs``.
+    H, VH and VJ of each probe's negation. The probes of n are uniform(n),
+    then uniform + eps*(e_0 - e_1) for each eps in (1e-3, 1e-2) with eps
+    <= 1/n (1/(2n) when neither is), renormalised: each bitwise the scalar
+    run code's ``make_distribution_runs([(u + eps, 1), (u - eps, 1), (u,
+    n - 2)], renormalize=True)``, u = 1/n, with the measures
+    ``measure_runs(negate_runs(q))`` of that point q. The (0, 1) pair
+    stands for every pair (i, j): see the ``claims`` module docstring.
 
     ``ns`` holds the block's n, ``n`` each probe's n, ``uniform`` the
     index of each n's first probe, uniform(n), and ``measures`` the three
@@ -842,9 +828,9 @@ class ProbeBlock:
     (1 - v)/(n - 1), the ``log_kernel`` logs and the measures' term
     products. Every ``fsum_runs`` is ``Rows.fsums`` of the row's
     ``run_parts``: one call for the renormalisation totals, one for the
-    two validation sums and the four measure sums of every probe. When a
-    check fails, the scalar run code builds the whole block instead, probe
-    by probe, and raises its usual error.
+    two validation sums and the four measure sums of every probe. A check
+    that fails raises ``NotADistribution``; none does for any n in 2..10**4
+    (tests/test_properties.py builds them all against the scalar run code).
     """
 
     def __init__(self, ns):
@@ -860,13 +846,10 @@ class ProbeBlock:
         per_n = fits.sum(axis=1)
         self.n = np.repeat(self.ns, per_n)
         self.uniform = np.cumsum(per_n) - per_n
-        self._runs = None
         self._points = {}
         if not self._columns(np.repeat(u, per_n), eps[fits]):
-            self._runs = [q for n in self.ns.tolist() for q in probe_runs(n)]
-            measured = [measure_runs(negate_runs(q)) for q in self._runs]
-            self.measures = {field: np.array([getattr(m, field) for m in measured])
-                             for field in ("H", "VH", "VJ")}
+            raise NotADistribution(
+                f"the maximizer probes of n = {self.ns[0]}..{self.ns[-1]} fail validation")
 
     def _columns(self, u, eps) -> bool:
         """Build the probes of each u = 1/n and eps as columns; False when a
@@ -913,8 +896,6 @@ class ProbeBlock:
 
     def runs(self, i: int) -> list[tuple[float, int]]:
         """The i-th probe as (value, count) runs."""
-        if self._runs is not None:
-            return self._runs[i]
         return list(zip(self._values[i].tolist(), self._counts[i].tolist()))
 
     def probs(self, i: int) -> tuple[float, ...]:

@@ -84,11 +84,9 @@ maximizer probe is a row of three runs in a block's columns: the block
 takes ``simplex.make_distribution_runs``' renormalisation and checks,
 ``negation.negate_runs`` and ``measure_runs`` as the same IEEE
 operations on all its probes at once, and every run sum as ``fsum`` of
-the split parts, by ``_batch.Rows.fsums``. A block that fails a check is
-built by that scalar run code instead (``_batch.probe_runs``), which
-raises its usual error. A probe's tuple is built only when the point
-becomes a counterexample or the running peak, once per block, so every
-claim that reports it gets the same tuple.
+the split parts, by ``_batch.Rows.fsums``. A probe's tuple is built only
+when the point becomes a counterexample or the running peak, once per
+block, so every claim that reports it gets the same tuple.
 
 A report line has one writer, ``ClaimReport.to_json``: the compact JSON
 of ``to_json_obj()``, put together from ``json``'s encodings of its parts

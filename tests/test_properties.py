@@ -58,7 +58,6 @@ from negprob._batch import (
     math_logs,
     measure_rows,
     probe_blocks,
-    probe_runs,
     run_parts,
     sample_rows,
     strided_logs,
@@ -82,7 +81,7 @@ from negprob.claims import (
 from negprob.cli import main
 from negprob.measures import measure_runs
 from negprob.negation import negate_runs
-from negprob.simplex import fsum_runs, make_distribution_runs
+from negprob.simplex import NotADistribution, fsum_runs, make_distribution_runs
 
 # Large distributions are slow to measure; no example database is written.
 SETTINGS = settings(max_examples=60, deadline=None, database=None)
@@ -189,6 +188,19 @@ def test_distribution_runs_are_make_distribution_of_the_expanded_runs(rs, renorm
         assert [x.hex() for x in expanded(got)] == [x.hex() for x in want.probs]
 
 
+def probe_runs(n: int) -> list[list[tuple[float, int]]]:
+    """The maximizer probes of n as runs, built by the scalar run code:
+    uniform(n), then uniform + eps*(e_0 - e_1) for each eps in (1e-3,
+    1e-2) with eps <= 1/n (1/(2n) when neither is), renormalised. This is
+    the reference ``ProbeBlock`` reproduces."""
+    u = 1.0 / n
+    points = [make_distribution_runs([(u, n)])]
+    for eps in [e for e in (1e-3, 1e-2) if e <= u] or [u / 2.0]:
+        runs = [(u + eps, 1), (u - eps, 1), (u, n - 2)]
+        points.append(make_distribution_runs(runs, renormalize=True))
+    return points
+
+
 def reference_probe_points(n):
     """The maximizer probes, built entry by entry: uniform, then uniform +
     eps*(e_0 - e_1) renormalised, for each probe eps."""
@@ -253,7 +265,6 @@ def test_probe_blocks_equal_the_scalar_run_code_for_every_n():
     seen = []
     for block in probe_blocks(2, n_max):
         assert len(block.ns) <= PROBE_BLOCK_N
-        assert block._runs is None  # built as columns, not by the fallback
         assert block.ns.tolist() == list(range(block.ns[0], block.ns[-1] + 1))
         i = 0
         for k, n in enumerate(block.ns.tolist()):
@@ -284,26 +295,15 @@ def test_probe_tuples_equal_the_scalar_points(n):
             assert bits(block.measures[field][i]) == bits(getattr(measured, field))
 
 
-def test_a_probe_block_that_fails_a_check_is_built_by_the_scalar_run_code(monkeypatch):
-    import negprob.simplex as simplex
-
-    ns = np.arange(95, 105)
-    want = ProbeBlock(ns)
-    # No sum is within a negative tolerance of 1: the columnar checks fail
-    # and the scalar run code, whose checks still pass, builds the block.
+def test_a_probe_block_that_fails_a_check_raises(monkeypatch):
+    # No sum is within a negative tolerance of 1, so the validation of
+    # every probe fails, in the block and in the engine.
     monkeypatch.setattr(batch, "SUM_TOLERANCE", -1.0)
-    got = ProbeBlock(ns)
-    assert got._runs is not None
-    assert [bits(got.probs(i)) for i in range(len(got.n))] == [
-        bits(want.probs(i)) for i in range(len(want.n))]
-    for field in ("H", "VH", "VJ"):
-        assert bits(got.measures[field]) == bits(want.measures[field])
-    # When the scalar checks fail too, the engine raises the scalar error.
-    monkeypatch.setattr(simplex, "SUM_TOLERANCE", -1.0)
-    with pytest.raises(ValueError) as scalar:
-        probe_runs(95)
-    with pytest.raises(type(scalar.value), match=re.escape(str(scalar.value))):
-        check_all(seed=0, trials=1, n_range=(95, 105), claim_ids=["C8"])
+    message = "^the maximizer probes of n = 95..104 fail validation$"
+    with pytest.raises(NotADistribution, match=message):
+        ProbeBlock(np.arange(95, 105))
+    with pytest.raises(NotADistribution, match=message):
+        check_all(seed=0, trials=1, n_range=(95, 104), claim_ids=["C8"])
 
 
 def test_maximizer_reports_at_wide_n_keep_their_bytes_and_memory():
