@@ -1,12 +1,16 @@
 """The batched claim engine against the scalar reference engine
 (tests/reference_engine.py): the same report bytes on drawn seeds, trial
-counts, n ranges, tolerances and claim subsets."""
+counts, n ranges, tolerances and claim subsets, and on every golden
+configuration."""
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from reference_engine import reference_reports
+from test_golden import CONFIGS, DATA
 
 from negprob import CLAIMS, check_all, reports_to_json
+from negprob.cli import build_parser
 
 SEEDS = st.one_of(st.sampled_from([0, 1, 2**32 - 1, 2**32, 2**64 - 1]),
                   st.integers(0, 2**64 - 1))
@@ -33,3 +37,13 @@ def test_check_all_writes_the_reference_engines_bytes(seed, trials, n_range, tol
                   claim_ids=claim_ids)
     want = reports_to_json(reference_reports(**kwargs))
     assert reports_to_json(check_all(**kwargs)) == want
+
+
+@pytest.mark.parametrize("name", list(CONFIGS))
+def test_each_golden_report_is_the_reference_engines(name):
+    # The golden files hold the CLI's stdout: reports_to_json and a newline.
+    args = build_parser().parse_args(["check", *CONFIGS[name]])
+    reports = reference_reports(
+        seed=args.seed, trials=args.trials, n_range=(args.n_min, args.n_max),
+        tolerance=args.tol, claim_ids=args.claims.split(",") if args.claims else None)
+    assert reports_to_json(reports) + "\n" == (DATA / f"check_{name}.jsonl").read_text()
