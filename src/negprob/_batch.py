@@ -7,15 +7,13 @@ the distributions one after another. Each step runs once on the whole
 array and is the same float operation as its scalar reference:
 
 - ``pcg64_seeds`` is numpy's documented SeedSequence pool hash on
-  integer columns, and ``sample_rows`` draws all rows of at most
-  ``ZIGGURAT_MAX_N`` entries at once: PCG64 jumped ahead to each output,
-  then numpy's ziggurat for ``standard_exponential``, its fast path on
-  every row and its slow path (tail and wedge draws, and restarts) on the
-  rows that need it, with numpy's tables from ``_ziggurat_tables``, kept
-  only when they match the installed numpy's Generator on a witness. The
-  Generator draws each longer row, and each row whose restarts outrun its
-  window of outputs, so each row is exactly the stream
-  ``simplex.sample_uniform_simplex`` draws.
+  integer columns. ``raw_rows`` takes each row's PCG64 raw outputs, by
+  jumping to each output of every row of at most ``JUMP_MAX_N`` entries
+  at once, and by one ``random_raw`` call for a longer row; and
+  ``exponential_rows`` turns them into the gaps 0.0 - log(1.0 - u), u
+  the top 53 bits times 2**-53, as ``simplex.sample_uniform_simplex``
+  does. ``sample_rows`` normalises the gaps as ``make_distribution``
+  does (``distribution_rows``).
 - Division, ``1 - p`` and products are single IEEE operations in numpy
   as in Python, and every logarithm is ``math.log``'s (see below). Every
   sum is ``math.fsum``'s, the correctly rounded exact sum: ``Rows.fsums``
@@ -41,7 +39,7 @@ same function ``math.log`` calls, at about a twentieth of the cost of
 detail, so ``log_kernel`` takes that path only when it gives
 ``math.log``'s bits on ``log_witness()`` (checked once, at import), and
 ``math.log`` entry by entry otherwise. The properties in
-tests/test_properties.py and tests/test_ziggurat.py pin every function
+tests/test_properties.py and tests/test_sampler.py pin every function
 here against its reference.
 This module imports numpy, so it is imported only when trials are
 sampled or probes measured.
@@ -51,7 +49,7 @@ from __future__ import annotations
 
 from functools import cache, cached_property
 from itertools import chain, repeat
-from math import exp, fsum, inf, log, log1p
+from math import fsum, inf, log
 
 import numpy as np
 
@@ -63,7 +61,6 @@ from .simplex import (
     NotADistribution,
     make_distribution,
 )
-from ._ziggurat_tables import FE, KE, R, WE
 
 # Entries (trials x n) evaluated together; n near 10^4 gives one trial per chunk.
 CHUNK_ENTRIES = 2**14
@@ -78,15 +75,11 @@ _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _MASK32 = 2**32 - 1
 _MASK64 = 2**64 - 1
 _MASK128 = 2**128 - 1
-# Rows of at most this many draws are drawn in numpy, and a longer row by the
-# Generator: on a 2-vCPU Xeon a Generator row costs about 3.7 us (mostly
-# setting its state) and a draw in numpy about 0.11 us, slow draws included,
-# so from about 34 draws on a row costs less there.
-ZIGGURAT_MAX_N = 32
-# Outputs past a row's n that its slow draws may read: each slow draw reads
-# one more output, and a restart two. A row that needs more is drawn by the
-# Generator.
-_SLOW_WINDOW = 8
+# Rows of at most this many entries take their raw outputs by jumping PCG64
+# ahead to each one, and a longer row by one random_raw call (see raw_rows):
+# on a 2-vCPU Xeon a jumped output costs about 0.071 us and a random_raw row
+# about 6.2 us plus 0.008 us an output, so they meet near n = 98.
+JUMP_MAX_N = 96
 
 
 class Rows:
@@ -311,7 +304,7 @@ def _jump_words(n_max: int):
     return np.array(columns, np.uint64).T.copy()
 
 
-_JUMPS = _jump_words(ZIGGURAT_MAX_N + _SLOW_WINDOW)
+_JUMPS = _jump_words(JUMP_MAX_N)
 
 
 def _mul128(a, at, b, bt):
@@ -375,222 +368,61 @@ def pcg64_outputs(seeds, row, pos):
     return out
 
 
-def ziggurat_split(outputs):
-    """What numpy's ziggurat reads of each PCG64 output (the array is
-    consumed): ri, its top 53 bits, and the layer, bits 3 to 10."""
-    outputs >>= 3
-    layer = (outputs & 0xFF).astype(np.intp)
-    outputs >>= 8
-    return outputs, layer
-
-
-def ziggurat_draws(ri, layer, tables):
-    """``standard_exponential``'s fast path: the draw ri * we[layer], and
-    whether numpy returns it, ri < ke[layer] (Marsaglia and Tsang, J. Stat.
-    Softw. 5(8), 2000), as arrays. Otherwise numpy takes its slow path,
-    which reads the next output too (see ``_slow_rows``)."""
-    we, ke = tables[:2]
-    x = ri.astype(float)
-    x *= we[layer]
-    return x, ri < ke[layer]
-
-
-# The kinds of slow draw, in the codes _slow_rows gives them: a tail draw of
-# layer 0, a wedge draw the wedge test accepts, and one it rejects, which
-# restarts.
-SLOW_KINDS = ("tail", "wedge", "restart")
-
-
-def _ziggurat_rows(seeds, rows: Rows, tables, gaps):
-    """Write into gaps the draws of every row of at most ``ZIGGURAT_MAX_N``
-    entries that the ziggurat draws in numpy, and return the indices of the
-    rows left to the Generator, then the row and the ``SLOW_KINDS`` code of
-    each slow draw taken. The rows whose draws all take the fast path are
-    done at once; the others go to ``_slow_rows``."""
-    short = np.flatnonzero(rows.ns <= ZIGGURAT_MAX_N)
-    ns = rows.ns[short]
-    row = np.repeat(short, ns)
-    pos = np.arange(len(row)) - np.repeat(np.cumsum(ns) - ns, ns)
-    ri, layer = ziggurat_split(pcg64_outputs(seeds, row, pos))
-    x, fast = ziggurat_draws(ri, layer, tables)
-    gaps[rows.starts[row] + pos] = x
-    slow = np.zeros(len(rows), bool)
-    slow[row[~fast]] = True
-    which = np.flatnonzero(slow)
-    left = rows.ns > ZIGGURAT_MAX_N
-    if not len(which):
-        return np.flatnonzero(left), which, which
-    entries = slow[row]
-    done, slow_row, kind = _slow_rows(seeds, rows, which, ri[entries], layer[entries],
-                                      tables, gaps)
-    left[which[~done]] = True
-    return np.flatnonzero(left), slow_row, kind
-
-
-def _slow_rows(seeds, rows: Rows, which, ri, layer, tables, gaps):
-    """Draw the rows ``which`` in full, numpy's slow path included, given
-    ri and layer of their first n outputs, row after row. Write into gaps
-    the draws of each row whose draws fit in a window of ``_SLOW_WINDOW``
-    outputs past its n, and return which rows those are, then the row and
-    ``SLOW_KINDS`` code of each slow draw they take.
-
-    This is numpy's ``random_standard_exponential`` on all rows at once,
-    as (rows, window) matrices. A draw at output p that misses the fast
-    path reads u = ri[p + 1] * 2**-53. In layer 0 it returns r -
-    log1p(-u), a tail draw. In any other layer i it returns its x when
-    (fe[i - 1] - fe[i]) * u + fe[i] < exp(-x), two roundings as in numpy's
-    C code, and otherwise restarts as a new draw. Either way the row goes
-    on at output p + 2. So output p starts a draw when an even number of
-    slow outputs lie between it and the last fast output before it, or
-    the row's start. ``math.exp`` and ``math.log1p`` are the C library's
-    functions numpy calls; numpy's SIMD ``exp`` is never used.
-    """
-    fe, r = tables[2:]
-    ns = rows.ns[which]
-    width = int(ns.max()) + _SLOW_WINDOW
-    known = np.arange(width) < ns[:, None]
-    more = ~known
-    at, pos = np.nonzero(more)
-    block_ri = np.empty(known.shape, np.uint64)
-    block_layer = np.empty(known.shape, np.intp)
-    block_ri[known], block_layer[known] = ri, layer
-    block_ri[more], block_layer[more] = ziggurat_split(pcg64_outputs(seeds, which[at], pos))
-    x, fast = ziggurat_draws(block_ri, block_layer, tables)
-    last_fast = np.where(fast, np.arange(width), -1)
-    np.maximum.accumulate(last_fast, axis=1, out=last_fast)
-    begins = np.ones(known.shape, bool)
-    begins[:, 1:] = (np.arange(1, width) - last_fast[:, :-1]) & 1
-    slow = begins & ~fast
-    slow[:, -1] = False  # its u lies past the window
-    returned = begins & fast
-    row, p = np.nonzero(slow)
-    u = block_ri[row, p + 1] * 2.0**-53
-    i = block_layer[row, p]
-    draws = x[row, p]
-    tail = i == 0
-    draws[tail] = [r - log1p(-v) for v in u[tail].tolist()]
-    wedge = ~tail
-    i = i[wedge]
-    accepted = tail.copy()
-    accepted[wedge] = (fe[i - 1] - fe[i]) * u[wedge] + fe[i] < np.array(
-        [exp(-d) for d in draws[wedge].tolist()])
-    x[row, p] = draws
-    returned[row, p] = accepted
-    count = returned.cumsum(axis=1)
-    done = count[:, -1] >= ns
-    taken = returned & (count <= ns[:, None])
-    taken &= done[:, None]
-    # The slow draws of the rows drawn, up to each row's n-th draw.
-    used = done[row] & (count[row, p] - accepted < ns[row])
-    count += rows.starts[which][:, None] - 1
-    gaps[count[taken]] = x[taken]
-    kind = np.where(accepted, wedge, 2)  # tail 0, accepted wedge 1, restart 2
-    return done, which[row[used]], kind[used]
-
-
-def exponential_rows(seeds, rows: Rows, tables):
-    """``Generator(PCG64).standard_exponential(n)`` of each row's stream,
-    given by its column of ``pcg64_seeds`` words, bit for bit, as flat
-    rows: by the ziggurat in numpy with tables where it serves, and by one
-    Generator for every other row (every row when tables is None)."""
-    gaps = np.empty(rows.starts[-1] + rows.ns[-1])
-    loop = np.arange(len(rows)) if tables is None else _ziggurat_rows(seeds, rows, tables, gaps)[0]
-    if len(loop):
+def raw_rows(seeds, rows: Rows):
+    """PCG64's first n raw outputs, ``random_raw(n)``, of each row's stream,
+    given by its column of ``pcg64_seeds`` words, as flat uint64 rows:
+    jumped ahead to by ``pcg64_outputs`` for every row of at most
+    ``JUMP_MAX_N`` entries at once, and drawn by one bit generator put in
+    each longer row's seeded state."""
+    out = np.empty(rows.starts[-1] + rows.ns[-1], np.uint64)
+    short = np.flatnonzero(rows.ns <= JUMP_MAX_N)
+    if len(short):
+        ns = rows.ns[short]
+        row = np.repeat(short, ns)
+        pos = np.arange(len(row)) - np.repeat(np.cumsum(ns) - ns, ns)
+        out[rows.starts[row] + pos] = pcg64_outputs(seeds, row, pos)
+    long = np.flatnonzero(rows.ns > JUMP_MAX_N)
+    if len(long):
         bits = np.random.PCG64(0)
-        gen = np.random.Generator(bits)
-        for row, (seed_lo, seed_hi, inc_lo, inc_hi) in zip(
-                rows.slices(loop), seeds[:, loop].T.tolist()):
-            inc = inc_hi << 64 | inc_lo
-            # PCG64's seeding: two LCG steps, adding the seed after the first.
-            _set_pcg64(bits, ((seed_hi << 64 | seed_lo) + inc) * _PCG_MULT + inc & _MASK128, inc)
-            gen.standard_exponential(out=gaps[row])
-    return gaps
+        for row, words in zip(rows.slices(long), seeds[:, long].T.tolist()):
+            _set_pcg64(bits, words)
+            out[row] = bits.random_raw(row.stop - row.start)
+    return out
 
 
-def _set_pcg64(bits, state: int, inc: int) -> None:
-    """Put the PCG64 bits at the given 128-bit LCG state and increment,
-    with no seeding step."""
+def _set_pcg64(bits, words) -> None:
+    """Put the PCG64 bits in the state that seeding with the given
+    ``pcg64_seeds`` words gives: two LCG steps, adding the seed after the
+    first."""
+    seed_lo, seed_hi, inc_lo, inc_hi = words
+    inc = inc_hi << 64 | inc_lo
+    state = ((seed_hi << 64 | seed_lo) + inc) * _PCG_MULT + inc & _MASK128
     bits.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
                   "has_uint32": 0, "uinteger": 0}
 
 
-def crafted_stream(first: int, second: int) -> list[int]:
-    """The ``pcg64_seeds`` words of a stream whose first two outputs are
-    first, an even number, and second, an odd one. A state whose high word
-    is zero outputs its low word, so the stream's first two states are
-    first and second, inc = second - M * first (odd), and seeding's two LCG
-    steps are undone from there."""
-    inc = (second - _PCG_MULT * first) & _MASK128
-    inverse = pow(_PCG_MULT, -1, 2**128)
-    seeded = (first - inc) * inverse
-    seed = ((seeded - inc) * inverse - inc) & _MASK128
-    return [seed & _MASK64, seed >> 64, inc & _MASK64, inc >> 64]
-
-
-# Trials (n, t) of seed 0 whose draws take each kind of slow draw: at n = 2,
-# t = 46 a restart lands on a draw the wedge test accepts; at n = 13, t =
-# 172 a wedge draw and then a tail draw; at n = 20, t = 41 a restart.
-_WITNESS_TRIALS = ((2, 46), (13, 172), (20, 41))
-# (layer, ri, u): at this ri, the first that misses layer 100's fast path,
-# u * 2**-53 is the largest u the wedge test accepts, under numpy 2.4's fe.
-_WEDGE_EDGE = (100, 8931962646340834, 9007199254740906)
-
-
-def ziggurat_witness():
-    """The rows the guard draws both ways, as ``pcg64_seeds`` words and
-    ``Rows``: one row of seed 0 for each n up to ``ZIGGURAT_MAX_N``, the
-    trials of seed 0 in ``_WITNESS_TRIALS``, and two crafted rows of one
-    draw at ``_WEDGE_EDGE``, whose wedge test the least change to fe
-    turns."""
-    ns = [*range(2, ZIGGURAT_MAX_N + 1), *(n for n, _ in _WITNESS_TRIALS)]
-    ts = [*range(ZIGGURAT_MAX_N - 1), *(t for _, t in _WITNESS_TRIALS)]
-    layer, ri, u = _WEDGE_EDGE
-    crafted = [crafted_stream((ri << 8 | layer) << 3, u << 11 | 1) for u in (u, u + 1)]
-    seeds = np.concatenate([pcg64_seeds(0, ns, ts), np.array(crafted, np.uint64).T], axis=1)
-    return seeds, Rows([*ns, 1, 1])
-
-
-def guarded_ziggurat(tables):
-    """tables when ``exponential_rows`` draws the ``ziggurat_witness`` rows
-    with them bit for bit as the Generator draws them, and None
-    otherwise."""
-    if tables is None:
-        return None
-    seeds, rows = ziggurat_witness()
-    want = exponential_rows(seeds, rows, None).view(np.int64)
-    got = exponential_rows(seeds, rows, tables).view(np.int64)
-    return tables if np.array_equal(got, want) else None
-
-
-@cache
-def ziggurat_tables():
-    """The tables ``sample_rows`` draws with, (we, ke, fe, r) from
-    ``_ziggurat_tables``, guarded on first use, once per process; None
-    when the Generator draws every row."""
-    return guarded_ziggurat((np.frombuffer(WE, "<f8"), np.frombuffer(KE, "<u8"),
-                             np.frombuffer(FE, "<f8"), R))
+def exponential_rows(seeds, rows: Rows):
+    """The unit-exponential gaps of each row's stream, as flat rows: 0.0 -
+    log(1.0 - u) for u the top 53 bits of each of ``raw_rows``' outputs
+    times 2**-53, by ``log_kernel``. u and 1 - u are exact, so each gap is
+    ``sample_uniform_simplex``'s bit for bit."""
+    u = raw_rows(seeds, rows)
+    u >>= 11
+    gaps = u.astype(float)
+    del u
+    gaps *= -2.0**-53
+    gaps += 1.0
+    gaps = log_kernel(gaps)
+    return np.subtract(0.0, gaps, out=gaps)
 
 
 def sample_rows(streams, rows: Rows):
     """``sample_uniform_simplex(SimplexSamplerConfig(seed, n, trials), t)``
     for each row, bit for bit, as flat rows, where the row's column of
-    streams holds ``pcg64_seeds`` words of (seed, n, t).
-
-    Each row's draws from its own stream are ``exponential_rows`` with the
-    ``ziggurat_tables``, and ``gaps / gaps.sum()`` is taken with numpy's
-    own sum of that row, taken for all rows of one n as the rows of a
-    matrix; the renormalisation and validation then run on all rows at
-    once (see ``distribution_rows``).
-    """
-    # The tables are guarded only once some row can use them.
-    tables = ziggurat_tables() if rows.ns.min() <= ZIGGURAT_MAX_N else None
-    gaps = exponential_rows(streams, rows, tables)
-    sums = np.empty(len(rows))
-    for members, at in rows.by_n:
-        # A row of a C-ordered matrix is summed like the row alone (pairwise).
-        sums[members] = gaps[at].sum(axis=1)
-    gaps /= rows.repeat(sums)
-    return distribution_rows(gaps, rows, renormalize=True)
+    streams holds ``pcg64_seeds`` words of (seed, n, t): the
+    ``exponential_rows`` gaps, each row divided by its ``fsum`` and
+    validated (``distribution_rows``)."""
+    return distribution_rows(exponential_rows(streams, rows), rows, renormalize=True)
 
 
 def distribution_rows(values, rows: Rows, renormalize: bool = False):

@@ -8,7 +8,7 @@ convention. n = 1 is rejected at construction because the negation map
 divides by n - 1.
 
 Sampling is flat-Dirichlet (uniform over the simplex) via normalized
-unit-exponential draws. Each trial's random stream is derived from
+unit-exponential gaps, drawn by inversion from PCG64's raw outputs. Each trial's random stream is derived from
 (seed, n, trial_index) alone, so a given trial yields the same sample no
 matter in which order trials are evaluated.
 
@@ -246,10 +246,19 @@ def sample_uniform_simplex(
 ) -> Distribution:
     """Draw one flat-Dirichlet sample, deterministic in (seed, n, trial_index).
 
-    Normalized unit-exponential draws are uniform over the simplex. The
-    per-trial stream is seeded from the full (seed, n, trial_index) triple,
-    which makes the sampler stateless and trivially parallel. numpy is
-    imported here, on first use, so commands that never sample skip it.
+    Normalized unit-exponential gaps are uniform over the simplex (Devroye,
+    "Non-Uniform Random Variate Generation", 1986, ch. V). The per-trial
+    stream is PCG64 seeded by numpy's ``SeedSequence((seed, n,
+    trial_index))``, which makes the sampler stateless and trivially
+    parallel. Each of its n raw 64-bit outputs gives u, its top 53 bits
+    times 2**-53, and the gap 0.0 - log(1.0 - u), by inversion (ch. II):
+    u and 1 - u are exact, and ``0.0 -`` makes the gap of u = 0 +0.0. So a
+    sample depends on SeedSequence and PCG64's raw stream, which numpy
+    keeps stable across versions (NEP 19), IEEE arithmetic and the C
+    library's ``log``, not on numpy's distributions. A gap is at most
+    53 ln 2 (about 36.7), and it is zero with probability 2**-53 per draw.
+    The gaps are divided by their ``fsum`` (``make_distribution``). numpy
+    is imported here, on first use, so commands that never sample skip it.
     """
     import numpy as np
 
@@ -258,8 +267,9 @@ def sample_uniform_simplex(
             f"trial_index = {trial_index} outside [0, {config.trials})"
         )
     seq = np.random.SeedSequence((config.seed, config.n, trial_index))
-    gaps = np.random.default_rng(seq).standard_exponential(config.n)
-    return make_distribution((gaps / gaps.sum()).tolist(), renormalize=True)
+    outputs = np.random.PCG64(seq).random_raw(config.n).tolist()
+    gaps = [0.0 - math.log(1.0 - (x >> 11) * 2.0**-53) for x in outputs]
+    return make_distribution(gaps, renormalize=True)
 
 
 def majorizes(p: Distribution, q: Distribution) -> bool:

@@ -267,7 +267,6 @@ class TestReports:
             drawn.extend(zip([seed] * len(ts), ns.tolist(), ts.tolist()))
             return pcg64_seeds(seed, ns, ts)
 
-        _batch.ziggurat_tables()  # its guard seeds witness rows on first use
         pcg64_seeds = _batch.pcg64_seeds
         monkeypatch.setattr(_batch, "pcg64_seeds", counting)
         check_all(seed=3, trials=50)

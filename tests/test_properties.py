@@ -48,8 +48,8 @@ from negprob._batch import (
     LOG_WITNESS_HEAD,
     PROBE_BLOCK_N,
     ProbeBlock,
+    JUMP_MAX_N,
     Rows,
-    ZIGGURAT_MAX_N,
     descending_prefix_sums,
     guarded_logs,
     log_kernel,
@@ -307,9 +307,10 @@ def test_a_probe_block_that_fails_a_check_raises(monkeypatch):
 
 
 def test_maximizer_reports_at_wide_n_keep_their_bytes_and_memory():
-    # The sha256 of this call's reports before the probes were built as
-    # columns; tracemalloc's peak was 0.28 MB then, and whole-range columns
-    # would take tens of MB.
+    # The sha256 of this call's reports since the sampler's gaps became
+    # inverse-CDF draws. Before the probes were built as columns,
+    # tracemalloc's peak was 0.28 MB, and whole-range columns would take
+    # tens of MB.
     kwargs = dict(seed=3, trials=20, n_range=(2, MAX_OUTCOMES), claim_ids=("C7", "C8", "C9"))
     check_all(**kwargs)  # warm-up: first-use tables and imports
     tracemalloc.start()
@@ -319,7 +320,7 @@ def test_maximizer_reports_at_wide_n_keep_their_bytes_and_memory():
     finally:
         tracemalloc.stop()
     assert hashlib.sha256(reports_to_json(reports).encode()).hexdigest() == (
-        "c1bccd2eef732db444c18e2adef481de5564ecef924b016dd37b77d111ae4e51")
+        "904b59e9c89bd7b58776ae5956170f9936435cd51d6849bddd927ccf7942cf7b")
     assert peak <= 2 * 2**20
     # C8 and C9 fall to one probe point and peak at one: each is one tuple.
     c7, c8, c9 = reports
@@ -399,10 +400,10 @@ TRIAL_INDICES = st.one_of(st.sampled_from([0, 2**32 - 1, 2**32]),
                           st.integers(0, 2**64 - 1))
 
 
-# Row sizes either side of the cutoff between the vectorised draws and the
-# Generator, small ones, and any up to 10^4.
+# Row sizes either side of the cutoff between the jumped outputs and
+# random_raw, small ones, and any up to 10^4.
 SAMPLE_NS = st.one_of(st.integers(2, 12),
-                      st.integers(ZIGGURAT_MAX_N - 3, ZIGGURAT_MAX_N + 3),
+                      st.integers(JUMP_MAX_N - 3, JUMP_MAX_N + 3),
                       st.integers(2, 10_000))
 
 
@@ -417,19 +418,6 @@ def test_batched_samples_are_bitwise_equal_to_the_sampler(seed, draws):
     for (n, t), row in zip(trials, rows.slices(np.arange(len(rows)))):
         want = sample_uniform_simplex(SimplexSamplerConfig(seed, n, t + 1), t).probs
         assert [x.hex() for x in got[row]] == [x.hex() for x in want]
-
-
-@SETTINGS
-@given(st.integers(2, 10_000), st.integers(0, 2**32 - 1))
-def test_a_matrix_row_sum_is_the_sum_of_the_row_alone(n, seed):
-    # The float sums sample_rows takes of each n's rows, against each row's
-    # own gaps.sum(): numpy sums both pairwise, in the same blocks.
-    rng = np.random.default_rng(seed)
-    draws = [rng.standard_exponential(n) for _ in range(max(2, 40_000 // n))]
-    rows = Rows([n] * len(draws))
-    ((members, at),) = rows.by_n
-    got = np.concatenate(draws)[at].sum(axis=1).tolist()
-    assert [x.hex() for x in got] == [draws[i].sum().hex() for i in members]
 
 
 # Entries fsum treats apart: signed zeros, subnormals, the smallest

@@ -209,16 +209,16 @@ class TestSampler:
             SimplexSamplerConfig(seed=2**64, n=2, trials=1)
 
     def test_valid_inputs_sample_the_pinned_bits(self):
-        # Values taken before the integer rule was added: it rejects inputs
-        # only, and changes no sample.
+        # Values taken when the gaps became inverse-CDF draws on PCG64's raw
+        # outputs; the integer rule rejects inputs only, and changes no sample.
         cfg = SimplexSamplerConfig(seed=7, n=5, trials=10)
         assert sample_uniform_simplex(cfg, 3).probs == (
-            0.3412788698402533, 0.03182495276990725, 0.5218439621902937,
-            0.09556340782541303, 0.009488807374132631,
+            0.4383053334460021, 0.033838712915935286, 0.171431188639763,
+            0.35237432806404867, 0.004050436934250987,
         )
         cfg = SimplexSamplerConfig(seed=2**64 - 1, n=3, trials=2)
         assert sample_uniform_simplex(cfg, 1).probs == (
-            0.26417735898690775, 0.41889475726754205, 0.31692788374555014,
+            0.10879797514434868, 0.7180164861149525, 0.17318553874069892,
         )
 
 
