@@ -8,9 +8,10 @@ convention. n = 1 is rejected at construction because the negation map
 divides by n - 1.
 
 Sampling is flat-Dirichlet (uniform over the simplex) via normalized
-unit-exponential gaps, drawn by inversion from PCG64's raw outputs. Each trial's random stream is derived from
-(seed, n, trial_index) alone, so a given trial yields the same sample no
-matter in which order trials are evaluated.
+unit-exponential gaps, drawn by inversion from PCG64's raw outputs. Each
+trial's random stream is derived from (seed, n, trial_index) alone, so a
+given trial yields the same sample no matter in which order trials are
+evaluated.
 
 A point with few distinct entries can be held as (value, count) runs.
 ``make_distribution_runs`` applies ``make_distribution``'s rules to the

@@ -104,9 +104,8 @@ def test_subset_equals_matching_lines_of_full_run(subset):
 
 
 # The sha256 of reports_to_json at n near 10^4 for each (seed, claims) of
-# LARGE_N_CONFIGS, taken when the sampler's gaps became inverse-CDF draws on
-# PCG64's raw outputs, and equal to the reference engine's
-# (tests/reference_engine.py) then.
+# LARGE_N_CONFIGS, also the sha256 of the reference engine's reports
+# (tests/reference_engine.py) when they were taken.
 LARGE_N_SHA256 = {
     (0, "C1-C6"): "e82427af1b632e71ab232c1411aad6113af05117bd146f04ec78931ea0ac88c8",
     (1, "C1-C6"): "147f155fa11bcc410f3954cb3c610a7a7101a981b07cd9ceb6e3787c0f9a05e1",

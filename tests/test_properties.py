@@ -27,6 +27,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import reference_engine
+
 from negprob import (
     SUM_TOLERANCE,
     entropy,
@@ -45,10 +47,10 @@ from negprob import SimplexSamplerConfig, sample_uniform_simplex
 import negprob._batch as batch
 from negprob._batch import (
     CHUNK_ENTRIES,
+    JUMP_MAX_N,
     LOG_WITNESS_HEAD,
     PROBE_BLOCK_N,
     ProbeBlock,
-    JUMP_MAX_N,
     Rows,
     descending_prefix_sums,
     guarded_logs,
@@ -201,25 +203,11 @@ def probe_runs(n: int) -> list[list[tuple[float, int]]]:
     return points
 
 
-def reference_probe_points(n):
-    """The maximizer probes, built entry by entry: uniform, then uniform +
-    eps*(e_0 - e_1) renormalised, for each probe eps."""
-    u = uniform(n)
-    base = u.probs[0]
-    points = [u]
-    for eps in [e for e in (1e-3, 1e-2) if e <= base] or [base / 2.0]:
-        vals = list(u.probs)
-        vals[0] += eps
-        vals[1] -= eps
-        points.append(make_distribution(vals, renormalize=True))
-    return points
-
-
 @SETTINGS
 @given(st.one_of(st.integers(2, 40), st.integers(2, 10_000), st.integers(9_990, 10_000)))
 def test_probe_points_as_runs_equal_the_points_built_entry_by_entry(n):
     points = probe_runs(n)
-    reference = reference_probe_points(n)
+    reference = list(reference_engine.probes(n))  # built entry by entry
     assert len(points) == len(reference)
     for point, want in zip(points, reference):
         assert expanded(point) == list(want.probs)
@@ -307,12 +295,11 @@ def test_a_probe_block_that_fails_a_check_raises(monkeypatch):
 
 
 def test_maximizer_reports_at_wide_n_keep_their_bytes_and_memory():
-    # The sha256 of this call's reports since the sampler's gaps became
-    # inverse-CDF draws. Before the probes were built as columns,
-    # tracemalloc's peak was 0.28 MB, and whole-range columns would take
-    # tens of MB.
+    # The sha256 of this call's reports. Before the probes were built as
+    # columns tracemalloc's peak was 0.28 MB, and whole-range columns would
+    # take tens of MB.
     kwargs = dict(seed=3, trials=20, n_range=(2, MAX_OUTCOMES), claim_ids=("C7", "C8", "C9"))
-    check_all(**kwargs)  # warm-up: first-use tables and imports
+    check_all(**kwargs)  # warm-up: imports and cached hash constants
     tracemalloc.start()
     try:
         reports = check_all(**kwargs)

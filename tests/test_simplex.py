@@ -209,8 +209,7 @@ class TestSampler:
             SimplexSamplerConfig(seed=2**64, n=2, trials=1)
 
     def test_valid_inputs_sample_the_pinned_bits(self):
-        # Values taken when the gaps became inverse-CDF draws on PCG64's raw
-        # outputs; the integer rule rejects inputs only, and changes no sample.
+        # The integer rule rejects inputs only, and changes no sample.
         cfg = SimplexSamplerConfig(seed=7, n=5, trials=10)
         assert sample_uniform_simplex(cfg, 3).probs == (
             0.4383053334460021, 0.033838712915935286, 0.171431188639763,
