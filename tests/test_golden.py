@@ -16,6 +16,7 @@ from pathlib import Path
 
 import pytest
 
+import negprob._batch as batch
 from negprob import CLAIMS, check_all, check_claim, claim_by_id
 from negprob.claims import _MEASURE_FIELD, reports_to_json
 from negprob.cli import build_parser, main
@@ -61,6 +62,29 @@ def test_check_stdout_matches_golden(capsys, name, fmt, ext):
     out = capsys.readouterr().out
     assert code == 0
     assert out.encode("utf-8") == (DATA / f"check_{name}.{ext}").read_bytes()
+
+
+@pytest.fixture(scope="module")
+def long_jumps():
+    """PCG64 jump words for rows of up to the largest n of CONFIGS."""
+    return batch._jump_words(10_000)
+
+
+@pytest.mark.parametrize("fmt, ext", [("json", "jsonl"), ("csv", "csv")])
+@pytest.mark.parametrize("name", list(CONFIGS))
+@pytest.mark.parametrize("split", ["random_raw", "jumped"])
+def test_check_stdout_matches_golden_when_one_path_draws_every_row(
+        monkeypatch, capsys, long_jumps, split, name, fmt, ext):
+    # The row size that splits jumped outputs from random_raw calls is
+    # chosen for speed alone: moving it to either end keeps every byte.
+    if split == "random_raw":
+        monkeypatch.setattr(batch, "JUMP_MAX_N", 0)
+    else:
+        monkeypatch.setattr(batch, "JUMP_MAX_N", long_jumps.shape[1])
+        monkeypatch.setattr(batch, "_JUMPS", long_jumps)
+    code = main(["check", *CONFIGS[name], "--format", fmt])
+    assert code == 0
+    assert capsys.readouterr().out.encode("utf-8") == (DATA / f"check_{name}.{ext}").read_bytes()
 
 
 def api_kwargs(name):
