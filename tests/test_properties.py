@@ -501,6 +501,93 @@ def test_row_sums_fall_back_to_fsum_outside_the_window(monkeypatch, row, extract
     assert summed == ([] if extracted else [1])
 
 
+@st.composite
+def mixed_calls(draw):
+    """The rows of one ``Rows.fsums`` call, of mixed magnitudes: up to 40
+    rows of 1..64 entries, each row scaled by its own 2**e, e in -80..80
+    (within 0, 8, 32 or all 160 binades of the call's lowest), its entries
+    spread over up to 60 binades below that; some rows hold zeros,
+    subnormals and special values. Entries take both signs and, at times,
+    cancel in pairs. One call in ten holds inf, nan or 1e308 in some row."""
+    low = draw(st.integers(-80, 80))
+    high = min(80, low + draw(st.sampled_from([0, 8, 32, 160])))
+    rows = []
+    for _ in range(draw(st.integers(1, 40))):
+        n, e = draw(st.integers(1, 64)), draw(st.integers(low, high))
+        rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+        spread, special = rng.choice((0, 10, 60)), rng.choice((0.0, 0.1))
+        row = []
+        for _ in range(n):
+            kind = rng.random()
+            if kind < special / 2:
+                row.append(rng.choice(SUM_SPECIALS))
+            elif kind < special:
+                row.append(math.ldexp(rng.choice((-1, 1)) * rng.randint(1, 2**52), -1074))
+            else:
+                row.append(rng.choice((-1.0, 1.0)) * rng.random()
+                           * 2.0 ** (e - rng.randint(0, spread)))
+        if rng.random() < 0.3:  # cancel a random part of the row
+            row += [-x for x in row if rng.random() < 0.5]
+        rows.append(row)
+    if draw(st.integers(0, 9)) == 0:
+        row = draw(st.sampled_from(rows))
+        row.insert(draw(st.integers(0, len(row))), draw(st.sampled_from(SUM_BAD)))
+    return rows
+
+
+@SETTINGS
+@given(mixed_calls())
+def test_row_sums_of_mixed_magnitudes_in_one_call_are_fsum_bit_for_bit(entries):
+    # The call's split point comes from the call's sum(|x|), so a small row
+    # beside large ones is split far above its own magnitude.
+    rows = Rows([len(row) for row in entries])
+    values = np.array([x for row in entries for x in row])
+    want = []
+    try:
+        for row in entries:
+            want.append(math.fsum(row))
+    except (OverflowError, ValueError) as error:
+        with pytest.raises(type(error), match=f"^{re.escape(str(error))}$"):
+            rows.fsums(values)
+        return
+    assert list(map(sum_bits, rows.fsums(values).tolist())) == list(map(sum_bits, want))
+
+
+@pytest.mark.parametrize("entries, second_level, to_fsum", [
+    # Call sum(|x|) near 4: k = 4, b = 2, so the first level's floor is
+    # 2**-48 and the second's 2**-98. Row 1 reaches the second level and
+    # is exact there, its sum a tie at 2**-60 * (3.5 + 2**-52).
+    ([[1.0, 1.0, 1.0, 1.0], [2.0**-60, 3 * 2.0**-61, 2.0**-60 + 2.0**-112]], True, []),
+    ([[1.0, 1.0, 1.0, 1.0], [2.0**-48, -2.0**-47]], False, []),  # on the first floor
+    ([[1.0, 1.0, 1.0, 1.0], [2.0**-49, -2.0**-47]], True, []),  # just below it
+    ([[1.0], [1.0, 1.0, 1.0, 2.0**-49]], True, []),  # b is the longest row's, not the first's
+    # k = 5, b = 3: floors 2**-46 and 2**-95. Row 1 needs the second level
+    # and sits on its floor.
+    ([[1.0] * 8, [2.0**-20, 2.0**-95]], True, []),
+    # Same call, but 2**-96 is below the second level's floor: row 1 goes
+    # to fsum, though its own sum(|x|) would put it in a window.
+    ([[1.0] * 8, [2.0**-30, 2.0**-96]], True, [1]),
+    # A zero sum goes to fsum for its sign, in a call that is otherwise exact.
+    ([[1.0, 2.0**-60], [1.0, -1.0], [-0.0, -0.0], [3.0]], True, [1, 2]),
+    # Each row's sum(|x|) is below 2**999, the call's is not: fsum sums
+    # every row.
+    ([[2.0**998], [2.0**998]], False, [0, 1]),
+    # An inf anywhere: fsum sums every row, in order.
+    ([[1.0, 2.0], [math.inf, 1.0], [3.0]], False, [0, 1, 2]),
+])
+def test_row_sums_of_a_mixed_call_fall_back_to_fsum_by_row(monkeypatch, entries, second_level,
+                                                           to_fsum):
+    summed, two_sums = [], []
+    two_sum = batch._two_sum  # taken by the second level alone
+    monkeypatch.setattr(batch, "_two_sum", lambda x, y: two_sums.append(1) or two_sum(x, y))
+    monkeypatch.setattr(batch, "fsum", lambda row: summed.append(list(row)) or math.fsum(row))
+    rows = Rows([len(row) for row in entries])
+    got = rows.fsums(np.array([x for row in entries for x in row])).tolist()
+    assert list(map(sum_bits, got)) == [sum_bits(math.fsum(row)) for row in entries]
+    assert bool(two_sums) == second_level
+    assert summed == [entries[i] for i in to_fsum]
+
+
 def test_trial_rows_are_summed_without_the_fsum_fallback(monkeypatch):
     # A silent slow path would keep the reports and lose the speed: the
     # default check, full chunks shaped as check-small-n's (n = 2..8) and
