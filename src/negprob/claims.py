@@ -92,9 +92,9 @@ A report line has one writer, ``ClaimReport.to_json``: the compact JSON
 of ``to_json_obj()``, put together from ``json``'s encodings of its parts
 in the same key order. It saves formatting work only. Claims that report
 the same fixture, probe or trial point (C2 and C3 often do) get the same
-tuple, from ``_run``'s fixture map, the block's or the chunk's
-``probs``, and a maximizer's report keeps its peak's tuple as
-``argmax_point``. ``reports_to_json`` formats each distinct tuple once
+tuple, from ``_run``'s one measurement of the fixture, the block's or the
+chunk's ``probs``, and a maximizer's ``observed["argmax_p"]`` is its
+peak's tuple itself. ``reports_to_json`` formats each distinct tuple once
 per call, whether it is a counterexample or an ``argmax_p``; a point of
 n equal entries, such as uniform(n) in a limit claim's counterexample, is
 one formatted value repeated n times. Every other number is formatted by
@@ -111,15 +111,14 @@ of its own.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
-from dataclasses import dataclass
-from operator import is_
 
+from ._record import frozen_record
 from .measures import measure_all, measure_runs
 from .negation import negate
-from .simplex import SimplexSamplerConfig, make_distribution, require_int, uniform
+from .simplex import (SimplexSamplerConfig, make_distribution, require_int, require_tolerance,
+                      uniform)
 
 CONFIRMED = "CONFIRMED"
 REFUTED = "REFUTED"
@@ -142,7 +141,7 @@ class UnknownClaim(ValueError):
     """No registered claim has the requested id."""
 
 
-@dataclass(frozen=True)
+@frozen_record
 class Claim:
     id: str
     statement: str
@@ -216,13 +215,8 @@ _MEASURE_FIELD = {
     "C7": "H", "C8": "VH", "C9": "VJ",
 }
 
-_INEQUALITY_FIXTURES: dict[str, tuple[tuple[float, ...], ...]] = {
-    "C2": (REFUTATION_FIXTURE,),
-    "C3": (REFUTATION_FIXTURE,),
-}
 
-
-@dataclass(frozen=True)
+@frozen_record
 class Counterexample:
     """A concrete input on which the claim's comparison fails.
 
@@ -247,7 +241,7 @@ class Counterexample:
         }
 
 
-@dataclass(frozen=True)
+@frozen_record
 class ClaimReport:
     claim_id: str
     verdict: str
@@ -256,9 +250,6 @@ class ClaimReport:
     tolerance: float
     counterexample: Counterexample | None
     observed: dict | None
-    # A maximizer's reported peak, the tuple whose entries observed["argmax_p"]
-    # lists, so that the writer formats a point it shares with other reports once.
-    argmax_point: tuple | None = dataclasses.field(default=None, repr=False, compare=False)
 
     def to_json_obj(self) -> dict:
         """The report as a JSON object; ``to_json`` writes the text of its
@@ -285,11 +276,11 @@ class ClaimReport:
         """The pieces of text that join into ``json.dumps(self.to_json_obj(),
         separators=(",", ":"))``: the same keys and values, encoded by the
         same encoder in the same order, with the counterexample's point and
-        the peak's ``argmax_point`` put in as text. point_texts maps id(p) to
-        (p, the text of p) for every point already formatted, so a point
-        that several reports share, or one report as both, is formatted
-        once; holding p keeps its id from being reused while the map
-        lives."""
+        a maximizer's peak, a tuple ``observed["argmax_p"]``, put in as text.
+        point_texts maps id(p) to (p, the text of p) for every point already
+        formatted, so a point that several reports share, or one report as
+        both, is formatted once; holding p keeps its id from being reused
+        while the map lives."""
         head = _compact_json({
             "claim": self.claim_id,
             "verdict": self.verdict,
@@ -304,15 +295,15 @@ class ClaimReport:
         else:
             numbers = _compact_json({"lhs": ce.lhs, "rhs": ce.rhs, "margin": ce.margin})
             line += ['{"p":', _point_text(ce.p, point_texts), ",", numbers[1:]]
-        observed, peak = self.observed, self.argmax_point
+        observed = self.observed
         if observed is not None:
             line.append(',"observed":')
-            if (peak is not None and list(observed) == ["max_excess", "argmax_value", "argmax_p"]
-                    and len(observed["argmax_p"]) == len(peak)
-                    and all(map(is_, observed["argmax_p"], peak))):  # it lists peak's entries
+            if (list(observed) == ["max_excess", "argmax_value", "argmax_p"]
+                    and isinstance(observed["argmax_p"], tuple)):
                 numbers = _compact_json({"max_excess": observed["max_excess"],
                                          "argmax_value": observed["argmax_value"]})
-                line += [numbers[:-1], ',"argmax_p":', _point_text(peak, point_texts), "}"]
+                line += [numbers[:-1], ',"argmax_p":',
+                         _point_text(observed["argmax_p"], point_texts), "}"]
             else:
                 line.append(_compact_json(observed))
         line.append("}")
@@ -416,7 +407,7 @@ def check_all(
 # engine internals
 
 
-def _report(claim, seed, trials_run, tolerance, counterexample, observed, argmax_point=None):
+def _report(claim, seed, trials_run, tolerance, counterexample, observed):
     return ClaimReport(
         claim_id=claim.id,
         verdict=REFUTED if counterexample is not None else CONFIRMED,
@@ -425,21 +416,20 @@ def _report(claim, seed, trials_run, tolerance, counterexample, observed, argmax
         tolerance=tolerance,
         counterexample=counterexample,
         observed=observed,
-        argmax_point=argmax_point,
     )
 
 
-@dataclass
 class _Inequality:
     """Running verdict of one inequality claim; the first violation wins."""
 
-    claim: Claim
-    tolerance: float
-    counterexample: Counterexample | None = None
-    min_margin: float = math.inf
-    majorization_failures: int = 0
-    reversed: int = 0
-    reversible: int = 0  # trials with n >= 3, counted for C2 and C3
+    def __init__(self, claim: Claim, tolerance: float) -> None:
+        self.claim = claim
+        self.tolerance = tolerance
+        self.counterexample: Counterexample | None = None
+        self.min_margin = math.inf
+        self.majorization_failures = 0
+        self.reversed = 0
+        self.reversible = 0  # trials with n >= 3, counted for C2 and C3
 
     def fixture(self, probs, before, after) -> None:
         """A fixture only decides the verdict."""
@@ -481,17 +471,17 @@ class _Inequality:
         return observed
 
 
-@dataclass
 class _Maximizer:
     """Running verdict of one maximizer claim. ``_run`` hands ``_points``
     each n's probes and then each trial chunk, each point with its claimed
     maximum; the first violation wins and the first strict maximum is the
     reported peak."""
 
-    claim: Claim
-    tolerance: float
-    counterexample: Counterexample | None = None
-    peak: tuple | None = None  # (excess, value, probs)
+    def __init__(self, claim: Claim, tolerance: float) -> None:
+        self.claim = claim
+        self.tolerance = tolerance
+        self.counterexample: Counterexample | None = None
+        self.peak: tuple | None = None  # (excess, value, probs)
 
     def _points(self, value, bound, probs) -> None:
         """Fold points in order: the float arrays value and bound hold each
@@ -518,7 +508,7 @@ class _Maximizer:
         return {
             "max_excess": self.peak[0],
             "argmax_value": self.peak[1],
-            "argmax_p": list(self.peak[2]),
+            "argmax_p": self.peak[2],
         }
 
 
@@ -542,22 +532,17 @@ def _run(selected, seed, trials, n_range, tolerance) -> list[ClaimReport]:
         )
     if trials < 1:
         raise ValueError(f"trials = {trials!r} must be positive")
-    if isinstance(tolerance, bool) or not isinstance(tolerance, (int, float)):
-        raise ValueError(f"tolerance = {tolerance!r} must be a real number")
-    if not (math.isfinite(tolerance) and tolerance > 0.0):
-        raise ValueError(f"tolerance = {tolerance!r} must be finite and > 0")
+    require_tolerance("tolerance", tolerance)
     SimplexSamplerConfig(seed, n_min, trials)  # the sampler's seed rule, for every claim
     inequalities = [_Inequality(c, tolerance) for c in selected if c.kind == "inequality"]
     maximizers = [_Maximizer(c, tolerance) for c in selected if c.kind == "maximizer"]
 
-    fixtures = {}  # probs -> (its point, measures of it and of its negation)
-    for tally in inequalities:
-        for probs in _INEQUALITY_FIXTURES.get(tally.claim.id, ()):
-            if n_min <= len(probs) <= n_max:
-                if probs not in fixtures:
-                    p = make_distribution(probs)
-                    fixtures[probs] = (p.probs, measure_all(p), measure_all(negate(p)))
-                tally.fixture(*fixtures[probs])
+    refutable = [tally for tally in inequalities if tally.claim.id in ("C2", "C3")]
+    if refutable and n_min <= len(REFUTATION_FIXTURE) <= n_max:
+        p = make_distribution(REFUTATION_FIXTURE)
+        fixture = (p.probs, measure_all(p), measure_all(negate(p)))  # one point for both
+        for tally in refutable:
+            tally.fixture(*fixture)
 
     if inequalities or maximizers:
         import numpy as np  # numpy loads only when trials are drawn
@@ -588,8 +573,7 @@ def _run(selected, seed, trials, n_range, tolerance) -> list[ClaimReport]:
     return [
         _check_limit(c, seed, tolerance, grid, at_uniform) if c.kind == "limit"
         else _report(c, seed, trials, tolerance, tallies[c.id].counterexample,
-                     tallies[c.id].observed(),
-                     tallies[c.id].peak[2] if c.kind == "maximizer" else None)
+                     tallies[c.id].observed())
         for c in selected
     ]
 

@@ -47,7 +47,7 @@ from .negation import (
     negation_steps,
     summary_json,
 )
-from .simplex import Distribution, NotADistribution, make_distribution
+from .simplex import Distribution, NotADistribution, make_distribution, require_int
 
 _LN2 = math.log(2.0)
 
@@ -96,7 +96,7 @@ def sweep_n2_rows(steps: int = 200) -> Iterator[SweepRow]:
     they are consumed. The endpoint rows rely on the 0*ln(0) convention so
     the series closes at the axes. ``steps`` is checked on the call.
     """
-    if steps < 2:
+    if require_int("steps", steps) < 2:
         raise ValueError(f"steps = {steps} must be >= 2")
     return (_sweep_n2_row(i / steps) for i in range(steps + 1))
 
@@ -123,6 +123,8 @@ def sweep_n_rows(n_min: int = 2, n_max: int = 100) -> Iterator[SweepRow]:
     is checked on the call; n stops at 2**53, beyond which n is no longer
     exact as a float.
     """
+    require_int("n_min", n_min)
+    require_int("n_max", n_max)
     if not 2 <= n_min <= n_max <= _SWEEP_N_MAX:
         raise ValueError(
             f"need 2 <= n_min <= n_max <= 2**53, got [{n_min}, {n_max}]"

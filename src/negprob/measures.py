@@ -47,7 +47,7 @@ from math import fsum, log
 from operator import mul
 
 from ._record import frozen_record
-from .simplex import Distribution, TooFewOutcomes, fsum_runs
+from .simplex import Distribution, TooFewOutcomes, fsum_runs, require_int
 
 VARENTROPY_CLAMP = 1e-12
 
@@ -169,7 +169,7 @@ def uniform_varextropy(n: int) -> float:
     Zero at n = 2; algebraically equal to -(n-1)(n-2) (ln(1 - 1/n))^2, so
     the magnitude grows with n and tends to 1, not 0.
     """
-    if n < 2:
+    if require_int("n", n) < 2:
         raise TooFewOutcomes(f"need at least 2 outcomes, got {n}")
     t = 1.0 - 1.0 / n
     ln_t = math.log(t)

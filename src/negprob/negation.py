@@ -16,12 +16,11 @@ the affine recurrence gives the k-th iterate in closed form:
 from __future__ import annotations
 
 import json
-import math
 from collections.abc import Iterator
 
 from ._record import frozen_record
 from .measures import MeasureSet, measure_all
-from .simplex import Distribution, make_distribution_runs
+from .simplex import Distribution, make_distribution_runs, require_int, require_tolerance
 
 DEFAULT_MAX_STEPS = 100
 DEFAULT_TOLERANCE = 1e-9
@@ -43,7 +42,8 @@ def negate_runs(runs) -> list[tuple[float, int]]:
 def negate_k(d: Distribution, k: int) -> Distribution:
     """The k-th iterate via the closed form, O(n) regardless of k.
 
-    k must be a nonnegative int; a bool or a float raises ValueError.
+    k must be a nonnegative int; a bool or a float raises ValueError
+    (``require_int``).
     k = 0 returns the input unchanged. Agreement with k explicit
     applications of ``negate`` is a tested invariant (1e-12 sup-norm).
     Entries are clamped at 0, where rounding can land an exact zero (the
@@ -54,9 +54,7 @@ def negate_k(d: Distribution, k: int) -> Distribution:
     ~1e308. |r|**k is 1 for n = 2 and underflows to 0 for n >= 3 long
     before k = 2**53, so capping the exponent there changes no bit.
     """
-    if isinstance(k, bool) or not isinstance(k, int):
-        raise ValueError(f"k = {k!r} must be an integer")
-    if k < 0:
+    if require_int("k", k) < 0:
         raise ValueError(f"k = {k} must be nonnegative")
     if k == 0:
         return d
@@ -121,12 +119,12 @@ def negation_steps(
 ) -> Iterator[TraceStep]:
     """The steps of ``trace_negation``, computed one at a time as they are
     consumed, so memory stays O(n) whatever ``max_steps`` is. The
-    arguments are checked on the call, before any step is computed.
+    arguments are checked on the call, before any step is computed:
+    ``max_steps`` by ``require_int``, ``tolerance`` by ``require_tolerance``.
     """
-    if max_steps < 1:
+    if require_int("max_steps", max_steps) < 1:
         raise ValueError(f"max_steps = {max_steps} must be >= 1")
-    if not (math.isfinite(tolerance) and tolerance > 0.0):
-        raise ValueError(f"tolerance = {tolerance} must be finite and > 0")
+    require_tolerance("tolerance", tolerance)
     return _steps(d, max_steps, tolerance)
 
 

@@ -214,9 +214,19 @@ def require_int(name: str, value):
     return value
 
 
+def require_tolerance(name: str, value):
+    """value, when it is a finite real number above 0, an int or a float
+    and not a bool; otherwise a ValueError that names it."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{name} = {value!r} must be a real number")
+    if not (math.isfinite(value) and value > 0.0):
+        raise ValueError(f"{name} = {value!r} must be finite and > 0")
+    return value
+
+
 def uniform(n: int) -> Distribution:
     """The uniform distribution on n outcomes, the fixed point of negation."""
-    if n < 2:
+    if require_int("n", n) < 2:
         raise TooFewOutcomes(f"need at least 2 outcomes, got {n}")
     return Distribution((1.0 / n,) * n)
 

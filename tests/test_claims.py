@@ -350,7 +350,7 @@ class TestReports:
             ("trial", 1), value[1], math.log(3), excess[1])
         peak = excess.index(max(excess))
         assert report.observed == {"max_excess": excess[peak], "argmax_value": value[peak],
-                                   "argmax_p": ["trial", peak]}
+                                   "argmax_p": ("trial", peak)}
         monkeypatch.undo()
 
         # A real chunk hands both kinds of claim one tuple for one trial.

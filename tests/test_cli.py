@@ -2,6 +2,7 @@ import functools
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -384,6 +385,11 @@ class TestSweepN2Command:
         code, _, err = run_cli(capsys, "sweep-n2", "--steps", "1")
         assert code != 0 and "steps" in err
 
+    @pytest.mark.parametrize("steps", [2.5, 3.0, True, "3"])
+    def test_rows_reject_a_step_count_that_is_not_an_int(self, steps):
+        with pytest.raises(ValueError, match=f"^steps = {re.escape(repr(steps))} must be an integer$"):
+            sweep_n2_rows(steps)
+
     def test_default_resolution(self):
         rows = list(sweep_n2_rows())
         assert len(rows) == 201
@@ -428,6 +434,14 @@ class TestSweepNCommand:
     def test_rejects_bad_range(self, capsys):
         code, _, err = run_cli(capsys, "sweep-n", "--n-min", "5", "--n-max", "4")
         assert code != 0
+
+    @pytest.mark.parametrize("n_min, n_max, name, value", [
+        (2.5, 4, "n_min", 2.5), (2, 4.0, "n_max", 4.0), (True, 4, "n_min", True),
+        ("2", 4, "n_min", "2"), (1, 4.5, "n_max", 4.5),
+    ])
+    def test_rows_reject_bounds_that_are_not_ints(self, n_min, n_max, name, value):
+        with pytest.raises(ValueError, match=f"^{name} = {re.escape(repr(value))} must be an integer$"):
+            sweep_n_rows(n_min, n_max)
 
     @pytest.mark.parametrize("n_min, n_max", [(2, 2**53 + 1), (2**60, 2**60),
                                               (2, 10**400)])
@@ -573,9 +587,10 @@ def _loaded_by(argv, modules) -> str:
 
 
 class TestNoNumpyWithoutSampling:
-    """The commands that do not sample load neither numpy nor, apart from
-    check, the claim engine or ``dataclasses``: each is a fresh process,
-    whose imports are most of its cost."""
+    """The commands that do not sample load neither numpy nor ``dataclasses``
+    nor, apart from check, the claim engine; a check that samples loads
+    numpy but not ``dataclasses``. Each is a fresh process, whose imports
+    are most of its cost."""
 
     def test_measure_does_not_import_numpy(self):
         result = _run_fresh(_loaded_by(["measure", "-p", "0.5,0.5"],
@@ -592,8 +607,15 @@ class TestNoNumpyWithoutSampling:
         ["check", "--claims", "C4,C5,C6", "--n-min", "9000", "--n-max", "10000"],
     ])
     def test_other_commands_without_sampling_do_not_import_numpy(self, argv):
-        modules = ["numpy"] if argv[0] == "check" else ["numpy", "negprob.claims", "dataclasses"]
+        modules = ["numpy", "dataclasses"]
+        if argv[0] != "check":
+            modules.append("negprob.claims")
         result = _run_fresh(_loaded_by(argv, modules))
+        assert result.returncode == 0, result.stderr
+
+    def test_a_sampling_check_does_not_import_dataclasses(self):
+        # Every claim kind: trials, probes and fixtures, and the limit grid.
+        result = _run_fresh(_loaded_by(["check", "--trials", "20"], ["dataclasses"]))
         assert result.returncode == 0, result.stderr
 
 

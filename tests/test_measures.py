@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import re
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from pathlib import Path
@@ -288,6 +289,11 @@ class TestUniformVarextropy:
     def test_rejects_one_outcome(self):
         with pytest.raises(TooFewOutcomes):
             uniform_varextropy(1)
+
+    @pytest.mark.parametrize("n", [2.5, 3.0, "3", True])
+    def test_rejects_a_count_that_is_not_an_int(self, n):
+        with pytest.raises(ValueError, match=f"^n = {re.escape(repr(n))} must be an integer$"):
+            uniform_varextropy(n)
 
 
 class TestNegatedMeasures:

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from negprob import (
     trace_negation,
     uniform,
 )
+from negprob.negation import negation_steps
 
 
 def random_distributions(seed, count, n_lo=2, n_hi=12):
@@ -195,6 +197,20 @@ class TestTrace:
         for tolerance in (0.0, math.inf, math.nan):
             with pytest.raises(ValueError, match="tolerance"):
                 trace_negation(uniform(3), tolerance=tolerance)
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"max_steps": 2.5}, "max_steps = 2.5 must be an integer"),
+        ({"max_steps": True}, "max_steps = True must be an integer"),
+        ({"max_steps": "3"}, "max_steps = '3' must be an integer"),
+        ({"tolerance": "1e-9"}, "tolerance = '1e-9' must be a real number"),
+        ({"tolerance": True}, "tolerance = True must be a real number"),
+        ({"tolerance": None}, "tolerance = None must be a real number"),
+        ({"tolerance": -1}, "tolerance = -1 must be finite and > 0"),
+    ])
+    @pytest.mark.parametrize("call", [trace_negation, negation_steps])
+    def test_arguments_of_the_wrong_type_are_named_on_the_call(self, call, kwargs, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call(make_distribution([0.6, 0.3, 0.1]), **kwargs)
 
     def test_json_lines_shape(self):
         trace = trace_negation(make_distribution([0.6, 0.3, 0.1]), max_steps=3,

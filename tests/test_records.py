@@ -24,6 +24,7 @@ from negprob import (
     measure_all,
     trace_negation,
 )
+from negprob.claims import REFUTED, Claim, ClaimReport, Counterexample
 from negprob.cli import SweepRow
 
 
@@ -38,6 +39,8 @@ def twin(cls):
 
 _P = make_distribution([0.6, 0.3, 0.1])
 _TRACE = trace_negation(_P, max_steps=3)
+_CE = Counterexample(_P.probs, 0.5, 0.25, 0.25)
+_PEAK = {"max_excess": 0.25, "argmax_value": 0.5, "argmax_p": _P.probs}
 
 # (record class, the arguments of one instance, those of an unequal one)
 CASES = [
@@ -47,8 +50,14 @@ CASES = [
     (TraceStep, (0, _P, measure_all(_P)), (1, _P, measure_all(_P))),
     (NegationTrace, (_TRACE.steps, None, 1e-9), (_TRACE.steps, 3, 1e-9)),
     (SweepRow, (0.5, {"H_P": 0.69}), (0.5, {"H_P": 0.7})),
+    (Claim, ("C1", "H(negate(p)) >= H(p)", "inequality", "all p"),
+     ("C1", "H(negate(p)) >= H(p)", "limit", "all p")),
+    (Counterexample, ((0.25, 0.75), 0.5, 0.25, -0.0), ((0.25, 0.75), 0.5, 0.25, 0.25)),
+    (ClaimReport, ("C2", REFUTED, 10, 7, 1e-9, _CE, None), ("C2", REFUTED, 10, 7, 1e-9, None, None)),
+    (ClaimReport, ("C8", REFUTED, 10, 7, 1e-9, _CE, _PEAK), ("C8", REFUTED, 11, 7, 1e-9, _CE, _PEAK)),
 ]
-IDS = [cls.__name__ for cls, _, _ in CASES]
+# A report with observed values holds a dict, so it is unhashable.
+IDS = [*(cls.__name__ for cls, _, _ in CASES[:-1]), "ClaimReport-observed"]
 
 
 def _outcome(f):

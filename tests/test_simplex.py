@@ -126,6 +126,11 @@ class TestUniform:
         with pytest.raises(TooFewOutcomes):
             uniform(1)
 
+    @pytest.mark.parametrize("n", [3.0, 2.5, "3", True, None])
+    def test_rejects_a_count_that_is_not_an_int(self, n):
+        with pytest.raises(ValueError, match=f"^n = {re.escape(repr(n))} must be an integer$"):
+            uniform(n)
+
 
 class TestSampler:
     def test_deterministic_per_trial(self):
