@@ -28,9 +28,10 @@ array and is the same float operation as its scalar reference:
   along the rows, a reversed view, and ``cumsum`` along the rows, which
   adds each row's prefix sums left to right like ``majorizes``.
 - ``ProbeBlock`` builds the maximizer probes of consecutive n as rows of
-  (value, count) runs, and takes the scalar run code's steps on all of
-  them at once; each ``fsum_runs`` is ``Rows.fsums`` of the run's exact
-  split parts (``run_parts``).
+  (value, count) runs, the one place in the package that knows that
+  form, and takes ``make_distribution``'s, ``negate``'s and the measures'
+  steps on all of them at once; the fsum of the entries a row stands for
+  is ``Rows.fsums`` of its runs' exact split parts (``run_parts``).
 
 numpy's SIMD ``log`` is never used: it differs from ``math.log`` in the
 last bit on a fraction of inputs. ``np.log`` of a reversed view runs
@@ -55,13 +56,7 @@ from math import frexp, fsum, inf, ldexp, log
 import numpy as np
 
 from .measures import VARENTROPY_CLAMP
-from .simplex import (
-    _SPLITTER,
-    MAJORIZATION_SLACK,
-    SUM_TOLERANCE,
-    NotADistribution,
-    make_distribution,
-)
+from .simplex import MAJORIZATION_SLACK, SUM_TOLERANCE, NotADistribution, make_distribution
 
 # Entries (trials x n) evaluated together; n near 10^4 gives one trial per chunk.
 CHUNK_ENTRIES = 2**14
@@ -630,18 +625,24 @@ _PROBE_SUMS = 6
 PROBE_BLOCK_N = max(1, CHUNK_ENTRIES // (_MAX_PROBES * _PROBE_SUMS * 2 * _PROBE_RUNS))
 
 
-def run_parts(values, counts):
-    """The parts whose ``fsum`` is ``fsum_runs`` of each row of runs, bit for
-    bit, as rows of two parts per run, for float arrays of values and
-    counts that broadcast to the values' shape; each count is below 2**26,
-    as every n <= 10**4 is.
+# Veltkamp's split of a float into two halves of at most 26 bits each.
+_SPLITTER = 2.0**27 + 1.0
 
-    A run of count 1 enters as its value, any other run as count * hi and
-    count * lo, hi + lo being the value's Veltkamp split, which is exact
-    (see ``simplex.fsum_runs``). ``fsum_runs`` takes a zero's copies as one
-    zero and skips an empty run, where these parts are zeros: that moves
-    no nonzero sum, and ``fsum`` gives +0.0 for every zero sum, as
-    ``Rows.fsums`` does by handing those rows to it.
+
+def run_parts(values, counts):
+    """Parts whose ``fsum`` is, bit for bit, the ``fsum`` of each row's
+    entries, each run's value v repeated its count c times: two parts per
+    run, for float arrays of values of magnitude at most 1 and of counts
+    below 2**26 (every n <= 10**4 is) that broadcast to the values' shape.
+
+    ``fsum`` rounds the exact total of its inputs once, and a run's parts
+    total c v exactly: v when c = 1, else c hi and c lo, hi + lo being v's
+    Veltkamp split (Dekker, Numer. Math. 18, 1971) into halves of at most
+    26 bits. The split is exact for subnormal halves too (Boldo, IJCAR
+    2006), and each product, of at most 52 bits and a multiple of 2**-1074
+    like the half, is a float. An empty run's zero parts move no nonzero
+    sum, and ``fsum``, like ``Rows.fsums``, gives +0.0 for every zero sum.
+    The tests check these sums against ``float(sum(Fraction(v) * c))``.
     """
     hi = values * _SPLITTER
     hi -= hi - values
@@ -659,11 +660,11 @@ class ProbeBlock:
     """The maximizer probes of consecutive n, in (n, point) order, with the
     H, VH and VJ of each probe's negation. The probes of n are uniform(n),
     then uniform + eps*(e_0 - e_1) for each eps in (1e-3, 1e-2) with eps
-    <= 1/n (1/(2n) when neither is), renormalised: each bitwise the scalar
-    run code's ``make_distribution_runs([(u + eps, 1), (u - eps, 1), (u,
-    n - 2)], renormalize=True)``, u = 1/n, with the measures
-    ``measure_runs(negate_runs(q))`` of that point q. The (0, 1) pair
-    stands for every pair (i, j): see the ``claims`` module docstring.
+    <= 1/n (1/(2n) when neither is), renormalised: each bitwise
+    ``make_distribution([u + eps, u - eps, u, ..., u], renormalize=True)``,
+    u = 1/n, with the measures ``measure_all(negate(q))`` of that point q.
+    The (0, 1) pair stands for every pair (i, j): see the ``claims``
+    module docstring.
 
     ``ns`` holds the block's n, ``n`` each probe's n, ``uniform`` the
     index of each n's first probe, uniform(n), and ``measures`` the three
@@ -671,15 +672,15 @@ class ProbeBlock:
     one object for every claim that reports it.
 
     Each probe is a row of three (value, count) runs, uniform(n) being
-    (1/n, n) beside two empty runs of 1/n. The rows take the scalar run
-    code's IEEE steps as columns: the probe values, the renormalisation,
-    ``make_distribution_runs``' checks of the point and of its negation
-    (1 - v)/(n - 1), the ``log_kernel`` logs and the measures' term
-    products. Every ``fsum_runs`` is ``Rows.fsums`` of the row's
-    ``run_parts``: one call for the renormalisation totals, one for the
-    two validation sums and the four measure sums of every probe. A check
-    that fails raises ``NotADistribution``; none does for any n in 2..10**4
-    (tests/test_properties.py builds them all against the scalar run code).
+    (1/n, n) beside two empty runs of 1/n. The rows take the scalar steps
+    as columns: the probe values, the renormalisation, the range and sum
+    checks of the point and of its negation (1 - v)/(n - 1), the
+    ``log_kernel`` logs and the measures' term products. Every sum is
+    ``Rows.fsums`` of the row's ``run_parts``: one call for the
+    renormalisation totals, one for the two validation sums and the four
+    measure sums of every probe. A check that fails raises
+    ``NotADistribution``; none does for any n in 2..10**4, where
+    tests/test_properties.py pins every probe to exact rational sums.
     """
 
     def __init__(self, ns):

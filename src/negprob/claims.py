@@ -76,17 +76,18 @@ so the first violation wins, the first strict maximum is the peak, and
 ``min_margin`` keeps the first minimum with its sign of zero. Only a
 reported point is turned back into a tuple of probabilities.
 
-Points with few distinct entries are held as (value, count) runs and
-measured by ``measures.measure_runs`` in O(1) per point, bitwise equal to
-``measure_all`` of the expanded tuple (see ``simplex.fsum_runs`` for the
-exact split products). The limit grid's uniform(n) is one run. Each
-maximizer probe is a row of three runs in a block's columns: the block
-takes ``simplex.make_distribution_runs``' renormalisation and checks,
-``negation.negate_runs`` and ``measure_runs`` as the same IEEE
-operations on all its probes at once, and every run sum as ``fsum`` of
-the split parts, by ``_batch.Rows.fsums``. A probe's tuple is built only
-when the point becomes a counterexample or the running peak, once per
-block, so every claim that reports it gets the same tuple.
+The limit grid's uniform(n) is measured in O(1) by
+``measures.constant_measures``, whose sums are the closed form n * t,
+bitwise equal to ``measure_all`` of its n equal entries. The maximizer
+probes of consecutive n are the rows of a ``_batch.ProbeBlock``: each
+probe is held as three (value, count) runs, and the block takes
+``make_distribution``'s renormalisation and checks, ``negate`` and the
+measures as the same IEEE operations on all its probes at once, every sum
+as ``fsum`` of each run's exact split parts, by ``_batch.Rows.fsums``.
+The tests pin both to exact rational sums (``fractions.Fraction``). A
+probe's tuple is built only when the point becomes a counterexample or the
+running peak, once per block, so every claim that reports it gets the same
+tuple.
 
 A report line has one writer, ``ClaimReport.to_json``: the compact JSON
 of ``to_json_obj()``, put together from ``json``'s encodings of its parts
@@ -115,7 +116,7 @@ import json
 import math
 
 from ._record import frozen_record
-from .measures import measure_all, measure_runs
+from .measures import constant_measures, measure_all
 from .negation import negate
 from .simplex import (SimplexSamplerConfig, make_distribution, require_int, require_tolerance,
                       uniform)
@@ -568,7 +569,7 @@ def _run(selected, seed, trials, n_range, tolerance) -> list[ClaimReport]:
 
     grid = _limit_grid(n_min, n_max)
     limits = any(c.kind == "limit" for c in selected)
-    at_uniform = [measure_runs([(1.0 / n, n)]) for n in grid] if limits else []
+    at_uniform = [constant_measures(1.0 / n, n) for n in grid] if limits else []
     tallies = {tally.claim.id: tally for tally in inequalities + maximizers}
     return [
         _check_limit(c, seed, tolerance, grid, at_uniform) if c.kind == "limit"

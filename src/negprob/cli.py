@@ -30,9 +30,9 @@ from collections.abc import Iterator
 from ._record import frozen_record
 from .measures import (
     MeasureSet,
+    constant_measures,
     entropy,
     measure_all,
-    measure_runs,
     uniform_varextropy,
     varentropy,
     varextropy,
@@ -133,7 +133,7 @@ def sweep_n_rows(n_min: int = 2, n_max: int = 100) -> Iterator[SweepRow]:
 
 
 def _sweep_n_row(n: int) -> SweepRow:
-    at_uniform = measure_runs([(1.0 / n, n)])  # O(1): uniform(n) is one run
+    at_uniform = constant_measures(1.0 / n, n)  # O(1): uniform(n)'s entries are equal
     return SweepRow(
         x=n,
         columns={

@@ -28,15 +28,13 @@ gives a -0.0 term where the scalar guard gives 0.0, which cannot move
 a sum that also holds the largest entry's term. And ``fsum`` is exactly
 rounded, so equal terms give an equal sum whichever list holds them.
 
-``measure_runs`` takes a distribution as (value, count) runs, such as
-uniform(n) = [(1/n, n)] or a perturbed uniform point with three runs,
-and is bitwise equal to ``measure_all`` of the expanded tuple in
-O(number of runs). Each sum there is ``fsum`` of count copies of each
-run's term, and ``simplex.fsum_runs`` gives that float from two exact
-products per run and 26-bit piece of its count (Veltkamp's split,
-exact for every term, subnormal ones included). ``measure_all`` uses
-``measure_runs`` for a distribution whose entries are all equal, so
-uniform(n) and its negation cost O(1).
+``constant_measures(v, n)`` is ``measure_all`` of n entries equal to v,
+such as uniform(n), in O(1). Each of its sums is the ``fsum`` of n copies
+of one term t: the exact n t rounded once, which is the IEEE product
+``n * t``, as n <= 2**53 is exact as a float. ``measure_all`` uses it
+for a distribution whose entries are all equal, as do the claim engine's
+limit grid and the CLI's sweep-n for uniform(n). The tests check it
+against the exact rational sum, ``float(Fraction(t) * n)``.
 """
 
 from __future__ import annotations
@@ -47,7 +45,7 @@ from math import fsum, log
 from operator import mul
 
 from ._record import frozen_record
-from .simplex import Distribution, TooFewOutcomes, fsum_runs, require_int
+from .simplex import Distribution, TooFewOutcomes, require_distribution, require_int
 
 VARENTROPY_CLAMP = 1e-12
 
@@ -82,22 +80,22 @@ def _plog2p(p: float) -> float:
 
 def entropy(d: Distribution) -> float:
     """Shannon entropy, in [0, ln n]."""
-    return -math.fsum(_plogp(p) for p in d.probs) + 0.0
+    return -math.fsum(_plogp(p) for p in require_distribution("d", d).probs) + 0.0
 
 
 def gini_entropy(d: Distribution) -> float:
     """Quadratic entropy 1 - sum p_i^2, in [0, 1 - 1/n]; logarithm-free."""
-    return 1.0 - math.fsum(p * p for p in d.probs)
+    return 1.0 - math.fsum(p * p for p in require_distribution("d", d).probs)
 
 
 def extropy(d: Distribution) -> float:
     """Extropy, the complementary dual of entropy; equals H when n = 2."""
-    return -math.fsum(_plogp(1.0 - p) for p in d.probs) + 0.0
+    return -math.fsum(_plogp(1.0 - p) for p in require_distribution("d", d).probs) + 0.0
 
 
 def varentropy(d: Distribution) -> float:
     """Variance of the information content -ln p_i under p; zero iff uniform."""
-    m1 = math.fsum(_plogp(p) for p in d.probs)
+    m1 = math.fsum(_plogp(p) for p in require_distribution("d", d).probs)
     m2 = math.fsum(_plog2p(p) for p in d.probs)
     v = m2 - m1 * m1
     if -VARENTROPY_CLAMP < v < 0.0:
@@ -109,7 +107,7 @@ def varextropy(d: Distribution) -> float:
     """Second-moment spread of the extropy terms; may be negative because
     the weights (1 - p_i) sum to n - 1 rather than 1.
     """
-    e1 = math.fsum(_plogp(1.0 - p) for p in d.probs)
+    e1 = math.fsum(_plogp(1.0 - p) for p in require_distribution("d", d).probs)
     e2 = math.fsum(_plog2p(1.0 - p) for p in d.probs)
     return e2 - e1 * e1
 
@@ -119,26 +117,19 @@ def measure_all(d: Distribution) -> MeasureSet:
 
     Each sum is fed the scalar functions' terms, built with the same
     operations in the same order, so results agree bit for bit with them.
-    A distribution whose entries are all equal is one run, measured by
-    ``measure_runs`` (see the module docstring).
+    A distribution whose entries are all equal is measured by
+    ``constant_measures`` (see the module docstring).
     """
-    probs = d.probs
+    probs = require_distribution("d", d).probs
     if probs.count(probs[0]) == len(probs):
-        return measure_runs([(probs[0], len(probs))])
+        return constant_measures(probs[0], len(probs))
     return _measure_set(probs, fsum)
 
 
-def measure_runs(runs) -> MeasureSet:
-    """``measure_all`` of the distribution that the (value, count) runs
-    expand to, bit for bit, in O(number of runs).
-
-    Values are floats in [0, 1] and counts nonnegative integers; the runs
-    are not checked to form a distribution. Each run's terms are
-    ``measure_all``'s for one entry, and each sum is ``fsum_runs`` of the
-    terms with their counts (see the module docstring).
-    """
-    counts = [c for _, c in runs]
-    return _measure_set([p for p, _ in runs], lambda terms: fsum_runs(zip(terms, counts)))
+def constant_measures(v: float, n: int) -> MeasureSet:
+    """``measure_all`` of n entries equal to v, bit for bit, for v in [0, 1]
+    other than -0.0 and 1 <= n <= 2**53 (see the module docstring)."""
+    return _measure_set([v], lambda terms: n * next(terms))
 
 
 def _measure_set(ps, total) -> MeasureSet:

@@ -20,7 +20,7 @@ from collections.abc import Iterator
 
 from ._record import frozen_record
 from .measures import MeasureSet, measure_all
-from .simplex import Distribution, make_distribution_runs, require_int, require_tolerance
+from .simplex import Distribution, require_distribution, require_int, require_tolerance
 
 DEFAULT_MAX_STEPS = 100
 DEFAULT_TOLERANCE = 1e-9
@@ -28,15 +28,8 @@ DEFAULT_TOLERANCE = 1e-9
 
 def negate(d: Distribution) -> Distribution:
     """One application of the negation map; output is validated on the way out."""
-    scale = d.n - 1
+    scale = require_distribution("d", d).n - 1
     return Distribution(tuple((1.0 - p) / scale for p in d.probs))
-
-
-def negate_runs(runs) -> list[tuple[float, int]]:
-    """``negate`` of the distribution that the (value, count) runs expand
-    to, as runs; the output is validated like ``negate``'s."""
-    scale = sum(c for _, c in runs) - 1
-    return make_distribution_runs([((1.0 - v) / scale, c) for v, c in runs])
 
 
 def negate_k(d: Distribution, k: int) -> Distribution:
@@ -54,6 +47,7 @@ def negate_k(d: Distribution, k: int) -> Distribution:
     ~1e308. |r|**k is 1 for n = 2 and underflows to 0 for n >= 3 long
     before k = 2**53, so capping the exponent there changes no bit.
     """
+    require_distribution("d", d)
     if require_int("k", k) < 0:
         raise ValueError(f"k = {k} must be nonnegative")
     if k == 0:
@@ -119,9 +113,11 @@ def negation_steps(
 ) -> Iterator[TraceStep]:
     """The steps of ``trace_negation``, computed one at a time as they are
     consumed, so memory stays O(n) whatever ``max_steps`` is. The
-    arguments are checked on the call, before any step is computed:
-    ``max_steps`` by ``require_int``, ``tolerance`` by ``require_tolerance``.
+    arguments are checked on the call, before any step is computed: d by
+    ``require_distribution``, ``max_steps`` by ``require_int`` and
+    ``tolerance`` by ``require_tolerance``.
     """
+    require_distribution("d", d)
     if require_int("max_steps", max_steps) < 1:
         raise ValueError(f"max_steps = {max_steps} must be >= 1")
     require_tolerance("tolerance", tolerance)

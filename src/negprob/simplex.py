@@ -13,9 +13,10 @@ trial's random stream is derived from (seed, n, trial_index) alone, so a
 given trial yields the same sample no matter in which order trials are
 evaluated.
 
-A point with few distinct entries can be held as (value, count) runs.
-``make_distribution_runs`` applies ``make_distribution``'s rules to the
-runs, once per run, with the sums taken exactly by ``fsum_runs``.
+Entries are ints or floats (numpy's float64 is a float), never a bool
+or a str, and a function that takes a ``Distribution`` takes nothing else
+(``require_distribution``): both fail with a ``NotADistribution`` that
+names the offender.
 
 These functions are the reference for the claim engine's batched trial
 pass (``_batch``), which must reproduce them bit for bit.
@@ -25,7 +26,7 @@ from __future__ import annotations
 
 import json
 import math
-from itertools import chain, repeat
+from collections.abc import Mapping
 
 from ._record import frozen_record
 
@@ -36,13 +37,6 @@ SUM_TOLERANCE = 1e-9
 MAJORIZATION_SLACK = 1e-12
 
 _UINT64_MAX = 2**64 - 1
-
-# Veltkamp's split of a float into two halves of at most 26 bits each.
-_SPLITTER = 2.0**27 + 1.0
-# Counts are multiplied 26 bits at a time: 26 + 26 bits fit in 53.
-_PIECE_BITS = 26
-_PIECE_MASK = 2**_PIECE_BITS - 1
-_PIECE_SCALE = 2.0**_PIECE_BITS
 
 
 class TooFewOutcomes(ValueError):
@@ -73,18 +67,19 @@ class Distribution:
     probs: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        probs = tuple(map(float, self.probs))
+        probs = _floats(self.probs)
         object.__setattr__(self, "probs", probs)
         if len(probs) < 2:
             raise TooFewOutcomes(f"need at least 2 outcomes, got {len(probs)}")
-        if not _in_unit_interval(probs):
+        # Finiteness first: min and max can pass over a NaN.
+        if not (all(map(math.isfinite, probs)) and min(probs) >= 0.0 and max(probs) <= 1.0):
             for i, p in enumerate(probs):
                 if not math.isfinite(p):
                     raise NotADistribution(f"p[{i}] = {p!r} is not finite")
                 if p < 0.0 or p > 1.0:
                     raise NotADistribution(f"p[{i}] = {p!r} is outside [0, 1]")
         total = math.fsum(probs)
-        if not _sums_to_one(total):
+        if not abs(total - 1.0) <= SUM_TOLERANCE:
             raise NotADistribution(
                 f"sum = {total!r} differs from 1 by more than {SUM_TOLERANCE}"
             )
@@ -116,7 +111,7 @@ def make_distribution(values, renormalize: bool = False) -> Distribution:
     are divided by that sum before validation; anything else falls through
     to validation and raises the usual errors.
     """
-    vals = [float(v) for v in values]
+    vals = _floats(values)
     if renormalize and vals and all(map(math.isfinite, vals)) and min(vals) >= 0.0:
         try:
             total = math.fsum(vals)
@@ -127,82 +122,27 @@ def make_distribution(values, renormalize: bool = False) -> Distribution:
     return Distribution(tuple(vals))
 
 
-def make_distribution_runs(runs, renormalize: bool = False) -> list[tuple[float, int]]:
-    """``make_distribution`` of the values that the (value, count) runs
-    expand to, as runs, in O(number of runs); counts are nonnegative
-    integers.
-
-    Runs whose values all lie in [0, 1] are renormalised and checked run
-    by run with ``make_distribution``'s rules, the sums taken by
-    ``fsum_runs``, which is exactly the ``fsum`` of the entries. Runs
-    that fail a check, or hold a value outside [0, 1], are expanded and
-    handed to ``make_distribution``: it raises its usual error naming the
-    entry, or, when renormalising values above 1, builds the distribution,
-    which comes back as runs of one entry each.
-    """
-    runs = [(float(v), c) for v, c in runs]
-    values = [v for v, _ in runs]
-    if values and _in_unit_interval(values):  # fsum_runs takes |value| <= 1
-        out = runs
-        if renormalize:
-            total = fsum_runs(runs)
-            if total > 0.0:
-                out = [(v / total, c) for v, c in runs]
-        if (sum(c for _, c in out) >= 2 and max(v for v, _ in out) <= 1.0
-                and _sums_to_one(fsum_runs(out))):
-            return out
-    entries = chain.from_iterable(repeat(v, c) for v, c in runs)
-    return [(p, 1) for p in make_distribution(entries, renormalize).probs]
+def _floats(values) -> tuple[float, ...]:
+    """The entries as floats, when values is a sequence of ints and floats;
+    otherwise a ``NotADistribution`` that names the argument's type, or
+    the first entry that is a bool or not an int or a float."""
+    if isinstance(values, (str, bytes, bytearray, Mapping)) or not (
+            hasattr(values, "__len__") and hasattr(values, "__getitem__")):
+        raise NotADistribution(
+            f"entries must be a sequence of numbers, not {type(values).__name__}")
+    if not set(map(type, values)) <= {float, int}:  # else a subclass, such as numpy's float64
+        for i, v in enumerate(values):
+            if isinstance(v, bool) or not isinstance(v, (int, float)):
+                raise NotADistribution(f"p[{i}] = {v!r} is not an int or a float")
+    return tuple(map(float, values))
 
 
-def _in_unit_interval(values) -> bool:
-    """Every value is finite and in [0, 1]. Finiteness is checked first:
-    min and max can pass over a NaN."""
-    return all(map(math.isfinite, values)) and min(values) >= 0.0 and max(values) <= 1.0
-
-
-def _sums_to_one(total: float) -> bool:
-    return abs(total - 1.0) <= SUM_TOLERANCE
-
-
-def fsum_runs(runs) -> float:
-    """``math.fsum`` of each value repeated count times, bit for bit, in
-    O(number of runs).
-
-    Values are floats of magnitude at most 1, as every term of the
-    measures is (a huge value can overflow in the split), and counts are
-    nonnegative integers. ``fsum`` rounds the
-    exact total of its inputs once, so it suffices to hand it floats
-    whose exact total is that of the copies. A single copy, or the copies
-    of a zero, go as they are. Any other value is written as hi + lo by
-    Veltkamp's split (Dekker, Numer. Math. 18, 1971), each half with at
-    most 26 significant bits, and its count is taken 26 bits at a time;
-    each product of a count piece and a half goes in. The split is exact
-    also when a half is subnormal (Boldo, "Pitfalls of a full
-    floating-point proof", IJCAR 2006). And every product is exact: a
-    count piece is an integer below 2**26 times a power of two, so the
-    product has at most 52 significant bits and, like the half, is a
-    multiple of 2**-1074; every such number of magnitude below 2**1024
-    is a float.
-    """
-    parts = []
-    for value, count in runs:
-        if count <= 1 or not value:
-            if count < 0:
-                raise ValueError(f"run count {count!r} is negative")
-            if count:
-                parts.append(value)  # a zero's copies add only its sign
-            continue
-        hi = value * _SPLITTER
-        hi -= hi - value
-        lo = value - hi
-        scale = 1.0
-        while count:
-            piece = (count & _PIECE_MASK) * scale
-            parts += (piece * hi, piece * lo)
-            count >>= _PIECE_BITS
-            scale *= _PIECE_SCALE
-    return math.fsum(parts)
+def require_distribution(name: str, value):
+    """value, when it is a ``Distribution``; otherwise a ``NotADistribution``
+    that names it and its type, where a list would raise AttributeError."""
+    if not isinstance(value, Distribution):
+        raise NotADistribution(f"{name} must be a Distribution, not {type(value).__name__}")
+    return value
 
 
 def require_int(name: str, value):
@@ -292,7 +232,7 @@ def majorizes(p: Distribution, q: Distribution) -> bool:
     predicate stable under float noise; exact comparisons would flip on
     ~1e-16 differences.
     """
-    if p.n != q.n:
+    if require_distribution("p", p).n != require_distribution("q", q).n:
         raise DimensionMismatch(f"sizes differ: {p.n} vs {q.n}")
     ps = sorted(p.probs, reverse=True)
     qs = sorted(q.probs, reverse=True)

@@ -461,6 +461,22 @@ class TestSweepNCommand:
         assert all(r["H_uniform"] == pytest.approx(math.log(r["n"]), rel=1e-15)
                    for r in rows)
 
+    @pytest.mark.parametrize("fmt, log_base, text", [
+        ("json", "e", '[{"n":9007199254740991,"H_uniform":36.7368005696771,"VH_uniform":0.0,'
+                      '"VJ_uniform":-0.9999999999999994},{"n":9007199254740992,'
+                      '"H_uniform":36.7368005696771,"VH_uniform":0.0,'
+                      '"VJ_uniform":-0.9999999999999997}]\n'),
+        ("csv", "2", "n,H_uniform,VH_uniform,VJ_uniform\n"
+                     "9007199254740991,53.0,0.0,-2.081368981005607\n"
+                     "9007199254740992,53.0,0.0,-2.0813689810056073\n"),
+    ])
+    def test_rows_at_two_to_the_53_keep_their_bytes(self, capsys, fmt, log_base, text):
+        # Pinned bytes: each of uniform(n)'s sums, the product n * t, is the
+        # fsum of n copies of t, up to n = 2**53.
+        code, out, _ = run_cli(capsys, "sweep-n", "--n-min", str(2**53 - 1), "--n-max",
+                               str(2**53), "--format", fmt, "--log-base", log_base)
+        assert (code, out) == (0, text)
+
 
 class TestSweepStreaming:
     @pytest.mark.parametrize("argv", [

@@ -22,8 +22,8 @@ from negprob import (
     varentropy,
     varextropy,
 )
-from negprob.measures import measure_runs
-from negprob.simplex import fsum_runs
+from negprob._batch import Rows, run_parts
+from negprob.measures import _measure_set, constant_measures
 
 
 DATA = Path(__file__).parent / "data"
@@ -147,7 +147,7 @@ class TestVarextropy:
 class TestMeasureAll:
     def test_matches_single_measures_bitwise(self):
         # uniform(n) and its negation have all entries equal, which
-        # measure_all measures as one run.
+        # measure_all measures by constant_measures.
         constant_ns = [*range(2, 258), 997, 1000, 1024, 4093, 9973, 9999, 10_000]
         for d in random_distributions(seed=6, count=100) + [
             make_distribution(FOUR_OUTCOMES),
@@ -162,29 +162,46 @@ class TestMeasureAll:
 
     def test_n_copies_of_a_constant_term_round_to_n_times_it(self):
         # fsum rounds the exact sum of n copies of t, which is Fraction(t) * n,
-        # once; a run of n copies must give that float for every term of
-        # uniform(n) and negate(uniform(n)), and for counts past 2**26.
+        # once; the IEEE product n * t must be that float for every term of
+        # uniform(n) and negate(uniform(n)), and for counts past 2**26: this
+        # is what lets constant_measures stand for measure_all.
         for n in [*range(2, 10_001), 2**26 + 1, 2**40 - 1, 2**53 - 1, 2**53]:
             for p in (1.0 / n, (1.0 - 1.0 / n) / (n - 1)):
                 q = 1.0 - p
                 lp = math.log(p)
                 lq = math.log(q)
                 for t in (p * p, p * lp, p * (lp * lp), q * lq, q * (lq * lq)):
-                    assert fsum_runs([(t, n)]) == float(Fraction(t) * n), (n, p, t)
+                    assert n * t == float(Fraction(t) * n), (n, p, t)
 
     def test_runs_that_cancel_leave_the_exact_remainder(self):
         # c copies of t less c - 1 copies of t: the exact total is t, and
-        # the cancellation shows any product fed to fsum that was rounded.
-        # t reaches down into the subnormals, where a half of t is one too.
+        # the cancellation shows any split part fed to fsum that was
+        # rounded. t reaches down into the subnormals, where a half of t
+        # is one too. run_parts takes counts below 2**26.
         rng = random.Random(3)
-        for c in [3, 10_000, 2**26 + 1, 2**40 - 1, 2**53 - 1]:
-            for _ in range(200):
-                t = rng.random() * 2.0 ** rng.randint(-1080, 0)
-                assert fsum_runs([(t, c), (-t, c - 1)]) == t, (t, c)
+        for c in [3, 10_000, 2**26 - 1]:
+            t = np.array([rng.random() * 2.0 ** rng.randint(-1080, 0) for _ in range(200)])
+            values = np.stack([t, -t], axis=1)
+            counts = np.array([c, c - 1], dtype=float)
+            sums = Rows(np.full(len(t), 4)).fsums(run_parts(values, counts))
+            assert sums.tolist() == t.tolist(), c
 
-    def test_runs_reject_negative_counts(self):
-        with pytest.raises(ValueError, match="negative"):
-            measure_runs([(0.5, 3), (0.25, -1)])
+    def test_constant_measures_equal_measure_all_entry_by_entry(self):
+        for n in range(2, 65):
+            for d in (uniform(n), negate(uniform(n))):
+                got = constant_measures(d.probs[0], n).as_dict().values()
+                want = _measure_set(d.probs, math.fsum).as_dict().values()
+                assert [x.hex() for x in got] == [x.hex() for x in want], n
+
+    def test_constant_measures_equal_the_exact_rational_sums(self):
+        # Each sum of n copies of a term t taken as Fraction(t) * n, rounded
+        # once, as fsum does.
+        for n in [*range(2, 10_001), 2**26 - 1, 2**26 + 1, 2**53 - 1, 2**53]:
+            for v in (1.0 / n, (1.0 - 1.0 / n) / (n - 1)):
+                want = _measure_set([v], lambda terms: float(Fraction(next(terms)) * n))
+                got = constant_measures(v, n)
+                assert [x.hex() for x in got.as_dict().values()] == [
+                    x.hex() for x in want.as_dict().values()], n
 
     def test_degenerate_all_zero(self):
         ms = measure_all(make_distribution([1.0, 0.0]))
@@ -221,7 +238,7 @@ def golden_grid_ns():
 
 
 class TestUniformOracle:
-    """H, VH and VJ of uniform(n), measured as one run, against their
+    """H, VH and VJ of uniform(n), by ``constant_measures``, against their
     closed forms ln n, 0 and -(n-1)(n-2) ln(1-1/n)^2 evaluated in 60-digit
     decimal arithmetic (``Decimal.ln`` is correctly rounded).
 
@@ -240,7 +257,7 @@ class TestUniformOracle:
 
     @pytest.mark.parametrize("n", NS)
     def test_within_the_ulp_budget(self, n):
-        ms = measure_runs([(1.0 / n, n)])
+        ms = constant_measures(1.0 / n, n)
         with localcontext() as ctx:
             ctx.prec = 60
             big_n = Decimal(n)

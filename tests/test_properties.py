@@ -20,6 +20,7 @@ import random
 import re
 import tracemalloc
 import types
+from fractions import Fraction
 from itertools import accumulate, chain, repeat
 
 import numpy as np
@@ -81,9 +82,8 @@ from negprob.claims import (
     reports_to_json,
 )
 from negprob.cli import main
-from negprob.measures import measure_runs
-from negprob.negation import negate_runs
-from negprob.simplex import NotADistribution, fsum_runs, make_distribution_runs
+from negprob.measures import _measure_set
+from negprob.simplex import NotADistribution
 
 # Large distributions are slow to measure; no example database is written.
 SETTINGS = settings(max_examples=60, deadline=None, database=None)
@@ -136,6 +136,26 @@ RUN_VALUES = st.one_of(
 )
 
 
+def exact_sum(runs):
+    """``math.fsum`` of each value repeated count times: the exact rational
+    total, rounded once (``Fraction`` converts to the nearest float)."""
+    return float(sum(Fraction(v) * c for v, c in runs))
+
+
+def exact_measures(runs):
+    """``measure_all`` of the distribution the (value, count) runs stand
+    for, with every sum taken by ``exact_sum`` over the runs' terms."""
+    counts = [c for _, c in runs]
+    return _measure_set([v for v, _ in runs], lambda terms: exact_sum(zip(terms, counts)))
+
+
+def negated_runs(runs):
+    """``negate``'s entries, (1 - v)/(n - 1), of the distribution the runs
+    stand for, as runs."""
+    scale = sum(c for _, c in runs) - 1
+    return [((1.0 - v) / scale, c) for v, c in runs]
+
+
 @st.composite
 def runs(draw):
     """A distribution as (value, count) runs with counts up to 10^4 (zero
@@ -148,7 +168,7 @@ def runs(draw):
     out.insert(draw(st.integers(0, k)), out.pop())
     if sum(c for _, c in out) < 2:
         out.append((out[-1][0], 1))
-    total = fsum_runs(out)
+    total = exact_sum(out)
     return [(v / total, c) for v, c in out]
 
 
@@ -158,48 +178,27 @@ def expanded(runs):
 
 @SETTINGS
 @given(runs())
-def test_measure_runs_is_bitwise_equal_to_measure_all_of_the_expanded_runs(rs):
+def test_the_exact_run_reference_is_measure_all_of_the_expanded_runs(rs):
+    # The reference the probe tests use: fsum is the exact total rounded
+    # once, so exact rational sums give measure_all's bits.
     entries = expanded(rs)
-    assert fsum_runs(rs).hex() == math.fsum(entries).hex()
-    want, got = measure_all(make_distribution(entries)), measure_runs(rs)
+    assert exact_sum(rs).hex() == math.fsum(entries).hex()
+    want, got = measure_all(make_distribution(entries)), exact_measures(rs)
     assert [x.hex() for x in got.as_dict().values()] == [
         x.hex() for x in want.as_dict().values()]
 
 
-def built(make, *args):
-    """What make(*args) returns, or the type and text of what it raises."""
-    try:
-        return make(*args)
-    except (ValueError, OverflowError) as exc:
-        return type(exc), str(exc)
-
-
-@SETTINGS
-@given(st.lists(st.tuples(
-    st.one_of(RUN_VALUES, st.sampled_from([-0.0, -1e-3, 1.5, 1e300, math.inf, math.nan])),
-    st.one_of(st.integers(0, 3), st.integers(0, 10_000)),
-), max_size=4), st.booleans())
-@example([(0.3, 1)], True)  # one entry, whatever its value, is too few
-@example([(5e-324, 865), (1e-300, 0), (1e-320, 353)], True)  # an empty run above 1
-def test_distribution_runs_are_make_distribution_of_the_expanded_runs(rs, renormalize):
-    got = built(make_distribution_runs, rs, renormalize)
-    want = built(make_distribution, expanded(rs), renormalize)
-    if isinstance(want, tuple):
-        assert got == want
-    else:
-        assert [x.hex() for x in expanded(got)] == [x.hex() for x in want.probs]
-
-
 def probe_runs(n: int) -> list[list[tuple[float, int]]]:
-    """The maximizer probes of n as runs, built by the scalar run code:
-    uniform(n), then uniform + eps*(e_0 - e_1) for each eps in (1e-3,
-    1e-2) with eps <= 1/n (1/(2n) when neither is), renormalised. This is
-    the reference ``ProbeBlock`` reproduces."""
+    """The maximizer probes of n as runs: uniform(n), then uniform +
+    eps*(e_0 - e_1) for each eps in (1e-3, 1e-2) with eps <= 1/n (1/(2n)
+    when neither is), divided by their ``exact_sum``. This is the
+    reference ``ProbeBlock`` reproduces."""
     u = 1.0 / n
-    points = [make_distribution_runs([(u, n)])]
+    points = [[(u, n)]]
     for eps in [e for e in (1e-3, 1e-2) if e <= u] or [u / 2.0]:
         runs = [(u + eps, 1), (u - eps, 1), (u, n - 2)]
-        points.append(make_distribution_runs(runs, renormalize=True))
+        total = exact_sum(runs)
+        points.append([(v / total, c) for v, c in runs])
     return points
 
 
@@ -211,10 +210,10 @@ def test_probe_points_as_runs_equal_the_points_built_entry_by_entry(n):
     assert len(points) == len(reference)
     for point, want in zip(points, reference):
         assert expanded(point) == list(want.probs)
-        assert measure_runs(point) == measure_all(want)
-        negated = negate_runs(point)
+        assert exact_measures(point) == measure_all(want)
+        negated = negated_runs(point)
         assert expanded(negated) == list(negate(want).probs)
-        got, want_negated = measure_runs(negated), measure_all(negate(want))
+        got, want_negated = exact_measures(negated), measure_all(negate(want))
         assert [x.hex() for x in got.as_dict().values()] == [
             x.hex() for x in want_negated.as_dict().values()]
 
@@ -231,11 +230,11 @@ SIGNED_RUN_VALUES = st.one_of(RUN_VALUES, RUN_VALUES.map(lambda v: -v))
 @example([[(0.1, 1), (-0.0, 5), (0.3, 0)]])  # a count-1 run, a zero's copies, an empty run
 @example([[(-0.0, 1), (0.0, 0), (-0.0, 2)]])  # a zero sum of negative zeros is +0.0
 @example([[(5e-324, 3), (1.0, 10_000), (-1.0, 9_999)]])  # far apart, nearly cancelling
-def test_run_parts_sum_to_fsum_runs(rows):
+def test_run_parts_sum_to_the_exact_run_sums(rows):
     values = np.array([[v for v, _ in row] for row in rows])
     counts = np.array([[c for _, c in row] for row in rows], dtype=float)
     sums = Rows(np.full(len(rows), 6)).fsums(run_parts(values, counts))
-    assert [x.hex() for x in sums.tolist()] == [fsum_runs(row).hex() for row in rows]
+    assert [x.hex() for x in sums.tolist()] == [exact_sum(row).hex() for row in rows]
 
 
 def bits(values):
@@ -244,11 +243,19 @@ def bits(values):
 
 def scalar_probes(n):
     """Each probe of n as its runs without empty ones, and the H, VH and VJ
-    of its negation, by the scalar run code."""
-    return [([(v, c) for v, c in q if c], measure_runs(negate_runs(q))) for q in probe_runs(n)]
+    of its negation, by exact rational sums. The point and its negation
+    pass ``make_distribution``'s range and sum checks."""
+    out = []
+    for q in probe_runs(n):
+        negated = negated_runs(q)
+        for point in (q, negated):
+            assert all(0.0 <= v <= 1.0 for v, _ in point), n
+            assert abs(exact_sum(point) - 1.0) <= SUM_TOLERANCE, n
+        out.append(([(v, c) for v, c in q if c], exact_measures(negated)))
+    return out
 
 
-def test_probe_blocks_equal_the_scalar_run_code_for_every_n():
+def test_probe_blocks_equal_the_exact_rational_reference_for_every_n():
     n_max = MAX_OUTCOMES
     seen = []
     for block in probe_blocks(2, n_max):
@@ -278,7 +285,7 @@ def test_probe_tuples_equal_the_scalar_points(n):
         want = tuple(chain.from_iterable(repeat(v, c) for v, c in q))
         assert bits(block.probs(i)) == bits(want)
         assert block.probs(i) is block.probs(i)
-        measured = measure_runs(negate_runs(q))
+        measured = exact_measures(negated_runs(q))
         for field in ("H", "VH", "VJ"):
             assert bits(block.measures[field][i]) == bits(getattr(measured, field))
 

@@ -10,12 +10,21 @@ from negprob import (
     NotADistribution,
     SimplexSamplerConfig,
     TooFewOutcomes,
+    entropy,
+    extropy,
+    gini_entropy,
     majorizes,
     make_distribution,
+    measure_all,
     negate,
+    negate_k,
     sample_uniform_simplex,
+    trace_negation,
     uniform,
+    varentropy,
+    varextropy,
 )
+from negprob.negation import negation_steps
 from negprob._batch import Rows, distribution_rows
 
 
@@ -96,6 +105,36 @@ class TestMakeDistribution:
             Distribution(probs)
         assert str(info.value) == message
 
+    @pytest.mark.parametrize("values, message", [
+        ([0.5, "0.5"], "p[1] = '0.5' is not an int or a float"),
+        ([0.5, b"0.5"], "p[1] = b'0.5' is not an int or a float"),
+        ([True, False], "p[0] = True is not an int or a float"),
+        ([0.5, 0.5, None], "p[2] = None is not an int or a float"),
+        ((0.5, [0.5]), "p[1] = [0.5] is not an int or a float"),
+        ("0.5", "entries must be a sequence of numbers, not str"),
+        (b"\x00\x01", "entries must be a sequence of numbers, not bytes"),
+        (0.5, "entries must be a sequence of numbers, not float"),
+        (None, "entries must be a sequence of numbers, not NoneType"),
+        ({0.5: 1, 0.25: 2}, "entries must be a sequence of numbers, not dict"),
+        ({0.5, 0.25}, "entries must be a sequence of numbers, not set"),
+        ((x for x in [0.5, 0.5]), "entries must be a sequence of numbers, not generator"),
+    ])
+    @pytest.mark.parametrize("build", [
+        make_distribution,
+        lambda values: make_distribution(values, renormalize=True),
+        Distribution,
+    ])
+    def test_entries_that_are_not_numbers_are_named(self, build, values, message):
+        with pytest.raises(NotADistribution) as info:
+            build(values)
+        assert str(info.value) == message
+
+    def test_ints_and_numpy_floats_are_entries(self):
+        for values in ([1, 0], [np.float64(0.25), 0.75], np.array([0.25, 0.75])):
+            d = make_distribution(values)
+            assert d == Distribution(values)
+            assert all(type(p) is float for p in d.probs)
+
     def test_renormalize_overflowing_total_is_not_a_distribution(self):
         # fsum of the entries overflows; the input falls through to
         # validation instead of raising OverflowError.
@@ -113,6 +152,19 @@ class TestMakeDistribution:
 
     def test_to_json_is_an_array(self):
         assert make_distribution([0.5, 0.5]).to_json() == "[0.5,0.5]"
+
+
+@pytest.mark.parametrize("call, name", [
+    (entropy, "d"), (gini_entropy, "d"), (extropy, "d"), (varentropy, "d"),
+    (varextropy, "d"), (measure_all, "d"), (negate, "d"), (lambda d: negate_k(d, 0), "d"),
+    (lambda p: majorizes(p, uniform(2)), "p"), (lambda q: majorizes(uniform(2), q), "q"),
+    (negation_steps, "d"), (trace_negation, "d"),
+])
+@pytest.mark.parametrize("value", [[0.5, 0.5], (0.5, 0.5), None])
+def test_functions_of_a_distribution_name_any_other_argument(call, name, value):
+    with pytest.raises(NotADistribution) as info:
+        call(value)
+    assert str(info.value) == f"{name} must be a Distribution, not {type(value).__name__}"
 
 
 class TestUniform:
