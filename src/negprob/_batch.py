@@ -638,11 +638,11 @@ def run_parts(values, counts):
     ``fsum`` rounds the exact total of its inputs once, and a run's parts
     total c v exactly: v when c = 1, else c hi and c lo, hi + lo being v's
     Veltkamp split (Dekker, Numer. Math. 18, 1971) into halves of at most
-    26 bits. The split is exact for subnormal halves too (Boldo, IJCAR
-    2006), and each product, of at most 52 bits and a multiple of 2**-1074
-    like the half, is a float. An empty run's zero parts move no nonzero
-    sum, and ``fsum``, like ``Rows.fsums``, gives +0.0 for every zero sum.
-    The tests check these sums against ``float(sum(Fraction(v) * c))``.
+    26 bits, exact for subnormal halves too (Boldo, IJCAR 2006); each
+    product has at most 52 bits and is a multiple of 2**-1074, so a float.
+    An empty run's zero parts move no nonzero sum, and ``fsum`` and
+    ``Rows.fsums`` give +0.0 for every zero sum. The tests pin the sums to
+    exact rational ones, ``float(sum(Fraction(v) * c))``.
     """
     hi = values * _SPLITTER
     hi -= hi - values
@@ -660,11 +660,10 @@ class ProbeBlock:
     """The maximizer probes of consecutive n, in (n, point) order, with the
     H, VH and VJ of each probe's negation. The probes of n are uniform(n),
     then uniform + eps*(e_0 - e_1) for each eps in (1e-3, 1e-2) with eps
-    <= 1/n (1/(2n) when neither is), renormalised: each bitwise
-    ``make_distribution([u + eps, u - eps, u, ..., u], renormalize=True)``,
-    u = 1/n, with the measures ``measure_all(negate(q))`` of that point q.
-    The (0, 1) pair stands for every pair (i, j): see the ``claims``
-    module docstring.
+    <= 1/n (1/(2n) when neither is), renormalised, each bitwise
+    ``make_distribution([u + eps, u - eps, u, ..., u], renormalize=True)``
+    (u = 1/n) with the measures ``measure_all(negate(q))`` of that point q;
+    the (0, 1) pair stands for every pair (i, j) (see ``claims``).
 
     ``ns`` holds the block's n, ``n`` each probe's n, ``uniform`` the
     index of each n's first probe, uniform(n), and ``measures`` the three
@@ -678,9 +677,9 @@ class ProbeBlock:
     ``log_kernel`` logs and the measures' term products. Every sum is
     ``Rows.fsums`` of the row's ``run_parts``: one call for the
     renormalisation totals, one for the two validation sums and the four
-    measure sums of every probe. A check that fails raises
-    ``NotADistribution``; none does for any n in 2..10**4, where
-    tests/test_properties.py pins every probe to exact rational sums.
+    measure sums of every probe. A failed check raises ``NotADistribution``;
+    none does for any n in 2..10**4, where the tests pin every probe to
+    exact rational sums.
     """
 
     def __init__(self, ns):

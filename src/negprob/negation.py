@@ -47,12 +47,11 @@ def negate_k(d: Distribution, k: int) -> Distribution:
     ~1e308. |r|**k is 1 for n = 2 and underflows to 0 for n >= 3 long
     before k = 2**53, so capping the exponent there changes no bit.
     """
-    require_distribution("d", d)
     if require_int("k", k) < 0:
         raise ValueError(f"k = {k} must be nonnegative")
+    u = 1.0 / require_distribution("d", d).n
     if k == 0:
         return d
-    u = 1.0 / d.n
     rk = (1.0 / (d.n - 1)) ** min(k, 2**53)
     if k % 2:
         rk = -rk
@@ -117,11 +116,10 @@ def negation_steps(
     ``require_distribution``, ``max_steps`` by ``require_int`` and
     ``tolerance`` by ``require_tolerance``.
     """
-    require_distribution("d", d)
     if require_int("max_steps", max_steps) < 1:
         raise ValueError(f"max_steps = {max_steps} must be >= 1")
     require_tolerance("tolerance", tolerance)
-    return _steps(d, max_steps, tolerance)
+    return _steps(require_distribution("d", d), max_steps, tolerance)
 
 
 def _steps(current: Distribution, max_steps: int, tolerance: float) -> Iterator[TraceStep]:

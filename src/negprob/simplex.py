@@ -13,10 +13,9 @@ trial's random stream is derived from (seed, n, trial_index) alone, so a
 given trial yields the same sample no matter in which order trials are
 evaluated.
 
-Entries are ints or floats (numpy's float64 is a float), never a bool
-or a str, and a function that takes a ``Distribution`` takes nothing else
-(``require_distribution``): both fail with a ``NotADistribution`` that
-names the offender.
+Entries are ints or floats (numpy's float64 is a float), not bools or
+strs, and functions of a ``Distribution`` take nothing else
+(``require_distribution``); both fail with a named ``NotADistribution``.
 
 These functions are the reference for the claim engine's batched trial
 pass (``_batch``), which must reproduce them bit for bit.
@@ -26,7 +25,7 @@ from __future__ import annotations
 
 import json
 import math
-from collections.abc import Mapping
+from collections.abc import Mapping, Set
 
 from ._record import frozen_record
 
@@ -111,26 +110,30 @@ def make_distribution(values, renormalize: bool = False) -> Distribution:
     are divided by that sum before validation; anything else falls through
     to validation and raises the usual errors.
     """
+    if not renormalize:
+        return Distribution(values)
     vals = _floats(values)
-    if renormalize and vals and all(map(math.isfinite, vals)) and min(vals) >= 0.0:
+    if vals and all(map(math.isfinite, vals)) and min(vals) >= 0.0:
         try:
             total = math.fsum(vals)
         except OverflowError:  # a finite total too large for a float
             total = math.inf
         if math.isfinite(total) and total > 0.0:
-            vals = [v / total for v in vals]
-    return Distribution(tuple(vals))
+            vals = tuple(v / total for v in vals)
+    return Distribution(vals)
 
 
 def _floats(values) -> tuple[float, ...]:
-    """The entries as floats, when values is a sequence of ints and floats;
-    otherwise a ``NotADistribution`` that names the argument's type, or
-    the first entry that is a bool or not an int or a float."""
-    if isinstance(values, (str, bytes, bytearray, Mapping)) or not (
-            hasattr(values, "__len__") and hasattr(values, "__getitem__")):
-        raise NotADistribution(
-            f"entries must be a sequence of numbers, not {type(values).__name__}")
-    if not set(map(type, values)) <= {float, int}:  # else a subclass, such as numpy's float64
+    """The entries as a tuple of floats; a ``NotADistribution`` names an
+    argument that is not a sequence, or its first bool or non-number entry."""
+    if type(values) not in (tuple, list) and (
+            not hasattr(values, "__len__")
+            or isinstance(values, (str, bytes, bytearray, Mapping, Set))):
+        raise NotADistribution(f"entries must be a sequence, not {type(values).__name__}")
+    types = set(map(type, values))
+    if types == {float}:
+        return tuple(values)
+    if not types <= {float, int}:  # a subclass, such as numpy's float64, or not a number
         for i, v in enumerate(values):
             if isinstance(v, bool) or not isinstance(v, (int, float)):
                 raise NotADistribution(f"p[{i}] = {v!r} is not an int or a float")
@@ -139,7 +142,7 @@ def _floats(values) -> tuple[float, ...]:
 
 def require_distribution(name: str, value):
     """value, when it is a ``Distribution``; otherwise a ``NotADistribution``
-    that names it and its type, where a list would raise AttributeError."""
+    naming it and its type (a list would raise AttributeError)."""
     if not isinstance(value, Distribution):
         raise NotADistribution(f"{name} must be a Distribution, not {type(value).__name__}")
     return value

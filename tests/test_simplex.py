@@ -111,13 +111,13 @@ class TestMakeDistribution:
         ([True, False], "p[0] = True is not an int or a float"),
         ([0.5, 0.5, None], "p[2] = None is not an int or a float"),
         ((0.5, [0.5]), "p[1] = [0.5] is not an int or a float"),
-        ("0.5", "entries must be a sequence of numbers, not str"),
-        (b"\x00\x01", "entries must be a sequence of numbers, not bytes"),
-        (0.5, "entries must be a sequence of numbers, not float"),
-        (None, "entries must be a sequence of numbers, not NoneType"),
-        ({0.5: 1, 0.25: 2}, "entries must be a sequence of numbers, not dict"),
-        ({0.5, 0.25}, "entries must be a sequence of numbers, not set"),
-        ((x for x in [0.5, 0.5]), "entries must be a sequence of numbers, not generator"),
+        ("0.5", "entries must be a sequence, not str"),
+        (b"\x00\x01", "entries must be a sequence, not bytes"),
+        (0.5, "entries must be a sequence, not float"),
+        (None, "entries must be a sequence, not NoneType"),
+        ({0.5: 1, 0.25: 2}, "entries must be a sequence, not dict"),
+        ({0.5, 0.25}, "entries must be a sequence, not set"),
+        ((x for x in [0.5, 0.5]), "entries must be a sequence, not generator"),
     ])
     @pytest.mark.parametrize("build", [
         make_distribution,
