@@ -74,21 +74,9 @@ __all__ = [
     "varextropy",
 ]
 
-# Names of negprob.claims, imported on first access by __getattr__.
-_CLAIM_NAMES = frozenset({
-    "CLAIMS",
-    "CONFIRMED",
-    "REFUTED",
-    "VACUOUS",
-    "Claim",
-    "ClaimReport",
-    "Counterexample",
-    "UnknownClaim",
-    "check_all",
-    "check_claim",
-    "claim_by_id",
-    "reports_to_json",
-})
+# Names of negprob.claims, imported on first access by __getattr__: the
+# exported names that the imports above do not bind.
+_CLAIM_NAMES = frozenset(__all__) - globals().keys()
 
 
 def __getattr__(name: str):

@@ -29,9 +29,11 @@ array and is the same float operation as its scalar reference:
   adds each row's prefix sums left to right like ``majorizes``.
 - ``ProbeBlock`` builds the maximizer probes of consecutive n as rows of
   (value, count) runs, the one place in the package that knows that
-  form, and takes ``make_distribution``'s, ``negate``'s and the measures'
-  steps on all of them at once; the fsum of the entries a row stands for
-  is ``Rows.fsums`` of its runs' exact split parts (``run_parts``).
+  form, and takes ``make_distribution``'s and ``negate``'s steps on all
+  of them at once, with the measures' terms from ``measure_terms``, the
+  function ``measure_rows`` takes the trials' terms from; the fsum of the
+  entries a row stands for is ``Rows.fsums`` of its runs' exact split
+  parts (``run_parts``).
 
 numpy's SIMD ``log`` is never used: it differs from ``math.log`` in the
 last bit on a fraction of inputs. ``np.log`` of a reversed view runs
@@ -383,22 +385,19 @@ def raw_rows(seeds, rows: Rows):
     ``JUMP_MAX_N`` entries at once, and drawn by one bit generator put in
     each longer row's seeded state."""
     size = rows.starts[-1] + rows.ns[-1]
-    if rows.ns.max() <= JUMP_MAX_N:  # every row jumped: the outputs come in row order
-        pos = np.arange(size) - rows.repeat(rows.starts)
-        return pcg64_outputs(seeds, rows.repeat(np.arange(len(rows))), pos)
     out = np.empty(size, np.uint64)
-    short = np.flatnonzero(rows.ns <= JUMP_MAX_N)
-    if len(short):
-        ns = rows.ns[short]
-        row = np.repeat(short, ns)
-        pos = np.arange(len(row)) - np.repeat(np.cumsum(ns) - ns, ns)
-        out[rows.starts[row] + pos] = pcg64_outputs(seeds, row, pos)
     long = np.flatnonzero(rows.ns > JUMP_MAX_N)
-    if len(long):
-        bits = np.random.PCG64(0)
-        for row, words in zip(rows.slices(long), seeds[:, long].T.tolist()):
-            _set_pcg64(bits, words)
-            out[row] = bits.random_raw(row.stop - row.start)
+    if len(long) < len(rows):  # a row jumps: entry i is output pos[i] of stream row[i]
+        row = rows.repeat(np.arange(len(rows)))
+        pos = np.arange(size) - rows.repeat(rows.starts)
+        if not len(long):  # every row jumped: the outputs come in row order
+            return pcg64_outputs(seeds, row, pos)
+        short = rows.ns[row] <= JUMP_MAX_N
+        out[short] = pcg64_outputs(seeds, row[short], pos[short])
+    bits = np.random.PCG64(0)
+    for part, words in zip(rows.slices(long), seeds[:, long].T.tolist()):
+        _set_pcg64(bits, words)
+        out[part] = bits.random_raw(part.stop - part.start)
     return out
 
 
@@ -574,34 +573,38 @@ def guarded_logs(kernel):
 log_kernel = guarded_logs(strided_logs)
 
 
-def measure_rows(values, rows: Rows):
-    """H, VH and VJ of each distribution in the flat rows ``values``, as
-    three arrays, each entry bitwise equal to that field of
-    ``measure_all``.
+def measure_terms(values):
+    """The terms of ``measure_all``'s sums of p ln p, p (ln p)^2, q ln q and
+    q (ln q)^2, q = 1 - p, for the 1-D float array ``values``: four arrays,
+    made one at a time as they are read, the p logs freed before q is.
 
     The logarithms are ``math.log``'s with the scalar guard (a guarded
     entry takes log(1.0) = 0.0): ``log_kernel`` is numpy's scalar loop,
     which calls the same C library ``log`` as ``math.log``, when its
     bits match on ``log_witness()``, and ``math.log`` itself otherwise;
     numpy's SIMD ``log`` is never used. Each term is the same numpy
-    product in the same order as in ``measure_all``, and each sum is
-    ``fsum``'s (``Rows.fsums``).
+    product in the same order as in ``measure_all``. values is 1-D because
+    ``strided_logs`` reverses only axis 0: a 2-D array's inner axis could
+    reach numpy's SIMD loop, which the import-time check never ran.
     """
 
-    def logs(x):
-        return log_kernel(np.where(x > 0.0, x, 1.0))
+    def terms(x):
+        logs = log_kernel(np.where(x > 0.0, x, 1.0))
+        yield x * logs
+        logs *= logs
+        yield x * logs
 
-    lps = logs(values)
-    s1 = rows.fsums(values * lps)
-    lps *= lps
-    s2 = rows.fsums(values * lps)
-    del lps
-    qs = 1.0 - values
-    lqs = logs(qs)
-    t1 = rows.fsums(qs * lqs)
-    lqs *= lqs
-    t2 = rows.fsums(qs * lqs)
-    return _measure_fields(s1, s2, t1, t2)
+    yield from terms(values)
+    yield from terms(1.0 - values)
+
+
+def measure_rows(values, rows: Rows):
+    """H, VH and VJ of each distribution in the flat rows ``values``, as
+    three arrays, each entry bitwise equal to that field of
+    ``measure_all``: each sum is ``fsum``'s (``Rows.fsums``) of the
+    ``measure_terms``, and one term array is alive at a time.
+    """
+    return _measure_fields(*map(rows.fsums, measure_terms(values)))
 
 
 def _measure_fields(s1, s2, t1, t2):
@@ -673,13 +676,13 @@ class ProbeBlock:
     Each probe is a row of three (value, count) runs, uniform(n) being
     (1/n, n) beside two empty runs of 1/n. The rows take the scalar steps
     as columns: the probe values, the renormalisation, the range and sum
-    checks of the point and of its negation (1 - v)/(n - 1), the
-    ``log_kernel`` logs and the measures' term products. Every sum is
-    ``Rows.fsums`` of the row's ``run_parts``: one call for the
-    renormalisation totals, one for the two validation sums and the four
-    measure sums of every probe. A failed check raises ``NotADistribution``;
-    none does for any n in 2..10**4, where the tests pin every probe to
-    exact rational sums.
+    checks of the point and of its negation (1 - v)/(n - 1), and the
+    measures' terms of the negation by ``measure_terms``, as for the
+    trials. Every sum is ``Rows.fsums`` of the row's ``run_parts``: one
+    call for the renormalisation totals, one for the two validation sums
+    and the four measure sums of every probe. A failed check raises
+    ``NotADistribution``; none does for any n in 2..10**4, where the tests
+    pin every probe to exact rational sums.
     """
 
     def __init__(self, ns):
@@ -702,7 +705,8 @@ class ProbeBlock:
 
     def _columns(self, u, eps) -> bool:
         """Build the probes of each u = 1/n and eps as columns; False when a
-        check fails."""
+        check fails. The negations are ravelled: ``measure_terms`` takes a
+        1-D array (see there)."""
         values = np.empty((len(u), _PROBE_RUNS))
         np.add(u, eps, out=values[:, 0])
         np.subtract(u, eps, out=values[:, 1])
@@ -718,25 +722,14 @@ class ProbeBlock:
         if not totals.min() > 0.0:
             return False
         totals[self.uniform] = 1.0  # uniform(n) is not renormalised
-        terms = np.empty((_PROBE_SUMS,) + values.shape)
-        point, negated, s1, s2, t1, t2 = terms
-        np.divide(values, totals[:, None], out=point)
-        np.subtract(1.0, point, out=negated)
+        point = values / totals[:, None]
+        negated = 1.0 - point
         negated /= (self.n - 1.0)[:, None]
         if not (point.max() <= 1.0 and negated.min() >= 0.0 and negated.max() <= 1.0):
             return False
-        logs = np.empty((2,) + values.shape)
-        logs[0] = negated
-        qs = np.subtract(1.0, negated, out=logs[1])
-        lps, lqs = log_kernel(np.where(logs > 0.0, logs, 1.0).ravel()).reshape(logs.shape)
-        np.multiply(negated, lps, out=s1)
-        lps *= lps
-        np.multiply(negated, lps, out=s2)
-        np.multiply(qs, lqs, out=t1)
-        lqs *= lqs
-        np.multiply(qs, lqs, out=t2)
+        terms = np.vstack([point.ravel(), negated.ravel(), *measure_terms(negated.ravel())])
         rows = Rows(np.full(_PROBE_SUMS * len(u), 2 * _PROBE_RUNS))
-        sums = rows.fsums(run_parts(terms, counts)).reshape(_PROBE_SUMS, -1)
+        sums = rows.fsums(run_parts(terms, counts.ravel())).reshape(_PROBE_SUMS, -1)
         if not np.abs(sums[:2] - 1.0).max() <= SUM_TOLERANCE:
             return False
         self._values, self._counts = point, counts.astype(int)

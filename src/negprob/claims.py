@@ -81,9 +81,11 @@ The limit grid's uniform(n) is measured in O(1) by
 bitwise equal to ``measure_all`` of its n equal entries. The maximizer
 probes of consecutive n are the rows of a ``_batch.ProbeBlock``: each
 probe is held as three (value, count) runs, and the block takes
-``make_distribution``'s renormalisation and checks, ``negate`` and the
-measures as the same IEEE operations on all its probes at once, every sum
-as ``fsum`` of each run's exact split parts, by ``_batch.Rows.fsums``.
+``make_distribution``'s renormalisation and checks and ``negate`` as the
+same IEEE operations on all its probes at once, the measures' terms by
+``_batch.measure_terms``, the function the trials' measures use too, and
+every sum as ``fsum`` of each run's exact split parts, by
+``_batch.Rows.fsums``.
 The tests pin both to exact rational sums (``fractions.Fraction``). A
 probe's tuple is built only when the point becomes a counterexample or the
 running peak, once per block, so every claim that reports it gets the same

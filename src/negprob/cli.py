@@ -28,15 +28,7 @@ import sys
 from collections.abc import Iterator
 
 from ._record import frozen_record
-from .measures import (
-    MeasureSet,
-    constant_measures,
-    entropy,
-    measure_all,
-    uniform_varextropy,
-    varentropy,
-    varextropy,
-)
+from .measures import MeasureSet, constant_measures, measure_all, uniform_varextropy
 from .negation import (
     DEFAULT_MAX_STEPS,
     DEFAULT_TOLERANCE,
@@ -103,16 +95,16 @@ def sweep_n2_rows(steps: int = 200) -> Iterator[SweepRow]:
 
 def _sweep_n2_row(p1: float) -> SweepRow:
     d = make_distribution([p1, 1.0 - p1])
-    nd = negate(d)
+    at_p, at_neg = measure_all(d), measure_all(negate(d))
     return SweepRow(
         x=p1,
         columns={
-            "H_P": entropy(d),
-            "H_neg": entropy(nd),
-            "VH_P": varentropy(d),
-            "VH_neg": varentropy(nd),
-            "VJ_P": varextropy(d),
-            "VJ_neg": varextropy(nd),
+            "H_P": at_p.H,
+            "H_neg": at_neg.H,
+            "VH_P": at_p.VH,
+            "VH_neg": at_neg.VH,
+            "VJ_P": at_p.VJ,
+            "VJ_neg": at_neg.VJ,
         },
     )
 

@@ -125,9 +125,10 @@ def make_distribution(values, renormalize: bool = False) -> Distribution:
 
 def _floats(values) -> tuple[float, ...]:
     """The entries as a tuple of floats; a ``NotADistribution`` names an
-    argument that is not a sequence, or its first bool or non-number entry."""
+    argument that is not a sequence, or its first bool or non-number entry,
+    or its first int beyond float range."""
     if type(values) not in (tuple, list) and (
-            not hasattr(values, "__len__")
+            not hasattr(values, "__len__") or getattr(values, "ndim", 1) == 0  # a 0-d array
             or isinstance(values, (str, bytes, bytearray, Mapping, Set))):
         raise NotADistribution(f"entries must be a sequence, not {type(values).__name__}")
     types = set(map(type, values))
@@ -137,7 +138,12 @@ def _floats(values) -> tuple[float, ...]:
         for i, v in enumerate(values):
             if isinstance(v, bool) or not isinstance(v, (int, float)):
                 raise NotADistribution(f"p[{i}] = {v!r} is not an int or a float")
-    return tuple(map(float, values))
+    try:
+        return tuple(map(float, values))
+    except OverflowError:  # float() rounds an int of at least 2**1024 - 2**970 to 2**1024
+        i = next(i for i, v in enumerate(values)
+                 if isinstance(v, int) and abs(v) >= 2**1024 - 2**970)
+        raise NotADistribution(f"p[{i}] is an int beyond float range") from None
 
 
 def require_distribution(name: str, value):

@@ -1,0 +1,132 @@
+"""A gate of committed mutants: each is one textual change to the package,
+and the tests listed with it must fail once it is applied.
+
+Run it from the repository root (stdlib only; it runs pytest as a
+subprocess):
+
+    python tests/mutant_gate.py
+
+First every listed test must pass on an unchanged copy of src/. Then, for
+each mutant, a fresh copy of src/ in a temporary directory gets the
+mutant's old text, which must occur exactly once in its file, replaced by
+its new text, and pytest runs the mutant's tests on that copy
+(PYTHONPATH names the copy). The gate fails when an old text is not found
+exactly once, or when a listed test does not fail: a test whose cases
+all pass, or a run that stops before its tests report (a collection
+error), lets the mutant survive. It prints each mutant's verdict and time.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+import xml.etree.ElementTree as ET
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+PROPERTIES = "tests/test_properties.py::"
+FLOOR_TEST = PROPERTIES + "test_row_sums_at_the_first_windows_floor_are_fsum_bit_for_bit"
+FALLBACK_TESTS = [
+    PROPERTIES + "test_row_sums_fall_back_to_fsum_outside_the_window",
+    PROPERTIES + "test_row_sums_of_a_mixed_call_fall_back_to_fsum_by_row",
+]
+
+# (file under src/negprob, exact old text, new text, test ids that must fail)
+MUTANTS = [
+    # Rows.fsums' bounds: the exactness windows of its two extraction levels.
+    ("_batch.py", "k, b = frexp(total)[1] + 1, self.bits\n",
+     "k, b = frexp(total)[1] + 1, self.bits - 1\n", [FLOOR_TEST]),
+    ("_batch.py", "k, b = frexp(total)[1] + 1, self.bits\n",
+     "k, b = frexp(total)[1], self.bits\n", FALLBACK_TESTS),
+    ("_batch.py", "j = k + b - 52\n", "j = k + b - 53\n", FALLBACK_TESTS),
+    ("_batch.py", "below = size < ldexp(1.0, k + b - 54)\n",
+     "below = size < ldexp(1.0, k + b - 55)\n", [FLOOR_TEST]),
+    # measure_terms' log guard lets a zero entry reach the logarithm.
+    ("_batch.py", "np.where(x > 0.0, x, 1.0)", "np.where(x >= 0.0, x, 1.0)",
+     [PROPERTIES + "test_batched_measures_are_bitwise_equal_to_measure_all"]),
+    # ProbeBlock measures its points instead of their negations.
+    ("_batch.py",
+     "np.vstack([point.ravel(), negated.ravel(), *measure_terms(negated.ravel())])",
+     "np.vstack([negated.ravel(), point.ravel(), *measure_terms(point.ravel())])",
+     [PROPERTIES + "test_probe_tuples_equal_the_scalar_points"]),
+    # raw_rows jumps to each row's outputs one draw too far.
+    ("_batch.py", "pos = np.arange(size) - rows.repeat(rows.starts)\n",
+     "pos = np.arange(size) - rows.repeat(rows.starts) + 1\n",
+     ["tests/test_sampler.py::test_raw_outputs_are_random_raw_of_each_seeded_stream"]),
+]
+
+
+def junit_name(test_id: str) -> tuple[str, str]:
+    """The (classname, name) pytest's junit XML gives the test id."""
+    path, *names = test_id.split("::")
+    return ".".join([path.removesuffix(".py").replace("/", "."), *names[:-1]]), names[-1]
+
+
+def outcomes(src: Path, test_ids: list[str]) -> dict[str, list[bool]] | None:
+    """For each of test_ids, whether each of its cases (one per parameter)
+    failed, with the package imported from src; None when the run stops
+    before its tests report (a collection error, a usage error or no
+    tests)."""
+    with tempfile.TemporaryDirectory() as scratch:
+        report = Path(scratch) / "report.xml"
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [str(src), *filter(None, [os.environ.get("PYTHONPATH")])])}
+        run = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+             f"--junitxml={report}", *test_ids],
+            cwd=ROOT, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+        if run.returncode not in (0, 1):
+            return None
+        cases = list(ET.parse(report).iter("testcase"))
+    found = {}
+    for test_id in test_ids:
+        classname, name = junit_name(test_id)
+        found[test_id] = [
+            case.find("failure") is not None or case.find("error") is not None
+            for case in cases if case.get("classname") == classname
+            and (case.get("name") == name or case.get("name").startswith(name + "["))]
+    return found
+
+
+def copy_src(into: str) -> Path:
+    src = Path(into) / "src"
+    shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
+    return src
+
+
+def main() -> int:
+    problems = []
+    every_test = sorted({test_id for *_, test_ids in MUTANTS for test_id in test_ids})
+    with tempfile.TemporaryDirectory() as into:
+        unchanged = outcomes(copy_src(into), every_test)
+    if unchanged is None or not all(ran and not any(ran) for ran in unchanged.values()):
+        print(f"the listed tests do not all run and pass on unchanged src: {unchanged}")
+        return 1
+    for i, (file, old, new, test_ids) in enumerate(MUTANTS):
+        start = time.perf_counter()
+        with tempfile.TemporaryDirectory() as into:
+            path = copy_src(into) / "negprob" / file
+            text = path.read_text()
+            if text.count(old) != 1:
+                problems.append(f"mutant {i}: {old!r} occurs {text.count(old)} times in {file}")
+                print(problems[-1], flush=True)
+                continue
+            path.write_text(text.replace(old, new))
+            found = outcomes(path.parents[1], test_ids) or {}
+            survivors = [test_id for test_id in test_ids if not any(found.get(test_id, []))]
+        verdict = f"survived {survivors}" if survivors else "killed"
+        print(f"mutant {i} ({file}: {new.strip()!r}): {verdict}, "
+              f"{time.perf_counter() - start:.1f} s", flush=True)
+        if survivors:
+            problems.append(f"mutant {i} survived")
+    print(f"{len(MUTANTS) - len(problems)} of {len(MUTANTS)} mutants killed")
+    return 1 if problems else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

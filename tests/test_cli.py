@@ -381,6 +381,28 @@ class TestSweepN2Command:
         assert_sweep_bytes(monkeypatch, ["sweep-n2", "--steps", "3000"],
                            fmt, log_base, unit)
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_bits_at_2000_steps_are_the_scalar_measures(self, monkeypatch, fmt):
+        # The rows take H, VH and VJ from measure_all of d and of negate(d);
+        # each must print the bits of entropy, varentropy and varextropy.
+        sink = _LineCounter()
+        monkeypatch.setattr(sys, "stdout", sink)
+        assert main(["sweep-n2", "--steps", "2000", "--format", fmt, "--log-base", "2"]) == 0
+        rows = []
+        for i in range(2001):
+            d = make_distribution([i / 2000, 1.0 - i / 2000])
+            nd = negate(d)
+            rows.append({"p1": i / 2000, "H_P": entropy(d) / LN2, "H_neg": entropy(nd) / LN2,
+                         "VH_P": varentropy(d) / (LN2 * LN2),
+                         "VH_neg": varentropy(nd) / (LN2 * LN2),
+                         "VJ_P": varextropy(d) / (LN2 * LN2),
+                         "VJ_neg": varextropy(nd) / (LN2 * LN2)})
+        if fmt == "json":
+            want = json.dumps(rows, separators=(",", ":"))
+        else:
+            want = "\n".join([",".join(rows[0])] + [",".join(map(repr, r.values())) for r in rows])
+        assert "".join(sink.blocks) == want + "\n"
+
     def test_rejects_tiny_step_count(self, capsys):
         code, _, err = run_cli(capsys, "sweep-n2", "--steps", "1")
         assert code != 0 and "steps" in err

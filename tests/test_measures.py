@@ -288,6 +288,17 @@ class TestUniformVarextropy:
                 continue
             assert abs(a - b) <= 1e-12 * max(abs(a), abs(b))
 
+    def test_the_closed_form_is_within_8_ulp_of_the_summed_value(self):
+        # sweep-n prints the closed form; measure_all and claim C6 report
+        # varextropy(uniform(n)), which constant_measures gives bit for bit.
+        # They round one number in two ways: over n = 2..10^4 they differ
+        # for 4,048 n, by at most 4 ulp.
+        for n in (2, 3, 64, 1000, 9973):
+            assert constant_measures(1.0 / n, n).VJ == varextropy(uniform(n))
+        for n in range(2, 10_001):
+            closed = uniform_varextropy(n)
+            assert abs(closed - constant_measures(1.0 / n, n).VJ) <= 8 * math.ulp(closed), n
+
     def test_factored_form_oracle(self):
         # Algebraic identity: n(1-1/n) = n-1 exactly, so the closed form
         # factors as -(n-1)(n-2) ln(1-1/n)^2.

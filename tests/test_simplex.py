@@ -118,6 +118,9 @@ class TestMakeDistribution:
         ({0.5: 1, 0.25: 2}, "entries must be a sequence, not dict"),
         ({0.5, 0.25}, "entries must be a sequence, not set"),
         ((x for x in [0.5, 0.5]), "entries must be a sequence, not generator"),
+        (np.array(0.5), "entries must be a sequence, not ndarray"),  # has __len__, no length
+        ([10**400, 1], "p[0] is an int beyond float range"),
+        ([0.5, 2**1024 - 2**970, 2**1024], "p[1] is an int beyond float range"),
     ])
     @pytest.mark.parametrize("build", [
         make_distribution,
