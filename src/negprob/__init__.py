@@ -40,7 +40,6 @@ __all__ = [
     "CLAIMS",
     "CONFIRMED",
     "REFUTED",
-    "VACUOUS",
     "Claim",
     "ClaimReport",
     "Counterexample",

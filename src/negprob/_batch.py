@@ -7,9 +7,12 @@ the distributions one after another. Each step runs once on the whole
 array and is the same float operation as its scalar reference:
 
 - ``pcg64_seeds`` is numpy's documented SeedSequence pool hash on
-  integer columns. ``raw_rows`` takes each row's PCG64 raw outputs, by
-  jumping to each output of every row of at most ``JUMP_MAX_N`` entries
-  at once, and by one ``random_raw`` call for a longer row; and
+  integer columns, for the four entropy words of a seed below 2**64, n
+  and a trial index below 2**32 (``claims.MAX_SAMPLED_ENTRIES`` keeps
+  every trial index of a check below 2**31). ``raw_rows`` takes each
+  row's PCG64 raw outputs, by jumping to each output of every row of at
+  most ``JUMP_MAX_N`` entries at once, and by one ``random_raw`` call
+  for a longer row; and
   ``exponential_rows`` turns them into the gaps 0.0 - log(1.0 - u), u
   the top 53 bits times 2**-53, as ``simplex.sample_uniform_simplex``
   does. ``sample_rows`` normalises the gaps as ``make_distribution``
@@ -29,11 +32,14 @@ array and is the same float operation as its scalar reference:
   adds each row's prefix sums left to right like ``majorizes``.
 - ``ProbeBlock`` builds the maximizer probes of consecutive n as rows of
   (value, count) runs, the one place in the package that knows that
-  form, and takes ``make_distribution``'s and ``negate``'s steps on all
-  of them at once, with the measures' terms from ``measure_terms``, the
-  function ``measure_rows`` takes the trials' terms from; the fsum of the
-  entries a row stands for is ``Rows.fsums`` of its runs' exact split
-  parts (``run_parts``).
+  form, and takes ``make_distribution``'s renormalisation and
+  ``negate``'s steps on all of them at once, with the measures' terms
+  from ``measure_terms``, the function ``measure_rows`` takes the trials'
+  terms from; the fsum of the entries a row stands for is ``Rows.fsums``
+  of its runs' exact split parts (``run_parts``). The probes are fixed
+  for each n, so the range and sum checks that ``make_distribution``
+  would make on them are asserted by a test for every n in
+  2..``claims.MAX_OUTCOMES``, not at run time.
 
 numpy's SIMD ``log`` is never used: it differs from ``math.log`` in the
 last bit on a fraction of inputs. ``np.log`` of a reversed view runs
@@ -51,14 +57,14 @@ sampled or probes measured.
 
 from __future__ import annotations
 
-from functools import cache, cached_property
+from functools import cached_property
 from itertools import chain, repeat
 from math import frexp, fsum, inf, ldexp, log
 
 import numpy as np
 
 from .measures import VARENTROPY_CLAMP
-from .simplex import MAJORIZATION_SLACK, SUM_TOLERANCE, NotADistribution, make_distribution
+from .simplex import MAJORIZATION_SLACK, SUM_TOLERANCE, make_distribution
 
 # Entries (trials x n) evaluated together; n near 10^4 gives one trial per chunk.
 CHUNK_ENTRIES = 2**14
@@ -230,56 +236,43 @@ def _words(x: int) -> list[int]:
 
 def pcg64_seeds(seed: int, ns, ts):
     """The PCG64 seed and inc that ``SeedSequence((seed, n, t))`` gives, for
-    each pair of ns (every n below 2**32) and ts (every t below 2**64), as
-    a (4, pairs) uint64 array: the seed's low and high words, then inc's.
+    each pair of ns and ts, as a (4, pairs) uint64 array: the seed's low and
+    high words, then inc's. Every n and every t must be below 2**32, and ts
+    uint32 or Python ints (``claims`` bounds a check's trials so that every
+    t is below 2**31); a larger t would take a second entropy word.
 
     This is numpy's SeedSequence pool hash and ``generate_state(4,
     uint64)``, run on uint32 columns with one entry per pair; PCG64 takes
-    the first two words as the seed and inc = 2 * (the last two) + 1. Each
-    hashmix call takes the next constant of a fixed sequence, so the calls
-    that hash one word into several pool words run as one operation on a
-    (words, pairs) array.
+    the first two words as the seed and inc = 2 * (the last two) + 1. The
+    entropy is always the pool's four words: the seed's one or two words (a
+    seed below 2**64), n, t, then zero padding. Each hashmix call takes the
+    next constant of a fixed sequence, so the calls that hash one word into
+    several pool words run as one operation on a (words, pairs) array.
     """
-    ns, ts = np.asarray(ns, np.uint32), np.asarray(ts, np.uint64)
-    highs = ts >> 32
-    long = highs != 0  # t takes one word below 2**32 and two from there on
-    if long.any() and not long.all():
-        seeds = np.empty((4, len(ts)), np.uint64)
-        for part in long, ~long:
-            seeds[:, part] = pcg64_seeds(seed, ns[part], ts[part])
-        return seeds
     words = _words(seed)
-    # The entropy words, padded with zero words to the pool's size.
-    entropy = np.zeros((max(_POOL_SIZE, len(words) + 2 + long.any()), len(ts)), np.uint32)
+    entropy = np.zeros((_POOL_SIZE, len(ts)), np.uint32)
     entropy[:len(words)] = np.array(words, np.uint32)[:, None]
     entropy[len(words)] = ns
-    entropy[len(words) + 1] = ts  # its low word
-    if long.any():
-        entropy[len(words) + 2] = highs
-    hash_a = _hash_constants(_INIT_A, _MULT_A, _POOL_SIZE * len(entropy))
+    entropy[len(words) + 1] = ts
 
     def hashmix(value, k, count):
         """Hash calls k, k + 1, ..., k + count - 1 of value."""
-        value = value ^ hash_a[k:k + count]
-        value *= hash_a[k + 1:k + count + 1]
+        value = value ^ _HASH_A[k:k + count]
+        value *= _HASH_A[k + 1:k + count + 1]
         return value ^ (value >> 16)
 
     def mix(x, y):
         result = _MIX_MULT_L * x - _MIX_MULT_R * y
         return result ^ (result >> 16)
 
-    pool = hashmix(entropy[:_POOL_SIZE], 0, _POOL_SIZE)
+    pool = hashmix(entropy, 0, _POOL_SIZE)
     k = _POOL_SIZE
     for i_src in range(_POOL_SIZE):
         others = [i for i in range(_POOL_SIZE) if i != i_src]
         pool[others] = mix(pool[others], hashmix(pool[i_src], k, _POOL_SIZE - 1))
         k += _POOL_SIZE - 1
-    for word in entropy[_POOL_SIZE:]:
-        pool = mix(pool, hashmix(word, k, _POOL_SIZE))
-        k += _POOL_SIZE
-    hash_b = _hash_constants(_INIT_B, _MULT_B, 2 * _POOL_SIZE)
-    state = np.concatenate([pool, pool]) ^ hash_b[:-1]
-    state *= hash_b[1:]
+    state = np.concatenate([pool, pool]) ^ _HASH_B[:-1]
+    state *= _HASH_B[1:]
     state ^= state >> 16
     # generate_state(4, uint64) reads the uint32 words as little-endian pairs.
     state = state.astype(np.uint64)
@@ -287,7 +280,6 @@ def pcg64_seeds(seed: int, ns, ts):
     return np.array([seed_lo, seed_hi, seq_lo << 1 | 1, seq_hi << 1 | seq_lo >> 63])
 
 
-@cache
 def _hash_constants(init: int, mult: int, count: int):
     """The first count + 1 hash constants of SeedSequence's sequence from
     init, each mult times the one before mod 2**32, as a uint32 column."""
@@ -295,6 +287,12 @@ def _hash_constants(init: int, mult: int, count: int):
     for _ in range(count):
         constants.append(constants[-1] * mult & _MASK32)
     return np.array(constants, np.uint32)[:, None]
+
+
+# The constants of the pool's hashmix calls (four words, each mixed into
+# the other three) and of generate_state's, one per output word.
+_HASH_A = _hash_constants(_INIT_A, _MULT_A, _POOL_SIZE * _POOL_SIZE)
+_HASH_B = _hash_constants(_INIT_B, _MULT_B, 2 * _POOL_SIZE)
 
 
 def _jump_words(n_max: int):
@@ -620,9 +618,9 @@ def _measure_fields(s1, s2, t1, t2):
 _MAX_PROBES = 3
 # A probe is at most three runs, and each run enters an fsum as two parts.
 _PROBE_RUNS = 3
-# The sums taken for each probe in one Rows.fsums call: the point's and its
-# negation's (the validations), then s1, s2, t1 and t2 of the negation.
-_PROBE_SUMS = 6
+# The sums taken for each probe in one Rows.fsums call: s1, s2, t1 and t2 of
+# its negation.
+_PROBE_SUMS = 4
 # Consecutive n whose probes are evaluated together: a block's sums hold at
 # most CHUNK_ENTRIES parts.
 PROBE_BLOCK_N = max(1, CHUNK_ENTRIES // (_MAX_PROBES * _PROBE_SUMS * 2 * _PROBE_RUNS))
@@ -675,14 +673,17 @@ class ProbeBlock:
 
     Each probe is a row of three (value, count) runs, uniform(n) being
     (1/n, n) beside two empty runs of 1/n. The rows take the scalar steps
-    as columns: the probe values, the renormalisation, the range and sum
-    checks of the point and of its negation (1 - v)/(n - 1), and the
-    measures' terms of the negation by ``measure_terms``, as for the
-    trials. Every sum is ``Rows.fsums`` of the row's ``run_parts``: one
-    call for the renormalisation totals, one for the two validation sums
-    and the four measure sums of every probe. A failed check raises
-    ``NotADistribution``; none does for any n in 2..10**4, where the tests
-    pin every probe to exact rational sums.
+    as columns: the probe values, the renormalisation, the negation (1 -
+    v)/(n - 1), and the measures' terms of the negation by
+    ``measure_terms``, as for the trials; the negations are ravelled, since
+    ``measure_terms`` takes a 1-D array (see there). Every sum is
+    ``Rows.fsums`` of the row's ``run_parts``: one call for the
+    renormalisation totals, one for the four measure sums of every probe.
+    ``make_distribution``'s range and sum checks of the point and of its
+    negation are not made here: the probes are fixed for each n, and
+    tests/test_properties.py asserts every one of them on the block's own
+    points and negations for every n in 2..``claims.MAX_OUTCOMES``, beside
+    exact rational sums.
     """
 
     def __init__(self, ns):
@@ -699,14 +700,7 @@ class ProbeBlock:
         self.n = np.repeat(self.ns, per_n)
         self.uniform = np.cumsum(per_n) - per_n
         self._points = {}
-        if not self._columns(np.repeat(u, per_n), eps[fits]):
-            raise NotADistribution(
-                f"the maximizer probes of n = {self.ns[0]}..{self.ns[-1]} fail validation")
-
-    def _columns(self, u, eps) -> bool:
-        """Build the probes of each u = 1/n and eps as columns; False when a
-        check fails. The negations are ravelled: ``measure_terms`` takes a
-        1-D array (see there)."""
+        u, eps = np.repeat(u, per_n), eps[fits]
         values = np.empty((len(u), _PROBE_RUNS))
         np.add(u, eps, out=values[:, 0])
         np.subtract(u, eps, out=values[:, 1])
@@ -715,26 +709,16 @@ class ProbeBlock:
         counts[:, 2] = self.n - 2.0
         counts[self.uniform] = 0.0
         counts[self.uniform, 0] = self.ns
-        if not (values.min() >= 0.0 and values.max() <= 1.0):  # False on nan
-            return False
-        rows = Rows(np.full(len(u), 2 * _PROBE_RUNS))
-        totals = rows.fsums(run_parts(values, counts))
-        if not totals.min() > 0.0:
-            return False
+        totals = Rows(np.full(len(u), 2 * _PROBE_RUNS)).fsums(run_parts(values, counts))
         totals[self.uniform] = 1.0  # uniform(n) is not renormalised
         point = values / totals[:, None]
         negated = 1.0 - point
         negated /= (self.n - 1.0)[:, None]
-        if not (point.max() <= 1.0 and negated.min() >= 0.0 and negated.max() <= 1.0):
-            return False
-        terms = np.vstack([point.ravel(), negated.ravel(), *measure_terms(negated.ravel())])
+        terms = np.vstack(list(measure_terms(negated.ravel())))
         rows = Rows(np.full(_PROBE_SUMS * len(u), 2 * _PROBE_RUNS))
         sums = rows.fsums(run_parts(terms, counts.ravel())).reshape(_PROBE_SUMS, -1)
-        if not np.abs(sums[:2] - 1.0).max() <= SUM_TOLERANCE:
-            return False
         self._values, self._counts = point, counts.astype(int)
-        self.measures = dict(zip(("H", "VH", "VJ"), _measure_fields(*sums[2:])))
-        return True
+        self.measures = dict(zip(("H", "VH", "VJ"), _measure_fields(*sums)))
 
     def runs(self, i: int) -> list[tuple[float, int]]:
         """The i-th probe as (value, count) runs."""
@@ -832,7 +816,7 @@ def trial_chunks(seed, trials, n_min, n_max):
         ns = ns[:max(1, np.cumsum(ns).searchsorted(CHUNK_ENTRIES, "right"))]
         if t0 + len(ns) > end:  # seed the next run
             start, end = t0, min(trials, t0 + CHUNK_ENTRIES)
-            ts = np.arange(start, end, dtype=np.uint64)
+            ts = np.arange(start, end, dtype=np.uint32)
             streams = pcg64_seeds(seed, n_min + ts % period, ts)
         yield TrialChunk(streams[:, t0 - start:t0 - start + len(ns)], ns)
         t0 += len(ns)

@@ -35,9 +35,7 @@ C4, C5 and C7 come out CONFIRMED while C2, C3, C6, C8 and C9 come out
 REFUTED: the fixed four-outcome fixture [0.4, 0.3, 0.2, 0.1] moves both
 second-moment measures the other way, |varextropy(uniform(n))| grows with
 n instead of shrinking, and uniform is the minimizer (not the maximizer)
-of the negated second-moment measures. VACUOUS is reserved for a claim
-whose quantified scope is empty under the requested n range; no
-configuration produces it, since every report is CONFIRMED or REFUTED.
+of the negated second-moment measures.
 
 C1 and C7 are theorems. Negation is p -> M p with M = (11^T - I)/(n - 1),
 a doubly stochastic matrix, so p majorizes negate(p) (Hardy, Littlewood
@@ -49,7 +47,10 @@ identities: H(uniform(n)) = ln n and VH(uniform(n)) = 0. C1's
 majorization check tests the theorem's premise on every trial.
 
 Reproducibility: a report is a pure function of (seed, trials, n_range,
-tolerance), whichever claims are selected beside it. Each trial is drawn
+tolerance), whichever claims are selected beside it. A check samples at
+most ``MAX_SAMPLED_ENTRIES`` = 2**32 entries: trials * n_max above it
+raises a ``ValueError`` before anything is seeded, whichever claims are
+selected; so every trial index t is below 2**31. Each trial is drawn
 once from its own stream, numpy's ``SeedSequence((seed, n, t))`` feeding
 PCG64, negated and measured once, and shared by every selected claim;
 ``check_claim`` is the one-claim case. Within a claim the order is fixed:
@@ -81,8 +82,10 @@ The limit grid's uniform(n) is measured in O(1) by
 bitwise equal to ``measure_all`` of its n equal entries. The maximizer
 probes of consecutive n are the rows of a ``_batch.ProbeBlock``: each
 probe is held as three (value, count) runs, and the block takes
-``make_distribution``'s renormalisation and checks and ``negate`` as the
-same IEEE operations on all its probes at once, the measures' terms by
+``make_distribution``'s renormalisation and ``negate`` as the same IEEE
+operations on all its probes at once (a test asserts the range and sum
+checks on every probe of every n up to ``MAX_OUTCOMES``, so the block
+does not repeat them on each run), the measures' terms by
 ``_batch.measure_terms``, the function the trials' measures use too, and
 every sum as ``fsum`` of each run's exact split parts, by
 ``_batch.Rows.fsums``.
@@ -125,9 +128,12 @@ from .simplex import (SimplexSamplerConfig, make_distribution, require_int, requ
 
 CONFIRMED = "CONFIRMED"
 REFUTED = "REFUTED"
-VACUOUS = "VACUOUS"
 
 MAX_OUTCOMES = 10_000
+# A check samples at most this many entries, trials * n_max: at 1 to 2
+# million sampled entries a second (2-vCPU Xeon), 35 to 70 minutes. Since
+# n_max >= 2, every trial index is below 2**31, one SeedSequence word.
+MAX_SAMPLED_ENTRIES = 2**32
 
 # Decides C2 and C3 on its own whenever n = 4 is in scope.
 REFUTATION_FIXTURE = (0.4, 0.3, 0.2, 0.1)
@@ -535,6 +541,11 @@ def _run(selected, seed, trials, n_range, tolerance) -> list[ClaimReport]:
         )
     if trials < 1:
         raise ValueError(f"trials = {trials!r} must be positive")
+    if trials * n_max > MAX_SAMPLED_ENTRIES:
+        raise ValueError(
+            f"trials * n_max = {trials} * {n_max} exceeds the bound of "
+            f"{MAX_SAMPLED_ENTRIES} sampled entries"
+        )
     require_tolerance("tolerance", tolerance)
     SimplexSamplerConfig(seed, n_min, trials)  # the sampler's seed rule, for every claim
     inequalities = [_Inequality(c, tolerance) for c in selected if c.kind == "inequality"]

@@ -125,8 +125,9 @@ def make_distribution(values, renormalize: bool = False) -> Distribution:
 
 def _floats(values) -> tuple[float, ...]:
     """The entries as a tuple of floats; a ``NotADistribution`` names an
-    argument that is not a sequence, or its first bool or non-number entry,
-    or its first int beyond float range."""
+    argument that is not a sequence, or its first bool or non-number entry
+    (with a numpy scalar's type, such as int64 or float32), or its first
+    int beyond float range."""
     if type(values) not in (tuple, list) and (
             not hasattr(values, "__len__") or getattr(values, "ndim", 1) == 0  # a 0-d array
             or isinstance(values, (str, bytes, bytearray, Mapping, Set))):
@@ -137,7 +138,9 @@ def _floats(values) -> tuple[float, ...]:
     if not types <= {float, int}:  # a subclass, such as numpy's float64, or not a number
         for i, v in enumerate(values):
             if isinstance(v, bool) or not isinstance(v, (int, float)):
-                raise NotADistribution(f"p[{i}] = {v!r} is not an int or a float")
+                what = (f"a numpy {type(v).__name__}, not a Python int or float"
+                        if type(v).__module__ == "numpy" else "not an int or a float")
+                raise NotADistribution(f"p[{i}] = {v!r} is {what}")
     try:
         return tuple(map(float, values))
     except OverflowError:  # float() rounds an int of at least 2**1024 - 2**970 to 2**1024

@@ -96,6 +96,39 @@ class TestParameterValidation:
         for seed in (0, 2**64 - 1):
             assert check_claim("C1", seed=seed, trials=2).seed == seed
 
+    @pytest.mark.parametrize("trials, n_max, claim_ids", [
+        (2**31 + 1, 2, None), (2**31 + 1, 2, ["C4"]), (2**31 + 1, 2, ["C7"]),
+        (2**22 + 1, 1024, ["C1"]), (429_497, 10_000, ["C5", "C9"]),
+    ])
+    def test_rejects_a_check_over_the_sampled_entry_bound_before_seeding(
+            self, monkeypatch, trials, n_max, claim_ids):
+        from negprob import _batch
+
+        def seeded(*args):
+            raise AssertionError("a trial was seeded")
+
+        monkeypatch.setattr(_batch, "pcg64_seeds", seeded)
+        message = (rf"^trials \* n_max = {trials} \* {n_max} exceeds the bound of "
+                   r"4294967296 sampled entries$")
+        with pytest.raises(ValueError, match=message):
+            check_all(trials=trials, n_range=(2, n_max), claim_ids=claim_ids)
+        with pytest.raises(ValueError, match=message):
+            check_claim((claim_ids or ["C2"])[0], trials=trials, n_range=(2, n_max))
+
+    @pytest.mark.parametrize("trials, n_range", [(2**31, (2, 2)), (2**22, (3, 1024))])
+    def test_accepts_a_check_at_the_sampled_entry_bound(self, monkeypatch, trials, n_range):
+        # Its trials would take about an hour, so no chunk is drawn: the
+        # check runs its fixture, probes and limit grid and stops there.
+        from negprob import _batch
+
+        calls = []
+        monkeypatch.setattr(_batch, "trial_chunks", lambda *args: calls.append(args) or iter(()))
+        reports = check_all(seed=5, trials=trials, n_range=n_range)
+        assert calls == [(5, trials, *n_range)]
+        assert trials * n_range[1] == 2**32
+        assert [r.trials_run == trials for r in reports] == [
+            c.kind != "limit" for c in CLAIMS]
+
 
 class TestEntropyInequality:
     def test_confirmed_over_seeded_trials(self):

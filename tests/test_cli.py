@@ -580,6 +580,17 @@ class TestCheckCommand:
         assert "tolerance" in err
 
 
+class TestSampledEntryBound:
+    def test_trials_over_the_bound_exit_two_without_a_traceback(self):
+        # 2**31 + 1 trials of n up to 2 are 2**32 + 2 sampled entries.
+        proc = _run_fresh("import sys\nfrom negprob.cli import main\n"
+                          "sys.exit(main(['check', '--trials', '2147483649', '--n-max', '2']))")
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == ("error: trials * n_max = 2147483649 * 2 exceeds the bound of "
+                               "4294967296 sampled entries\n")
+
+
 class TestClosedStdout:
     @pytest.mark.parametrize("argv", [
         ["sweep-n2", "--steps", "2000000"],
@@ -688,7 +699,7 @@ class TestLazyClaimEngine:
 
     def test_public_names_are_unchanged(self):
         assert negprob.__all__ == [
-            "CLAIMS", "CONFIRMED", "REFUTED", "VACUOUS", "Claim", "ClaimReport",
+            "CLAIMS", "CONFIRMED", "REFUTED", "Claim", "ClaimReport",
             "Counterexample", "DimensionMismatch", "Distribution", "MeasureSet",
             "NegationTrace", "NotADistribution", "SUM_TOLERANCE", "SimplexSamplerConfig",
             "TooFewOutcomes", "TraceStep", "UnknownClaim", "check_all", "check_claim",

@@ -87,6 +87,19 @@ def test_check_stdout_matches_golden_when_one_path_draws_every_row(
     assert capsys.readouterr().out.encode("utf-8") == (DATA / f"check_{name}.{ext}").read_bytes()
 
 
+@pytest.mark.parametrize("name", list(CONFIGS))
+def test_check_stdout_matches_golden_with_math_log_entry_by_entry(monkeypatch, capsys, name):
+    # The per-entry log is the one step whose path depends on the numpy
+    # version: numpy's scalar loop when it gives math.log's bits on the
+    # import-time witness, math.log entry by entry otherwise. The fallback
+    # keeps every byte.
+    logged = []
+    monkeypatch.setattr(batch, "log_kernel", lambda x: logged.append(len(x)) or batch.math_logs(x))
+    code = main(["check", *CONFIGS[name], "--format", "json"])
+    assert code == 0 and logged
+    assert capsys.readouterr().out.encode("utf-8") == (DATA / f"check_{name}.jsonl").read_bytes()
+
+
 def api_kwargs(name):
     """The check_all keyword arguments behind a golden CLI configuration."""
     args = build_parser().parse_args(["check", *CONFIGS[name]])

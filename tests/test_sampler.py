@@ -108,8 +108,8 @@ def test_reports_on_the_edge_streams_hold_no_negative_zero(monkeypatch):
 @settings(max_examples=60, deadline=None, database=None)
 @given(st.integers(0, 2**64 - 1),
        st.lists(st.tuples(st.integers(1, JUMP_MAX_N + 3),
-                          st.one_of(st.sampled_from([0, 2**32 - 1, 2**32]),
-                                    st.integers(0, 2**64 - 1))),
+                          st.one_of(st.sampled_from([0, 2**32 - 1]),
+                                    st.integers(0, 2**32 - 1))),
                 min_size=1, max_size=6))
 def test_raw_outputs_are_random_raw_of_each_seeded_stream(seed, draws):
     # pcg64_outputs jumps to each output of a row up to the cutoff, and

@@ -121,6 +121,11 @@ class TestMakeDistribution:
         (np.array(0.5), "entries must be a sequence, not ndarray"),  # has __len__, no length
         ([10**400, 1], "p[0] is an int beyond float range"),
         ([0.5, 2**1024 - 2**970, 2**1024], "p[1] is an int beyond float range"),
+        # numpy scalars other than float64 (a float subclass) are named by type.
+        (np.array([1, 0]), "p[0] = np.int64(1) is a numpy int64, not a Python int or float"),
+        ([0.5, np.float32(0.5)],
+         "p[1] = np.float32(0.5) is a numpy float32, not a Python int or float"),
+        ([np.True_, 0.0], "p[0] = np.True_ is a numpy bool, not a Python int or float"),
     ])
     @pytest.mark.parametrize("build", [
         make_distribution,
