@@ -257,11 +257,12 @@ def statements(path: Path):
     def visit(node, holder) -> None:
         for field in ("body", "handlers", "orelse", "finalbody"):
             children = getattr(node, field, None)
-            if not isinstance(children, list) or not children or isinstance(children[0], ast.expr):
+            if not children:
                 continue
             spans = []
             for child in children:
-                first = min([child.lineno, *(d.lineno for d in getattr(child, "decorator_list", []))])
+                decorators = getattr(child, "decorator_list", [])
+                first = min([child.lineno, *(d.lineno for d in decorators)])
                 spans.append((first, child.end_lineno))
                 for line in range(first, child.end_lineno + 1):
                     owner[line] = first
