@@ -31,15 +31,15 @@ array and is the same float operation as its scalar reference:
   along the rows, a reversed view, and ``cumsum`` along the rows, which
   adds each row's prefix sums left to right like ``majorizes``.
 - ``ProbeBlock`` builds the maximizer probes of consecutive n as rows of
-  (value, count) runs, the one place in the package that knows that
-  form, and takes ``make_distribution``'s renormalisation and
-  ``negate``'s steps on all of them at once, with the measures' terms
-  from ``measure_terms``, the function ``measure_rows`` takes the trials'
-  terms from; the fsum of the entries a row stands for is ``Rows.fsums``
-  of its runs' exact split parts (``run_parts``). The probes are fixed
-  for each n, so the range and sum checks that ``make_distribution``
-  would make on them are asserted by a test for every n in
-  2..``claims.MAX_OUTCOMES``, not at run time.
+  (value, count) runs, hands a reported probe over as a
+  ``simplex.RunPoint`` of those runs, and takes ``make_distribution``'s
+  renormalisation and ``negate``'s steps on all of them at once, with
+  the measures' terms from ``measure_terms``, the function
+  ``measure_rows`` takes the trials' terms from; the fsum of the entries
+  a row stands for is ``Rows.fsums`` of its runs' exact split parts
+  (``run_parts``). The probes are fixed for each n, so the range and sum
+  checks that ``make_distribution`` would make on them are asserted by a
+  test for every n in 2..``claims.MAX_OUTCOMES``, not at run time.
 
 numpy's SIMD ``log`` is never used: it differs from ``math.log`` in the
 last bit on a fraction of inputs. ``np.log`` of a reversed view runs
@@ -58,13 +58,12 @@ sampled or probes measured.
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import chain, repeat
 from math import frexp, fsum, inf, ldexp, log
 
 import numpy as np
 
 from .measures import VARENTROPY_CLAMP
-from .simplex import MAJORIZATION_SLACK, SUM_TOLERANCE, make_distribution
+from .simplex import MAJORIZATION_SLACK, SUM_TOLERANCE, RunPoint, make_distribution
 
 # Entries (trials x n) evaluated together; n near 10^4 gives one trial per chunk.
 CHUNK_ENTRIES = 2**14
@@ -668,8 +667,9 @@ class ProbeBlock:
 
     ``ns`` holds the block's n, ``n`` each probe's n, ``uniform`` the
     index of each n's first probe, uniform(n), and ``measures`` the three
-    columns by field name. ``probs(i)`` is the tuple of the i-th probe,
-    one object for every claim that reports it.
+    columns by field name. ``probs(i)`` is the i-th probe as a
+    ``simplex.RunPoint`` of its nonempty runs, one object for every claim
+    that reports it, which the report writer formats one run at a time.
 
     Each probe is a row of three (value, count) runs, uniform(n) being
     (1/n, n) beside two empty runs of 1/n. The rows take the scalar steps
@@ -724,11 +724,11 @@ class ProbeBlock:
         """The i-th probe as (value, count) runs."""
         return list(zip(self._values[i].tolist(), self._counts[i].tolist()))
 
-    def probs(self, i: int) -> tuple[float, ...]:
-        """The i-th probe's probabilities, built on the first call and then
-        the same tuple on every call."""
+    def probs(self, i: int) -> RunPoint:
+        """The i-th probe's probabilities, a ``RunPoint`` of its nonempty
+        runs built on the first call and then the same tuple on every call."""
         if i not in self._points:
-            self._points[i] = tuple(chain.from_iterable(repeat(v, c) for v, c in self.runs(i)))
+            self._points[i] = RunPoint.of(self.runs(i))
         return self._points[i]
 
 

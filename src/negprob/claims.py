@@ -44,7 +44,11 @@ Majorization", ch. 2). Entropy is Schur-concave, so it cannot decrease
 under negation (C1); and H <= ln n with equality only at uniform, which
 negation, a one-to-one map, reaches only from uniform (C7). C4 and C5 are
 identities: H(uniform(n)) = ln n and VH(uniform(n)) = 0. C1's
-majorization check tests the theorem's premise on every trial.
+majorization check tests the theorem's premise on every trial. C4's rise
+in n is not re-checked at run time: tests/test_claims.py proves that H of
+uniform(n), as ``measures.constant_measures`` gives it, rises from every
+n to n + 1 up to ``MAX_OUTCOMES`` by at least about 1e-4, so it rises
+along every grid; C4 checks each grid value against ln n.
 
 Reproducibility: a report is a pure function of (seed, trials, n_range,
 tolerance), whichever claims are selected beside it. A check samples at
@@ -79,7 +83,10 @@ reported point is turned back into a tuple of probabilities.
 
 The limit grid's uniform(n) is measured in O(1) by
 ``measures.constant_measures``, whose sums are the closed form n * t,
-bitwise equal to ``measure_all`` of its n equal entries. The maximizer
+bitwise equal to ``measure_all`` of its n equal entries, and a limit
+claim's counterexample is the ``simplex.RunPoint`` of its one run (1/n,
+n), with no ``Distribution`` built (a test asserts ``make_distribution``'s
+checks on it for every n up to ``MAX_OUTCOMES``). The maximizer
 probes of consecutive n are the rows of a ``_batch.ProbeBlock``: each
 probe is held as three (value, count) runs, and the block takes
 ``make_distribution``'s renormalisation and ``negate`` as the same IEEE
@@ -90,9 +97,9 @@ does not repeat them on each run), the measures' terms by
 every sum as ``fsum`` of each run's exact split parts, by
 ``_batch.Rows.fsums``.
 The tests pin both to exact rational sums (``fractions.Fraction``). A
-probe's tuple is built only when the point becomes a counterexample or the
-running peak, once per block, so every claim that reports it gets the same
-tuple.
+probe's tuple, a ``RunPoint`` of its nonempty runs, is built only when
+the point becomes a counterexample or the running peak, once per block,
+so every claim that reports it gets the same tuple.
 
 A report line has one writer, ``ClaimReport.to_json``: the compact JSON
 of ``to_json_obj()``, put together from ``json``'s encodings of its parts
@@ -101,18 +108,20 @@ the same fixture, probe or trial point (C2 and C3 often do) get the same
 tuple, from ``_run``'s one measurement of the fixture, the block's or the
 chunk's ``probs``, and a maximizer's ``observed["argmax_p"]`` is its
 peak's tuple itself. ``reports_to_json`` formats each distinct tuple once
-per call, whether it is a counterexample or an ``argmax_p``; a point of
-n equal entries, such as uniform(n) in a limit claim's counterexample, is
-one formatted value repeated n times. Every other number is formatted by
-``json``, except the entries of a long point: one of at least
-``COLUMNAR_POINT_MIN`` entries, all ``float``, is formatted on numpy
-columns by ``_float_json.array_json`` (Schubfach's shortest decimals for
-the entries in [2**-1022, 1), ``json``'s own text for the rest), which
-gives ``json``'s bytes by construction at under half its cost. It is
-imported only then, so the limit claims and the CLI's other commands
-still run without numpy. ``reports_to_json`` joins the pieces of all
-lines at once, so a long point's text is not first copied into a line
-of its own.
+per call, whether it is a counterexample or an ``argmax_p``. A point held
+as runs, uniform(n) in a limit claim's counterexample or a maximizer
+probe, is written one run at a time: each run's value is formatted once
+and its text repeated for the run's entries. Every other number is
+formatted by ``json``, except the entries of a long point: one of at
+least ``COLUMNAR_POINT_MIN`` entries, all ``float`` and not held as
+runs, is formatted on numpy columns by ``_float_json.array_json``
+(Schubfach's shortest decimals for the entries in [2**-1022, 1),
+``json``'s own text for the rest), which gives ``json``'s bytes by
+construction at under half its cost. It is imported only then, so the
+limit claims and the CLI's other commands still run without numpy.
+``reports_to_json`` joins the pieces of all lines at once, a point's
+pieces among them, so a long point's or run's text is not first copied
+into a point or a line of its own.
 """
 
 from __future__ import annotations
@@ -123,8 +132,8 @@ import math
 from ._record import frozen_record
 from .measures import constant_measures, measure_all
 from .negation import negate
-from .simplex import (SimplexSamplerConfig, make_distribution, require_int, require_tolerance,
-                      uniform)
+from .simplex import (RunPoint, SimplexSamplerConfig, make_distribution, require_int,
+                      require_tolerance)
 
 CONFIRMED = "CONFIRMED"
 REFUTED = "REFUTED"
@@ -285,11 +294,11 @@ class ClaimReport:
         """The pieces of text that join into ``json.dumps(self.to_json_obj(),
         separators=(",", ":"))``: the same keys and values, encoded by the
         same encoder in the same order, with the counterexample's point and
-        a maximizer's peak, a tuple ``observed["argmax_p"]``, put in as text.
-        point_texts maps id(p) to (p, the text of p) for every point already
-        formatted, so a point that several reports share, or one report as
-        both, is formatted once; holding p keeps its id from being reused
-        while the map lives."""
+        a maximizer's peak, a tuple ``observed["argmax_p"]``, put in as the
+        pieces of their text. point_texts maps id(p) to (p, the pieces of
+        p's text) for every point already formatted, so a point that
+        several reports share, or one report as both, is formatted once;
+        holding p keeps its id from being reused while the map lives."""
         head = _compact_json({
             "claim": self.claim_id,
             "verdict": self.verdict,
@@ -303,7 +312,7 @@ class ClaimReport:
             line.append("null")
         else:
             numbers = _compact_json({"lhs": ce.lhs, "rhs": ce.rhs, "margin": ce.margin})
-            line += ['{"p":', _point_text(ce.p, point_texts), ",", numbers[1:]]
+            line += ['{"p":', *_point_text(ce.p, point_texts), ",", numbers[1:]]
         observed = self.observed
         if observed is not None:
             line.append(',"observed":')
@@ -312,34 +321,48 @@ class ClaimReport:
                 numbers = _compact_json({"max_excess": observed["max_excess"],
                                          "argmax_value": observed["argmax_value"]})
                 line += [numbers[:-1], ',"argmax_p":',
-                         _point_text(observed["argmax_p"], point_texts), "}"]
+                         *_point_text(observed["argmax_p"], point_texts), "}"]
             else:
                 line.append(_compact_json(observed))
         line.append("}")
         return line
 
 
-def _point_text(p, point_texts: dict) -> str:
-    """``_point_json(p)``, formatted on the first request for p in one
+def _point_text(p, point_texts: dict) -> list[str]:
+    """``_point_pieces(p)``, formatted on the first request for p in one
     point_texts map (see ``ClaimReport._pieces``)."""
     if id(p) not in point_texts:
-        point_texts[id(p)] = (p, _point_json(p))
+        point_texts[id(p)] = (p, _point_pieces(p))
     return point_texts[id(p)][1]
 
 
 def _point_json(p) -> str:
-    """The JSON array of the probabilities p. When all n entries equal one
-    value, that value is formatted once and repeated n times. Only a
-    nonzero, non-integral float qualifies: -0.0 equals 0.0 and an int
-    equals an integral float, yet each prints differently. A point of at
-    least ``COLUMNAR_POINT_MIN`` entries, every one a ``float``, is
-    formatted on numpy columns by ``_float_json.array_json``, to the same
-    bytes; any other point by ``json`` itself. A trial point
-    (``_batch.TrialPoint``) hands over the float64 row it was made from,
-    so its entries are neither checked nor copied again."""
-    v = p[0] if p else None
-    if type(v) is float and v != 0.0 and not v.is_integer() and p.count(v) == len(p):
-        return "[" + ",".join([json.dumps(v)] * len(p)) + "]"
+    """The JSON array of the probabilities p: the join of
+    ``_point_pieces(p)``."""
+    return "".join(_point_pieces(p))
+
+
+def _point_pieces(p) -> list[str]:
+    """Pieces of text that join into the JSON array of the probabilities
+    p. A point held as runs (``simplex.RunPoint``) is written one run at a
+    time: each value is formatted once, and its text with a comma is
+    repeated for all but the run's last entry, so a long run is one piece,
+    which only the final join copies. A point of at least
+    ``COLUMNAR_POINT_MIN`` entries, every one a ``float``, is formatted on
+    numpy columns by ``_float_json.array_json``, to the same bytes; any
+    other point by ``json`` itself. A trial point (``_batch.TrialPoint``)
+    hands over the float64 row it was made from, so its entries are
+    neither checked nor copied again."""
+    runs = getattr(p, "runs", None)
+    if runs is not None:
+        pieces = ["["]
+        for v, count in runs:
+            text = _compact_json(v)
+            if len(pieces) > 1:
+                pieces.append(",")
+            pieces += [(text + ",") * (count - 1), text]
+        pieces.append("]")
+        return pieces
     if len(p) >= COLUMNAR_POINT_MIN:
         row = getattr(p, "row", None)
         if row is None and list(map(type, p)).count(float) == len(p):
@@ -349,8 +372,8 @@ def _point_json(p) -> str:
         if row is not None:
             from ._float_json import array_json
 
-            return array_json(row)
-    return _compact_json(list(p))
+            return [array_json(row)]
+    return [_compact_json(list(p))]
 
 
 def reports_to_json(reports) -> str:
@@ -610,26 +633,21 @@ def _check_limit(claim, seed, tolerance, grid, at_uniform):
 
     counterexample = None
     for j, (n, v) in enumerate(zip(grid, values)):
-        if claim.id == "C4":
+        if claim.id == "C4":  # the rise in n is proven by a test, not checked here
             target = math.log(n)
             if abs(v - target) > tolerance:
                 counterexample = Counterexample(
-                    uniform(n).probs, v, target, abs(v - target)
-                )
-                break
-            if j > 0 and v <= values[j - 1]:
-                counterexample = Counterexample(
-                    uniform(n).probs, v, values[j - 1], values[j - 1] - v
+                    RunPoint.of([(1.0 / n, n)]), v, target, abs(v - target)
                 )
                 break
         elif claim.id == "C5":
             if abs(v) > tolerance:
-                counterexample = Counterexample(uniform(n).probs, v, 0.0, abs(v))
+                counterexample = Counterexample(RunPoint.of([(1.0 / n, n)]), v, 0.0, abs(v))
                 break
         else:  # C6: magnitudes must not grow along the grid
             if j > 0 and abs(v) - abs(values[j - 1]) > tolerance:
                 counterexample = Counterexample(
-                    uniform(n).probs, abs(v), abs(values[j - 1]),
+                    RunPoint.of([(1.0 / n, n)]), abs(v), abs(values[j - 1]),
                     abs(v) - abs(values[j - 1]),
                 )
                 break

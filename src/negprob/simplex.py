@@ -18,7 +18,9 @@ strs, and functions of a ``Distribution`` take nothing else
 (``require_distribution``); both fail with a named ``NotADistribution``.
 
 These functions are the reference for the claim engine's batched trial
-pass (``_batch``), which must reproduce them bit for bit.
+pass (``_batch``), which must reproduce them bit for bit. The engine's
+fixed points, uniform(n) and the maximizer probes, are held as
+``RunPoint``s of (value, count) runs and not validated at run time.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from __future__ import annotations
 import json
 import math
 from collections.abc import Mapping, Set
+from itertools import chain, repeat
 
 from ._record import frozen_record
 
@@ -181,6 +184,24 @@ def uniform(n: int) -> Distribution:
     if require_int("n", n) < 2:
         raise TooFewOutcomes(f"need at least 2 outcomes, got {n}")
     return Distribution((1.0 / n,) * n)
+
+
+class RunPoint(tuple):
+    """A point held as (value, count) runs: the tuple of its entries, each
+    run's value repeated count times, and as ``runs`` the tuple of its
+    nonempty runs, from which the report writer formats each value once
+    (see ``claims._point_pieces``). It is not validated: the engine's run
+    points, uniform(n) and the maximizer probes, are fixed for each n, and
+    the tests assert ``make_distribution``'s checks on every one of them."""
+
+    @classmethod
+    def of(cls, runs) -> RunPoint:
+        """The point of the runs, nonnegative int counts, without its empty
+        runs."""
+        runs = tuple((v, c) for v, c in runs if c > 0)
+        point = cls(chain.from_iterable(repeat(v, c) for v, c in runs))
+        point.runs = runs
+        return point
 
 
 @frozen_record

@@ -61,6 +61,13 @@ MUTANTS = [
     # pcg64_seeds hashes t where SeedSequence has n, and n where it has t.
     ("_batch.py", "entropy[len(words)] = ns\n    entropy[len(words) + 1] = ts\n",
      "entropy[len(words)] = ts\n    entropy[len(words) + 1] = ns\n", [RAW_OUTPUTS_TEST]),
+    # The run writer repeats a run's text once too often.
+    ("claims.py", '(text + ",") * (count - 1)', '(text + ",") * count',
+     [PROPERTIES + "test_run_points_write_json_of_their_entries"]),
+    # RunPoint keeps its empty runs, so the writer gives each one entry.
+    ("simplex.py", "runs = tuple((v, c) for v, c in runs if c > 0)\n",
+     "runs = tuple((v, c) for v, c in runs)\n",
+     [PROPERTIES + "test_run_points_write_json_of_their_entries"]),
     # claims accepts no check at its sampled-entry bound.
     ("claims.py", "if trials * n_max > MAX_SAMPLED_ENTRIES:",
      "if trials * n_max >= MAX_SAMPLED_ENTRIES:",

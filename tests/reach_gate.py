@@ -66,9 +66,6 @@ ALLOWED = [
     ("_batch.py", "return math_logs",
      "the log fallback, taken where numpy's scalar log loop does not give math.log's bits "
      "on the witness; tests/test_golden.py runs every golden config on it"),
-    ("claims.py", "uniform(n).probs, v, values[j - 1], values[j - 1] - v",
-     "C4's rise check: H(uniform(n)) is within an ulp of ln n, which rises by more than "
-     "1e-5 between grid points up to MAX_OUTCOMES, so no configuration fails it"),
 ]
 
 
@@ -161,6 +158,8 @@ def library_calls():
         ("one claim, its report as JSON", lambda: [
             negprob.check_claim("C3", trials=2).to_json(), report.to_json_obj(),
             negprob.reports_to_json([report])], None),
+        ("a point's JSON text, as the writer tests take it",
+         lambda: negprob.claims._point_json(long_point), None),
         ("the limit claims at the least tolerance", lambda: negprob.check_all(
             trials=1, n_range=(2, 10_000), tolerance=5e-324, claim_ids=["C4", "C5"]), None),
         ("the package's names", lambda: dir(negprob), None),

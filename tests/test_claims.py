@@ -23,6 +23,9 @@ from negprob import (
     varextropy,
 )
 
+from negprob.claims import MAX_OUTCOMES
+from negprob.measures import constant_measures
+
 FIXTURE = (0.4, 0.3, 0.2, 0.1)
 
 
@@ -204,6 +207,19 @@ class TestLimitClaims:
         assert grid[0] == 2 and grid[-1] == 1000
         values = report.observed["values"]
         assert all(b > a for a, b in zip(values, values[1:]))
+
+    def test_entropy_at_uniform_rises_from_every_n_to_the_next(self):
+        # C4 does not check its rise at run time: H(uniform(n)), as the
+        # engine measures it, rises from every n to n + 1 up to MAX_OUTCOMES,
+        # so along every grid. The least rise, ln(10^4 / 9999), is about
+        # 1e-4, over 10^10 ulps of H.
+        values = [constant_measures(1.0 / n, n).H for n in range(2, MAX_OUTCOMES + 1)]
+        rises = [b - a for a, b in zip(values, values[1:])]
+        assert len(rises) == MAX_OUTCOMES - 2
+        least = min(rises)
+        assert least == rises[-1]
+        assert abs(least - math.log1p(1.0 / (MAX_OUTCOMES - 1))) <= 1e-12
+        assert least > 1e10 * math.ulp(values[-1])
 
     def test_uniform_varentropy_zero_confirmed_tightly(self):
         report = check_claim("C5", seed=0, n_range=(2, 1000), tolerance=1e-12)

@@ -25,6 +25,7 @@ import negprob
 import negprob._float_json as float_json
 from negprob._float_json import _E_MAX, _E_MIN, _tables, array_json
 from negprob.claims import COLUMNAR_POINT_MIN, _compact_json, _point_json
+from negprob.simplex import RunPoint
 
 LOW_BITS, ONE_BITS = 0x0010000000000000, 0x3FF0000000000000
 
@@ -150,8 +151,8 @@ def test_the_power_table_brackets_each_power_of_ten():
 
 class TestPointJsonPath:
     """``claims._point_json`` sends a point of at least ``COLUMNAR_POINT_MIN``
-    entries, every one a ``float``, to ``array_json``; it gives json's text
-    either way."""
+    entries, every one a ``float`` and not held as runs, to ``array_json``;
+    it gives json's text either way."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -179,9 +180,13 @@ class TestPointJsonPath:
         assert calls == []
 
     def test_equal_entries_stay_one_formatted_value(self, calls):
-        p = (0.1,) * (3 * COLUMNAR_POINT_MIN)
+        # A point held as one run formats its value once; a plain tuple of
+        # the same entries takes the columnar writer, to the same bytes.
+        p = RunPoint.of([(0.1, 3 * COLUMNAR_POINT_MIN)])
         assert _point_json(p) == _compact_json(list(p))
         assert calls == []
+        assert _point_json(tuple(p)) == _point_json(p)
+        assert calls == [3 * COLUMNAR_POINT_MIN]
 
 
 @pytest.mark.parametrize("module", ["negprob.claims", "negprob.cli"])

@@ -12,10 +12,12 @@ writer builds each line from pieces and must give the text of
 """
 
 import contextlib
+import copy
 import hashlib
 import io
 import json
 import math
+import pickle
 import random
 import re
 import tracemalloc
@@ -76,12 +78,14 @@ from negprob.claims import (
     _MEASURE_FIELD,
     _Inequality,
     _Maximizer,
+    _point_json,
     check_all,
     claim_by_id,
     reports_to_json,
 )
 from negprob.cli import main
 from negprob.measures import _measure_set
+from negprob.simplex import RunPoint
 
 # Large distributions are slow to measure; no example database is written.
 SETTINGS = settings(max_examples=60, deadline=None, database=None)
@@ -304,6 +308,83 @@ def test_probe_tuples_equal_the_scalar_points(n):
             assert bits(block.measures[field][i]) == bits(getattr(measured, field))
 
 
+def test_probe_points_are_run_points_of_their_nonempty_runs():
+    # Every probe of the engine's blocks that hold n = 2, 227, 228 and 10^4:
+    # the first block, whose last two n are 227 and 228, and the last block.
+    blocks = [b for b in probe_blocks(2, MAX_OUTCOMES)
+              if {2, 227, 228, MAX_OUTCOMES} & set(b.ns.tolist())]
+    assert {2, 227, 228, MAX_OUTCOMES} <= {n for b in blocks for n in b.ns.tolist()}
+    for block in blocks:
+        for i in range(len(block.n)):
+            runs = tuple((v, c) for v, c in block.runs(i) if c)
+            point = block.probs(i)
+            assert type(point) is RunPoint and point.runs == runs
+            assert point == tuple(chain.from_iterable(repeat(v, c) for v, c in runs))
+            assert block.probs(i) is point
+
+
+# Run values the writer must print as json does: zeros of both signs, 1.0,
+# subnormals, values in (0, 1) and values above 1.
+WRITTEN_RUN_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, 5e-324, 2.0**-1060, 2.0**-1022 - 2.0**-1074]),
+    st.floats(5e-324, 2.0**-1022, exclude_max=True),
+    st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    st.floats(1.0, exclude_min=True, allow_infinity=False),
+)
+
+
+@SETTINGS
+@given(st.lists(st.tuples(WRITTEN_RUN_VALUES, st.integers(0, 2 * COLUMNAR_POINT_MIN)),
+                max_size=6))
+@example([(0.1, 0)])  # an empty run alone
+@example([(0.1, 3), (0.5, 0), (0.1, 2)])  # an empty run between equal values
+@example([(-0.0, 1), (0.0, 2 * COLUMNAR_POINT_MIN), (1.0, 1)])
+def test_run_points_write_json_of_their_entries(runs):
+    point = RunPoint.of(runs)
+    assert list(point) == list(chain.from_iterable(repeat(v, c) for v, c in runs))
+    assert point.runs == tuple((v, c) for v, c in runs if c > 0)
+    assert _point_json(point) == json.dumps(list(point), separators=(",", ":"))
+
+
+def test_run_points_copy_and_pickle_with_their_runs():
+    point = RunPoint.of([(0.25, 3), (0.125, 0), (0.125, 2)])
+    for other in (copy.copy(point), copy.deepcopy(point), pickle.loads(pickle.dumps(point))):
+        assert type(other) is RunPoint
+        assert other == point == (0.25, 0.25, 0.25, 0.125, 0.125)
+        assert other.runs == point.runs == ((0.25, 3), (0.125, 2))
+
+
+def test_the_limit_claims_constant_point_passes_every_distribution_check():
+    # A limit claim's counterexample RunPoint.of([(1/n, n)]) is not validated
+    # at run time: make_distribution's checks hold on it for every n.
+    for n in range(2, MAX_OUTCOMES + 1):
+        v = 1.0 / n
+        assert 0.0 < v <= 1.0, n
+        # n * v is fsum of n copies of v, the exact total rounded once.
+        assert n * v == float(Fraction(v) * n), n
+        assert abs(n * v - 1.0) <= SUM_TOLERANCE, n
+    for n in (2, 3, 7, 100, 999, 9_063, 10_000):
+        assert RunPoint.of([(1.0 / n, n)]) == uniform(n).probs
+
+
+def test_limit_reports_at_large_n_build_no_distribution_and_no_columns(monkeypatch):
+    import negprob._float_json as float_json
+    import negprob.simplex as simplex
+
+    def fail(*args):
+        raise AssertionError("called")
+
+    monkeypatch.setattr(float_json, "array_json", fail)
+    monkeypatch.setattr(simplex.Distribution, "__post_init__", fail)
+    with pytest.raises(AssertionError):
+        uniform(3)
+    reports = check_all(seed=0, trials=4, n_range=(9000, 10_000), claim_ids=("C4", "C5", "C6"))
+    c6 = reports[-1]
+    assert c6.verdict == REFUTED and type(c6.counterexample.p) is RunPoint
+    assert reports_to_json(reports) == "\n".join(
+        json.dumps(r.to_json_obj(), separators=(",", ":")) for r in reports)
+
+
 def test_maximizer_reports_at_wide_n_keep_their_bytes_and_memory():
     # The sha256 of this call's reports. Before the probes were built as
     # columns tracemalloc's peak was 0.28 MB, and whole-range columns would
@@ -334,8 +415,8 @@ def test_reports_format_each_shared_point_once(monkeypatch):
     c7, c8, c9 = reports
     assert c8.counterexample.p is c8.observed["argmax_p"] is c9.observed["argmax_p"]
     formatted = []
-    real = claims._point_json
-    monkeypatch.setattr(claims, "_point_json", lambda p: formatted.append(p) or real(p))
+    real = claims._point_pieces
+    monkeypatch.setattr(claims, "_point_pieces", lambda p: formatted.append(p) or real(p))
     text = reports_to_json(reports)
     assert [id(p) for p in formatted] == [id(c7.observed["argmax_p"]),
                                           id(c8.observed["argmax_p"])]
