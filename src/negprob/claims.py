@@ -117,8 +117,9 @@ least ``COLUMNAR_POINT_MIN`` entries, all ``float`` and not held as
 runs, is formatted on numpy columns by ``_float_json.array_json``
 (Schubfach's shortest decimals for the entries in [2**-1022, 1),
 ``json``'s own text for the rest), which gives ``json``'s bytes by
-construction at under half its cost. It is imported only then, so the
-limit claims and the CLI's other commands still run without numpy.
+construction at about a fifth of its cost: 1.2 against 6.5 ms for 9,000
+entries (2-vCPU Xeon). It is imported only then, so the limit claims and
+the CLI's other commands still run without numpy.
 ``reports_to_json`` joins the pieces of all lines at once, a point's
 pieces among them, so a long point's or run's text is not first copied
 into a point or a line of its own.
@@ -152,7 +153,10 @@ _compact_json = json.JSONEncoder(separators=(",", ":")).encode
 
 # Points of at least this many entries are formatted on numpy columns: the
 # measured crossover, below which json's float.__repr__ per entry costs less.
-COLUMNAR_POINT_MIN = 512
+# For a tuple of n sampled floats (2-vCPU Xeon, numpy 2.4.6, two runs),
+# json took 183-188 us and the columns 190-202 us at n = 320, about the same
+# (193-196 against 189-196 us) at 336, and 202 against 190-195 us at 352.
+COLUMNAR_POINT_MIN = 352
 
 
 class UnknownClaim(ValueError):

@@ -28,7 +28,6 @@ from __future__ import annotations
 import json
 import math
 from collections.abc import Mapping, Set
-from itertools import chain, repeat
 
 from ._record import frozen_record
 
@@ -199,7 +198,10 @@ class RunPoint(tuple):
         """The point of the runs, nonnegative int counts, without its empty
         runs."""
         runs = tuple((v, c) for v, c in runs if c > 0)
-        point = cls(chain.from_iterable(repeat(v, c) for v, c in runs))
+        entries = ()  # () + t is t itself, so one run's tuple is not copied
+        for v, c in runs:
+            entries += (v,) * c
+        point = cls(entries)
         point.runs = runs
         return point
 

@@ -126,6 +126,46 @@ def test_a_point_of_entries_outside_the_window_only():
     assert array_json(x) == json_of(x)
 
 
+@pytest.mark.parametrize("value", [0.0, 1.0, 5e-324, math.nan], ids=repr)
+@pytest.mark.parametrize("n", [1, 2047, 2048, 2049, 4097, 9000, 10_000])
+def test_whole_points_with_other_entries_at_the_ends_and_at_multiples_of_2048(n, value):
+    # Each step runs once over the whole point, which the writer once cut
+    # into blocks at the multiples of 2,048.
+    x = floats_of_bits(np.random.default_rng(n).integers(LOW_BITS, ONE_BITS, size=n,
+                                                         dtype=np.uint64))
+    assert array_json(x) == json_of(x)
+    x[[0, n - 1, *[i for edge in range(2048, n, 2048) for i in (edge - 1, edge)]]] = value
+    assert array_json(x) == json_of(x)
+
+
+def doubles_of_each_layout(digits):
+    """A double of the window for each layout, whose repr has the given
+    number of significant digits: 0.ddd, 0.0ddd, 0.00ddd and 0.000ddd, and
+    d.ddde-05, -10, -100 and -308. It is the double of the decimal made of
+    the first digits of 12345678912345678, which has no zero digit, or
+    the first double above it with that many digits."""
+    significand = "12345678912345678"[:digits]
+    mantissa = significand[0] + "." * (digits > 1) + significand[1:]
+    texts = [f"0.{'0' * zeros}{significand}" for zeros in range(4)]
+    texts += [f"{mantissa}e-{e:02d}" for e in (5, 10, 100, 308)]
+    found = []
+    for text in texts:
+        x = float(text)
+        while len(repr(x).split("e")[0].replace(".", "").lstrip("0")) != digits:
+            x = math.nextafter(x, 1.0)
+        head, e, exponent = text.partition("e")
+        assert repr(x).startswith(head[:head.index("1") + 1]) and repr(x).endswith(e + exponent)
+        found.append(x)
+    return found
+
+
+@pytest.mark.parametrize("digits", range(1, 18))
+def test_every_significand_length_in_both_layouts(digits):
+    x = np.array(doubles_of_each_layout(digits))
+    assert array_json(x) == json_of(x)
+    assert array_json(x[::-1].copy()) == json_of(x[::-1])
+
+
 def test_decimal_exponents_of_the_window():
     # k = floor(log10(2**q)), and floor(log10(3/4 * 2**q)) at a significand
     # of 2**52, from the two multiply-shift forms, against exact rationals,
@@ -147,6 +187,19 @@ def test_the_power_table_brackets_each_power_of_ten():
         r = int(log2[i]) - 125
         assert 2**125 <= g - 1 < 2**126
         assert (g - 1) * Fraction(2)**r <= 10**e < g * Fraction(2)**r
+
+
+def test_every_scaled_bound_is_below_2_to_the_60():
+    # The products of the round-to-odd step take the scaled bounds
+    # (4c + 2) << h below 2**60, so that a sum of two 32-bit half products
+    # and a carry stays below 2**64: h = q + floor(log2 10**-k) + 2 <= 5.
+    *_, log2 = _tables()
+    for q in range(-1074, -52):
+        for irregular in {False, q > -1074}:
+            k = (q * 661971961083 - irregular * 274743187321) >> 41
+            h = q + int(log2[-k - _E_MIN]) + 2
+            assert 2 <= h <= 5
+            assert (4 * (2**53 - 1) + 2) << h < 2**60
 
 
 class TestPointJsonPath:
