@@ -15,8 +15,12 @@ array and is the same float operation as its scalar reference:
   for a longer row; and
   ``exponential_rows`` turns them into the gaps 0.0 - log(1.0 - u), u
   the top 53 bits times 2**-53, as ``simplex.sample_uniform_simplex``
-  does. ``sample_rows`` normalises the gaps as ``make_distribution``
-  does (``distribution_rows``).
+  does. ``sample_rows`` divides each row of gaps by its ``fsum``, as
+  ``make_distribution`` renormalises them, and ``TrialChunk.negated``
+  takes ``negate``'s (1 - p) / (n - 1). Neither validates its rows:
+  every check of ``make_distribution`` but one holds by construction (see
+  their docstrings), and the one a sample can fail, a row of zero gaps,
+  raises the usual error.
 - Division, ``1 - p`` and products are single IEEE operations in numpy
   as in Python, and every logarithm is ``math.log``'s (see below). Every
   sum is ``math.fsum``'s, the correctly rounded exact sum: ``Rows.fsums``
@@ -25,8 +29,8 @@ array and is the same float operation as its scalar reference:
   call's entries span many binades, and by ``fsum`` itself for a row
   outside the extraction's window (a nonzero entry below about
   2**(2b - 104) times the call's sum of magnitudes, every n <= 2**b). So
-  ``distribution_rows`` matches ``make_distribution`` and
-  ``measure_rows`` matches ``measure_all``.
+  ``sample_rows`` matches ``make_distribution`` and ``measure_rows``
+  matches ``measure_all``.
 - ``majorizes_rows`` decides all rows of one n together: ``np.sort``
   along the rows, a reversed view, and ``cumsum`` along the rows, which
   adds each row's prefix sums left to right like ``majorizes``.
@@ -58,12 +62,12 @@ sampled or probes measured.
 from __future__ import annotations
 
 from functools import cached_property
-from math import frexp, fsum, inf, ldexp, log
+from math import frexp, fsum, ldexp, log
 
 import numpy as np
 
 from .measures import VARENTROPY_CLAMP
-from .simplex import MAJORIZATION_SLACK, SUM_TOLERANCE, RunPoint, make_distribution
+from .simplex import MAJORIZATION_SLACK, RunPoint, make_distribution
 
 # Entries (trials x n) evaluated together; n near 10^4 gives one trial per chunk.
 CHUNK_ENTRIES = 2**14
@@ -428,49 +432,31 @@ def sample_rows(streams, rows: Rows):
     """``sample_uniform_simplex(SimplexSamplerConfig(seed, n, trials), t)``
     for each row, bit for bit, as flat rows, where the row's column of
     streams holds ``pcg64_seeds`` words of (seed, n, t): the
-    ``exponential_rows`` gaps, each row divided by its ``fsum`` and
-    validated (``distribution_rows``)."""
-    return distribution_rows(exponential_rows(streams, rows), rows, renormalize=True)
+    ``exponential_rows`` gaps, each row divided by its ``fsum``
+    (``Rows.fsums``), as ``make_distribution(gaps, renormalize=True)``
+    divides them.
 
-
-def distribution_rows(values, rows: Rows, renormalize: bool = False):
-    """``make_distribution(row, renormalize).probs`` for each row of the
-    flat array ``values``, bit for bit, as flat rows.
-
-    The entry checks are scans of the whole array and the row sums are
-    ``Rows.fsums``. When a scan finds any row that ``make_distribution``
-    would not accept as is, every row is rebuilt by it in order, so the
-    first bad row raises the usual error.
+    The one check made is the only one a row can fail: a row whose gaps
+    are all zero (probability 2**(-53 n)) has total 0, and
+    ``make_distribution`` raises its usual ``NotADistribution`` on the
+    first such row. Every other check of ``make_distribution`` holds by
+    construction. A gap is 0.0 - log(1.0 - u), in [+0.0, 53 ln 2], so the
+    gaps are finite and nonnegative and their total is finite. ``fsum``
+    is correctly rounded and rounding is monotone, so a positive total T
+    is at least every gap g of its row, and each p = fl(g / T) is in [0,
+    1]. The exact sum of g / T is T_exact / T, within 2**-53 of 1; each
+    division adds at most 2**-53 p, and ``fsum`` rounds the sum of the
+    p's once, so |fsum(p) - 1| is at most about 3 * 2**-53, far inside
+    ``make_distribution``'s 1e-9. tests/test_properties.py checks the
+    bound on adversarial gap rows.
     """
-    out = values
-    ok = values.min() >= 0.0  # False on nan; an inf entry fails a later check
-    try:
-        if ok and renormalize:
-            totals = rows.fsums(values)
-            ok = totals.min() > 0.0 and totals.max() < inf  # no inf / inf below
-            if ok:
-                out = rows.repeat(totals)
-                np.divide(values, out, out=out)
-        ok = ok and out.max() <= 1.0 and (
-            np.abs(rows.fsums(out) - 1.0).max() <= SUM_TOLERANCE
-        )
-    except OverflowError:  # an fsum of finite entries beyond float range
-        ok = False
-    if ok:
-        return out
-    entries = values.tolist()
-    return np.array([
-        x for row in rows.slices(np.arange(len(rows)))
-        for x in make_distribution(entries[row], renormalize).probs
-    ])
-
-
-def negate_rows(values, rows: Rows):
-    """(1 - p) / (n - 1) for every entry, the operations ``negate`` applies;
-    the result is not yet validated."""
-    negated = 1.0 - values
-    negated /= rows.repeat(rows.ns - 1.0)
-    return negated
+    gaps = exponential_rows(streams, rows)
+    totals = rows.fsums(gaps)
+    if totals.min() == 0.0:  # a row of zero gaps; totals are never negative
+        (row,) = rows.slices([totals.argmin()])
+        make_distribution(gaps[row].tolist(), renormalize=True)  # raises NotADistribution
+    gaps /= rows.repeat(totals)
+    return gaps
 
 
 def majorizes_rows(p, q, rows: Rows):
@@ -751,6 +737,15 @@ class TrialChunk:
     ``measures(kind)`` and
     ``probs(i)``, the tuple of the i-th trial's sample, one object for
     every claim that reports it.
+
+    ``negated`` is ``negate``'s q = fl(fl(1 - p) / (n - 1)) for every
+    entry, and it is not validated: it cannot fail ``Distribution``'s
+    checks. Each p is in [0, 1] (``sample_rows``) and rounding is
+    monotone, so 1 - p and then q stay in [0, 1]. The exact sum of (1 -
+    p) / (n - 1) is 1 + (1 - sum(p)) / (n - 1); the subtraction and the
+    division each add at most 2**-53 of an entry, and ``fsum`` rounds
+    once more, so |fsum(q) - 1| is at most about 6 * 2**-53 for any n,
+    far inside 1e-9.
     """
 
     def __init__(self, streams, ns):
@@ -762,7 +757,9 @@ class TrialChunk:
 
     @cached_property
     def negated(self):
-        return distribution_rows(negate_rows(self.p, self.rows), self.rows)
+        negated = 1.0 - self.p
+        negated /= self.rows.repeat(self.n - 1.0)
+        return negated
 
     @cached_property
     def majorized(self):
@@ -798,7 +795,7 @@ class TrialChunk:
 class TrialPoint(tuple):
     """A trial's sample: the tuple of its floats, and as ``row`` the float64
     array it was made from, which the report writer formats without
-    checking or rebuilding the tuple (see ``claims._point_json``)."""
+    checking or rebuilding the tuple (see ``claims._point_pieces``)."""
 
 
 def trial_chunks(seed, trials, n_min, n_max):

@@ -65,9 +65,13 @@ reported peak is the first point that attains the largest excess.
 The trial pass is batched (``_batch``). Trials are taken in index order,
 in chunks of at most ``_batch.CHUNK_ENTRIES`` entries (but at least one
 trial, so n near 10^4 gives one trial per chunk), and every step runs at
-most once per chunk: seeding, renormalisation, validation, negation, the
-measures and C1's majorization check (rows of one n sorted and
-prefix-summed together). A chunk draws its samples when it is made and
+most once per chunk: seeding, renormalisation, negation, the measures
+and C1's majorization check (rows of one n sorted and prefix-summed
+together). The samples and their negations are not validated row by
+row: every check of ``make_distribution`` but one holds for them by
+construction (see ``_batch.sample_rows`` and ``_batch.TrialChunk``), and
+that one, a sample whose gaps are all zero, raises its usual
+``NotADistribution``. A chunk draws its samples when it is made and
 takes each later step only when a reducer first reads its result, so a
 subset of claims costs only what it reads. Every
 step is the same IEEE operation or ``math.log`` that the
@@ -112,9 +116,9 @@ per call, whether it is a counterexample or an ``argmax_p``. A point held
 as runs, uniform(n) in a limit claim's counterexample or a maximizer
 probe, is written one run at a time: each run's value is formatted once
 and its text repeated for the run's entries. Every other number is
-formatted by ``json``, except the entries of a long point: one of at
-least ``COLUMNAR_POINT_MIN`` entries, all ``float`` and not held as
-runs, is formatted on numpy columns by ``_float_json.array_json``
+formatted by ``json``, except the entries of a long trial point: a
+trial's sample of at least ``COLUMNAR_POINT_MIN`` entries is formatted
+from its float64 row on numpy columns by ``_float_json.array_json``
 (Schubfach's shortest decimals for the entries in [2**-1022, 1),
 ``json``'s own text for the rest), which gives ``json``'s bytes by
 construction at about a fifth of its cost: 1.2 against 6.5 ms for 9,000
@@ -151,9 +155,10 @@ REFUTATION_FIXTURE = (0.4, 0.3, 0.2, 0.1)
 # json.dumps(obj, separators=(",", ":")), with its encoder made once.
 _compact_json = json.JSONEncoder(separators=(",", ":")).encode
 
-# Points of at least this many entries are formatted on numpy columns: the
-# measured crossover, below which json's float.__repr__ per entry costs less.
-# For a tuple of n sampled floats (2-vCPU Xeon, numpy 2.4.6, two runs),
+# Trial points of at least this many entries are formatted on numpy columns:
+# the measured crossover, below which json's float.__repr__ per entry costs
+# less. For a tuple of n sampled floats, type-checked and made into an array
+# first, which a trial point's row skips (2-vCPU Xeon, numpy 2.4.6, two runs),
 # json took 183-188 us and the columns 190-202 us at n = 320, about the same
 # (193-196 against 189-196 us) at 336, and 202 against 190-195 us at 352.
 COLUMNAR_POINT_MIN = 352
@@ -351,12 +356,12 @@ def _point_pieces(p) -> list[str]:
     p. A point held as runs (``simplex.RunPoint``) is written one run at a
     time: each value is formatted once, and its text with a comma is
     repeated for all but the run's last entry, so a long run is one piece,
-    which only the final join copies. A point of at least
-    ``COLUMNAR_POINT_MIN`` entries, every one a ``float``, is formatted on
-    numpy columns by ``_float_json.array_json``, to the same bytes; any
-    other point by ``json`` itself. A trial point (``_batch.TrialPoint``)
-    hands over the float64 row it was made from, so its entries are
-    neither checked nor copied again."""
+    which only the final join copies. A trial point
+    (``_batch.TrialPoint``) of at least ``COLUMNAR_POINT_MIN`` entries
+    hands over the float64 row it was made from, which
+    ``_float_json.array_json`` formats on numpy columns to the same bytes,
+    its entries neither checked nor copied again; any other point, such as
+    the fixture, is written by ``json`` itself."""
     runs = getattr(p, "runs", None)
     if runs is not None:
         pieces = ["["]
@@ -367,16 +372,11 @@ def _point_pieces(p) -> list[str]:
             pieces += [(text + ",") * (count - 1), text]
         pieces.append("]")
         return pieces
-    if len(p) >= COLUMNAR_POINT_MIN:
-        row = getattr(p, "row", None)
-        if row is None and list(map(type, p)).count(float) == len(p):
-            import numpy as np  # numpy loads only for a long point
+    row = getattr(p, "row", None)
+    if row is not None and len(p) >= COLUMNAR_POINT_MIN:
+        from ._float_json import array_json
 
-            row = np.array(p, dtype=np.float64)
-        if row is not None:
-            from ._float_json import array_json
-
-            return [array_json(row)]
+        return [array_json(row)]
     return [_compact_json(list(p))]
 
 

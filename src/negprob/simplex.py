@@ -18,9 +18,14 @@ strs, and functions of a ``Distribution`` take nothing else
 (``require_distribution``); both fail with a named ``NotADistribution``.
 
 These functions are the reference for the claim engine's batched trial
-pass (``_batch``), which must reproduce them bit for bit. The engine's
-fixed points, uniform(n) and the maximizer probes, are held as
-``RunPoint``s of (value, count) runs and not validated at run time.
+pass (``_batch``), which must reproduce them bit for bit, and the one
+path that validates every point. The engine's fixed points, uniform(n)
+and the maximizer probes, are held as ``RunPoint``s of (value, count)
+runs and not validated at run time: the tests assert every check on
+every one of them. Its samples and their negations are not validated
+either: every check holds for them by construction, except a sample
+whose gaps are all zero, on which ``make_distribution`` raises its
+usual ``NotADistribution`` (see ``_batch.sample_rows``).
 """
 
 from __future__ import annotations

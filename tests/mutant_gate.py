@@ -77,6 +77,14 @@ MUTANTS = [
     # The float writer breaks a tie toward the odd digit.
     ("_float_json.py", "np.bitwise_and(s, _U(1), out=tmp)",
      "np.bitwise_and(s + _U(1), _U(1), out=tmp)", [WRITER + "test_ties_go_to_the_even_digit"]),
+    # _mul128 drops the carry out of the low halves' product.
+    ("_batch.py", "cross += b_lo\n    cross += a_lo\n", "cross += a_lo\n", [RAW_OUTPUTS_TEST]),
+    # sample_rows divides a row of zero gaps by its zero total.
+    ("_batch.py", "if totals.min() == 0.0:", "if totals.min() < 0.0:",
+     ["tests/test_sampler.py::test_a_row_of_zero_gaps_raises_make_distributions_error"]),
+    # A maximizer's peak moves to a later point of equal excess.
+    ("claims.py", "top > self.peak[0]", "top >= self.peak[0]",
+     ["tests/test_claims.py::TestReports::test_point_fold_reports_the_first_strict_maximum"]),
     # claims accepts no check at its sampled-entry bound.
     ("claims.py", "if trials * n_max > MAX_SAMPLED_ENTRIES:",
      "if trials * n_max >= MAX_SAMPLED_ENTRIES:",

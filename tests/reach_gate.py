@@ -57,12 +57,9 @@ ALLOWED = [
     ("_batch.py", "entries = memoryview(values)",
      "fsum row by row, of the rows outside the window or with a zero sum, such as the "
      "terms of a vertex: as above"),
-    ("_batch.py", "except OverflowError:  # an fsum of finite entries beyond float range",
-     "distribution_rows of entries whose fsum overflows: sampled gaps are at most 37, "
-     "their negations at most 1"),
-    ("_batch.py", "entries = values.tolist()",
-     "distribution_rows rebuilds its rows when one fails a check, as a sample whose gaps are "
-     "all zero would (probability 2**-53 per entry); tests/test_simplex.py calls it so"),
+    ("_batch.py", "make_distribution(gaps[row].tolist(), renormalize=True)  # raises NotADistribution",
+     "sample_rows raises on a row whose gaps are all zero, probability 2**(-53 n) for a row "
+     "of n; tests/test_sampler.py crafts such a stream"),
     ("_batch.py", "return math_logs",
      "the log fallback, taken where numpy's scalar log loop does not give math.log's bits "
      "on the witness; tests/test_golden.py runs every golden config on it"),
@@ -134,14 +131,19 @@ def library_calls():
     """The library-only entry points the tests call, and the named input
     errors they pin: (what, the call, the ValueError it must raise or
     None)."""
+    import numpy as np
+
     import negprob
     from negprob import (ClaimReport, Counterexample, DimensionMismatch, Distribution,
                          NotADistribution, SimplexSamplerConfig, TooFewOutcomes, UnknownClaim)
+    from negprob._batch import TrialPoint
     from negprob.cli import sweep_n_rows, sweep_n2_rows
 
     d, q = negprob.make_distribution([0.4, 0.3, 0.2, 0.1]), negprob.uniform(3)
     zero = negprob.make_distribution([0.5, 0.5, 0.0])
     long_point = (0.0, 1.0, *[0.5 / 1023] * 1022, 5e-324)  # numpy columns, json's text too
+    long_trial = TrialPoint(long_point)
+    long_trial.row = np.array(long_point)
     report = ClaimReport("C1", "REFUTED", 1, 0, 1e-9, Counterexample(long_point, 0.0, 1.0, 1.0),
                          {"min_margin": -1.0})
     config = SimplexSamplerConfig(0, 4, 2)
@@ -158,8 +160,8 @@ def library_calls():
         ("one claim, its report as JSON", lambda: [
             negprob.check_claim("C3", trials=2).to_json(), report.to_json_obj(),
             negprob.reports_to_json([report])], None),
-        ("a point's JSON text, as the writer tests take it",
-         lambda: negprob.claims._point_json(long_point), None),
+        ("a trial point's JSON text, as the writer tests take it",
+         lambda: negprob.claims._point_json(long_trial), None),
         ("the limit claims at the least tolerance", lambda: negprob.check_all(
             trials=1, n_range=(2, 10_000), tolerance=5e-324, claim_ids=["C4", "C5"]), None),
         ("the package's names", lambda: dir(negprob), None),

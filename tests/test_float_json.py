@@ -23,6 +23,7 @@ import pytest
 
 import negprob
 import negprob._float_json as float_json
+from negprob._batch import TrialChunk, TrialPoint, pcg64_seeds
 from negprob._float_json import _E_MAX, _E_MIN, _tables, array_json
 from negprob.claims import COLUMNAR_POINT_MIN, _compact_json, _point_json
 from negprob.simplex import RunPoint
@@ -203,9 +204,10 @@ def test_every_scaled_bound_is_below_2_to_the_60():
 
 
 class TestPointJsonPath:
-    """``claims._point_json`` sends a point of at least ``COLUMNAR_POINT_MIN``
-    entries, every one a ``float`` and not held as runs, to ``array_json``;
-    it gives json's text either way."""
+    """``claims._point_json`` sends a trial point (``_batch.TrialPoint``) of
+    at least ``COLUMNAR_POINT_MIN`` entries to ``array_json`` with its own
+    float64 row, and every other point to ``json``; it gives json's text
+    either way."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -220,12 +222,14 @@ class TestPointJsonPath:
 
     @pytest.mark.parametrize("n", [COLUMNAR_POINT_MIN - 1, COLUMNAR_POINT_MIN])
     def test_the_cutoff(self, calls, n):
-        p = tuple(np.random.default_rng(n).dirichlet(np.ones(n)).tolist())
+        p = TrialChunk(pcg64_seeds(n, [n], [0]), [n]).probs(0)
         assert _point_json(p) == _compact_json(list(p))
         assert calls == ([n] if n >= COLUMNAR_POINT_MIN else [])
 
-    @pytest.mark.parametrize("other", [1, True, 0])
-    def test_a_point_with_a_non_float_entry_goes_to_json(self, calls, other):
+    @pytest.mark.parametrize("other", [0.5, 1, True, 0])
+    def test_a_long_point_without_a_row_goes_to_json(self, calls, other):
+        # No engine point of this size lacks a row: the fixture has four
+        # entries, and uniform(n) and the probes are held as runs.
         p = [0.25] * (COLUMNAR_POINT_MIN + 10)
         p[7] = 0.5
         p[COLUMNAR_POINT_MIN // 2] = other
@@ -233,12 +237,14 @@ class TestPointJsonPath:
         assert calls == []
 
     def test_equal_entries_stay_one_formatted_value(self, calls):
-        # A point held as one run formats its value once; a plain tuple of
+        # A point held as one run formats its value once; a trial point of
         # the same entries takes the columnar writer, to the same bytes.
         p = RunPoint.of([(0.1, 3 * COLUMNAR_POINT_MIN)])
         assert _point_json(p) == _compact_json(list(p))
         assert calls == []
-        assert _point_json(tuple(p)) == _point_json(p)
+        trial = TrialPoint(p)
+        trial.row = np.array(p)
+        assert _point_json(trial) == _point_json(p)
         assert calls == [3 * COLUMNAR_POINT_MIN]
 
 

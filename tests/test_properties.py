@@ -498,6 +498,88 @@ def test_batched_samples_are_bitwise_equal_to_the_sampler(seed, draws):
         assert [x.hex() for x in got[row]] == [x.hex() for x in want]
 
 
+# The least positive gap, from u = 2**-53, and the largest, from u = 1 - 2**-53:
+# every gap exponential_rows gives is +0.0 or between them.
+SMALLEST_GAP = 0.0 - math.log(1.0 - 2.0**-53)
+LARGEST_GAP = 0.0 - math.log(2.0**-53)
+# How the gaps that are neither zero nor the largest are spread: as sampled,
+# log-uniformly over the whole range, uniformly, or all the least gap.
+GAP_KINDS = ("sampled", "log-uniform", "uniform", "smallest")
+# The bound the proofs in sample_rows' and TrialChunk's docstrings give on
+# |fsum - 1|, for a sample and for its negation, about 3 and 6 units of
+# 2**-53, rounded to the number of units a row may show.
+SUM_ERROR_BOUND = 4 * 2.0**-53
+
+
+def gap_row(n, zeros, largest, kind, seed):
+    """n gaps in an order drawn from seed: zeros (at most n - 1 of them),
+    copies of the largest gap (at most the rest), and the others by kind."""
+    rng = np.random.default_rng(seed)
+    zeros = min(zeros, n - 1)
+    largest = min(largest, n - zeros)
+    size = n - zeros - largest
+    if kind == "sampled":
+        rest = 0.0 - np.log(1.0 - rng.integers(1, 2**53, size) * 2.0**-53)
+    elif kind == "log-uniform":
+        rest = np.exp(rng.uniform(math.log(SMALLEST_GAP), math.log(LARGEST_GAP), size))
+    elif kind == "uniform":
+        rest = rng.uniform(SMALLEST_GAP, LARGEST_GAP, size)
+    else:
+        rest = np.full(size, SMALLEST_GAP)
+    rest = np.clip(rest, SMALLEST_GAP, LARGEST_GAP)
+    return rng.permutation(np.concatenate([np.zeros(zeros), np.full(largest, LARGEST_GAP), rest]))
+
+
+GAP_ROWS = st.lists(st.tuples(st.one_of(st.integers(2, 12), st.integers(2, 10_000),
+                                        st.sampled_from([2, 3, 10_000])),
+                              st.one_of(st.sampled_from([0, 1, 10_000]), st.integers(0, 10_000)),
+                              st.one_of(st.sampled_from([0, 1, 10_000]), st.integers(0, 10_000)),
+                              st.sampled_from(GAP_KINDS), st.integers(0, 2**32 - 1)),
+                    min_size=1, max_size=4)
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(GAP_ROWS)
+@example([(10_000, 0, 1, "smallest", 0)])  # one gap of 53 ln 2, the rest the least gap
+@example([(10_000, 10_000, 0, "smallest", 1), (2, 1, 1, "sampled", 2)])  # vertices
+@example([(2, 0, 2, "sampled", 3), (3, 0, 3, "sampled", 4)])  # uniform rows
+@example([(10_000, 0, 0, "log-uniform", 5), (9_999, 5_000, 3, "uniform", 6)])
+def test_samples_and_their_negations_need_no_check_on_any_gap_row(gap_rows):
+    # Any row of gaps exponential_rows could give, renormalised by
+    # sample_rows and negated by TrialChunk, passes every check of
+    # make_distribution with room to spare: entries in [0, 1] and a sum
+    # within a few units of 2**-53 of 1, not just 1e-9. Each row is also
+    # the scalar path's, bit for bit.
+    rows = [gap_row(*drawn) for drawn in gap_rows]
+    gaps = np.concatenate(rows)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(batch, "exponential_rows", lambda *_: gaps.copy())
+        chunk = batch.TrialChunk(None, [len(row) for row in rows])
+    for gaps_of_row, at in zip(rows, chunk.rows.slices(np.arange(len(rows)))):
+        p, q = chunk.p[at], chunk.negated[at]
+        for x in p, q:
+            assert 0.0 <= x.min() and x.max() <= 1.0
+            assert abs(math.fsum(x.tolist()) - 1.0) <= SUM_ERROR_BOUND
+        want = make_distribution(gaps_of_row.tolist(), renormalize=True)
+        assert list(map(float.hex, p.tolist())) == list(map(float.hex, want.probs))
+        assert list(map(float.hex, q.tolist())) == list(map(float.hex, negate(want).probs))
+
+
+@pytest.mark.parametrize("gap", [SMALLEST_GAP, LARGEST_GAP])
+@pytest.mark.parametrize("n", [2, 3, JUMP_MAX_N + 1, 10_000])
+def test_a_row_of_one_nonzero_gap_is_a_vertex_and_its_negation(monkeypatch, n, gap):
+    # The proofs' edge: a total equal to its one gap gives p = 1.0 exactly,
+    # so 1 - p is +0.0, and every other entry of the negation is 1/(n - 1).
+    gaps = np.zeros(n)
+    gaps[n // 2] = gap
+    monkeypatch.setattr(batch, "exponential_rows", lambda *_: gaps.copy())
+    chunk = batch.TrialChunk(None, [n])
+    p, q = [0.0] * n, [1.0 / (n - 1)] * n
+    p[n // 2], q[n // 2] = 1.0, 0.0
+    assert list(map(float.hex, chunk.p.tolist())) == list(map(float.hex, p))
+    assert list(map(float.hex, chunk.negated.tolist())) == list(map(float.hex, q))
+
+
 # Entries fsum treats apart: signed zeros, subnormals, the smallest
 # normal; and entries it passes through or raises on.
 SUM_SPECIALS = [0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.0**-1022, -2.0**-1022, 1.0, -3.0]
@@ -715,18 +797,30 @@ def test_trial_rows_are_summed_without_the_fsum_fallback(monkeypatch):
     # trials at n near 10^4 as check-large-n's sum every row by extraction.
     from negprob import check_all
 
+    # The default check sums its one chunk of 1,000 trials 9 times, and each
+    # probe of n = 2..8 once for its total and 4 times for its measures.
+    probes = sum(len(block.n) for block in batch.probe_blocks(2, 8))
     slow, rows_summed = [], []
     fsums = Rows.fsums
     monkeypatch.setattr(batch, "fsum", lambda entries: slow.append(1) or math.fsum(entries))
     monkeypatch.setattr(Rows, "fsums",
                         lambda rows, values: rows_summed.append(len(rows)) or fsums(rows, values))
     check_all()
+    assert rows_summed == [probes, 4 * probes] + [1_000] * 9
+    # check-large-n's claims draw one trial a chunk and take no probes.
+    check_all(trials=4, n_range=(9000, 10_000), claim_ids=["C1", "C2", "C3", "C4", "C5", "C6"])
+    assert rows_summed[11:] == [1] * 36
+    del rows_summed[11:]
+    trial_rows = 0
     for seed in (1, 9001, 2**64 - 1):
         for chunk in [*batch.trial_chunks(seed, 4_700, 2, 8),
                       *batch.trial_chunks(seed, 8, 9000, 10_000)]:
             for kind in ("p", "negated"):
                 chunk.measures(kind)
-    assert sum(rows_summed) > 150_000 and slow == []
+            trial_rows += len(chunk.rows)
+    # A chunk's rows are summed once for the sample and 4 times for the
+    # measures of each of p and its negation.
+    assert sum(rows_summed) == 9_000 + 5 * probes + 9 * trial_rows and slow == []
 
 
 # The log kernels measure_rows may run: the one the guard chose on this

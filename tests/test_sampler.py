@@ -18,7 +18,8 @@ from hypothesis import strategies as st
 from reference_engine import reference_reports
 
 import negprob._batch as batch
-from negprob import SimplexSamplerConfig, check_all, reports_to_json, sample_uniform_simplex
+from negprob import (NotADistribution, SimplexSamplerConfig, check_all, reports_to_json,
+                     sample_uniform_simplex)
 from negprob._batch import JUMP_MAX_N, Rows
 
 _MASK64 = 2**64 - 1
@@ -103,6 +104,40 @@ def test_reports_on_the_edge_streams_hold_no_negative_zero(monkeypatch):
     assert [reports[1]["counterexample"]["p"][0], reports[7]["observed"]["argmax_p"][0],
             reports[8]["observed"]["argmax_p"][1]] == [0.0, 0.0, 0.0]
     assert all(sign == 1.0 for p in points for sign in zero_signs(p))
+
+
+# A stream whose first two outputs are 0 (a state with equal words, here
+# both 0) and 1: both give u = 0, so its row at n = 2 has two zero gaps and
+# a total of 0, the one sample row make_distribution rejects.
+ZERO_STREAM = crafted_stream(0, 1)
+
+
+@pytest.mark.parametrize("zero_rows", [[0], [1], [2], [1, 2]])
+@pytest.mark.filterwarnings("error")
+def test_a_row_of_zero_gaps_raises_make_distributions_error(monkeypatch, zero_rows):
+    # Wherever the zero rows are among good ones, the batch raises on the
+    # first before it divides by its total, with the scalar sampler's
+    # message.
+    rows = Rows([3 if i not in zero_rows else 2 for i in range(3)])
+    seeds = batch.pcg64_seeds(5, rows.ns, [0, 1, 2])
+    seeds[:, zero_rows] = np.array(ZERO_STREAM, np.uint64)[:, None]
+    gaps = batch.exponential_rows(seeds, rows)
+    assert [not gaps[at].any() for at in rows.slices(np.arange(3))] == [
+        i in zero_rows for i in range(3)]
+    message = "sum = 0.0 differs from 1 by more than 1e-09"
+    with pytest.raises(NotADistribution) as batched:
+        batch.sample_rows(seeds, rows)
+    real = np.random.PCG64
+
+    def crafted(seq):
+        bits = real(0)
+        batch._set_pcg64(bits, ZERO_STREAM)
+        return bits
+
+    monkeypatch.setattr(np.random, "PCG64", crafted)
+    with pytest.raises(NotADistribution) as scalar:
+        sample_uniform_simplex(SimplexSamplerConfig(5, 2, 2), 1)
+    assert str(batched.value) == str(scalar.value) == message
 
 
 @settings(max_examples=60, deadline=None, database=None)
