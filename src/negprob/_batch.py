@@ -31,19 +31,29 @@ array and is the same float operation as its scalar reference:
   2**(2b - 104) times the call's sum of magnitudes, every n <= 2**b). So
   ``sample_rows`` matches ``make_distribution`` and ``measure_rows``
   matches ``measure_all``.
-- ``majorizes_rows`` decides all rows of one n together: ``np.sort``
-  along the rows, a reversed view, and ``cumsum`` along the rows, which
-  adds each row's prefix sums left to right like ``majorizes``.
+- ``majorizes_rows`` decides p against its negation for all rows of one
+  n together: one ``np.sort`` along the rows, from which the negation's
+  sorted rows follow (see there), a reversed view, and ``cumsum`` along
+  the rows, which adds each row's prefix sums left to right like
+  ``majorizes``.
 - ``ProbeBlock`` builds the maximizer probes of consecutive n as rows of
-  (value, count) runs, hands a reported probe over as a
-  ``simplex.RunPoint`` of those runs, and takes ``make_distribution``'s
-  renormalisation and ``negate``'s steps on all of them at once, with
-  the measures' terms from ``measure_terms``, the function
-  ``measure_rows`` takes the trials' terms from; the fsum of the entries
-  a row stands for is ``Rows.fsums`` of its runs' exact split parts
-  (``run_parts``). The probes are fixed for each n, so the range and sum
-  checks that ``make_distribution`` would make on them are asserted by a
-  test for every n in 2..``claims.MAX_OUTCOMES``, not at run time.
+  (value, count) runs and takes ``make_distribution``'s renormalisation
+  and ``negate``'s steps on all of them at once, with the measures'
+  terms from ``measure_terms``, the function ``measure_rows`` takes the
+  trials' terms from; the fsum of the entries a row stands for is
+  ``Rows.fsums`` of its runs' exact split parts (``run_parts``). The
+  probes are fixed for each n, so the range and sum checks that
+  ``make_distribution`` would make on them are asserted by a test for
+  every n in 2..``claims.MAX_OUTCOMES``, not at run time.
+- The probes and their bounds depend on n alone, so a process builds
+  each n's once: ``probe_block(k)`` is the block of n from 2 + k
+  ``PROBE_BLOCK_N``, built on first use and kept, whatever range asked
+  for it. There are at most 45 such blocks, about 2 MB once every n up
+  to 10**4 has been probed, and no other size limit. A full block of 227
+  n takes about 0.4 ms to build, against 0.12 ms for n 2..8 alone
+  (2-vCPU Xeon, min of 200), once per process. A check reads the probes
+  of its n range as ``ProbeRange`` slices of the blocks that hold them,
+  and hands a reported probe over as a ``simplex.RunPoint`` of its runs.
 
 numpy's SIMD ``log`` is never used: it differs from ``math.log`` in the
 last bit on a fraction of inputs. ``np.log`` of a reversed view runs
@@ -61,11 +71,12 @@ sampled or probes measured.
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cache, cached_property
 from math import frexp, fsum, ldexp, log
 
 import numpy as np
 
+from .claims import MAX_OUTCOMES
 from .measures import VARENTROPY_CLAMP
 from .simplex import MAJORIZATION_SLACK, RunPoint, make_distribution
 
@@ -459,28 +470,37 @@ def sample_rows(streams, rows: Rows):
     return gaps
 
 
-def majorizes_rows(p, q, rows: Rows):
-    """``majorizes`` of each pair of rows of the flat arrays p and q, as a
-    bool array.
+def majorizes_rows(p, rows: Rows):
+    """``majorizes(p, negate(p))`` of each row of the flat array p, as a
+    bool array, for rows of entries in [0, 1] such as samples.
 
     Rows of one n are decided together, as the rows of an (rows, n)
-    matrix: ``descending_prefix_sums`` of p's and of q's rows are the
-    prefix sums ``majorizes`` forms, and every comparison is the same
-    float operation.
+    matrix sorted once, in ascending order. ``majorizes`` sorts p and its
+    negation q = fl(fl(1 - p) / (n - 1)) in descending order. Rounding is
+    monotone, so q is non-increasing in p: taken entry by entry from p in
+    ascending order, q comes out in descending order, and those are q's
+    entries sorted, bit for bit (q is never -0.0, so equal values are equal
+    bits). So p's rows reversed and the negations of its sorted rows are
+    the two sorted rows, ``descending_prefix_sums`` gives the prefix sums
+    ``majorizes`` forms, and every comparison is the same float operation.
     """
     decided = np.empty(len(rows), bool)
     for members, at in rows.by_n:
-        sums_q = descending_prefix_sums(q[at])
+        rising = np.sort(p[at])
+        negated = 1.0 - rising
+        negated /= at.shape[1] - 1.0
+        sums_q = negated.cumsum(axis=1)
         sums_q -= MAJORIZATION_SLACK
-        decided[members] = ~(descending_prefix_sums(p[at]) < sums_q).any(axis=1)
+        decided[members] = ~(descending_prefix_sums(rising) < sums_q).any(axis=1)
     return decided
 
 
-def descending_prefix_sums(matrix):
-    """The prefix sums of each row sorted in descending order, added left
-    to right: numpy's cumsum is a sequential add along the axis, the same
-    float operations as ``itertools.accumulate``."""
-    return np.sort(matrix)[:, ::-1].cumsum(axis=1)
+def descending_prefix_sums(rising):
+    """The prefix sums of each row of rising, rows sorted in ascending
+    order, taken from its largest entry down and added left to right:
+    numpy's cumsum is a sequential add along the axis, the same float
+    operations as ``itertools.accumulate``."""
+    return rising[:, ::-1].cumsum(axis=1)
 
 
 def math_logs(x):
@@ -653,9 +673,13 @@ class ProbeBlock:
 
     ``ns`` holds the block's n, ``n`` each probe's n, ``uniform`` the
     index of each n's first probe, uniform(n), and ``measures`` the three
-    columns by field name. ``probs(i)`` is the i-th probe as a
-    ``simplex.RunPoint`` of its nonempty runs, one object for every claim
-    that reports it, which the report writer formats one run at a time.
+    columns by field name, one entry per probe. ``bounds`` holds each
+    field's claimed maximum, one entry per n: ln n for H, by
+    ``log_kernel`` (``math.log``'s bits), and for VH and VJ that measure
+    of negate(uniform(n)), the n's first probe. ``runs(i)`` is the i-th
+    probe as (value, count) runs. Every array is read-only: a block of
+    ``probe_block`` is built once, in about 0.4 ms for 227 n, and then
+    shared by every check of the process.
 
     Each probe is a row of three (value, count) runs, uniform(n) being
     (1/n, n) beside two empty runs of 1/n. The rows take the scalar steps
@@ -665,6 +689,8 @@ class ProbeBlock:
     ``measure_terms`` takes a 1-D array (see there). Every sum is
     ``Rows.fsums`` of the row's ``run_parts``: one call for the
     renormalisation totals, one for the four measure sums of every probe.
+    Each sum is fsum's correctly rounded exact sum of its own row, so a
+    probe's floats do not depend on which block holds it.
     ``make_distribution``'s range and sum checks of the point and of its
     negation are not made here: the probes are fixed for each n, and
     tests/test_properties.py asserts every one of them on the block's own
@@ -673,7 +699,7 @@ class ProbeBlock:
     """
 
     def __init__(self, ns):
-        self.ns = np.asarray(ns)
+        self.ns = np.array(ns)
         u = 1.0 / self.ns
         # Each n's probes: uniform (eps 0), eps 1e-3 or else 1/(2n), and eps
         # 1e-2 where it fits.
@@ -685,7 +711,6 @@ class ProbeBlock:
         per_n = fits.sum(axis=1)
         self.n = np.repeat(self.ns, per_n)
         self.uniform = np.cumsum(per_n) - per_n
-        self._points = {}
         u, eps = np.repeat(u, per_n), eps[fits]
         values = np.empty((len(u), _PROBE_RUNS))
         np.add(u, eps, out=values[:, 0])
@@ -705,24 +730,69 @@ class ProbeBlock:
         sums = rows.fsums(run_parts(terms, counts.ravel())).reshape(_PROBE_SUMS, -1)
         self._values, self._counts = point, counts.astype(int)
         self.measures = dict(zip(("H", "VH", "VJ"), _measure_fields(*sums)))
+        self.bounds = {"H": log_kernel(self.ns.astype(float)),
+                       "VH": self.measures["VH"][self.uniform],
+                       "VJ": self.measures["VJ"][self.uniform]}
+        for column in (self.ns, self.n, self.uniform, self._values, self._counts,
+                       *self.measures.values(), *self.bounds.values()):
+            column.flags.writeable = False
 
     def runs(self, i: int) -> list[tuple[float, int]]:
         """The i-th probe as (value, count) runs."""
         return list(zip(self._values[i].tolist(), self._counts[i].tolist()))
 
-    def probs(self, i: int) -> RunPoint:
-        """The i-th probe's probabilities, a ``RunPoint`` of its nonempty
-        runs built on the first call and then the same tuple on every call."""
-        if i not in self._points:
-            self._points[i] = RunPoint.of(self.runs(i))
-        return self._points[i]
+
+@cache
+def probe_block(k: int) -> ProbeBlock:
+    """The k-th aligned ``ProbeBlock``: the ``PROBE_BLOCK_N`` consecutive n
+    from 2 + k ``PROBE_BLOCK_N``, the last block's ending at
+    ``claims.MAX_OUTCOMES``. It is built on its first use and then kept for
+    the process, so the cache holds at most one block for each of the 45
+    k that a check can ask for."""
+    first = 2 + k * PROBE_BLOCK_N
+    return ProbeBlock(np.arange(first, min(first + PROBE_BLOCK_N, MAX_OUTCOMES + 1)))
 
 
 def probe_blocks(n_min, n_max):
-    """``ProbeBlock``s of n_min, n_min + 1, ..., n_max in order, each of at
-    most ``PROBE_BLOCK_N`` consecutive n."""
-    for n in range(n_min, n_max + 1, PROBE_BLOCK_N):
-        yield ProbeBlock(np.arange(n, min(n + PROBE_BLOCK_N, n_max + 1)))
+    """The aligned blocks of ``probe_block`` that hold n_min..n_max, in
+    order of n."""
+    first, last = (n_min - 2) // PROBE_BLOCK_N, (n_max - 2) // PROBE_BLOCK_N
+    return [probe_block(k) for k in range(first, last + 1)]
+
+
+class ProbeRange:
+    """The probes of n_min..n_max that one ``ProbeBlock`` holds, for one
+    check: ``n`` and ``measures`` are the block's columns sliced to those
+    probes, ``bounds`` the block's bound columns sliced to those n, and
+    ``probs(i)`` is the range's i-th probe, the block's (start + i)-th, as
+    a ``simplex.RunPoint`` of its nonempty runs, built on the first call
+    and then the same tuple on every call, one object for every claim of
+    the check that reports it. The tuples stay with the range, not with
+    the cached block: a tuple holds its n entries, and a block kept for the
+    process would keep every probe any check ever reported."""
+
+    def __init__(self, block, n_min, n_max):
+        first = int(block.ns[0])
+        a, b = max(n_min - first, 0), min(n_max + 1 - first, len(block.ns))
+        self.start = int(block.uniform[a])
+        stop = int(block.uniform[b]) if b < len(block.ns) else len(block.n)
+        self.n = block.n[self.start:stop]
+        self.measures = {field: column[self.start:stop]
+                         for field, column in block.measures.items()}
+        self.bounds = {field: column[a:b] for field, column in block.bounds.items()}
+        self._block = block
+        self._points = {}
+
+    def probs(self, i: int) -> RunPoint:
+        if i not in self._points:
+            self._points[i] = RunPoint.of(self._block.runs(self.start + i))
+        return self._points[i]
+
+
+def probe_ranges(n_min, n_max):
+    """The probes of n_min..n_max in (n, point) order, as a ``ProbeRange``
+    of each cached block that holds some of them."""
+    return [ProbeRange(block, n_min, n_max) for block in probe_blocks(n_min, n_max)]
 
 
 class TrialChunk:
@@ -763,7 +833,7 @@ class TrialChunk:
 
     @cached_property
     def majorized(self):
-        return majorizes_rows(self.p, self.negated, self.rows)
+        return majorizes_rows(self.p, self.rows)
 
     @cached_property
     def reversible(self):

@@ -20,15 +20,25 @@ maximizer (C7-C9)
     One pair stands for all pairs: every uniform + eps*(e_i - e_j) is a
     permutation of the (0, 1) probe, the measures are symmetric, and
     ``math.fsum`` is exactly rounded, so every pair at a given eps has the
-    same value bit for bit. The probes are measured block by block
-    (``_batch.ProbeBlock``, consecutive n at a time), and each random
-    trial then adds its sample as one point. Probes and trials go through
-    one fold, ``_Maximizer._points``, once per block and per chunk,
-    against one bound table per claim, indexed by n - n_min and filled
-    from the probes: ln n for C7 (``math.log``'s bits), and for C8 and C9
-    the measure of negate(uniform(n)), each n's first probe negated.
-    Folding a block's probes in (n, point) order at once keeps the same
-    first strict maximum and first violation as folding them n by n.
+    same value bit for bit. The probes depend on n alone, so a process
+    measures each n's once, in aligned blocks of consecutive n
+    (``_batch.probe_block``) built on first use and then kept, each with
+    its bound columns: ln n for C7 (``math.log``'s bits), and for C8 and
+    C9 the measure of negate(uniform(n)), each n's first probe negated.
+    A check takes the probes of its range as slices of those blocks
+    (``_batch.ProbeRange``), and each random trial then adds its sample
+    as one point. Probes and trials go through one fold,
+    ``_Maximizer._points``, once per slice and per chunk, against one
+    bound table per claim, indexed by n - n_min and made by
+    concatenating the slices' bound columns. Each probe's floats are
+    ``fsum``'s exact results whichever block holds it, and folding a
+    slice's probes in (n, point) order at once keeps the same first
+    strict maximum and first violation as folding them n by n, so a
+    report is the same in a fresh process as after any other checks.
+    The cache holds at most 45 blocks, about 2 MB once every n up to
+    10^4 has been probed. A block of 227 n takes about 0.4 ms to build,
+    on the first check that reads it, against 0.12 ms for n 2..8 alone
+    (2-vCPU Xeon, min of 200).
 
 Verdicts report what the formulas actually do. With default settings C1,
 C4, C5 and C7 come out CONFIRMED while C2, C3, C6, C8 and C9 come out
@@ -66,7 +76,8 @@ The trial pass is batched (``_batch``). Trials are taken in index order,
 in chunks of at most ``_batch.CHUNK_ENTRIES`` entries (but at least one
 trial, so n near 10^4 gives one trial per chunk), and every step runs at
 most once per chunk: seeding, renormalisation, negation, the measures
-and C1's majorization check (rows of one n sorted and prefix-summed
+and C1's majorization check (rows of one n sorted once, their
+negations' sorted rows following from them, and prefix-summed
 together). The samples and their negations are not validated row by
 row: every check of ``make_distribution`` but one holds for them by
 construction (see ``_batch.sample_rows`` and ``_batch.TrialChunk``), and
@@ -87,7 +98,10 @@ reported point is turned back into a tuple of probabilities.
 
 The limit grid's uniform(n) is measured in O(1) by
 ``measures.constant_measures``, whose sums are the closed form n * t,
-bitwise equal to ``measure_all`` of its n equal entries, and a limit
+bitwise equal to ``measure_all`` of its n equal entries, once per n per
+process (``_uniform_measures``, at most ``MAX_OUTCOMES`` - 1 entries,
+about 2.8 MB were every n on some grid); the fixture and its two
+measurements are likewise made once per process (``_fixture``). A limit
 claim's counterexample is the ``simplex.RunPoint`` of its one run (1/n,
 n), with no ``Distribution`` built (a test asserts ``make_distribution``'s
 checks on it for every n up to ``MAX_OUTCOMES``). The maximizer
@@ -102,14 +116,15 @@ every sum as ``fsum`` of each run's exact split parts, by
 ``_batch.Rows.fsums``.
 The tests pin both to exact rational sums (``fractions.Fraction``). A
 probe's tuple, a ``RunPoint`` of its nonempty runs, is built only when
-the point becomes a counterexample or the running peak, once per block,
-so every claim that reports it gets the same tuple.
+the point becomes a counterexample or the running peak, once per check
+(``_batch.ProbeRange.probs``), so every claim that reports it gets the
+same tuple, and a cached block keeps none of them.
 
 A report line has one writer, ``ClaimReport.to_json``: the compact JSON
 of ``to_json_obj()``, put together from ``json``'s encodings of its parts
 in the same key order. It saves formatting work only. Claims that report
 the same fixture, probe or trial point (C2 and C3 often do) get the same
-tuple, from ``_run``'s one measurement of the fixture, the block's or the
+tuple, from the fixture's one measurement, a probe range's or a
 chunk's ``probs``, and a maximizer's ``observed["argmax_p"]`` is its
 peak's tuple itself. ``reports_to_json`` formats each distinct tuple once
 per call, whether it is a counterexample or an ``argmax_p``. A point held
@@ -133,6 +148,7 @@ from __future__ import annotations
 
 import json
 import math
+from functools import cache
 
 from ._record import frozen_record
 from .measures import constant_measures, measure_all
@@ -157,11 +173,12 @@ _compact_json = json.JSONEncoder(separators=(",", ":")).encode
 
 # Trial points of at least this many entries are formatted on numpy columns:
 # the measured crossover, below which json's float.__repr__ per entry costs
-# less. For a tuple of n sampled floats, type-checked and made into an array
-# first, which a trial point's row skips (2-vCPU Xeon, numpy 2.4.6, two runs),
-# json took 183-188 us and the columns 190-202 us at n = 320, about the same
-# (193-196 against 189-196 us) at 336, and 202 against 190-195 us at 352.
-COLUMNAR_POINT_MIN = 352
+# less. On sampled trial points, json of the tuple against the columns of its
+# row (2-vCPU Xeon, numpy 2.4.6; min of 9 x 20 calls on 10 points, three runs,
+# one disturbed at n = 300 and 304 and left out there), json took 157-159 us
+# and the columns 163-166 us at n = 288, about the same at 296 and 300
+# (164-168 against 164-166 us), and 169-170 against 164-168 us at 304.
+COLUMNAR_POINT_MIN = 300
 
 
 class UnknownClaim(ValueError):
@@ -554,7 +571,7 @@ def _run(selected, seed, trials, n_range, tolerance) -> list[ClaimReport]:
     its trials once, and negates, measures and checks them only as far as
     the selected claims read, once for all of them. Claims that report the
     same fixture, probe or trial point get the same tuple (a probe's from
-    ``ProbeBlock.probs``, a trial's from ``TrialChunk.probs``), so
+    ``ProbeRange.probs``, a trial's from ``TrialChunk.probs``), so
     ``reports_to_json`` formats it once."""
     try:
         n_min, n_max = n_range
@@ -580,25 +597,25 @@ def _run(selected, seed, trials, n_range, tolerance) -> list[ClaimReport]:
 
     refutable = [tally for tally in inequalities if tally.claim.id in ("C2", "C3")]
     if refutable and n_min <= len(REFUTATION_FIXTURE) <= n_max:
-        p = make_distribution(REFUTATION_FIXTURE)
-        fixture = (p.probs, measure_all(p), measure_all(negate(p)))  # one point for both
         for tally in refutable:
-            tally.fixture(*fixture)
+            tally.fixture(*_fixture())  # one point for both
 
     if inequalities or maximizers:
         import numpy as np  # numpy loads only when trials are drawn
 
-        from ._batch import log_kernel, probe_blocks, trial_chunks
+        from ._batch import probe_ranges, trial_chunks
 
+        ranges = probe_ranges(n_min, n_max) if maximizers else []
         # Each maximizer's field and its claimed maximum at n, at n - n_min:
-        # ln n for H, else the field of negate(uniform(n)), each n's first probe.
-        bounds = [(tally, _MEASURE_FIELD[tally.claim.id], np.empty(n_max - n_min + 1))
-                  for tally in maximizers]
-        for block in probe_blocks(n_min, n_max) if maximizers else ():
+        # the ranges' bound columns one after another, ln n for H, else the
+        # field of negate(uniform(n)), each n's first probe.
+        bounds = []
+        for tally in maximizers:
+            field = _MEASURE_FIELD[tally.claim.id]
+            bounds.append((tally, field, np.concatenate([r.bounds[field] for r in ranges])))
+        for r in ranges:
             for tally, field, bound in bounds:
-                bound[block.ns - n_min] = (log_kernel(block.ns.astype(float)) if field == "H"
-                                           else block.measures[field][block.uniform])
-                tally._points(block.measures[field], bound[block.n - n_min], block.probs)
+                tally._points(r.measures[field], bound[r.n - n_min], r.probs)
 
         for chunk in trial_chunks(seed, trials, n_min, n_max):
             for tally in inequalities:
@@ -609,7 +626,7 @@ def _run(selected, seed, trials, n_range, tolerance) -> list[ClaimReport]:
 
     grid = _limit_grid(n_min, n_max)
     limits = any(c.kind == "limit" for c in selected)
-    at_uniform = [constant_measures(1.0 / n, n) for n in grid] if limits else []
+    at_uniform = [_uniform_measures(n) for n in grid] if limits else []
     tallies = {tally.claim.id: tally for tally in inequalities + maximizers}
     return [
         _check_limit(c, seed, tolerance, grid, at_uniform) if c.kind == "limit"
@@ -617,6 +634,21 @@ def _run(selected, seed, trials, n_range, tolerance) -> list[ClaimReport]:
                      tallies[c.id].observed())
         for c in selected
     ]
+
+
+@cache
+def _fixture():
+    """The fixture's point and the measures of it and of its negation,
+    computed once per process."""
+    p = make_distribution(REFUTATION_FIXTURE)
+    return p.probs, measure_all(p), measure_all(negate(p))
+
+
+@cache
+def _uniform_measures(n: int):
+    """``constant_measures(1/n, n)``, uniform(n)'s measures, computed once per
+    n per process: at most ``MAX_OUTCOMES`` - 1 of them."""
+    return constant_measures(1.0 / n, n)
 
 
 def _limit_grid(n_min: int, n_max: int) -> list[int]:

@@ -33,6 +33,9 @@ PROPERTIES = "tests/test_properties.py::"
 WRITER = "tests/test_float_json.py::"
 FLOOR_TEST = PROPERTIES + "test_row_sums_at_the_first_windows_floor_are_fsum_bit_for_bit"
 RAW_OUTPUTS_TEST = "tests/test_sampler.py::test_raw_outputs_are_random_raw_of_each_seeded_stream"
+BOUNDARY_TEST = ("tests/test_reference_engine.py::"
+                 "test_ranges_across_aligned_probe_blocks_write_the_reference_engines_bytes")
+FOLD_TEST = PROPERTIES + "test_maximizer_fold_with_bound_tables_equals_the_per_n_fold"
 FALLBACK_TESTS = [
     PROPERTIES + "test_row_sums_fall_back_to_fsum_outside_the_window",
     PROPERTIES + "test_row_sums_of_a_mixed_call_fall_back_to_fsum_by_row",
@@ -85,6 +88,16 @@ MUTANTS = [
     # A maximizer's peak moves to a later point of equal excess.
     ("claims.py", "top > self.peak[0]", "top >= self.peak[0]",
      ["tests/test_claims.py::TestReports::test_point_fold_reports_the_first_strict_maximum"]),
+    # A check's probes are sliced from a cached block one probe too far on.
+    ("_batch.py", "        self.start = int(block.uniform[a])\n"
+     "        stop = int(block.uniform[b]) if b < len(block.ns) else len(block.n)\n",
+     "        self.start = int(block.uniform[a]) + 1\n"
+     "        stop = int(block.uniform[b]) + 1 if b < len(block.ns) else len(block.n)\n",
+     [BOUNDARY_TEST, FOLD_TEST]),
+    # The trials' bound table takes each range's bounds from the next block's.
+    ("claims.py", "np.concatenate([r.bounds[field] for r in ranges])",
+     "np.concatenate([r.bounds[field] for r in ranges[1:] + ranges[:1]])",
+     [BOUNDARY_TEST, FOLD_TEST]),
     # claims accepts no check at its sampled-entry bound.
     ("claims.py", "if trials * n_max > MAX_SAMPLED_ENTRIES:",
      "if trials * n_max >= MAX_SAMPLED_ENTRIES:",

@@ -1,7 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import negprob
 
 from negprob import (
     CLAIMS,
@@ -269,6 +275,55 @@ class TestMaximizerClaims:
         first = check_claim(claim_id, **kwargs)
         assert check_claim(claim_id, **kwargs).to_json() == first.to_json()
         assert len(first.observed["argmax_p"]) in (9999, 10_000)
+
+
+class TestSeedIndependentCache:
+    """The probes, their bounds, the limit grid's uniform(n) measures and
+    the fixture are computed once per process and then reused."""
+
+    CHECKS = [dict(seed=7, trials=50, n_range=(226, 232)),
+              dict(seed=2**64 - 1, trials=300, n_range=(2, 16)),
+              dict(seed=1, trials=3, n_range=(9_000, 9_010), claim_ids=["C2", "C6", "C9"])]
+
+    def test_a_warm_check_writes_the_bytes_of_a_fresh_process(self):
+        for kwargs in self.CHECKS:
+            check_all(**kwargs)
+        warm = [reports_to_json(check_all(**kwargs)) for kwargs in self.CHECKS]
+        src = str(Path(negprob.__file__).resolve().parent.parent)
+        script = ("import json\n"
+                  "from negprob import check_all, reports_to_json\n"
+                  f"print(json.dumps([reports_to_json(check_all(**kwargs)) "
+                  f"for kwargs in {self.CHECKS!r}]))\n")
+        fresh = subprocess.run([sys.executable, "-c", script],
+                               env={**os.environ, "PYTHONPATH": src},
+                               capture_output=True, text=True, timeout=60)
+        assert fresh.returncode == 0, fresh.stderr
+        assert json.loads(fresh.stdout) == warm
+
+    def test_the_probe_cache_holds_at_most_one_block_per_aligned_k(self):
+        from negprob import _batch
+
+        check_all(seed=3, trials=2, n_range=(2, MAX_OUTCOMES), claim_ids=["C7", "C8", "C9"])
+        blocks = math.ceil((MAX_OUTCOMES - 1) / _batch.PROBE_BLOCK_N)
+        assert blocks == 45 and _batch.probe_block.cache_info().currsize == blocks
+        for n_range in [(2, 8), (228, 229), (9_990, MAX_OUTCOMES)]:
+            check_all(seed=4, trials=2, n_range=n_range, claim_ids=["C8"])
+        assert _batch.probe_block.cache_info().currsize == blocks
+        first = [_batch.probe_block(k).ns[0] for k in range(blocks)]
+        assert first == [2 + k * _batch.PROBE_BLOCK_N for k in range(blocks)]
+        assert _batch.probe_block(blocks - 1).ns[-1] == MAX_OUTCOMES
+
+    def test_cached_values_are_shared_and_read_only(self):
+        from negprob import _batch, claims
+
+        check_all(seed=1, trials=2)
+        block = _batch.probe_block(0)
+        assert _batch.probe_blocks(2, 8) == [block]
+        for column in [block.ns, block.n, *block.measures.values(), *block.bounds.values()]:
+            assert not column.flags.writeable
+        assert claims._fixture() is claims._fixture()
+        assert claims._uniform_measures(5) is claims._uniform_measures(5)
+        assert claims._uniform_measures(5) == constant_measures(1.0 / 5, 5)
 
 
 class TestReports:

@@ -92,9 +92,11 @@ def test_check_stdout_matches_golden_with_math_log_entry_by_entry(monkeypatch, c
     # The per-entry log is the one step whose path depends on the numpy
     # version: numpy's scalar loop when it gives math.log's bits on the
     # import-time witness, math.log entry by entry otherwise. The fallback
-    # keeps every byte.
+    # keeps every byte. The process keeps its probe blocks, so they are
+    # dropped first, to be built again on the fallback too.
     logged = []
     monkeypatch.setattr(batch, "log_kernel", lambda x: logged.append(len(x)) or batch.math_logs(x))
+    batch.probe_block.cache_clear()
     code = main(["check", *CONFIGS[name], "--format", "json"])
     assert code == 0 and logged
     assert capsys.readouterr().out.encode("utf-8") == (DATA / f"check_{name}.jsonl").read_bytes()
