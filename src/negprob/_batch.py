@@ -31,11 +31,6 @@ array and is the same float operation as its scalar reference:
   2**(2b - 104) times the call's sum of magnitudes, every n <= 2**b). So
   ``sample_rows`` matches ``make_distribution`` and ``measure_rows``
   matches ``measure_all``.
-- ``majorizes_rows`` decides p against its negation for all rows of one
-  n together: one ``np.sort`` along the rows, from which the negation's
-  sorted rows follow (see there), a reversed view, and ``cumsum`` along
-  the rows, which adds each row's prefix sums left to right like
-  ``majorizes``.
 - ``ProbeBlock`` builds the maximizer probes of consecutive n as rows of
   (value, count) runs and takes ``make_distribution``'s renormalisation
   and ``negate``'s steps on all of them at once, with the measures'
@@ -78,7 +73,7 @@ import numpy as np
 
 from .claims import MAX_OUTCOMES
 from .measures import VARENTROPY_CLAMP
-from .simplex import MAJORIZATION_SLACK, RunPoint, make_distribution
+from .simplex import RunPoint, make_distribution
 
 # Entries (trials x n) evaluated together; n near 10^4 gives one trial per chunk.
 CHUNK_ENTRIES = 2**14
@@ -123,17 +118,6 @@ class Rows:
     def repeat(self, per_row):
         """Each row's value, once for every entry of the row."""
         return np.repeat(per_row, self.ns)
-
-    @cached_property
-    def by_n(self):
-        """The rows of each size n, in order of n: the rising indices of
-        the rows, sorted by the unique key n * len + index, and the (rows,
-        n) matrix of their entries' places, built once for all readers."""
-        order = np.argsort(self.ns * len(self) + np.arange(len(self)))
-        ns = self.ns[order]
-        cuts = [0, *(np.flatnonzero(ns[1:] != ns[:-1]) + 1).tolist(), len(ns)]
-        return [(order[a:b], self.starts[order[a:b]][:, None] + np.arange(ns[a]))
-                for a, b in zip(cuts, cuts[1:])]
 
     def fsums(self, values):
         """``fsum`` of each row, bit for bit, as an array: the correctly
@@ -470,39 +454,6 @@ def sample_rows(streams, rows: Rows):
     return gaps
 
 
-def majorizes_rows(p, rows: Rows):
-    """``majorizes(p, negate(p))`` of each row of the flat array p, as a
-    bool array, for rows of entries in [0, 1] such as samples.
-
-    Rows of one n are decided together, as the rows of an (rows, n)
-    matrix sorted once, in ascending order. ``majorizes`` sorts p and its
-    negation q = fl(fl(1 - p) / (n - 1)) in descending order. Rounding is
-    monotone, so q is non-increasing in p: taken entry by entry from p in
-    ascending order, q comes out in descending order, and those are q's
-    entries sorted, bit for bit (q is never -0.0, so equal values are equal
-    bits). So p's rows reversed and the negations of its sorted rows are
-    the two sorted rows, ``descending_prefix_sums`` gives the prefix sums
-    ``majorizes`` forms, and every comparison is the same float operation.
-    """
-    decided = np.empty(len(rows), bool)
-    for members, at in rows.by_n:
-        rising = np.sort(p[at])
-        negated = 1.0 - rising
-        negated /= at.shape[1] - 1.0
-        sums_q = negated.cumsum(axis=1)
-        sums_q -= MAJORIZATION_SLACK
-        decided[members] = ~(descending_prefix_sums(rising) < sums_q).any(axis=1)
-    return decided
-
-
-def descending_prefix_sums(rising):
-    """The prefix sums of each row of rising, rows sorted in ascending
-    order, taken from its largest entry down and added left to right:
-    numpy's cumsum is a sequential add along the axis, the same float
-    operations as ``itertools.accumulate``."""
-    return rising[:, ::-1].cumsum(axis=1)
-
-
 def math_logs(x):
     """``math.log`` of each entry of the contiguous float array x."""
     return np.fromiter(map(log, memoryview(x)), float, len(x))
@@ -802,11 +753,11 @@ class TrialChunk:
     The sample rows ``p`` are drawn when the chunk is made. Every other
     value is computed the first time a claim reads it and then kept for
     the chunk's life, so a chunk does only the work its readers need:
-    ``negated`` (the negation of each sample), ``majorized``
-    (``majorizes(p, negate(p))`` of each trial), ``reversible``,
-    ``measures(kind)`` and
-    ``probs(i)``, the tuple of the i-th trial's sample, one object for
-    every claim that reports it.
+    ``negated`` (the negation of each sample), ``reversible``,
+    ``measures(kind)`` and ``probs(i)``, the tuple of the i-th trial's
+    sample, one object for every claim that reports it. No trial is
+    tested for majorization: ``claims`` proves that every sample
+    majorizes its negation.
 
     ``negated`` is ``negate``'s q = fl(fl(1 - p) / (n - 1)) for every
     entry, and it is not validated: it cannot fail ``Distribution``'s
@@ -830,10 +781,6 @@ class TrialChunk:
         negated = 1.0 - self.p
         negated /= self.rows.repeat(self.n - 1.0)
         return negated
-
-    @cached_property
-    def majorized(self):
-        return majorizes_rows(self.p, self.rows)
 
     @cached_property
     def reversible(self):

@@ -53,12 +53,52 @@ and Polya; Marshall, Olkin and Arnold, "Inequalities: Theory of
 Majorization", ch. 2). Entropy is Schur-concave, so it cannot decrease
 under negation (C1); and H <= ln n with equality only at uniform, which
 negation, a one-to-one map, reaches only from uniform (C7). C4 and C5 are
-identities: H(uniform(n)) = ln n and VH(uniform(n)) = 0. C1's
-majorization check tests the theorem's premise on every trial. C4's rise
-in n is not re-checked at run time: tests/test_claims.py proves that H of
+identities: H(uniform(n)) = ln n and VH(uniform(n)) = 0. C4's rise in n
+is not re-checked at run time: tests/test_claims.py proves that H of
 uniform(n), as ``measures.constant_measures`` gives it, rises from every
 n to n + 1 up to ``MAX_OUTCOMES`` by at least about 1e-4, so it rises
 along every grid; C4 checks each grid value against ln n.
+
+C1's premise holds in floats as well, so no trial tests it and C1
+reports ``majorization_failures`` 0: ``simplex.majorizes(p, negate(p))``
+is True for every sample p (``_batch.sample_rows``,
+``simplex.sample_uniform_simplex``) with n <= ``MAX_OUTCOMES``. Let u =
+2**-53. A sample's entries are in [0, 1], and their exact sum s is
+within 2u + u**2 < 3u of 1 (see ``_batch.sample_rows``). ``majorizes``
+adds p's entries, largest first, into prefix sums S_k and q's into Q_k,
+and fails at k only when S_k < fl(Q_k - slack); S_k is a float and
+rounding is monotone, so only when Q_k - S_k > slack exactly. Let P_k be
+the exact sum of p's k largest entries. Q_k - S_k is at most the sum of
+three bounds (Higham, "Accuracy and Stability of Numerical Algorithms",
+ch. 4, for the rounding of recursive sums):
+
+- The exact gap and q's entries. q = fl(fl(1 - p) / (n - 1)) is
+  non-increasing in p, so q's k largest entries are those of p's k
+  smallest, whose sum L_k gives them the exact values' sum (k - L_k) /
+  (n - 1). p majorizes M p, whose entries are (s - p_i) / (n - 1) and
+  whose k largest sum to (k s - L_k) / (n - 1) <= P_k; so the exact
+  values exceed P_k by at most k (1 - s) / (n - 1) <= 3u n / (n - 1).
+  Each q is at most (1 + u)**2 times its exact value (two roundings,
+  neither below the normal range), and the exact values of all n sum to
+  (n - s) / (n - 1), so q's roundings add at most (2u + u**2)(1 + 3u /
+  (n - 1)).
+- p's side, P_k - S_k. S_1 is exact. While S_j < 1, step j's exact sum
+  is below 1 (one of 1 or more rounds to 1 or more) and loses at most
+  u / 2, half an ulp of [0.5, 1). Once S_j >= 1, every later S_k >= 1,
+  since the entries are nonnegative and rounding is monotone, while
+  P_k <= s < 1 + 3u. So P_k - S_k <= max((n - 1) u / 2, 3u).
+- q's side, Q_k less the exact sum of its k entries. Every q is at most
+  c = fl(1 / (n - 1)), so by monotone rounding each Q_j is at most C_j,
+  the float prefix sums of n copies of c, and step j's rounding is at
+  most half an ulp of C_j. Those half-ulps, j = 2..n, sum exactly.
+
+The sum is largest at n = 10**4, 9.26e-13, under
+``simplex.MAJORIZATION_SLACK`` = 1e-12; tests/test_simplex.py computes it
+exactly for every n in 2..``MAX_OUTCOMES`` and aims rows at it. The
+proof needs only entries in [0, 1] whose exact sum is within 3u of 1. It
+does not cover every valid ``Distribution``, whose total may be 1e-9 off
+1 (see ``simplex.majorizes``). tests/reference_engine.py still tests
+the premise with the scalar ``majorizes`` on every trial it draws.
 
 Reproducibility: a report is a pure function of (seed, trials, n_range,
 tolerance), whichever claims are selected beside it. A check samples at
@@ -75,10 +115,8 @@ reported peak is the first point that attains the largest excess.
 The trial pass is batched (``_batch``). Trials are taken in index order,
 in chunks of at most ``_batch.CHUNK_ENTRIES`` entries (but at least one
 trial, so n near 10^4 gives one trial per chunk), and every step runs at
-most once per chunk: seeding, renormalisation, negation, the measures
-and C1's majorization check (rows of one n sorted once, their
-negations' sorted rows following from them, and prefix-summed
-together). The samples and their negations are not validated row by
+most once per chunk: seeding, renormalisation, negation and the
+measures. The samples and their negations are not validated row by
 row: every check of ``make_distribution`` but one holds for them by
 construction (see ``_batch.sample_rows`` and ``_batch.TrialChunk``), and
 that one, a sample whose gaps are all zero, raises its usual
@@ -480,7 +518,6 @@ class _Inequality:
         self.tolerance = tolerance
         self.counterexample: Counterexample | None = None
         self.min_margin = math.inf
-        self.majorization_failures = 0
         self.reversed = 0
         self.reversible = 0  # trials with n >= 3, counted for C2 and C3
 
@@ -500,10 +537,7 @@ class _Inequality:
         margin = lhs - rhs  # min() and argmin() keep the first minimum, with its sign of zero
         self.min_margin = min(self.min_margin, float(margin[margin.argmin()]))
         violated = lhs < rhs - self.tolerance
-        if self.claim.id == "C1":
-            violated |= ~chunk.majorized
-            self.majorization_failures += len(chunk.majorized) - int(chunk.majorized.sum())
-        else:  # C1 reports majorization failures, the others their reversals
+        if self.claim.id != "C1":  # C1 reports majorization failures, the others their reversals
             reversible, count = chunk.reversible
             self.reversible += count
             self.reversed += int((reversible & (lhs <= rhs)).sum())
@@ -518,7 +552,7 @@ class _Inequality:
     def observed(self) -> dict:
         observed: dict = {"min_margin": self.min_margin}
         if self.claim.id == "C1":
-            observed["majorization_failures"] = self.majorization_failures
+            observed["majorization_failures"] = 0  # none, by the proof in the module docstring
         elif self.reversible > 0:
             observed["reversal_fraction"] = self.reversed / self.reversible
         return observed

@@ -38,8 +38,8 @@ from ._record import frozen_record
 
 SUM_TOLERANCE = 1e-9
 
-# Slack used when comparing partial sums; absorbs float noise in sums of
-# entries that are themselves only accurate to ~1e-16.
+# Slack used when comparing partial sums. A sample's prefix sums fall below
+# its negation's by at most 9.26e-13 (the proof is in ``claims``).
 MAJORIZATION_SLACK = 1e-12
 
 _UINT64_MAX = 2**64 - 1
@@ -267,10 +267,14 @@ def majorizes(p: Distribution, q: Distribution) -> bool:
     """True when p majorizes q: every prefix sum of p's entries sorted in
     descending order dominates the corresponding prefix sum of q's.
 
-    Both arguments are validated distributions, so the totals already agree.
     Prefix sums are compared with ``MAJORIZATION_SLACK`` to keep the
     predicate stable under float noise; exact comparisons would flip on
-    ~1e-16 differences.
+    ~1e-16 differences. The totals of two validated distributions may
+    still differ by up to 2 * ``SUM_TOLERANCE``, far more than the slack,
+    so the last comparison can fail on them: ``majorizes(p, negate(p))``
+    is False for p = ``make_distribution([0.5, 0.3, 0.2 - 5e-10])`` and
+    True for ``0.2 + 5e-10``. A sample's total is within about 3 * 2**-53
+    of 1, and ``claims`` proves that every sample majorizes its negation.
     """
     if require_distribution("p", p).n != require_distribution("q", q).n:
         raise DimensionMismatch(f"sizes differ: {p.n} vs {q.n}")

@@ -103,6 +103,17 @@ MUTANTS = [
      "if trials * n_max >= MAX_SAMPLED_ENTRIES:",
      ["tests/test_claims.py::TestParameterValidation::"
       "test_accepts_a_check_at_the_sampled_entry_bound"]),
+    # The majorization slack below the proven bound on a sample's prefix gap.
+    ("simplex.py", "MAJORIZATION_SLACK = 1e-12\n", "MAJORIZATION_SLACK = 9e-13\n",
+     ["tests/test_simplex.py::test_the_prefix_gap_bound_is_below_the_slack_for_every_n"]),
+    # The float writer's window takes in 1.0, which json writes as 1.0.
+    ("_float_json.py", "(bits < _ONE_BITS)", "(bits <= _ONE_BITS)",
+     [WRITER + "test_entries_outside_the_window_take_jsons_text",
+      WRITER + "test_a_point_of_entries_outside_the_window_only"]),
+    # The log guard checks the witness's head alone, not the long array.
+    ("_batch.py", "for size in len(LOG_WITNESS_HEAD), len(witness):",
+     "for size in (len(LOG_WITNESS_HEAD),):",
+     [PROPERTIES + "test_the_guard_rejects_a_kernel_one_ulp_off_on_one_entry_at_one_length"]),
 ]
 
 

@@ -43,7 +43,7 @@ CONFIGS = {
     # Three chunks of small n (529, 529 and 142 trials): each chunk
     # boundary falls mid-period, and n wraps from 60 to 2 inside chunks.
     "seed5_n2-60": ["--seed", "5", "--trials", "1200", "--n-min", "2", "--n-max", "60"],
-    # n near 10^4, one trial per n, with C1's majorization check.
+    # n near 10^4, one trial per n, for the inequality and limit claims.
     "seed9001_n9998-10000_C1-C6": ["--seed", "9001", "--trials", "3",
                                    "--n-min", "9998", "--n-max", "10000",
                                    "--claims", "C1,C2,C3,C4,C5,C6"],

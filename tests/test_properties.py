@@ -5,8 +5,8 @@ for the CLI's contract that every input either works or fails cleanly.
 claim, and the maximizer claims read them off negated points; the reports
 are byte-identical to per-claim evaluation only because these properties
 hold. The trial pass works on batches of trials (flat rows, see
-``negprob._batch``); its sampler, measures and majorization check must be
-bitwise equal to the public one-distribution functions. The report
+``negprob._batch``); its sampler and measures must be bitwise equal to
+the public one-distribution functions. The report
 writer builds each line from pieces and must give the text of
 ``json.dumps`` of the report's reference object.
 """
@@ -48,7 +48,6 @@ from negprob import (
 )
 from negprob import SimplexSamplerConfig, sample_uniform_simplex
 import negprob._batch as batch
-import negprob.simplex
 from negprob._batch import (
     CHUNK_ENTRIES,
     JUMP_MAX_N,
@@ -57,11 +56,9 @@ from negprob._batch import (
     ProbeBlock,
     ProbeRange,
     Rows,
-    descending_prefix_sums,
     guarded_logs,
     log_kernel,
     log_witness,
-    majorizes_rows,
     math_logs,
     measure_rows,
     probe_blocks,
@@ -959,114 +956,6 @@ def test_the_chosen_log_kernel_is_math_log_bit_for_bit_on_a_wide_sweep():
             assert np.array_equal(got, want[at:at + n]), (n, at)
 
 
-@st.composite
-def tied_distributions(draw):
-    """Distributions whose sorted entries tie: a vertex, entries drawn from
-    a pool of zero and two weights, or a draw of ``distributions`` (often
-    uniform(n), its negation or zeros)."""
-    kind = draw(st.integers(0, 2))
-    if kind == 2:
-        return draw(distributions(max_n=2_000))
-    n = draw(st.one_of(st.integers(2, 12), st.integers(2, 2_000)))
-    if kind == 0:
-        weights = [0.0] * n
-        weights[draw(st.integers(0, n - 1))] = 1.0
-    else:
-        pool = [0.0, draw(st.floats(1e-3, 1.0)), draw(st.floats(1e-3, 1.0))]
-        rng = random.Random(draw(st.integers(0, 2**32 - 1)))
-        weights = [rng.choice(pool) for _ in range(n)]
-        weights[draw(st.integers(0, n - 1))] = pool[1]
-    return make_distribution(weights, renormalize=True)
-
-
-@contextlib.contextmanager
-def majorization_slack(slack):
-    """The batched and the scalar majorization with the given slack. At
-    slack 0 a row's decision turns on the rounding of its prefix sums, so
-    about half of the rows of a distribution against its negation fail
-    and the two paths agree only if their sums agree bit for bit."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(batch, "MAJORIZATION_SLACK", slack)
-        patch.setattr(negprob.simplex, "MAJORIZATION_SLACK", slack)
-        yield
-
-
-@SETTINGS
-@given(st.lists(tied_distributions(), min_size=1, max_size=4),
-       st.sampled_from([None, 0.0]))
-# At slack 0 the vertex of n = 10 and the ties (1/3, 1/3, 1/3, 0, 0) fail
-# and the vertex of n = 11 holds.
-@example([make_distribution([0.0] * 9 + [1.0]), make_distribution([0.0] * 10 + [1.0]),
-          make_distribution([1.0, 0.0, 1.0, 0.0, 1.0], renormalize=True)], 0.0)
-def test_batched_majorization_equals_majorizes(dists, slack):
-    values, rows = flat(*dists)
-    with majorization_slack(batch.MAJORIZATION_SLACK if slack is None else slack):
-        want = [majorizes(d, negate(d)) for d in dists]
-        assert majorizes_rows(values, rows).tolist() == want
-    # The one sort's premise: the negation sorted in descending order is,
-    # bit for bit, the negation of the entries sorted in ascending order.
-    for d in dists:
-        rising = np.sort(d.probs)
-        assert bits(sorted(negate(d).probs, reverse=True)) == bits((1.0 - rising) / (d.n - 1.0))
-
-
-def test_batched_majorization_keeps_row_order_across_repeated_sizes():
-    rng = random.Random(5)
-    dists = []
-    for n in [3, 2, 3, 7, 2, 7, 7, 3, 2, 3] * 3:
-        p = make_distribution([rng.random() for _ in range(n)], renormalize=True)
-        dists.append(p if rng.random() < 0.5 else negate(p))
-    values, rows = flat(*dists)
-    with majorization_slack(0.0):
-        want = [majorizes(d, negate(d)) for d in dists]
-        assert True in want and False in want
-        assert majorizes_rows(values, rows).tolist() == want
-
-
-def test_batched_majorization_equals_majorizes_across_the_wrap_of_n():
-    # Trials of n = 2..10^4 wrap from 10^4 back to 2 inside one chunk,
-    # which then holds one row of each large n and many rows of small n.
-    rng = random.Random(9)
-    ns = [9_999, 10_000, *range(2, 40), *range(2, 40)]
-    dists = []
-    for n in ns:
-        p = make_distribution([rng.random() ** 3 for _ in range(n)], renormalize=True)
-        dists.append(p if rng.random() < 0.5 else negate(p))
-    values, rows = flat(*dists)
-    with majorization_slack(0.0):
-        want = [majorizes(d, negate(d)) for d in dists]
-        assert True in want and False in want
-        assert majorizes_rows(values, rows).tolist() == want
-
-
-@pytest.mark.parametrize("n", [2, 3, 7, 100, 10_000])
-def test_row_prefix_sums_are_accumulate_of_the_sorted_row(n):
-    rng = random.Random(n)
-    matrix = np.array([[rng.random() * 10.0 ** rng.randint(-20, 0) for _ in range(n)]
-                       for _ in range(max(1, 2_000 // n))])
-    got = descending_prefix_sums(np.sort(matrix)).tolist()
-    for row, sums in zip(matrix.tolist(), got):
-        want = list(accumulate(sorted(row, reverse=True)))
-        assert [x.hex() for x in sums] == [x.hex() for x in want]
-
-
-def test_batched_majorization_memory_follows_the_entries_not_the_widest_row():
-    # A chunk at the wrap of n 2..10^4: padding every row to n = 10^4 would
-    # hold 112 x 10^4 floats (about 9 MB) per prefix-sum array.
-    ns = [10_000, *range(2, 113)]
-    dists = [make_distribution([1.0 + (i % 5) for i in range(n)], renormalize=True)
-             for n in ns]
-    values, rows = flat(*dists)
-    tracemalloc.start()
-    try:
-        decided = majorizes_rows(values, rows)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert all(decided)
-    assert peak < 8 * values.nbytes
-
-
 def chunk_ns_trial_by_trial(trials, n_min, n_max):
     """Each chunk's (t0, ns) as trial_chunks once built them, one trial at a
     time: the reference for its columnar form."""
@@ -1112,11 +1001,6 @@ def test_chunk_layout_and_rows_equal_their_python_references(trials, n_min, span
         starts = [0, *ends[:-1]]
         assert rows.starts.tolist() == starts
         assert rows.slices(np.arange(len(ns))) == list(map(slice, starts, ends))
-        groups = [(members.tolist(), at.tolist()) for members, at in rows.by_n]
-        want = [([i for i, m in enumerate(ns) if m == n],
-                 [list(range(starts[i], ends[i])) for i, m in enumerate(ns) if m == n])
-                for n in sorted(set(ns))]
-        assert groups == want  # each row once, members rising within each n
 
 
 class ListInequality(_Inequality):
@@ -1127,11 +1011,7 @@ class ListInequality(_Inequality):
         rhs = chunk.measures("p")[field]
         self.min_margin = min(self.min_margin, *(lhs - rhs).tolist())
         violated = (lhs < rhs - self.tolerance).tolist()
-        if self.claim.id == "C1":
-            majorized = chunk.majorized.tolist()
-            self.majorization_failures += majorized.count(False)
-            violated = [v or not m for v, m in zip(violated, majorized)]
-        else:
+        if self.claim.id != "C1":
             for n, reversed_ in zip(chunk.n.tolist(), (lhs <= rhs).tolist()):
                 if n >= 3:
                     self.reversible += 1
@@ -1168,33 +1048,31 @@ FOLD_FLOATS = st.one_of(st.sampled_from([0.0, -0.0, 0.5, 1.0, -1.0]), st.floats(
 
 @st.composite
 def fold_chunks(draw):
-    """The columns of one chunk: n, lhs (negated measure), rhs and
-    majorized, of one to six trials."""
+    """The columns of one chunk: n, lhs (negated measure) and rhs, of one
+    to six trials."""
     size = draw(st.integers(1, 6))
     column = st.lists(FOLD_FLOATS, min_size=size, max_size=size)
     return (draw(st.lists(st.integers(2, 5), min_size=size, max_size=size)),
-            draw(column), draw(column),
-            draw(st.lists(st.booleans(), min_size=size, max_size=size)))
+            draw(column), draw(column))
 
 
 def fake_chunk(k, columns):
-    ns, lhs, rhs, majorized = map(np.array, columns)
+    ns, lhs, rhs = map(np.array, columns)
     return types.SimpleNamespace(
-        n=ns, majorized=majorized.astype(bool), probs=lambda i: ("chunk", k, i),
+        n=ns, probs=lambda i: ("chunk", k, i),
         reversible=(ns >= 3, int((ns >= 3).sum())),
         measures={"negated": {"H": lhs, "VH": lhs}, "p": {"H": rhs, "VH": rhs}}.__getitem__)
 
 
 @SETTINGS
 @given(st.lists(fold_chunks(), min_size=1, max_size=4), st.sampled_from([1e-9, 0.5]))
-@example([([3, 3], [0.0, -0.0], [0.0, 0.0], [True, True])], 1e-9)  # margins 0.0, -0.0
-@example([([3, 3], [-0.0, 0.0], [0.0, 0.0], [True, True])], 1e-9)  # margins -0.0, 0.0
-@example([([2], [0.0], [0.0], [True]), ([2], [-0.0], [0.0], [True])], 1e-9)
-@example([([2, 4, 3], [0.0, 1.0, 1.0], [1.0, 1.0, 1.0], [True] * 3)], 1e-9)  # first
-@example([([4, 2, 3], [1.0, 1.0, 0.0], [1.0, 1.0, 1.0], [True] * 3)], 1e-9)  # last
-@example([([3, 2], [1.0, 1.0], [1.0, 1.0], [True, False])], 1e-9)  # majorization fails last
-@example([([2, 3], [2.0, 2.0], [1.0, 1.0], [True, True]),
-          ([5, 2], [2.0, 3.0], [1.0, 2.0], [True, True])], 0.5)  # ties within and across
+@example([([3, 3], [0.0, -0.0], [0.0, 0.0])], 1e-9)  # margins 0.0, -0.0
+@example([([3, 3], [-0.0, 0.0], [0.0, 0.0])], 1e-9)  # margins -0.0, 0.0
+@example([([2], [0.0], [0.0]), ([2], [-0.0], [0.0])], 1e-9)
+@example([([2, 4, 3], [0.0, 1.0, 1.0], [1.0, 1.0, 1.0])], 1e-9)  # first
+@example([([4, 2, 3], [1.0, 1.0, 0.0], [1.0, 1.0, 1.0])], 1e-9)  # last
+@example([([2, 3], [2.0, 2.0], [1.0, 1.0]),
+          ([5, 2], [2.0, 3.0], [1.0, 2.0])], 0.5)  # ties within and across
 def test_columnar_folds_equal_the_list_folds(chunks, tolerance):
     # vars() holds every running value; repr tells -0.0 from 0.0 and a
     # numpy scalar from a float.
@@ -1208,7 +1086,7 @@ def test_columnar_folds_equal_the_list_folds(chunks, tolerance):
         assert repr(got.observed()) == repr(want.observed())
     got, want = _Maximizer(claim_by_id("C8"), tolerance), ListMaximizer(
         claim_by_id("C8"), tolerance)
-    for k, (_, lhs, rhs, _) in enumerate(chunks):
+    for k, (_, lhs, rhs) in enumerate(chunks):
         for tally in got, want:
             tally._points(np.array(lhs), np.array(rhs), lambda i, k=k: ("chunk", k, i))
         assert repr(vars(got)) == repr(vars(want))
@@ -1240,8 +1118,8 @@ class ReferenceMaximizer(_Maximizer):
 
 def reference_per_n(chunk, value):
     """value(n) for each trial of n, looked up in a table of the chunk's n."""
-    sizes = [at.shape[1] for _, at in chunk.rows.by_n]  # rising
-    table = np.array([value(n) for n in sizes])
+    sizes = np.unique(chunk.n)  # rising
+    table = np.array([value(n) for n in sizes.tolist()])
     return table[np.searchsorted(sizes, chunk.n)]
 
 
@@ -1361,7 +1239,7 @@ def test_min_margin_keeps_the_first_of_two_zeros(margins, kept):
     for chunks in [[([3, 3], list(margins))], [([3], [margins[0]]), ([3], [margins[1]])]]:
         tally = _Inequality(claim_by_id("C2"), 1e-9)
         for k, (ns, lhs) in enumerate(chunks):
-            tally.trials(fake_chunk(k, (ns, lhs, [0.0] * len(ns), [True] * len(ns))))
+            tally.trials(fake_chunk(k, (ns, lhs, [0.0] * len(ns))))
         assert repr(tally.min_margin) == kept
 
 

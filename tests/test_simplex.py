@@ -1,8 +1,14 @@
 import math
 import re
+from fractions import Fraction
+from itertools import accumulate
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+import negprob.simplex
 
 from negprob import (
     DimensionMismatch,
@@ -24,6 +30,7 @@ from negprob import (
     varentropy,
     varextropy,
 )
+from negprob.claims import MAX_OUTCOMES
 from negprob.negation import negation_steps
 
 
@@ -317,4 +324,73 @@ class TestMajorizes:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             majorizes(uniform(3), uniform(4))
+
+    def test_validated_totals_that_differ_decide_the_last_comparison(self):
+        # Totals may differ by up to 2 * SUM_TOLERANCE, far beyond the slack:
+        # p's total below its negation's fails at k = n, above it holds.
+        low = make_distribution([0.5, 0.3, 0.2 - 5e-10])
+        high = make_distribution([0.5, 0.3, 0.2 + 5e-10])
+        assert majorizes(low, negate(low)) is False
+        assert majorizes(high, negate(high)) is True
+
+
+U = Fraction(1, 2**53)
+
+
+def prefix_gap_bound(n):
+    """The bound, proven in the ``claims`` docstring, on how far the prefix
+    sums ``majorizes`` forms of negate(p) can exceed p's, for entries in
+    [0, 1] whose exact sum is within 3u of 1, u = 2**-53: the exact gap and
+    q's entries' rounding, p's side and q's side, as an exact Fraction.
+    q's side is the half-ulps of the float prefix sums C_2..C_n of n
+    copies of fl(1 / (n - 1)); numpy's cumsum adds them left to right."""
+    exact_gap = 3 * U * n / (n - 1) + (2 * U + U * U) * (1 + 3 * U / (n - 1))
+    p_side = max((n - 1) * U / 2, 3 * U)
+    # C = m * 2**e with m in [0.5, 1): half an ulp of C is 2**(e - 54).
+    e = np.frexp(np.full(n, 1.0 / (n - 1)).cumsum()[1:])[1]
+    low = int(e.min())
+    q_side = int((np.int64(1) << (e - low)).sum()) * Fraction(2) ** (low - 54)
+    return exact_gap + p_side + q_side
+
+
+def prefix_gap(p):
+    """The largest amount, exactly, by which a prefix sum of negate(p)
+    that ``majorizes`` forms exceeds p's (0 when none does)."""
+    sums_p = accumulate(sorted(p.probs, reverse=True))
+    sums_q = accumulate(sorted(negate(p).probs, reverse=True))
+    return max((Fraction(b) - Fraction(a) for a, b in zip(sums_p, sums_q) if b > a),
+               default=Fraction(0))
+
+
+def test_the_prefix_gap_bound_is_below_the_slack_for_every_n():
+    bounds = {n: prefix_gap_bound(n) for n in range(2, MAX_OUTCOMES + 1)}
+    worst = max(bounds, key=bounds.get)
+    assert (worst, f"{float(bounds[worst]):.3g}") == (MAX_OUTCOMES, "9.26e-13")
+    assert bounds[worst] < negprob.simplex.MAJORIZATION_SLACK
+    for n in (2, 3, 9962, MAX_OUTCOMES):  # the float prefix sums the bound reads
+        c = 1.0 / (n - 1)
+        assert np.full(n, c).cumsum().tolist() == list(accumulate([c] * n))
+
+
+@st.composite
+def rows_at_the_bound(draw):
+    """One large entry and n - 1 equal entries d just under 2**-54, half an
+    ulp of [0.5, 1), so that p's running sum loses nearly all of each d:
+    the large entry is 1 - (n - 1) d rounded, moved by up to two ulps, and
+    the exact sum is within 2.5 * 2**-53 of 1."""
+    n = draw(st.one_of(st.integers(2, 100), st.integers(2, MAX_OUTCOMES),
+                       st.just(MAX_OUTCOMES)))
+    d = draw(st.floats(2.0**-55, 2.0**-54, exclude_max=True))
+    large = min(1.0, (1.0 - (n - 1) * d) + draw(st.integers(-2, 2)) * 2.0**-53)
+    return [large] + [d] * (n - 1)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(rows_at_the_bound())
+@example([1.0 - 9961 * 0.4999 * 2.0**-53] + [0.4999 * 2.0**-53] * 9961)  # 88 % of the bound
+def test_rows_aimed_at_the_bound_majorize_their_negation(row):
+    assert abs(sum(map(Fraction, row)) - 1) <= 3 * U  # the proof's premise
+    p = make_distribution(row)
+    assert majorizes(p, negate(p))
+    assert prefix_gap(p) <= prefix_gap_bound(p.n)
 
