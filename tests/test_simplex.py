@@ -337,20 +337,26 @@ class TestMajorizes:
 U = Fraction(1, 2**53)
 
 
-def prefix_gap_bound(n):
-    """The bound, proven in the ``claims`` docstring, on how far the prefix
-    sums ``majorizes`` forms of negate(p) can exceed p's, for entries in
-    [0, 1] whose exact sum is within 3u of 1, u = 2**-53: the exact gap and
-    q's entries' rounding, p's side and q's side, as an exact Fraction.
-    q's side is the half-ulps of the float prefix sums C_2..C_n of n
-    copies of fl(1 / (n - 1)); numpy's cumsum adds them left to right."""
+def prefix_gap_bound_parts(n):
+    """The three parts, proven in the ``claims`` docstring, of the bound on
+    how far the prefix sums ``majorizes`` forms of negate(p) can exceed
+    p's, for entries in [0, 1] whose exact sum is within 3u of 1, u =
+    2**-53: the exact gap and q's entries' rounding, p's side and q's
+    side, each as an exact Fraction. q's side is the half-ulps of the
+    float prefix sums C_2..C_n of n copies of fl(1 / (n - 1)); numpy's
+    cumsum adds them left to right."""
     exact_gap = 3 * U * n / (n - 1) + (2 * U + U * U) * (1 + 3 * U / (n - 1))
     p_side = max((n - 1) * U / 2, 3 * U)
     # C = m * 2**e with m in [0.5, 1): half an ulp of C is 2**(e - 54).
     e = np.frexp(np.full(n, 1.0 / (n - 1)).cumsum()[1:])[1]
     low = int(e.min())
     q_side = int((np.int64(1) << (e - low)).sum()) * Fraction(2) ** (low - 54)
-    return exact_gap + p_side + q_side
+    return exact_gap, p_side, q_side
+
+
+def prefix_gap_bound(n):
+    """The bound on the prefix gap: the sum of its three parts."""
+    return sum(prefix_gap_bound_parts(n))
 
 
 def prefix_gap(p):
@@ -394,3 +400,30 @@ def test_rows_aimed_at_the_bound_majorize_their_negation(row):
     assert majorizes(p, negate(p))
     assert prefix_gap(p) <= prefix_gap_bound(p.n)
 
+
+@pytest.mark.parametrize("n", [2, 3, 7, 100, 9962, MAX_OUTCOMES])
+def test_each_part_of_the_prefix_gap_bound_holds_on_samples(n):
+    # Each step of the proof, on the samples C1 draws rather than on the
+    # bound alone; 9962 is the n of the adversarial row nearest the bound.
+    exact_gap, p_side, q_side = prefix_gap_bound_parts(n)
+    config = SimplexSamplerConfig(seed=n, n=n, trials=max(2, 2_000 // n))
+    for t in range(config.trials):
+        p = sample_uniform_simplex(config, t)
+        q = negate(p)
+        assert all(0.0 <= x <= 1.0 for x in p.probs)
+        assert abs(sum(map(Fraction, p.probs)) - 1) < 3 * U  # the premise
+        rising = np.sort(p.probs)
+        descending_q = sorted(q.probs, reverse=True)
+        # q's k largest entries are the negations of p's k smallest.
+        assert [x.hex() for x in descending_q] == [
+            x.hex() for x in ((1.0 - rising) / (n - 1.0)).tolist()]
+        exact_p = list(accumulate(map(Fraction, rising[::-1].tolist())))
+        exact_q = list(accumulate(map(Fraction, descending_q)))
+        sums_p = accumulate(rising[::-1].tolist())
+        sums_q = list(accumulate(descending_q))
+        c = np.full(n, 1.0 / (n - 1)).cumsum().tolist()
+        assert all(b <= c_k for b, c_k in zip(sums_q, c))  # Q_k <= C_k
+        for s_k, q_k, big_p, big_q in zip(sums_p, sums_q, exact_p, exact_q):
+            assert big_q - big_p <= exact_gap
+            assert big_p - Fraction(s_k) <= p_side
+            assert Fraction(q_k) - big_q <= q_side
