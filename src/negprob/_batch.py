@@ -1,6 +1,8 @@
 """The claim engine's batched trial pass: many trials drawn, negated and
 measured at once, with every float equal to the one-distribution
-functions' by construction.
+functions' by construction. The maximizer probes are not here: they are
+fixed for each n, and ``claims`` measures them once per n with the scalar
+``measures.run_measures``.
 
 Trials of mixed n are held as flat rows (``Rows``): one float array with
 the distributions one after another. Each step runs once on the whole
@@ -31,24 +33,6 @@ array and is the same float operation as its scalar reference:
   2**(2b - 104) times the call's sum of magnitudes, every n <= 2**b). So
   ``sample_rows`` matches ``make_distribution`` and ``measure_rows``
   matches ``measure_all``.
-- ``ProbeBlock`` builds the maximizer probes of consecutive n as rows of
-  (value, count) runs and takes ``make_distribution``'s renormalisation
-  and ``negate``'s steps on all of them at once, with the measures'
-  terms from ``measure_terms``, the function ``measure_rows`` takes the
-  trials' terms from; the fsum of the entries a row stands for is
-  ``Rows.fsums`` of its runs' exact split parts (``run_parts``). The
-  probes are fixed for each n, so the range and sum checks that
-  ``make_distribution`` would make on them are asserted by a test for
-  every n in 2..``claims.MAX_OUTCOMES``, not at run time.
-- The probes and their bounds depend on n alone, so a process builds
-  each n's once: ``probe_block(k)`` is the block of n from 2 + k
-  ``PROBE_BLOCK_N``, built on first use and kept, whatever range asked
-  for it. There are at most 45 such blocks, about 2 MB once every n up
-  to 10**4 has been probed, and no other size limit. A full block of 227
-  n takes about 0.4 ms to build, against 0.12 ms for n 2..8 alone
-  (2-vCPU Xeon, min of 200), once per process. A check reads the probes
-  of its n range as ``ProbeRange`` slices of the blocks that hold them,
-  and hands a reported probe over as a ``simplex.RunPoint`` of its runs.
 
 numpy's SIMD ``log`` is never used: it differs from ``math.log`` in the
 last bit on a fraction of inputs. ``np.log`` of a reversed view runs
@@ -61,19 +45,18 @@ detail, so ``log_kernel`` takes that path only when it gives
 tests/test_properties.py and tests/test_sampler.py pin every function
 here against its reference.
 This module imports numpy, so it is imported only when trials are
-sampled or probes measured.
+sampled.
 """
 
 from __future__ import annotations
 
-from functools import cache, cached_property
+from functools import cached_property
 from math import frexp, fsum, ldexp, log
 
 import numpy as np
 
-from .claims import MAX_OUTCOMES
 from .measures import VARENTROPY_CLAMP
-from .simplex import RunPoint, make_distribution
+from .simplex import make_distribution
 
 # Entries (trials x n) evaluated together; n near 10^4 gives one trial per chunk.
 CHUNK_ENTRIES = 2**14
@@ -556,194 +539,14 @@ def measure_rows(values, rows: Rows):
     """H, VH and VJ of each distribution in the flat rows ``values``, as
     three arrays, each entry bitwise equal to that field of
     ``measure_all``: each sum is ``fsum``'s (``Rows.fsums``) of the
-    ``measure_terms``, and one term array is alive at a time.
+    ``measure_terms``, one term array alive at a time, and the fields are
+    ``measure_all``'s operations on the sums.
     """
-    return _measure_fields(*map(rows.fsums, measure_terms(values)))
-
-
-def _measure_fields(s1, s2, t1, t2):
-    """H, VH and VJ from the sums of p ln p, p (ln p)^2, q ln q and
-    q (ln q)^2, q = 1 - p, with ``measure_all``'s operations."""
+    s1, s2, t1, t2 = map(rows.fsums, measure_terms(values))
     vh = s2 - s1 * s1
     vh[(-VARENTROPY_CLAMP < vh) & (vh < 0.0)] = 0.0
     # 0.0 - s1 equals measure_all's -s1 + 0.0, zeros included.
     return 0.0 - s1, vh, t2 - t1 * t1
-
-
-# Each n has uniform(n) and one or two perturbed probes.
-_MAX_PROBES = 3
-# A probe is at most three runs, and each run enters an fsum as two parts.
-_PROBE_RUNS = 3
-# The sums taken for each probe in one Rows.fsums call: s1, s2, t1 and t2 of
-# its negation.
-_PROBE_SUMS = 4
-# Consecutive n whose probes are evaluated together: a block's sums hold at
-# most CHUNK_ENTRIES parts.
-PROBE_BLOCK_N = max(1, CHUNK_ENTRIES // (_MAX_PROBES * _PROBE_SUMS * 2 * _PROBE_RUNS))
-
-
-# Veltkamp's split of a float into two halves of at most 26 bits each.
-_SPLITTER = 2.0**27 + 1.0
-
-
-def run_parts(values, counts):
-    """Parts whose ``fsum`` is, bit for bit, the ``fsum`` of each row's
-    entries, each run's value v repeated its count c times: two parts per
-    run, for float arrays of values of magnitude at most 1 and of counts
-    below 2**26 (every n <= 10**4 is) that broadcast to the values' shape.
-
-    ``fsum`` rounds the exact total of its inputs once, and a run's parts
-    total c v exactly: v when c = 1, else c hi and c lo, hi + lo being v's
-    Veltkamp split (Dekker, Numer. Math. 18, 1971) into halves of at most
-    26 bits, exact for subnormal halves too (Boldo, IJCAR 2006); each
-    product has at most 52 bits and is a multiple of 2**-1074, so a float.
-    An empty run's zero parts move no nonzero sum, and ``fsum`` and
-    ``Rows.fsums`` give +0.0 for every zero sum. The tests pin the sums to
-    exact rational ones, ``float(sum(Fraction(v) * c))``.
-    """
-    hi = values * _SPLITTER
-    hi -= hi - values
-    lo = values - hi
-    parts = np.empty(values.shape + (2,))
-    np.multiply(counts, hi, out=parts[..., 0])
-    np.multiply(counts, lo, out=parts[..., 1])
-    single = counts == 1.0
-    np.copyto(parts[..., 0], values, where=single)
-    np.copyto(parts[..., 1], 0.0, where=single)
-    return parts.ravel()
-
-
-class ProbeBlock:
-    """The maximizer probes of consecutive n, in (n, point) order, with the
-    H, VH and VJ of each probe's negation. The probes of n are uniform(n),
-    then uniform + eps*(e_0 - e_1) for each eps in (1e-3, 1e-2) with eps
-    <= 1/n (1/(2n) when neither is), renormalised, each bitwise
-    ``make_distribution([u + eps, u - eps, u, ..., u], renormalize=True)``
-    (u = 1/n) with the measures ``measure_all(negate(q))`` of that point q;
-    the (0, 1) pair stands for every pair (i, j) (see ``claims``).
-
-    ``ns`` holds the block's n, ``n`` each probe's n, ``uniform`` the
-    index of each n's first probe, uniform(n), and ``measures`` the three
-    columns by field name, one entry per probe. ``bounds`` holds each
-    field's claimed maximum, one entry per n: ln n for H, by
-    ``log_kernel`` (``math.log``'s bits), and for VH and VJ that measure
-    of negate(uniform(n)), the n's first probe. ``runs(i)`` is the i-th
-    probe as (value, count) runs. Every array is read-only: a block of
-    ``probe_block`` is built once, in about 0.4 ms for 227 n, and then
-    shared by every check of the process.
-
-    Each probe is a row of three (value, count) runs, uniform(n) being
-    (1/n, n) beside two empty runs of 1/n. The rows take the scalar steps
-    as columns: the probe values, the renormalisation, the negation (1 -
-    v)/(n - 1), and the measures' terms of the negation by
-    ``measure_terms``, as for the trials; the negations are ravelled, since
-    ``measure_terms`` takes a 1-D array (see there). Every sum is
-    ``Rows.fsums`` of the row's ``run_parts``: one call for the
-    renormalisation totals, one for the four measure sums of every probe.
-    Each sum is fsum's correctly rounded exact sum of its own row, so a
-    probe's floats do not depend on which block holds it.
-    ``make_distribution``'s range and sum checks of the point and of its
-    negation are not made here: the probes are fixed for each n, and
-    tests/test_properties.py asserts every one of them on the block's own
-    points and negations for every n in 2..``claims.MAX_OUTCOMES``, beside
-    exact rational sums.
-    """
-
-    def __init__(self, ns):
-        self.ns = np.array(ns)
-        u = 1.0 / self.ns
-        # Each n's probes: uniform (eps 0), eps 1e-3 or else 1/(2n), and eps
-        # 1e-2 where it fits.
-        eps = np.zeros((len(u), _MAX_PROBES))
-        eps[:, 1] = np.where(1e-3 <= u, 1e-3, u / 2.0)
-        eps[:, 2] = 1e-2
-        fits = np.ones(eps.shape, bool)
-        fits[:, 2] = 1e-2 <= u
-        per_n = fits.sum(axis=1)
-        self.n = np.repeat(self.ns, per_n)
-        self.uniform = np.cumsum(per_n) - per_n
-        u, eps = np.repeat(u, per_n), eps[fits]
-        values = np.empty((len(u), _PROBE_RUNS))
-        np.add(u, eps, out=values[:, 0])
-        np.subtract(u, eps, out=values[:, 1])
-        values[:, 2] = u
-        counts = np.ones(values.shape)
-        counts[:, 2] = self.n - 2.0
-        counts[self.uniform] = 0.0
-        counts[self.uniform, 0] = self.ns
-        totals = Rows(np.full(len(u), 2 * _PROBE_RUNS)).fsums(run_parts(values, counts))
-        totals[self.uniform] = 1.0  # uniform(n) is not renormalised
-        point = values / totals[:, None]
-        negated = 1.0 - point
-        negated /= (self.n - 1.0)[:, None]
-        terms = np.vstack(list(measure_terms(negated.ravel())))
-        rows = Rows(np.full(_PROBE_SUMS * len(u), 2 * _PROBE_RUNS))
-        sums = rows.fsums(run_parts(terms, counts.ravel())).reshape(_PROBE_SUMS, -1)
-        self._values, self._counts = point, counts.astype(int)
-        self.measures = dict(zip(("H", "VH", "VJ"), _measure_fields(*sums)))
-        self.bounds = {"H": log_kernel(self.ns.astype(float)),
-                       "VH": self.measures["VH"][self.uniform],
-                       "VJ": self.measures["VJ"][self.uniform]}
-        for column in (self.ns, self.n, self.uniform, self._values, self._counts,
-                       *self.measures.values(), *self.bounds.values()):
-            column.flags.writeable = False
-
-    def runs(self, i: int) -> list[tuple[float, int]]:
-        """The i-th probe as (value, count) runs."""
-        return list(zip(self._values[i].tolist(), self._counts[i].tolist()))
-
-
-@cache
-def probe_block(k: int) -> ProbeBlock:
-    """The k-th aligned ``ProbeBlock``: the ``PROBE_BLOCK_N`` consecutive n
-    from 2 + k ``PROBE_BLOCK_N``, the last block's ending at
-    ``claims.MAX_OUTCOMES``. It is built on its first use and then kept for
-    the process, so the cache holds at most one block for each of the 45
-    k that a check can ask for."""
-    first = 2 + k * PROBE_BLOCK_N
-    return ProbeBlock(np.arange(first, min(first + PROBE_BLOCK_N, MAX_OUTCOMES + 1)))
-
-
-def probe_blocks(n_min, n_max):
-    """The aligned blocks of ``probe_block`` that hold n_min..n_max, in
-    order of n."""
-    first, last = (n_min - 2) // PROBE_BLOCK_N, (n_max - 2) // PROBE_BLOCK_N
-    return [probe_block(k) for k in range(first, last + 1)]
-
-
-class ProbeRange:
-    """The probes of n_min..n_max that one ``ProbeBlock`` holds, for one
-    check: ``n`` and ``measures`` are the block's columns sliced to those
-    probes, ``bounds`` the block's bound columns sliced to those n, and
-    ``probs(i)`` is the range's i-th probe, the block's (start + i)-th, as
-    a ``simplex.RunPoint`` of its nonempty runs, built on the first call
-    and then the same tuple on every call, one object for every claim of
-    the check that reports it. The tuples stay with the range, not with
-    the cached block: a tuple holds its n entries, and a block kept for the
-    process would keep every probe any check ever reported."""
-
-    def __init__(self, block, n_min, n_max):
-        first = int(block.ns[0])
-        a, b = max(n_min - first, 0), min(n_max + 1 - first, len(block.ns))
-        self.start = int(block.uniform[a])
-        stop = int(block.uniform[b]) if b < len(block.ns) else len(block.n)
-        self.n = block.n[self.start:stop]
-        self.measures = {field: column[self.start:stop]
-                         for field, column in block.measures.items()}
-        self.bounds = {field: column[a:b] for field, column in block.bounds.items()}
-        self._block = block
-        self._points = {}
-
-    def probs(self, i: int) -> RunPoint:
-        if i not in self._points:
-            self._points[i] = RunPoint.of(self._block.runs(self.start + i))
-        return self._points[i]
-
-
-def probe_ranges(n_min, n_max):
-    """The probes of n_min..n_max in (n, point) order, as a ``ProbeRange``
-    of each cached block that holds some of them."""
-    return [ProbeRange(block, n_min, n_max) for block in probe_blocks(n_min, n_max)]
 
 
 class TrialChunk:

@@ -20,25 +20,20 @@ maximizer (C7-C9)
     One pair stands for all pairs: every uniform + eps*(e_i - e_j) is a
     permutation of the (0, 1) probe, the measures are symmetric, and
     ``math.fsum`` is exactly rounded, so every pair at a given eps has the
-    same value bit for bit. The probes depend on n alone, so a process
-    measures each n's once, in aligned blocks of consecutive n
-    (``_batch.probe_block``) built on first use and then kept, each with
-    its bound columns: ln n for C7 (``math.log``'s bits), and for C8 and
-    C9 the measure of negate(uniform(n)), each n's first probe negated.
-    A check takes the probes of its range as slices of those blocks
-    (``_batch.ProbeRange``), and each random trial then adds its sample
-    as one point. Probes and trials go through one fold,
-    ``_Maximizer._points``, once per slice and per chunk, against one
-    bound table per claim, indexed by n - n_min and made by
-    concatenating the slices' bound columns. Each probe's floats are
-    ``fsum``'s exact results whichever block holds it, and folding a
-    slice's probes in (n, point) order at once keeps the same first
-    strict maximum and first violation as folding them n by n, so a
-    report is the same in a fresh process as after any other checks.
-    The cache holds at most 45 blocks, about 2 MB once every n up to
-    10^4 has been probed. A block of 227 n takes about 0.4 ms to build,
-    on the first check that reads it, against 0.12 ms for n 2..8 alone
-    (2-vCPU Xeon, min of 200).
+    same value bit for bit. The probes are defined once, as (value,
+    count) runs, by ``_probe_points(n)``. They and their bounds depend on
+    n alone, so a process measures each n's once (``_probes``, a cache of
+    numbers only): each probe's negated H, VH and VJ, and the bounds, ln n
+    for C7 (``math.log``) and for C8 and C9 the measure of
+    negate(uniform(n)), the first probe negated. A check folds every probe
+    of its range in (n, point) order with one ``_Maximizer._points`` call
+    per claim, against one bound table per claim indexed by n - n_min,
+    and each random trial then adds its sample as one point. Each probe's
+    floats are ``fsum``'s exact results, so a report is the same in a
+    fresh process as after any other checks. The cache holds at most
+    ``MAX_OUTCOMES`` - 1 entries, about 2.6 MB once every n up to 10^4
+    has been probed; an n costs about 25 us to measure, once per process
+    (2-vCPU Xeon).
 
 Verdicts report what the formulas actually do. With default settings C1,
 C4, C5 and C7 come out CONFIRMED while C2, C3, C6, C8 and C9 come out
@@ -142,27 +137,23 @@ about 2.8 MB were every n on some grid); the fixture and its two
 measurements are likewise made once per process (``_fixture``). A limit
 claim's counterexample is the ``simplex.RunPoint`` of its one run (1/n,
 n), with no ``Distribution`` built (a test asserts ``make_distribution``'s
-checks on it for every n up to ``MAX_OUTCOMES``). The maximizer
-probes of consecutive n are the rows of a ``_batch.ProbeBlock``: each
-probe is held as three (value, count) runs, and the block takes
-``make_distribution``'s renormalisation and ``negate`` as the same IEEE
-operations on all its probes at once (a test asserts the range and sum
-checks on every probe of every n up to ``MAX_OUTCOMES``, so the block
-does not repeat them on each run), the measures' terms by
-``_batch.measure_terms``, the function the trials' measures use too, and
-every sum as ``fsum`` of each run's exact split parts, by
-``_batch.Rows.fsums``.
-The tests pin both to exact rational sums (``fractions.Fraction``). A
-probe's tuple, a ``RunPoint`` of its nonempty runs, is built only when
-the point becomes a counterexample or the running peak, once per check
-(``_batch.ProbeRange.probs``), so every claim that reports it gets the
-same tuple, and a cached block keeps none of them.
+checks on it for every n up to ``MAX_OUTCOMES``). A maximizer probe is
+measured by ``measures.run_measures`` of its negation's runs, every sum
+the ``fsum`` of each run's exact split parts (``measures.run_sum``),
+and it is renormalised by ``run_sum`` too; a test asserts
+``make_distribution``'s range and sum checks on every probe and its
+negation for every n up to ``MAX_OUTCOMES``, so they are not made at run
+time. The tests pin the uniform and probe measures to exact rational
+sums (``fractions.Fraction``). A probe's tuple, a ``RunPoint`` of its
+runs, is built from ``_probe_points(n)`` only when the point becomes a
+counterexample or the running peak, once per check, so every claim that
+reports it gets the same tuple, and the cache keeps none of them.
 
 A report line has one writer, ``ClaimReport.to_json``: the compact JSON
 of ``to_json_obj()``, put together from ``json``'s encodings of its parts
 in the same key order. It saves formatting work only. Claims that report
 the same fixture, probe or trial point (C2 and C3 often do) get the same
-tuple, from the fixture's one measurement, a probe range's or a
+tuple, from the fixture's one measurement, the check's probe points or a
 chunk's ``probs``, and a maximizer's ``observed["argmax_p"]`` is its
 peak's tuple itself. ``reports_to_json`` formats each distinct tuple once
 per call, whether it is a counterexample or an ``argmax_p``. A point held
@@ -186,10 +177,13 @@ from __future__ import annotations
 
 import json
 import math
+from array import array
+from bisect import bisect_right
 from functools import cache
+from itertools import accumulate
 
 from ._record import frozen_record
-from .measures import constant_measures, measure_all
+from .measures import constant_measures, measure_all, run_measures, run_sum
 from .negation import negate
 from .simplex import (RunPoint, SimplexSamplerConfig, make_distribution, require_int,
                       require_tolerance)
@@ -604,8 +598,8 @@ def _run(selected, seed, trials, n_range, tolerance) -> list[ClaimReport]:
     probes first, then one pass over the trials in chunks. Each chunk draws
     its trials once, and negates, measures and checks them only as far as
     the selected claims read, once for all of them. Claims that report the
-    same fixture, probe or trial point get the same tuple (a probe's from
-    ``ProbeRange.probs``, a trial's from ``TrialChunk.probs``), so
+    same fixture, probe or trial point get the same tuple (a probe's built
+    once per check, a trial's from ``TrialChunk.probs``), so
     ``reports_to_json`` formats it once."""
     try:
         n_min, n_max = n_range
@@ -637,19 +631,32 @@ def _run(selected, seed, trials, n_range, tolerance) -> list[ClaimReport]:
     if inequalities or maximizers:
         import numpy as np  # numpy loads only when trials are drawn
 
-        from ._batch import probe_ranges, trial_chunks
+        from ._batch import trial_chunks
 
-        ranges = probe_ranges(n_min, n_max) if maximizers else []
-        # Each maximizer's field and its claimed maximum at n, at n - n_min:
-        # the ranges' bound columns one after another, ln n for H, else the
-        # field of negate(uniform(n)), each n's first probe.
         bounds = []
-        for tally in maximizers:
-            field = _MEASURE_FIELD[tally.claim.id]
-            bounds.append((tally, field, np.concatenate([r.bounds[field] for r in ranges])))
-        for r in ranges:
-            for tally, field, bound in bounds:
-                tally._points(r.measures[field], bound[r.n - n_min], r.probs)
+        if maximizers:
+            # The bounds of each n at n - n_min, and the measures of every
+            # probe of the range in (n, point) order with its n's bounds, as
+            # rows of H, VH and VJ.
+            per_n = [_probes(n) for n in range(n_min, n_max + 1)]
+            table = np.frombuffer(b"".join([bound for bound, _ in per_n])).reshape(-1, 3)
+            measured = np.frombuffer(b"".join([m for _, m in per_n])).reshape(-1, 3)
+            counts = [len(m) // len(bound) for bound, m in per_n]  # each n's probes
+            probe_bounds = np.repeat(table, counts, axis=0)
+
+            @cache
+            def probe_point(i):
+                """The i-th probe's ``RunPoint``, built on the first call
+                and then the same tuple for every claim of the check."""
+                ends = list(accumulate(counts))
+                k = bisect_right(ends, i)  # the i-th probe is of n = n_min + k
+                return RunPoint.of(_probe_points(n_min + k)[i - ends[k] + counts[k]])
+
+            for tally in maximizers:
+                field = _MEASURE_FIELD[tally.claim.id]
+                column = _PROBE_FIELDS.index(field)
+                bounds.append((tally, field, table[:, column]))
+                tally._points(measured[:, column], probe_bounds[:, column], probe_point)
 
         for chunk in trial_chunks(seed, trials, n_min, n_max):
             for tally in inequalities:
@@ -683,6 +690,45 @@ def _uniform_measures(n: int):
     """``constant_measures(1/n, n)``, uniform(n)'s measures, computed once per
     n per process: at most ``MAX_OUTCOMES`` - 1 of them."""
     return constant_measures(1.0 / n, n)
+
+
+# The fields of each probe's measures in _probes, and of n's bounds.
+_PROBE_FIELDS = ("H", "VH", "VJ")
+
+
+def _probe_points(n: int) -> list[list[tuple[float, int]]]:
+    """The maximizer probes of n as lists of (value, count) runs: uniform(n)
+    as the run (1/n, n), then for each eps in (1e-3, 1e-2) with eps <=
+    1/n (1/(2n) when neither is) the runs [(u + eps, 1), (u - eps, 1), (u,
+    n - 2)], u = 1/n, each value divided by their ``run_sum``, as
+    ``make_distribution(..., renormalize=True)`` divides by the ``fsum``,
+    with an empty run dropped. A test asserts ``make_distribution``'s range
+    and sum checks on every probe and its negation for every n up to
+    ``MAX_OUTCOMES``, so they are not made here."""
+    u = 1.0 / n
+    points = [[(u, n)]]
+    for eps in [e for e in (1e-3, 1e-2) if e <= u] or [u / 2.0]:
+        runs = [(u + eps, 1), (u - eps, 1), (u, n - 2)]
+        total = run_sum(runs)
+        points.append([(v / total, c) for v, c in runs if c])
+    return points
+
+
+@cache
+def _probes(n: int):
+    """n's bounds and its probes' measures, computed once per n per process:
+    at most ``MAX_OUTCOMES`` - 1 entries, each a pair of rows of float64s
+    as bytes, which a check reads with one ``numpy.frombuffer`` per range.
+    The bounds are ln n (``math.log``'s bits) and the VH and VJ of
+    negate(uniform(n)), the first probe's; then come the H, VH and VJ of
+    each probe of ``_probe_points(n)`` in turn, measured by
+    ``run_measures`` on its negation, ``negate``'s (1 - v) / (n - 1) for
+    each run."""
+    measured = []
+    for runs in _probe_points(n):
+        m = run_measures([((1.0 - v) / (n - 1), c) for v, c in runs])
+        measured += (m.H, m.VH, m.VJ)
+    return array("d", (math.log(n), *measured[1:3])).tobytes(), array("d", measured).tobytes()
 
 
 def _limit_grid(n_min: int, n_max: int) -> list[int]:

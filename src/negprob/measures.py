@@ -35,6 +35,13 @@ of one term t: the exact n t rounded once, which is the IEEE product
 for a distribution whose entries are all equal, as do the claim engine's
 limit grid and the CLI's sweep-n for uniform(n). The tests check it
 against the exact rational sum, ``float(Fraction(t) * n)``.
+
+``run_measures(runs)`` is ``measure_all`` of the entries that (value,
+count) runs stand for, such as the claim engine's maximizer probes, in
+time linear in the number of runs: each sum is ``run_sum`` of the runs'
+terms, the ``fsum`` of parts whose exact total is each run's c t. It
+takes counts below 2**26; ``constant_measures`` is its one-run form and
+takes counts up to 2**53.
 """
 
 from __future__ import annotations
@@ -130,6 +137,45 @@ def constant_measures(v: float, n: int) -> MeasureSet:
     """``measure_all`` of n entries equal to v, bit for bit, for v in [0, 1]
     other than -0.0 and 1 <= n <= 2**53 (see the module docstring)."""
     return _measure_set([v], lambda terms: n * next(terms))
+
+
+def run_measures(runs) -> MeasureSet:
+    """``measure_all`` of the entries the (value, count) runs stand for, each
+    value v repeated its count c times, bit for bit, for v in [0, 1] other
+    than -0.0 and counts 0 <= c < 2**26, whose entries make a distribution:
+    each sum is ``run_sum`` of the runs' terms (see the module docstring)."""
+    counts = [c for _, c in runs]
+    return _measure_set([v for v, _ in runs], lambda terms: run_sum(zip(terms, counts)))
+
+
+# Veltkamp's split of a float into two halves of at most 26 bits each.
+_SPLITTER = 2.0**27 + 1.0
+
+
+def run_sum(runs) -> float:
+    """The exact sum of the (value, count) runs, each value v repeated its
+    count c times, rounded once, as ``fsum`` of those entries rounds it, for
+    |v| <= 1 and integer counts 0 <= c < 2**26 (every n <= 10**4 is); a
+    zero sum is +0.0.
+
+    ``fsum`` rounds the exact total of its inputs once, and a run's parts
+    total c v exactly: v when c = 1, else c hi and c lo, hi + lo being v's
+    Veltkamp split (Dekker, Numer. Math. 18, 1971) into halves of at most
+    26 bits, exact for subnormal halves too (Boldo, IJCAR 2006); each
+    product has at most 52 bits and is a multiple of 2**-1074, so a float.
+    An empty run's zero parts move no nonzero sum, and adding +0.0 turns a
+    zero sum's sign positive and leaves any other sum as it is. The tests
+    pin the sums to exact rational ones, ``float(sum(Fraction(v) * c))``.
+    """
+    parts = []
+    for v, c in runs:
+        if c == 1:
+            parts.append(v)
+        else:
+            hi = v * _SPLITTER
+            hi -= hi - v
+            parts += (c * hi, c * (v - hi))
+    return fsum(parts) + 0.0
 
 
 def _measure_set(ps, total) -> MeasureSet:

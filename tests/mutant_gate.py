@@ -33,8 +33,8 @@ PROPERTIES = "tests/test_properties.py::"
 WRITER = "tests/test_float_json.py::"
 FLOOR_TEST = PROPERTIES + "test_row_sums_at_the_first_windows_floor_are_fsum_bit_for_bit"
 RAW_OUTPUTS_TEST = "tests/test_sampler.py::test_raw_outputs_are_random_raw_of_each_seeded_stream"
-BOUNDARY_TEST = ("tests/test_reference_engine.py::"
-                 "test_ranges_across_aligned_probe_blocks_write_the_reference_engines_bytes")
+RANGES_TEST = ("tests/test_reference_engine.py::"
+               "test_ranges_past_n_2_write_the_reference_engines_bytes")
 FOLD_TEST = PROPERTIES + "test_maximizer_fold_with_bound_tables_equals_the_per_n_fold"
 FALLBACK_TESTS = [
     PROPERTIES + "test_row_sums_fall_back_to_fsum_outside_the_window",
@@ -54,10 +54,16 @@ MUTANTS = [
     # measure_terms' log guard lets a zero entry reach the logarithm.
     ("_batch.py", "np.where(x > 0.0, x, 1.0)", "np.where(x >= 0.0, x, 1.0)",
      [PROPERTIES + "test_batched_measures_are_bitwise_equal_to_measure_all"]),
-    # ProbeBlock measures its points instead of their negations.
-    ("_batch.py", "np.vstack(list(measure_terms(negated.ravel())))",
-     "np.vstack(list(measure_terms(point.ravel())))",
-     [PROPERTIES + "test_probe_tuples_equal_the_scalar_points"]),
+    # _probes measures each probe point instead of its negation.
+    ("claims.py", "run_measures([((1.0 - v) / (n - 1), c) for v, c in runs])",
+     "run_measures(runs)",
+     [PROPERTIES + "test_probe_tuples_equal_the_scalar_points",
+      PROPERTIES + "test_probes_equal_the_exact_rational_reference_for_every_n"]),
+    # run_sum takes a run of two as its one value, as it takes a run of one.
+    ("measures.py", "if c == 1:", "if c <= 2:",
+     [PROPERTIES + "test_run_sums_equal_the_exact_run_sums",
+      "tests/test_measures.py::TestMeasureAll::test_runs_that_cancel_leave_the_exact_remainder",
+      "tests/test_measures.py::TestMeasureAll::test_one_run_measures_as_constant_measures_does"]),
     # raw_rows jumps to each row's outputs one draw too far.
     ("_batch.py", "pos = np.arange(size) - rows.repeat(rows.starts)\n",
      "pos = np.arange(size) - rows.repeat(rows.starts) + 1\n",
@@ -88,16 +94,10 @@ MUTANTS = [
     # A maximizer's peak moves to a later point of equal excess.
     ("claims.py", "top > self.peak[0]", "top >= self.peak[0]",
      ["tests/test_claims.py::TestReports::test_point_fold_reports_the_first_strict_maximum"]),
-    # A check's probes are sliced from a cached block one probe too far on.
-    ("_batch.py", "        self.start = int(block.uniform[a])\n"
-     "        stop = int(block.uniform[b]) if b < len(block.ns) else len(block.n)\n",
-     "        self.start = int(block.uniform[a]) + 1\n"
-     "        stop = int(block.uniform[b]) + 1 if b < len(block.ns) else len(block.n)\n",
-     [BOUNDARY_TEST, FOLD_TEST]),
-    # The trials' bound table takes each range's bounds from the next block's.
-    ("claims.py", "np.concatenate([r.bounds[field] for r in ranges])",
-     "np.concatenate([r.bounds[field] for r in ranges[1:] + ranges[:1]])",
-     [BOUNDARY_TEST, FOLD_TEST]),
+    # The fold reads each n's bounds from n + 1's probes.
+    ("claims.py", 'table = np.frombuffer(b"".join([bound for bound, _ in per_n]))',
+     'table = np.frombuffer(b"".join([_probes(n + 1)[0] for n in range(n_min, n_max + 1)]))',
+     [RANGES_TEST, FOLD_TEST]),
     # claims accepts no check at its sampled-entry bound.
     ("claims.py", "if trials * n_max > MAX_SAMPLED_ENTRIES:",
      "if trials * n_max >= MAX_SAMPLED_ENTRIES:",
@@ -114,6 +114,13 @@ MUTANTS = [
     ("_batch.py", "for size in len(LOG_WITNESS_HEAD), len(witness):",
      "for size in (len(LOG_WITNESS_HEAD),):",
      [PROPERTIES + "test_the_guard_rejects_a_kernel_one_ulp_off_on_one_entry_at_one_length"]),
+    # The trial pass takes numpy's own log, unguarded.
+    ("_batch.py", "log_kernel = guarded_logs(strided_logs)\n", "log_kernel = np.log\n",
+     [PROPERTIES + "test_the_guard_takes_the_strided_path_exactly_when_its_bits_are_math_logs"]),
+    # min_margin keeps the later of two equal margins, so the later zero.
+    ("claims.py", "min(self.min_margin, float(margin[margin.argmin()]))",
+     "min(float(margin[margin.argmin()]), self.min_margin)",
+     [PROPERTIES + "test_min_margin_keeps_the_first_of_two_zeros"]),
 ]
 
 

@@ -47,9 +47,9 @@ PACKAGE = ROOT / "src" / "negprob"
 # the block, the reason). Changing this list is a deliberate act.
 ALLOWED = [
     ("_batch.py", "return self._fsum_rows(values, np.arange(len(self)), np.empty(len(self)))",
-     "Rows.fsums of a call whose sum of magnitudes is 2**999 or more, inf or nan: samples, "
-     "probes and their measure terms are at most 37 in magnitude. It keeps the private "
-     "function total; tests/test_properties.py calls it on such rows"),
+     "Rows.fsums of a call whose sum of magnitudes is 2**999 or more, inf or nan: the "
+     "trials' samples and their measure terms are at most 37 in magnitude. It keeps the "
+     "private function total; tests/test_properties.py calls it on such rows"),
     ("_batch.py", "outside = np.logical_or.reduceat(below, self.starts)",
      "Rows.fsums of a row with a nonzero entry below the second level's window, such as "
      "q (ln q)**2, about p**2, of an entry p near 1e-14 at n near 10**4: no golden config "

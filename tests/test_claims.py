@@ -278,8 +278,9 @@ class TestMaximizerClaims:
 
 
 class TestSeedIndependentCache:
-    """The probes, their bounds, the limit grid's uniform(n) measures and
-    the fixture are computed once per process and then reused."""
+    """The probes' measures and their bounds, the limit grid's uniform(n)
+    measures and the fixture are computed once per process and then
+    reused."""
 
     CHECKS = [dict(seed=7, trials=50, n_range=(226, 232)),
               dict(seed=2**64 - 1, trials=300, n_range=(2, 16)),
@@ -300,27 +301,24 @@ class TestSeedIndependentCache:
         assert fresh.returncode == 0, fresh.stderr
         assert json.loads(fresh.stdout) == warm
 
-    def test_the_probe_cache_holds_at_most_one_block_per_aligned_k(self):
-        from negprob import _batch
+    def test_the_probe_cache_holds_one_entry_per_n(self):
+        from negprob import claims
 
         check_all(seed=3, trials=2, n_range=(2, MAX_OUTCOMES), claim_ids=["C7", "C8", "C9"])
-        blocks = math.ceil((MAX_OUTCOMES - 1) / _batch.PROBE_BLOCK_N)
-        assert blocks == 45 and _batch.probe_block.cache_info().currsize == blocks
+        assert claims._probes.cache_info().currsize == MAX_OUTCOMES - 1
         for n_range in [(2, 8), (228, 229), (9_990, MAX_OUTCOMES)]:
             check_all(seed=4, trials=2, n_range=n_range, claim_ids=["C8"])
-        assert _batch.probe_block.cache_info().currsize == blocks
-        first = [_batch.probe_block(k).ns[0] for k in range(blocks)]
-        assert first == [2 + k * _batch.PROBE_BLOCK_N for k in range(blocks)]
-        assert _batch.probe_block(blocks - 1).ns[-1] == MAX_OUTCOMES
+        assert claims._probes.cache_info().currsize == MAX_OUTCOMES - 1
 
-    def test_cached_values_are_shared_and_read_only(self):
-        from negprob import _batch, claims
+    def test_cached_values_are_shared_and_immutable(self):
+        from negprob import claims
 
         check_all(seed=1, trials=2)
-        block = _batch.probe_block(0)
-        assert _batch.probe_blocks(2, 8) == [block]
-        for column in [block.ns, block.n, *block.measures.values(), *block.bounds.values()]:
-            assert not column.flags.writeable
+        hits = claims._probes.cache_info().hits
+        check_all(seed=2, trials=2)
+        assert claims._probes.cache_info().hits == hits + 7  # n = 2..8, reused
+        assert claims._probes(5) is claims._probes(5)
+        assert [type(part) for part in claims._probes(5)] == [bytes, bytes]
         assert claims._fixture() is claims._fixture()
         assert claims._uniform_measures(5) is claims._uniform_measures(5)
         assert claims._uniform_measures(5) == constant_measures(1.0 / 5, 5)

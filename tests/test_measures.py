@@ -22,8 +22,7 @@ from negprob import (
     varentropy,
     varextropy,
 )
-from negprob._batch import Rows, run_parts
-from negprob.measures import _measure_set, constant_measures
+from negprob.measures import _measure_set, constant_measures, run_measures, run_sum
 
 
 DATA = Path(__file__).parent / "data"
@@ -177,14 +176,20 @@ class TestMeasureAll:
         # c copies of t less c - 1 copies of t: the exact total is t, and
         # the cancellation shows any split part fed to fsum that was
         # rounded. t reaches down into the subnormals, where a half of t
-        # is one too. run_parts takes counts below 2**26.
+        # is one too. run_sum takes counts below 2**26.
         rng = random.Random(3)
         for c in [3, 10_000, 2**26 - 1]:
-            t = np.array([rng.random() * 2.0 ** rng.randint(-1080, 0) for _ in range(200)])
-            values = np.stack([t, -t], axis=1)
-            counts = np.array([c, c - 1], dtype=float)
-            sums = Rows(np.full(len(t), 4)).fsums(run_parts(values, counts))
-            assert sums.tolist() == t.tolist(), c
+            t = [rng.random() * 2.0 ** rng.randint(-1080, 0) for _ in range(200)]
+            assert [run_sum([(x, c), (-x, c - 1)]) for x in t] == t, c
+
+    def test_one_run_measures_as_constant_measures_does(self):
+        # run_measures of the run (v, n) is constant_measures(v, n) bit for
+        # bit, for uniform(n) and its negation.
+        for n in range(2, 10_001):
+            for v in (1.0 / n, (1.0 - 1.0 / n) / (n - 1)):
+                got = run_measures([(v, n)]).as_dict().values()
+                want = constant_measures(v, n).as_dict().values()
+                assert [x.hex() for x in got] == [x.hex() for x in want], n
 
     def test_constant_measures_equal_measure_all_entry_by_entry(self):
         for n in range(2, 65):

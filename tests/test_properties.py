@@ -22,6 +22,7 @@ import random
 import re
 import tracemalloc
 import types
+from array import array
 from fractions import Fraction
 from itertools import accumulate, chain, repeat
 
@@ -52,17 +53,12 @@ from negprob._batch import (
     CHUNK_ENTRIES,
     JUMP_MAX_N,
     LOG_WITNESS_HEAD,
-    PROBE_BLOCK_N,
-    ProbeBlock,
-    ProbeRange,
     Rows,
     guarded_logs,
     log_kernel,
     log_witness,
     math_logs,
     measure_rows,
-    probe_blocks,
-    run_parts,
     sample_rows,
     strided_logs,
 )
@@ -78,12 +74,14 @@ from negprob.claims import (
     _Inequality,
     _Maximizer,
     _point_json,
+    _probe_points,
+    _probes,
     check_all,
     claim_by_id,
     reports_to_json,
 )
 from negprob.cli import main
-from negprob.measures import _measure_set
+from negprob.measures import _measure_set, run_sum
 from negprob.simplex import RunPoint
 
 # Large distributions are slow to measure; no example database is written.
@@ -190,26 +188,25 @@ def test_the_exact_run_reference_is_measure_all_of_the_expanded_runs(rs):
 
 
 def probe_values(n: int) -> list[list[tuple[float, int]]]:
-    """The runs of each maximizer probe of n before it is renormalised, as
-    ``ProbeBlock`` lays them out: uniform(n) as (1/n, n) beside two empty
-    runs of 1/n, then [(u + eps, 1), (u - eps, 1), (u, n - 2)], u = 1/n,
-    for each eps in (1e-3, 1e-2) with eps <= 1/n (1/(2n) when neither
-    is)."""
+    """The runs of each maximizer probe of n before it is renormalised:
+    uniform(n) as (1/n, n), then [(u + eps, 1), (u - eps, 1), (u, n - 2)],
+    u = 1/n, for each eps in (1e-3, 1e-2) with eps <= 1/n (1/(2n) when
+    neither is)."""
     u = 1.0 / n
-    return [[(u, n), (u, 0), (u, 0)]] + [
+    return [[(u, n)]] + [
         [(u + eps, 1), (u - eps, 1), (u, n - 2)]
         for eps in [e for e in (1e-3, 1e-2) if e <= u] or [u / 2.0]]
 
 
 def probe_runs(n: int) -> list[list[tuple[float, int]]]:
     """The maximizer probes of n as runs: uniform(n), then each perturbed
-    probe of ``probe_values`` divided by its ``exact_sum``. This is the
-    reference ``ProbeBlock`` reproduces."""
+    probe of ``probe_values`` divided by its ``exact_sum``, without empty
+    runs. This is the reference ``claims._probe_points`` reproduces."""
     uniform_runs, *perturbed = probe_values(n)
-    points = [uniform_runs[:1]]
+    points = [uniform_runs]
     for runs in perturbed:
         total = exact_sum(runs)
-        points.append([(v / total, c) for v, c in runs])
+        points.append([(v / total, c) for v, c in runs if c])
     return points
 
 
@@ -240,12 +237,10 @@ SIGNED_RUN_VALUES = st.one_of(RUN_VALUES, RUN_VALUES.map(lambda v: -v))
                          min_size=3, max_size=3), min_size=1, max_size=8))
 @example([[(0.1, 1), (-0.0, 5), (0.3, 0)]])  # a count-1 run, a zero's copies, an empty run
 @example([[(-0.0, 1), (0.0, 0), (-0.0, 2)]])  # a zero sum of negative zeros is +0.0
+@example([[(-0.0, 1)]])  # and so is one negative zero alone
 @example([[(5e-324, 3), (1.0, 10_000), (-1.0, 9_999)]])  # far apart, nearly cancelling
-def test_run_parts_sum_to_the_exact_run_sums(rows):
-    values = np.array([[v for v, _ in row] for row in rows])
-    counts = np.array([[c for _, c in row] for row in rows], dtype=float)
-    sums = Rows(np.full(len(rows), 6)).fsums(run_parts(values, counts))
-    assert [x.hex() for x in sums.tolist()] == [exact_sum(row).hex() for row in rows]
+def test_run_sums_equal_the_exact_run_sums(rows):
+    assert [run_sum(row).hex() for row in rows] == [exact_sum(row).hex() for row in rows]
 
 
 def bits(values):
@@ -253,81 +248,91 @@ def bits(values):
 
 
 def scalar_probes(n):
-    """Each probe of n as its runs without empty ones, and the H, VH and VJ
-    of its negation, by exact rational sums."""
-    return [([(v, c) for v, c in q if c], exact_measures(negated_runs(q)))
-            for q in probe_runs(n)]
+    """Each probe of n as its runs, and the H, VH and VJ of its negation, by
+    exact rational sums."""
+    return [(q, exact_measures(negated_runs(q))) for q in probe_runs(n)]
 
 
-def test_probe_blocks_equal_the_exact_rational_reference_for_every_n():
-    # ProbeBlock makes none of make_distribution's checks at run time; this
+def probe_table(n):
+    """``_probes(n)`` as floats: n's bounds, and each probe's H, VH and VJ."""
+    bound, measured = _probes(n)
+    return np.frombuffer(bound).tolist(), np.frombuffer(measured).reshape(-1, 3).tolist()
+
+
+def test_probes_equal_the_exact_rational_reference_for_every_n():
+    # The probes make none of make_distribution's checks at run time; this
     # test makes each of them, on every probe of every n the engine takes,
-    # on the block's own points and negations, empty runs included.
-    n_max = MAX_OUTCOMES
-    seen = []
-    for block in probe_blocks(2, n_max):
-        assert len(block.ns) <= PROBE_BLOCK_N
-        assert block.ns.tolist() == list(range(block.ns[0], block.ns[-1] + 1))
-        i = 0
-        for k, n in enumerate(block.ns.tolist()):
-            assert block.uniform[k] == i  # each n's first probe is uniform(n)
-            reference = scalar_probes(n)
-            for (runs, measured), values in zip(reference, probe_values(n), strict=True):
-                assert block.n[i] == n
-                own = block.runs(i)
-                # The probe values lie in [0, 1] and their sum, the
-                # renormalisation total, is positive.
-                assert all(0.0 <= v <= 1.0 for v, _ in values), n
-                assert exact_sum(values) > 0.0, n
-                # The point and its negation (1 - v)/(n - 1) lie in [0, 1]
-                # and sum to 1 within SUM_TOLERANCE (nan fails each test).
-                for point in own, negated_runs(own):
-                    assert all(0.0 <= v <= 1.0 for v, _ in point), n
-                    assert abs(exact_sum(point) - 1.0) <= SUM_TOLERANCE, n
-                assert [(bits(v), c) for v, c in own if c] == [
-                    (bits(v), c) for v, c in runs]
-                for field in ("H", "VH", "VJ"):
-                    assert bits(block.measures[field][i]) == bits(getattr(measured, field))
-                i += 1
-            # The bounds of n: ln n, and negate(uniform(n))'s VH and VJ.
-            negated_uniform = reference[0][1]
-            assert bits(block.bounds["H"][k]) == bits(math.log(n))
-            for field in ("VH", "VJ"):
-                assert bits(block.bounds[field][k]) == bits(getattr(negated_uniform, field))
-        assert i == len(block.n)
-        seen += block.ns.tolist()
-    assert seen == list(range(2, n_max + 1))
+    # on the engine's own points and negations.
+    for n in range(2, MAX_OUTCOMES + 1):
+        reference = scalar_probes(n)
+        bound, measured = probe_table(n)
+        for own, values, (runs, want), got in zip(_probe_points(n), probe_values(n), reference,
+                                                  measured, strict=True):
+            # The probe values lie in [0, 1] and their sum, the
+            # renormalisation total, is positive.
+            assert all(0.0 <= v <= 1.0 for v, _ in values), n
+            assert exact_sum(values) > 0.0, n
+            # The point and its negation (1 - v)/(n - 1) lie in [0, 1]
+            # and sum to 1 within SUM_TOLERANCE (nan fails each test).
+            for point in own, negated_runs(own):
+                assert all(0.0 <= v <= 1.0 for v, _ in point), n
+                assert abs(exact_sum(point) - 1.0) <= SUM_TOLERANCE, n
+            assert [(bits(v), c) for v, c in own] == [(bits(v), c) for v, c in runs]
+            assert all(c > 0 for _, c in own)
+            assert bits(got) == bits([want.H, want.VH, want.VJ])
+        # The bounds of n: ln n, and negate(uniform(n))'s VH and VJ.
+        negated_uniform = reference[0][1]
+        assert bits(bound) == bits([math.log(n), negated_uniform.VH, negated_uniform.VJ])
+
+
+def folded_probes(n_range):
+    """The arguments of each maximizer's first fold, its probes', in a
+    check of n_range: (value, bound, probs) by claim id."""
+    calls = {}
+    fold = _Maximizer._points
+
+    def spy(self, value, bound, probs):
+        calls.setdefault(self.claim.id, (value, bound, probs))
+        fold(self, value, bound, probs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_Maximizer, "_points", spy)
+        check_all(seed=0, trials=1, n_range=n_range, claim_ids=("C7", "C8", "C9"))
+    return calls
 
 
 @pytest.mark.parametrize("n", [2, 3, 100, 101, 1000, 1001, 9999, 10_000])
 def test_probe_tuples_equal_the_scalar_points(n):
-    block = ProbeBlock([n])
-    probes = ProbeRange(block, n, n)
-    points = probe_runs(n)
-    assert len(block.n) == len(points) == (3 if n <= 100 else 2)
-    for i, q in enumerate(points):
+    calls = folded_probes((n, n))
+    points = scalar_probes(n)
+    assert len(points) == (3 if n <= 100 else 2)
+    probs, negated_uniform = calls["C7"][2], points[0][1]
+    for claim_id, (value, bound, claim_probs) in calls.items():
+        field = _MEASURE_FIELD[claim_id]
+        want = math.log(n) if field == "H" else getattr(negated_uniform, field)
+        assert bits(value) == bits([getattr(measured, field) for _, measured in points])
+        assert bits(bound) == bits([want] * len(points))
+        assert claim_probs is probs  # so every claim gets one tuple of a probe
+    for i, (q, _) in enumerate(points):
         want = tuple(chain.from_iterable(repeat(v, c) for v, c in q))
-        assert bits(probes.probs(i)) == bits(want)
-        assert probes.probs(i) is probes.probs(i)
-        measured = exact_measures(negated_runs(q))
-        for field in ("H", "VH", "VJ"):
-            assert bits(block.measures[field][i]) == bits(getattr(measured, field))
+        assert bits(probs(i)) == bits(want)
+        assert probs(i) is probs(i)
 
 
 def test_probe_points_are_run_points_of_their_nonempty_runs():
-    # Every probe of the engine's blocks that hold n = 2, 227, 228 and 10^4:
-    # the first block, whose last two n are 227 and 228, and the last block.
-    blocks = [b for b in probe_blocks(2, MAX_OUTCOMES)
-              if {2, 227, 228, MAX_OUTCOMES} & set(b.ns.tolist())]
-    assert {2, 227, 228, MAX_OUTCOMES} <= {n for b in blocks for n in b.ns.tolist()}
-    for block in blocks:
-        probes = ProbeRange(block, 2, MAX_OUTCOMES)
-        for i in range(len(block.n)):
-            runs = tuple((v, c) for v, c in block.runs(i) if c)
-            point = probes.probs(i)
-            assert type(point) is RunPoint and point.runs == runs
-            assert point == tuple(chain.from_iterable(repeat(v, c) for v, c in runs))
-            assert probes.probs(i) is point
+    # Every probe of a check's fold over n = 2..229 (n = 2 has an empty
+    # run) and over n = 9990..10^4.
+    for n_min, n_max in [(2, 229), (9_990, MAX_OUTCOMES)]:
+        probs = folded_probes((n_min, n_max))["C8"][2]
+        i = 0
+        for n in range(n_min, n_max + 1):
+            for runs in probe_runs(n):
+                point = probs(i)
+                assert type(point) is RunPoint
+                assert [(bits(v), c) for v, c in point.runs] == [(bits(v), c) for v, c in runs]
+                assert point == tuple(chain.from_iterable(repeat(v, c) for v, c in runs))
+                assert probs(i) is point
+                i += 1
 
 
 # Run values the writer must print as json does: zeros of both signs, 1.0,
@@ -802,29 +807,26 @@ def test_trial_rows_are_summed_without_the_fsum_fallback(monkeypatch):
     # A silent slow path would keep the reports and lose the speed: the
     # default check, full chunks shaped as check-small-n's (n = 2..8) and
     # trials at n near 10^4 as check-large-n's sum every row by extraction.
-    from negprob import check_all
+    from negprob import check_all, claims
 
-    # A cold default check builds the aligned block of n = 2..228, which
-    # holds n = 2..8: it sums each of its probes (three for n <= 100, two
-    # above) once for its total and 4 times for its measures, then its one
-    # chunk of 1,000 trials 9 times. A second check of the same range finds
-    # the block built and sums only its trials.
-    probes = sum(3 if n <= 100 else 2 for n in range(2, 2 + PROBE_BLOCK_N))
+    # A default check measures its probes with the scalar run sums, never
+    # with Rows.fsums, so a cold check sums only its one chunk of 1,000
+    # trials, 9 times, as a warm one does.
     slow, rows_summed = [], []
     fsums = Rows.fsums
     monkeypatch.setattr(batch, "fsum", lambda entries: slow.append(1) or math.fsum(entries))
     monkeypatch.setattr(Rows, "fsums",
                         lambda rows, values: rows_summed.append(len(rows)) or fsums(rows, values))
-    batch.probe_block.cache_clear()
+    claims._probes.cache_clear()
     check_all()
-    assert rows_summed == [probes, 4 * probes] + [1_000] * 9
+    assert rows_summed == [1_000] * 9
     check_all()
-    assert rows_summed[11:] == [1_000] * 9
-    del rows_summed[11:]
+    assert rows_summed[9:] == [1_000] * 9
+    del rows_summed[9:]
     # check-large-n's claims draw one trial a chunk and take no probes.
     check_all(trials=4, n_range=(9000, 10_000), claim_ids=["C1", "C2", "C3", "C4", "C5", "C6"])
-    assert rows_summed[11:] == [1] * 36
-    del rows_summed[11:]
+    assert rows_summed[9:] == [1] * 36
+    del rows_summed[9:]
     trial_rows = 0
     for seed in (1, 9001, 2**64 - 1):
         for chunk in [*batch.trial_chunks(seed, 4_700, 2, 8),
@@ -834,7 +836,7 @@ def test_trial_rows_are_summed_without_the_fsum_fallback(monkeypatch):
             trial_rows += len(chunk.rows)
     # A chunk's rows are summed once for the sample and 4 times for the
     # measures of each of p and its negation.
-    assert sum(rows_summed) == 9_000 + 5 * probes + 9 * trial_rows and slow == []
+    assert sum(rows_summed) == 9_000 + 9 * trial_rows and slow == []
 
 
 # The log kernels measure_rows may run: the one the guard chose on this
@@ -1151,42 +1153,31 @@ def fake_maximizer_chunk(k, ns, triples):
                                  measures={"negated": columns}.__getitem__)
 
 
-def fake_probe_block(ns, probes):
-    """A ProbeBlock of the n in ns whose probes are the triples probes[n];
-    probe j of n is the point ("probe", n, j), one run of one token, and
-    the bounds of n are ln n and the VH and VJ of its first triple."""
-    per_n = [len(probes[n]) for n in ns]
-    triples = [t for n in ns for t in probes[n]]
-    columns = dict(zip(("H", "VH", "VJ"), np.array(triples, dtype=float).T))
-    tokens = [("probe", n, j) for n in ns for j in range(len(probes[n]))]
-    uniform = np.cumsum(per_n) - per_n
-    bounds = {"H": np.array([math.log(n) for n in ns]),
-              "VH": columns["VH"][uniform], "VJ": columns["VJ"][uniform]}
-    return types.SimpleNamespace(
-        ns=np.array(ns), n=np.repeat(ns, per_n), uniform=uniform,
-        measures=columns, bounds=bounds, runs=lambda i: [(tokens[i], 1)])
+def fake_probes(probes):
+    """``_probes`` for the n whose probes are the triples probes[n]: the
+    bounds of n are ln n and the VH and VJ of its first triple."""
+    def per_n(n):
+        bound = (math.log(n), *probes[n][0][1:])
+        return array("d", bound).tobytes(), array("d", chain(*probes[n])).tobytes()
+    return per_n
 
 
 @SETTINGS
-@given(maximizer_inputs(), st.integers(1, 4), st.sampled_from([1e-9, 0.5]))
+@given(maximizer_inputs(), st.sampled_from([1e-9, 0.5]))
 # Ties across n: VH excess 1.0 at n = 2 and at n = 3; the n = 2 probe stays the peak.
 @example((2, 3, {2: [(0.0, 0.0, 0.0), (0.0, 1.0, 1.0)], 3: [(0.0, 0.0, 0.0), (0.0, 1.0, 1.0)]},
-          [([3, 2], [(0.0, 0.5, 0.5), (0.0, 0.5, 0.5)])]), 1, 0.5)
-# The same tie inside one block.
-@example((2, 3, {2: [(0.0, 0.0, 0.0), (0.0, 1.0, 1.0)], 3: [(0.0, 0.0, 0.0), (0.0, 1.0, 1.0)]},
-          [([3, 2], [(0.0, 0.5, 0.5), (0.0, 0.5, 0.5)])]), 2, 0.5)
+          [([3, 2], [(0.0, 0.5, 0.5), (0.0, 0.5, 0.5)])]), 0.5)
 # Ties across the probe/trial boundary: a trial equals the probe peak.
 @example((3, 3, {3: [(0.0, 0.0, 0.0), (0.0, 1.0, -1.0)]},
-          [([3], [(1.0, 1.0, -1.0)]), ([3, 3], [(0.0, 1.0, 0.0), (0.0, -1.0, 1.0)])]), 1, 1e-9)
+          [([3], [(1.0, 1.0, -1.0)]), ([3, 3], [(0.0, 1.0, 0.0), (0.0, -1.0, 1.0)])]), 1e-9)
 # A violation among the probes, then a larger one among the trials.
 @example((2, 2, {2: [(0.5, 0.5, 0.5), (1.0, 1.0, 1.0)]},
-          [([2, 2], [(0.0, 0.0, 0.0), (2.0, 2.0, 2.0)])]), 1, 0.5)
-# A chunk whose n wraps from n_max to n_min, with the bounds of each n apart,
-# and probe blocks of two n and of one.
+          [([2, 2], [(0.0, 0.0, 0.0), (2.0, 2.0, 2.0)])]), 0.5)
+# A chunk whose n wraps from n_max to n_min, with the bounds of each n apart.
 @example((2, 4, {2: [(0.0, 0.0, -1.0)], 3: [(0.0, 0.5, 0.0)], 4: [(0.0, 1.0, 1.0)]},
           [([3, 4, 2, 3], [(1.5, 1.2, 0.5), (1.5, 1.2, 0.5), (1.5, 1.2, 0.5), (2.0, 2.0, 2.0)])]),
-         2, 0.5)
-def test_maximizer_fold_with_bound_tables_equals_the_per_n_fold(inputs, block_n, tolerance):
+         0.5)
+def test_maximizer_fold_with_bound_tables_equals_the_per_n_fold(inputs, tolerance):
     from negprob import claims
 
     n_min, n_max, probes, chunks = inputs
@@ -1194,25 +1185,21 @@ def test_maximizer_fold_with_bound_tables_equals_the_per_n_fold(inputs, block_n,
     measured = {("probe", n, j): types.SimpleNamespace(H=h, VH=vh, VJ=vj)
                 for n, triples in probes.items() for j, (h, vh, vj) in enumerate(triples)}
 
+    # The n just outside the range each have a probe that would be the peak
+    # and the first violation of every claim, were it folded, and bounds
+    # that would shift the probes' and the trials' if they were read.
+    poisoned = {n: [(0.0, -1.0, -1.0), (1e300, 1e300, 1e300)] for n in (n_min - 1, n_max + 1)}
+    every = {**poisoned, **probes}
+
     def probe_points(n):  # each probe is one run of one token
-        return [[(("probe", n, j), 1)] for j in range(len(probes[n]))]
-
-    # The blocks are aligned as the engine's are, at n = 2 + k * block_n, so
-    # a block may hold n outside the range. Each such n has a probe that
-    # would be the peak and the first violation of every claim, were it
-    # folded, and bounds that would shift the trials' if they were read.
-    outside = {n: [(0.0, -1.0, -1.0), (1e300, 1e300, 1e300)] for n in range(2, n_max + block_n)}
-
-    def fake_blocks(lo, hi):
-        first = 2 + (lo - 2) // block_n * block_n
-        return [fake_probe_block(list(range(a, a + block_n)), {**outside, **probes})
-                for a in range(first, hi + 1, block_n)]
+        return [[(("probe", n, j), 1)] for j in range(len(every[n]))]
 
     def fake_chunks(*args):
         return (fake_maximizer_chunk(k, ns, triples) for k, (ns, triples) in enumerate(chunks))
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(batch, "probe_blocks", fake_blocks)
+        patch.setattr(claims, "_probes", fake_probes(every))
+        patch.setattr(claims, "_probe_points", probe_points)
         patch.setattr(batch, "trial_chunks", fake_chunks)
         got = claims.check_all(seed=0, trials=trials, n_range=(n_min, n_max),
                                tolerance=tolerance, claim_ids=("C7", "C8", "C9"))

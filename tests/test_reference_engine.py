@@ -10,7 +10,6 @@ from reference_engine import reference_reports
 from test_golden import CONFIGS, DATA
 
 from negprob import CLAIMS, check_all, reports_to_json
-from negprob._batch import PROBE_BLOCK_N
 from negprob.cli import build_parser
 
 SEEDS = st.one_of(st.sampled_from([0, 1, 2**32 - 1, 2**32, 2**64 - 1]),
@@ -40,12 +39,12 @@ def test_check_all_writes_the_reference_engines_bytes(seed, trials, n_range, tol
     assert reports_to_json(check_all(**kwargs)) == want
 
 
-# Ranges that start inside an aligned probe block and cross into the next:
-# blocks begin at n = 2 + k * PROBE_BLOCK_N, so at 229 and 456.
+# Ranges that start past n = 2, where 1/n lies between the two probe steps,
+# so that the fold's tables are indexed by n - n_min away from n = 2: one,
+# two, three, seven and 232 n.
 @pytest.mark.parametrize("n_range", [(226, 232), (228, 229), (229, 229), (455, 457),
                                      (227, 458)])
-def test_ranges_across_aligned_probe_blocks_write_the_reference_engines_bytes(n_range):
-    assert PROBE_BLOCK_N == 227
+def test_ranges_past_n_2_write_the_reference_engines_bytes(n_range):
     kwargs = dict(seed=11, trials=12, n_range=n_range, tolerance=1e-9, claim_ids=None)
     want = reports_to_json(reference_reports(**kwargs))
     assert reports_to_json(check_all(**kwargs)) == want
