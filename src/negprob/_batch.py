@@ -490,7 +490,7 @@ def log_witness():
     kernel would differ on points of its own. The whole is past numpy's
     8192-entry buffer, so that it takes the dispatch measure_rows takes
     on a long array, as the head alone takes the one on a short array.
-    It is built for each check and then dropped."""
+    ``guarded_logs`` builds it once, at import, and then drops it."""
     return np.concatenate([LOG_WITNESS_HEAD, _spread_log_inputs(CHUNK_ENTRIES // 4)])
 
 

@@ -25,15 +25,20 @@ maximizer (C7-C9)
     n alone, so a process measures each n's once (``_probes``, a cache of
     numbers only): each probe's negated H, VH and VJ, and the bounds, ln n
     for C7 (``math.log``) and for C8 and C9 the measure of
-    negate(uniform(n)), the first probe negated. A check folds every probe
-    of its range in (n, point) order with one ``_Maximizer._points`` call
-    per claim, against one bound table per claim indexed by n - n_min,
-    and each random trial then adds its sample as one point. Each probe's
-    floats are ``fsum``'s exact results, so a report is the same in a
-    fresh process as after any other checks. The cache holds at most
+    negate(uniform(n)), the first probe negated. The cache holds at most
     ``MAX_OUTCOMES`` - 1 entries, about 2.6 MB once every n up to 10^4
     has been probed; an n costs about 25 us to measure, once per process
-    (2-vCPU Xeon).
+    (2-vCPU Xeon). The range fold, every probe of the range in (n, point)
+    order with one ``_Maximizer._points`` call per claim against one
+    bound table per claim indexed by n - n_min, depends on (n_min, n_max,
+    tolerance) alone, so a process keeps the last one made
+    (``_probe_fold``, one entry keyed by those three): for each of C7, C8
+    and C9 the tally after the probes, its peak, its counterexample or
+    None and its read-only bound column. A check starts a fresh tally of
+    each selected maximizer from it, and each random trial then adds its
+    sample as one point. Each probe's floats are ``fsum``'s exact
+    results, so a report is the same in a fresh process as after any
+    other checks.
 
 Verdicts report what the formulas actually do. With default settings C1,
 C4, C5 and C7 come out CONFIRMED while C2, C3, C6, C8 and C9 come out
@@ -134,7 +139,17 @@ The limit grid's uniform(n) is measured in O(1) by
 bitwise equal to ``measure_all`` of its n equal entries, once per n per
 process (``_uniform_measures``, at most ``MAX_OUTCOMES`` - 1 entries,
 about 2.8 MB were every n on some grid); the fixture and its two
-measurements are likewise made once per process (``_fixture``). A limit
+measurements are likewise made once per process (``_fixture``). The limit
+verdicts hold no trial either, so a process keeps those of the last
+(n_min, n_max, tolerance) checked (``_limit_verdicts``, one entry): for
+each of C4, C5 and C6 the counterexample or None and the grid and its
+values as tuples, of which each report gets lists of its own. A check
+reads the range fold or the limit verdicts only when it selects a claim
+that reads them: a check of C1 to C6 folds no probes, and one of limit
+claims alone loads no numpy. The two hold about 6 kB for n 2..16 and
+0.32 MB for n 9000..10^4 (tracemalloc), and about 1 MB at most: nine
+points of at most 10^4 entries (80 kB each) and one bound table of 24
+bytes per n. A limit
 claim's counterexample is the ``simplex.RunPoint`` of its one run (1/n,
 n), with no ``Distribution`` built (a test asserts ``make_distribution``'s
 checks on it for every n up to ``MAX_OUTCOMES``). A maximizer probe is
@@ -146,15 +161,16 @@ negation for every n up to ``MAX_OUTCOMES``, so they are not made at run
 time. The tests pin the uniform and probe measures to exact rational
 sums (``fractions.Fraction``). A probe's tuple, a ``RunPoint`` of its
 runs, is built from ``_probe_points(n)`` only when the point becomes a
-counterexample or the running peak, once per check, so every claim that
-reports it gets the same tuple, and the cache keeps none of them.
+counterexample or the running peak, once per range fold, so every claim
+that reports it gets the same tuple; ``_probes`` keeps none of them, and
+the range fold only those it reports.
 
 A report line has one writer, ``ClaimReport.to_json``: the compact JSON
 of ``to_json_obj()``, put together from ``json``'s encodings of its parts
 in the same key order. It saves formatting work only. Claims that report
 the same fixture, probe or trial point (C2 and C3 often do) get the same
-tuple, from the fixture's one measurement, the check's probe points or a
-chunk's ``probs``, and a maximizer's ``observed["argmax_p"]`` is its
+tuple, from the fixture's one measurement, the range fold's probe points
+or a chunk's ``probs``, and a maximizer's ``observed["argmax_p"]`` is its
 peak's tuple itself. ``reports_to_json`` formats each distinct tuple once
 per call, whether it is a counterexample or an ``argmax_p``. A point held
 as runs, uniform(n) in a limit claim's counterexample or a maximizer
@@ -179,7 +195,7 @@ import json
 import math
 from array import array
 from bisect import bisect_right
-from functools import cache
+from functools import cache, lru_cache
 from itertools import accumulate
 
 from ._record import frozen_record
@@ -290,6 +306,9 @@ _MEASURE_FIELD = {
     "C4": "H", "C5": "VH", "C6": "VJ",
     "C7": "H", "C8": "VH", "C9": "VJ",
 }
+
+_MAXIMIZER_IDS = tuple(c.id for c in CLAIMS if c.kind == "maximizer")  # C7, C8, C9
+_LIMIT_IDS = tuple(c.id for c in CLAIMS if c.kind == "limit")  # C4, C5, C6
 
 
 @frozen_record
@@ -599,8 +618,10 @@ def _run(selected, seed, trials, n_range, tolerance) -> list[ClaimReport]:
     its trials once, and negates, measures and checks them only as far as
     the selected claims read, once for all of them. Claims that report the
     same fixture, probe or trial point get the same tuple (a probe's built
-    once per check, a trial's from ``TrialChunk.probs``), so
-    ``reports_to_json`` formats it once."""
+    once per range fold, a trial's from ``TrialChunk.probs``), so
+    ``reports_to_json`` formats it once. The probes' tallies and the limit
+    verdicts come from ``_probe_fold`` and ``_limit_verdicts``, made only
+    for a selected claim that reads them."""
     try:
         n_min, n_max = n_range
     except (TypeError, ValueError):
@@ -629,34 +650,14 @@ def _run(selected, seed, trials, n_range, tolerance) -> list[ClaimReport]:
             tally.fixture(*_fixture())  # one point for both
 
     if inequalities or maximizers:
-        import numpy as np  # numpy loads only when trials are drawn
-
-        from ._batch import trial_chunks
+        from ._batch import trial_chunks  # numpy loads only when trials are drawn
 
         bounds = []
         if maximizers:
-            # The bounds of each n at n - n_min, and the measures of every
-            # probe of the range in (n, point) order with its n's bounds, as
-            # rows of H, VH and VJ.
-            per_n = [_probes(n) for n in range(n_min, n_max + 1)]
-            table = np.frombuffer(b"".join([bound for bound, _ in per_n])).reshape(-1, 3)
-            measured = np.frombuffer(b"".join([m for _, m in per_n])).reshape(-1, 3)
-            counts = [len(m) // len(bound) for bound, m in per_n]  # each n's probes
-            probe_bounds = np.repeat(table, counts, axis=0)
-
-            @cache
-            def probe_point(i):
-                """The i-th probe's ``RunPoint``, built on the first call
-                and then the same tuple for every claim of the check."""
-                ends = list(accumulate(counts))
-                k = bisect_right(ends, i)  # the i-th probe is of n = n_min + k
-                return RunPoint.of(_probe_points(n_min + k)[i - ends[k] + counts[k]])
-
+            folds = dict(zip(_MAXIMIZER_IDS, _probe_fold(n_min, n_max, tolerance)))
             for tally in maximizers:
-                field = _MEASURE_FIELD[tally.claim.id]
-                column = _PROBE_FIELDS.index(field)
-                bounds.append((tally, field, table[:, column]))
-                tally._points(measured[:, column], probe_bounds[:, column], probe_point)
+                tally.peak, tally.counterexample, bound = folds[tally.claim.id]
+                bounds.append((tally, _MEASURE_FIELD[tally.claim.id], bound))
 
         for chunk in trial_chunks(seed, trials, n_min, n_max):
             for tally in inequalities:
@@ -665,12 +666,11 @@ def _run(selected, seed, trials, n_range, tolerance) -> list[ClaimReport]:
                 tally._points(chunk.measures("negated")[field], bound[chunk.n - n_min],
                               chunk.probs)
 
-    grid = _limit_grid(n_min, n_max)
-    limits = any(c.kind == "limit" for c in selected)
-    at_uniform = [_uniform_measures(n) for n in grid] if limits else []
     tallies = {tally.claim.id: tally for tally in inequalities + maximizers}
+    limits = (dict(zip(_LIMIT_IDS, _limit_verdicts(n_min, n_max, tolerance)))
+              if any(c.kind == "limit" for c in selected) else {})
     return [
-        _check_limit(c, seed, tolerance, grid, at_uniform) if c.kind == "limit"
+        _limit_report(c, seed, tolerance, *limits[c.id]) if c.kind == "limit"
         else _report(c, seed, trials, tolerance, tallies[c.id].counterexample,
                      tallies[c.id].observed())
         for c in selected
@@ -718,9 +718,9 @@ def _probe_points(n: int) -> list[list[tuple[float, int]]]:
 def _probes(n: int):
     """n's bounds and its probes' measures, computed once per n per process:
     at most ``MAX_OUTCOMES`` - 1 entries, each a pair of rows of float64s
-    as bytes, which a check reads with one ``numpy.frombuffer`` per range.
-    The bounds are ln n (``math.log``'s bits) and the VH and VJ of
-    negate(uniform(n)), the first probe's; then come the H, VH and VJ of
+    as bytes, which ``_probe_fold`` reads with one ``numpy.frombuffer``
+    per range. The bounds are ln n (``math.log``'s bits) and the VH and VJ
+    of negate(uniform(n)), the first probe's; then come the H, VH and VJ of
     each probe of ``_probe_points(n)`` in turn, measured by
     ``run_measures`` on its negation, ``negate``'s (1 - v) / (n - 1) for
     each run."""
@@ -729,6 +729,46 @@ def _probes(n: int):
         m = run_measures([((1.0 - v) / (n - 1), c) for v, c in runs])
         measured += (m.H, m.VH, m.VJ)
     return array("d", (math.log(n), *measured[1:3])).tobytes(), array("d", measured).tobytes()
+
+
+@lru_cache(maxsize=1)
+def _probe_fold(n_min: int, n_max: int, tolerance: float):
+    """For C7, C8 and C9 in turn, the tally after every probe of n_min..n_max
+    at tolerance: its peak (excess, value, ``RunPoint``), its counterexample
+    or None, and its bound column, the claimed maximum of each n at n -
+    n_min (a read-only view of the range's bound table). The probes of the
+    range are folded in (n, point) order with one ``_Maximizer._points``
+    call per claim. The last range folded is kept, one entry, so a check
+    of the same range and tolerance under another seed folds only its
+    trials. A probe's ``RunPoint`` is built from ``_probe_points(n)`` when
+    it first becomes a counterexample or the running peak, once for the
+    three claims, so every claim that reports it gets the same tuple."""
+    import numpy as np
+
+    # The bounds of each n at n - n_min, and the measures of every probe of
+    # the range in (n, point) order with its n's bounds, as rows of H, VH
+    # and VJ.
+    per_n = [_probes(n) for n in range(n_min, n_max + 1)]
+    table = np.frombuffer(b"".join([bound for bound, _ in per_n])).reshape(-1, 3)
+    measured = np.frombuffer(b"".join([m for _, m in per_n])).reshape(-1, 3)
+    counts = [len(m) // len(bound) for bound, m in per_n]  # each n's probes
+    probe_bounds = np.repeat(table, counts, axis=0)
+    ends = list(accumulate(counts))
+
+    @cache
+    def probe_point(i):
+        """The i-th probe's ``RunPoint``, built on the first call and then
+        the same tuple for every claim."""
+        k = bisect_right(ends, i)  # the i-th probe is of n = n_min + k
+        return RunPoint.of(_probe_points(n_min + k)[i - ends[k] + counts[k]])
+
+    folds = []
+    for claim_id in _MAXIMIZER_IDS:
+        column = _PROBE_FIELDS.index(_MEASURE_FIELD[claim_id])
+        tally = _Maximizer(claim_by_id(claim_id), tolerance)
+        tally._points(measured[:, column], probe_bounds[:, column], probe_point)
+        folds.append((tally.peak, tally.counterexample, table[:, column]))
+    return tuple(folds)
 
 
 def _limit_grid(n_min: int, n_max: int) -> list[int]:
@@ -744,29 +784,39 @@ def _limit_grid(n_min: int, n_max: int) -> list[int]:
     return sorted(n for n in grid if n_min <= n <= n_max)
 
 
-def _check_limit(claim, seed, tolerance, grid, at_uniform):
-    values = [getattr(m, _MEASURE_FIELD[claim.id]) for m in at_uniform]
+@lru_cache(maxsize=1)
+def _limit_verdicts(n_min: int, n_max: int, tolerance: float):
+    """For C4, C5 and C6 in turn, the verdict on the grid of n_min..n_max at
+    tolerance: its counterexample or None, the grid and its values, the
+    claim's measure of each uniform(n), as tuples. The last range checked
+    is kept, one entry, as in ``_probe_fold``."""
+    grid = tuple(_limit_grid(n_min, n_max))
+    at_uniform = [_uniform_measures(n) for n in grid]
+    verdicts = []
+    for claim_id in _LIMIT_IDS:
+        values = tuple(getattr(m, _MEASURE_FIELD[claim_id]) for m in at_uniform)
+        verdicts.append((_limit_counterexample(claim_id, tolerance, grid, values), grid, values))
+    return tuple(verdicts)
 
-    counterexample = None
+
+def _limit_counterexample(claim_id, tolerance, grid, values):
+    """The first grid point at which the limit claim fails, or None."""
     for j, (n, v) in enumerate(zip(grid, values)):
-        if claim.id == "C4":  # the rise in n is proven by a test, not checked here
+        if claim_id == "C4":  # the rise in n is proven by a test, not checked here
             target = math.log(n)
             if abs(v - target) > tolerance:
-                counterexample = Counterexample(
-                    RunPoint.of([(1.0 / n, n)]), v, target, abs(v - target)
-                )
-                break
-        elif claim.id == "C5":
+                return Counterexample(RunPoint.of([(1.0 / n, n)]), v, target, abs(v - target))
+        elif claim_id == "C5":
             if abs(v) > tolerance:
-                counterexample = Counterexample(RunPoint.of([(1.0 / n, n)]), v, 0.0, abs(v))
-                break
-        else:  # C6: magnitudes must not grow along the grid
-            if j > 0 and abs(v) - abs(values[j - 1]) > tolerance:
-                counterexample = Counterexample(
-                    RunPoint.of([(1.0 / n, n)]), abs(v), abs(values[j - 1]),
-                    abs(v) - abs(values[j - 1]),
-                )
-                break
+                return Counterexample(RunPoint.of([(1.0 / n, n)]), v, 0.0, abs(v))
+        elif j > 0 and abs(v) - abs(values[j - 1]) > tolerance:  # C6: magnitudes must not grow
+            return Counterexample(RunPoint.of([(1.0 / n, n)]), abs(v), abs(values[j - 1]),
+                                  abs(v) - abs(values[j - 1]))
+    return None
 
-    observed = {"n_grid": grid, "values": values}
+
+def _limit_report(claim, seed, tolerance, counterexample, grid, values):
+    """A limit claim's report from its verdict, with an observed dict and
+    lists of its own."""
+    observed = {"n_grid": list(grid), "values": list(values)}
     return _report(claim, seed, len(grid), tolerance, counterexample, observed)

@@ -98,6 +98,11 @@ MUTANTS = [
     ("claims.py", 'table = np.frombuffer(b"".join([bound for bound, _ in per_n]))',
      'table = np.frombuffer(b"".join([_probes(n + 1)[0] for n in range(n_min, n_max + 1)]))',
      [RANGES_TEST, FOLD_TEST]),
+    # The range's probe fold tallies at a fixed tolerance, not the check's.
+    ("claims.py", "tally = _Maximizer(claim_by_id(claim_id), tolerance)",
+     "tally = _Maximizer(claim_by_id(claim_id), 1e-9)",
+     ["tests/test_claims.py::TestSeedIndependentCache::"
+      "test_the_range_caches_are_keyed_by_the_tolerance"]),
     # claims accepts no check at its sampled-entry bound.
     ("claims.py", "if trials * n_max > MAX_SAMPLED_ENTRIES:",
      "if trials * n_max >= MAX_SAMPLED_ENTRIES:",

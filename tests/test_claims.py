@@ -25,6 +25,7 @@ from negprob import (
     reports_to_json,
     sample_uniform_simplex,
     uniform,
+    uniform_varextropy,
     varentropy,
     varextropy,
 )
@@ -277,10 +278,26 @@ class TestMaximizerClaims:
         assert len(first.observed["argmax_p"]) in (9999, 10_000)
 
 
+def fresh_process_json(checks):
+    """``reports_to_json(check_all(**kwargs))`` for each of checks, in order,
+    in a new Python process."""
+    src = str(Path(negprob.__file__).resolve().parent.parent)
+    script = ("import json\n"
+              "from negprob import check_all, reports_to_json\n"
+              f"print(json.dumps([reports_to_json(check_all(**kwargs)) "
+              f"for kwargs in {checks!r}]))\n")
+    fresh = subprocess.run([sys.executable, "-c", script],
+                           env={**os.environ, "PYTHONPATH": src},
+                           capture_output=True, text=True, timeout=60)
+    assert fresh.returncode == 0, fresh.stderr
+    return json.loads(fresh.stdout)
+
+
 class TestSeedIndependentCache:
     """The probes' measures and their bounds, the limit grid's uniform(n)
     measures and the fixture are computed once per process and then
-    reused."""
+    reused; a range's probe fold and limit verdicts are kept for the last
+    (n_min, n_max, tolerance) checked."""
 
     CHECKS = [dict(seed=7, trials=50, n_range=(226, 232)),
               dict(seed=2**64 - 1, trials=300, n_range=(2, 16)),
@@ -290,16 +307,37 @@ class TestSeedIndependentCache:
         for kwargs in self.CHECKS:
             check_all(**kwargs)
         warm = [reports_to_json(check_all(**kwargs)) for kwargs in self.CHECKS]
-        src = str(Path(negprob.__file__).resolve().parent.parent)
-        script = ("import json\n"
-                  "from negprob import check_all, reports_to_json\n"
-                  f"print(json.dumps([reports_to_json(check_all(**kwargs)) "
-                  f"for kwargs in {self.CHECKS!r}]))\n")
-        fresh = subprocess.run([sys.executable, "-c", script],
-                               env={**os.environ, "PYTHONPATH": src},
-                               capture_output=True, text=True, timeout=60)
-        assert fresh.returncode == 0, fresh.stderr
-        assert json.loads(fresh.stdout) == warm
+        assert fresh_process_json(self.CHECKS) == warm
+
+    def test_the_range_caches_are_keyed_by_the_tolerance(self):
+        from negprob import claims
+
+        wide = dict(trials=200, n_range=(2, 16))
+        checks = [dict(seed=11, tolerance=1e-9, **wide), dict(seed=12, tolerance=0.5, **wide),
+                  dict(seed=13, tolerance=1e-9, **wide),
+                  dict(seed=14, claim_ids=["C1", "C2", "C3", "C4", "C5", "C6"], **wide),
+                  dict(seed=15, claim_ids=["C7", "C8", "C9"], **wide)]
+        caches = claims._probe_fold, claims._limit_verdicts
+        assert [cached.cache_info().maxsize for cached in caches] == [1, 1]
+        warm, calls = [], []
+        for kwargs in checks:
+            before = [cached.cache_info() for cached in caches]
+            reports = check_all(**kwargs)
+            warm.append(reports_to_json(reports))
+            calls.append([(info.hits - old.hits, info.misses - old.misses)
+                          for old, info in zip(before, [cached.cache_info() for cached in caches])])
+            if "claim_ids" not in kwargs:
+                verdicts = {r.claim_id: r.verdict for r in reports}
+                want = REFUTED if kwargs["tolerance"] == 1e-9 else CONFIRMED
+                assert [verdicts[c] for c in ("C6", "C8", "C9")] == [want] * 3, kwargs
+        # (hits, misses) of the probe fold and of the limit verdicts: each
+        # new tolerance refolds, the C1-C6 check reads no probe fold and
+        # the C7-C9 check no limit verdict.
+        assert calls[1:] == [[(0, 1), (0, 1)], [(0, 1), (0, 1)], [(0, 0), (1, 0)],
+                             [(1, 0), (0, 0)]]
+        # Each config alone in a fresh process: one that replayed the
+        # sequence would repeat a stale cache hit.
+        assert warm == [fresh_process_json([kwargs])[0] for kwargs in checks]
 
     def test_the_probe_cache_holds_one_entry_per_n(self):
         from negprob import claims
@@ -314,14 +352,46 @@ class TestSeedIndependentCache:
         from negprob import claims
 
         check_all(seed=1, trials=2)
-        hits = claims._probes.cache_info().hits
+        hits, misses = claims._probes.cache_info().hits, claims._probes.cache_info().misses
+        folds = claims._probe_fold.cache_info().hits
         check_all(seed=2, trials=2)
-        assert claims._probes.cache_info().hits == hits + 7  # n = 2..8, reused
+        # n = 2..8's fold is reused, so _probes is not read at all.
+        assert claims._probe_fold.cache_info().hits == folds + 1
+        assert (claims._probes.cache_info().hits, claims._probes.cache_info().misses) == (
+            hits, misses)
         assert claims._probes(5) is claims._probes(5)
         assert [type(part) for part in claims._probes(5)] == [bytes, bytes]
         assert claims._fixture() is claims._fixture()
         assert claims._uniform_measures(5) is claims._uniform_measures(5)
         assert claims._uniform_measures(5) == constant_measures(1.0 / 5, 5)
+
+
+class TestMaximizerWitnesses:
+    """Two points of simple form exceed uniform in a negated second-moment
+    measure by a closed form, at every n >= 3: the vertex e0 in VJ, the
+    uniform(n - 1) value U(n - 1) less U(n) (C6's closed form,
+    ``uniform_varextropy``), since negate(e0) is uniform(n - 1) beside one
+    zero; and (e0 + e1)/2 in VH, (n - 2) ln^2 2 / (n - 1)^2. Each excess is
+    above the default tolerance, so each point, once probed, refutes its
+    claim (C9 or C8) at every such n."""
+
+    NS = [3, 4, 10, 100, 999, 9_999, MAX_OUTCOMES]
+
+    @pytest.mark.parametrize("n", NS)
+    def test_the_vertex_exceeds_uniform_in_negated_varextropy(self, n):
+        vertex = make_distribution([1.0] + [0.0] * (n - 1))
+        excess = varextropy(negate(vertex)) - varextropy(negate(uniform(n)))
+        closed_form = uniform_varextropy(n - 1) - uniform_varextropy(n)
+        assert abs(excess - closed_form) <= 1e-12
+        assert excess > 1e-9  # least at n = 10^4, about 2.0e-8
+
+    @pytest.mark.parametrize("n", NS)
+    def test_two_equal_outcomes_exceed_uniform_in_negated_varentropy(self, n):
+        pair = make_distribution([0.5, 0.5] + [0.0] * (n - 2))
+        excess = varentropy(negate(pair)) - varentropy(negate(uniform(n)))
+        closed_form = (n - 2) * math.log(2.0) ** 2 / (n - 1) ** 2
+        assert abs(excess - closed_form) <= 1e-12
+        assert excess > 1e-9  # least at n = 10^4, about 4.8e-5
 
 
 class TestReports:

@@ -287,7 +287,10 @@ def test_probes_equal_the_exact_rational_reference_for_every_n():
 
 def folded_probes(n_range):
     """The arguments of each maximizer's first fold, its probes', in a
-    check of n_range: (value, bound, probs) by claim id."""
+    check of n_range: (value, bound, probs) by claim id. The range's
+    probe fold is dropped first, so that the check folds its probes."""
+    from negprob import claims
+
     calls = {}
     fold = _Maximizer._points
 
@@ -295,6 +298,7 @@ def folded_probes(n_range):
         calls.setdefault(self.claim.id, (value, bound, probs))
         fold(self, value, bound, probs)
 
+    claims._probe_fold.cache_clear()
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(_Maximizer, "_points", spy)
         check_all(seed=0, trials=1, n_range=n_range, claim_ids=("C7", "C8", "C9"))
@@ -1197,12 +1201,18 @@ def test_maximizer_fold_with_bound_tables_equals_the_per_n_fold(inputs, toleranc
     def fake_chunks(*args):
         return (fake_maximizer_chunk(k, ns, triples) for k, (ns, triples) in enumerate(chunks))
 
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(claims, "_probes", fake_probes(every))
-        patch.setattr(claims, "_probe_points", probe_points)
-        patch.setattr(batch, "trial_chunks", fake_chunks)
-        got = claims.check_all(seed=0, trials=trials, n_range=(n_min, n_max),
-                               tolerance=tolerance, claim_ids=("C7", "C8", "C9"))
+    # The fold of the fake tables is dropped on the way out, and any real
+    # fold of the range on the way in, so neither outlives its tables.
+    claims._probe_fold.cache_clear()
+    try:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(claims, "_probes", fake_probes(every))
+            patch.setattr(claims, "_probe_points", probe_points)
+            patch.setattr(batch, "trial_chunks", fake_chunks)
+            got = claims.check_all(seed=0, trials=trials, n_range=(n_min, n_max),
+                                   tolerance=tolerance, claim_ids=("C7", "C8", "C9"))
+    finally:
+        claims._probe_fold.cache_clear()
 
     tallies = [ReferenceMaximizer(claim_by_id(c), tolerance) for c in ("C7", "C8", "C9")]
     negated_uniform = {}
