@@ -146,10 +146,12 @@ each of C4, C5 and C6 the counterexample or None and the grid and its
 values as tuples, of which each report gets lists of its own. A check
 reads the range fold or the limit verdicts only when it selects a claim
 that reads them: a check of C1 to C6 folds no probes, and one of limit
-claims alone loads no numpy. The two hold about 6 kB for n 2..16 and
-0.32 MB for n 9000..10^4 (tracemalloc), and about 1 MB at most: nine
-points of at most 10^4 entries (80 kB each) and one bound table of 24
-bytes per n. A limit
+claims alone loads no numpy. The two save work only when one process
+checks the same range and tolerance again, under another seed; a
+process that checks once, such as ``negprob check``, makes each once as
+before. They hold about 6 kB for n 2..16 and 0.32 MB for n 9000..10^4
+(tracemalloc), and about 1 MB at most: nine points of at most 10^4
+entries (80 kB each) and one bound table of 24 bytes per n. A limit
 claim's counterexample is the ``simplex.RunPoint`` of its one run (1/n,
 n), with no ``Distribution`` built (a test asserts ``make_distribution``'s
 checks on it for every n up to ``MAX_OUTCOMES``). A maximizer probe is

@@ -405,8 +405,13 @@ def test_maximizer_reports_at_wide_n_keep_their_bytes_and_memory():
     # The sha256 of this call's reports. Before the probes were built as
     # columns tracemalloc's peak was 0.28 MB, and whole-range columns would
     # take tens of MB.
+    from negprob import claims
+
     kwargs = dict(seed=3, trials=20, n_range=(2, MAX_OUTCOMES), claim_ids=("C7", "C8", "C9"))
     check_all(**kwargs)  # warm-up: imports and first-use caches
+    # The range fold is cached too; dropping it makes the traced check fold
+    # the range's probes again, from the warm per-n measures.
+    claims._probe_fold.cache_clear()
     tracemalloc.start()
     try:
         reports = check_all(**kwargs)
@@ -822,6 +827,7 @@ def test_trial_rows_are_summed_without_the_fsum_fallback(monkeypatch):
     monkeypatch.setattr(Rows, "fsums",
                         lambda rows, values: rows_summed.append(len(rows)) or fsums(rows, values))
     claims._probes.cache_clear()
+    claims._probe_fold.cache_clear()
     check_all()
     assert rows_summed == [1_000] * 9
     check_all()
