@@ -21,43 +21,51 @@ maximizer (C7-C9)
     permutation of the (0, 1) probe, the measures are symmetric, and
     ``math.fsum`` is exactly rounded, so every pair at a given eps has the
     same value bit for bit. The probes are defined once, as (value,
-    count) runs, by ``_probe_points(n)``. They and their bounds depend on
-    n alone, so a process measures each n's once (``_probes``, a cache of
-    numbers only): each probe's negated H, VH and VJ, and the bounds, ln n
-    for C7 (``math.log``) and for C8 and C9 the measure of
-    negate(uniform(n)), the first probe negated. The cache holds at most
-    ``MAX_OUTCOMES`` - 1 entries, about 2.6 MB once every n up to 10^4
-    has been probed; an n costs about 25 us to measure, once per process
-    (2-vCPU Xeon). The range fold, every probe of the range in (n, point)
-    order with one ``_Maximizer._points`` call per claim against one
-    bound table per claim indexed by n - n_min, depends on (n_min, n_max,
-    tolerance) alone, so a process keeps the last one made
-    (``_probe_fold``, one entry keyed by those three): for each of C7, C8
-    and C9 the tally after the probes, its peak, its counterexample or
-    None and its read-only bound column. A check starts a fresh tally of
-    each selected maximizer from it, and each random trial then adds its
-    sample as one point. Each probe's floats are ``fsum``'s exact
-    results, so a report is the same in a fresh process as after any
-    other checks.
+    count) runs, by ``_probe_points(n)``, and measured by
+    ``_probe_measures(n)``: each probe's negated H, VH and VJ, and the
+    bounds, ln n for C7 (``math.log``) and for C8 and C9 the measure of
+    negate(uniform(n)), the first probe negated. The range fold, every
+    probe of the range in (n, point) order with one ``_Maximizer._points``
+    call per claim against one bound table per claim indexed by n - n_min,
+    depends on (n_min, n_max, tolerance) alone, so a process keeps the
+    last one made (``_probe_fold``, one entry keyed by those three): for
+    each of C7, C8 and C9 the tally after the probes, its peak, its
+    counterexample or None and its read-only bound column. A fold measures
+    each n as it walks the range, so a new range or tolerance folds afresh
+    at about 25 us per n (2-vCPU Xeon). A check starts a fresh tally of
+    each selected maximizer from the fold, and each random trial then adds
+    its sample as one point. Each probe's floats are ``fsum``'s exact
+    results, so a report is the same in a fresh process as after any other
+    checks.
 
-Verdicts report what the formulas actually do. With default settings C1,
-C4, C5 and C7 come out CONFIRMED while C2, C3, C6, C8 and C9 come out
-REFUTED: the fixed four-outcome fixture [0.4, 0.3, 0.2, 0.1] moves both
-second-moment measures the other way, |varextropy(uniform(n))| grows with
-n instead of shrinking, and uniform is the minimizer (not the maximizer)
-of the negated second-moment measures.
-
-C1 and C7 are theorems. Negation is p -> M p with M = (11^T - I)/(n - 1),
-a doubly stochastic matrix, so p majorizes negate(p) (Hardy, Littlewood
-and Polya; Marshall, Olkin and Arnold, "Inequalities: Theory of
+Verdicts report what the formulas actually do: with default settings C1,
+C4, C5 and C7 come out CONFIRMED, the rest REFUTED. C1 and C7 are
+theorems. Negation is p -> M p with M = (11^T - I)/(n - 1), a doubly
+stochastic matrix, so p majorizes negate(p) (Hardy, Littlewood and
+Polya; Marshall, Olkin and Arnold, "Inequalities: Theory of
 Majorization", ch. 2). Entropy is Schur-concave, so it cannot decrease
 under negation (C1); and H <= ln n with equality only at uniform, which
-negation, a one-to-one map, reaches only from uniform (C7). C4 and C5 are
-identities: H(uniform(n)) = ln n and VH(uniform(n)) = 0. C4's rise in n
-is not re-checked at run time: tests/test_claims.py proves that H of
-uniform(n), as ``measures.constant_measures`` gives it, rises from every
-n to n + 1 up to ``MAX_OUTCOMES`` by at least about 1e-4, so it rises
-along every grid; C4 checks each grid value against ln n.
+negation, a one-to-one map, reaches only from uniform (C7). C4 and C5
+are identities: H(uniform(n)) = ln n and VH(uniform(n)) = 0. C4's rise
+in n is not re-checked at run time: tests/test_claims.py proves that H
+of uniform(n), as ``measures.constant_measures`` gives it, rises from
+every n to n + 1 up to ``MAX_OUTCOMES`` by at least about 1e-4, so it
+rises along every grid; C4 checks each grid value against ln n.
+
+C2 and C3 are fixture refutations: ``REFUTATION_FIXTURE`` decides them
+whenever n = 4 is in the range. C6, C8 and C9 are closed-form
+refutations at every n >= 3. With U(n) = -(n - 1)(n - 2) ln^2(1 - 1/n)
+(``measures.uniform_varextropy``), |U(n)| rises with n, refuting C6 on
+any grid of two or more n; the vertex e_0, negated to uniform(n-1)
+beside a zero, exceeds uniform in negated VJ by U(n - 1) - U(n) (C9),
+and (e_0 + e_1)/2 in negated VH by (n - 2) ln^2 2 / (n - 1)^2 (C8). The
+tolerance is absolute, so each holds while the tolerance is below the
+least excess in the range; tests/test_claims.py evaluates both at 60
+digits for every n in 3..``MAX_OUTCOMES``: least at n = 10^4, 2.0e-8
+(C9) and 4.8e-5 (C8). The probes hold neither point yet, so a verdict
+can be falsely CONFIRMED:
+tests/data/check_seed9001_n9999-10000_C7-C9.jsonl reports C9 CONFIRMED
+at 1e-9, though e_0 refutes it there by 2.0e-8.
 
 C1's premise holds in floats as well, so no trial tests it and C1
 reports ``majorization_failures`` 0: ``simplex.majorizes(p, negate(p))``
@@ -136,36 +144,35 @@ reported point is turned back into a tuple of probabilities.
 
 The limit grid's uniform(n) is measured in O(1) by
 ``measures.constant_measures``, whose sums are the closed form n * t,
-bitwise equal to ``measure_all`` of its n equal entries, once per n per
-process (``_uniform_measures``, at most ``MAX_OUTCOMES`` - 1 entries,
-about 2.8 MB were every n on some grid); the fixture and its two
-measurements are likewise made once per process (``_fixture``). The limit
-verdicts hold no trial either, so a process keeps those of the last
-(n_min, n_max, tolerance) checked (``_limit_verdicts``, one entry): for
-each of C4, C5 and C6 the counterexample or None and the grid and its
-values as tuples, of which each report gets lists of its own. A check
-reads the range fold or the limit verdicts only when it selects a claim
-that reads them: a check of C1 to C6 folds no probes, and one of limit
-claims alone loads no numpy. The two save work only when one process
-checks the same range and tolerance again, under another seed; a
-process that checks once, such as ``negprob check``, makes each once as
-before. They hold about 6 kB for n 2..16 and 0.32 MB for n 9000..10^4
-(tracemalloc), and about 1 MB at most: nine points of at most 10^4
-entries (80 kB each) and one bound table of 24 bytes per n. A limit
-claim's counterexample is the ``simplex.RunPoint`` of its one run (1/n,
-n), with no ``Distribution`` built (a test asserts ``make_distribution``'s
-checks on it for every n up to ``MAX_OUTCOMES``). A maximizer probe is
-measured by ``measures.run_measures`` of its negation's runs, every sum
-the ``fsum`` of each run's exact split parts (``measures.run_sum``),
-and it is renormalised by ``run_sum`` too; a test asserts
-``make_distribution``'s range and sum checks on every probe and its
-negation for every n up to ``MAX_OUTCOMES``, so they are not made at run
-time. The tests pin the uniform and probe measures to exact rational
-sums (``fractions.Fraction``). A probe's tuple, a ``RunPoint`` of its
-runs, is built from ``_probe_points(n)`` only when the point becomes a
+bitwise equal to ``measure_all`` of its n equal entries. The fixture and
+its two measurements are made once per process (``_fixture``). The limit
+verdicts hold no trial, so a process keeps those of the last (n_min,
+n_max, tolerance) checked (``_limit_verdicts``, one entry): for each of
+C4, C5 and C6 the counterexample or None and the grid and its values as
+tuples, of which each report gets lists of its own. A check reads the
+range fold or the limit verdicts only when it selects a claim that reads
+them: a check of C1 to C6 folds no probes, and one of limit claims alone
+loads no numpy. The two save work only when one process checks the same
+range and tolerance again, under another seed, never in a one-shot
+``negprob check``. They hold about 6 kB for n 2..16 and 0.32 MB for n
+9000..10^4 (tracemalloc), and about 1 MB at most: nine points of at most
+10^4 entries (80 kB each) and one bound table of 24 bytes per n. These
+and ``_fixture`` are the only caches, so the engine keeps one config's
+state at most. A limit claim's counterexample is the
+``simplex.RunPoint`` of its one run (1/n, n), with no ``Distribution``
+built (a test asserts ``make_distribution``'s checks on it for every n
+up to ``MAX_OUTCOMES``). A maximizer probe is measured by
+``measures.run_measures`` of its negation's runs, every sum the ``fsum``
+of each run's exact split parts (``measures.run_sum``), and it is
+renormalised by ``run_sum`` too; a test asserts ``make_distribution``'s
+range and sum checks on every probe and its negation for every n up to
+``MAX_OUTCOMES``, so they are not made at run time. The tests pin the
+uniform and probe measures to exact rational sums
+(``fractions.Fraction``). A probe's tuple, a ``RunPoint`` of its runs,
+is built from ``_probe_points(n)`` only when the point becomes a
 counterexample or the running peak, once per range fold, so every claim
-that reports it gets the same tuple; ``_probes`` keeps none of them, and
-the range fold only those it reports.
+that reports it gets the same tuple, and the range fold keeps only those
+it reports.
 
 A report line has one writer, ``ClaimReport.to_json``: the compact JSON
 of ``to_json_obj()``, put together from ``json``'s encodings of its parts
@@ -198,7 +205,6 @@ import math
 from array import array
 from bisect import bisect_right
 from functools import cache, lru_cache
-from itertools import accumulate
 
 from ._record import frozen_record
 from .measures import constant_measures, measure_all, run_measures, run_sum
@@ -687,14 +693,7 @@ def _fixture():
     return p.probs, measure_all(p), measure_all(negate(p))
 
 
-@cache
-def _uniform_measures(n: int):
-    """``constant_measures(1/n, n)``, uniform(n)'s measures, computed once per
-    n per process: at most ``MAX_OUTCOMES`` - 1 of them."""
-    return constant_measures(1.0 / n, n)
-
-
-# The fields of each probe's measures in _probes, and of n's bounds.
+# The fields of each probe's measures and of n's bounds.
 _PROBE_FIELDS = ("H", "VH", "VJ")
 
 
@@ -716,13 +715,10 @@ def _probe_points(n: int) -> list[list[tuple[float, int]]]:
     return points
 
 
-@cache
-def _probes(n: int):
-    """n's bounds and its probes' measures, computed once per n per process:
-    at most ``MAX_OUTCOMES`` - 1 entries, each a pair of rows of float64s
-    as bytes, which ``_probe_fold`` reads with one ``numpy.frombuffer``
-    per range. The bounds are ln n (``math.log``'s bits) and the VH and VJ
-    of negate(uniform(n)), the first probe's; then come the H, VH and VJ of
+def _probe_measures(n: int):
+    """n's bounds and its probes' measures, as two sequences of floats. The
+    bounds are ln n (``math.log``'s bits) and the VH and VJ of
+    negate(uniform(n)), the first probe's; then come the H, VH and VJ of
     each probe of ``_probe_points(n)`` in turn, measured by
     ``run_measures`` on its negation, ``negate``'s (1 - v) / (n - 1) for
     each run."""
@@ -730,7 +726,7 @@ def _probes(n: int):
     for runs in _probe_points(n):
         m = run_measures([((1.0 - v) / (n - 1), c) for v, c in runs])
         measured += (m.H, m.VH, m.VJ)
-    return array("d", (math.log(n), *measured[1:3])).tobytes(), array("d", measured).tobytes()
+    return (math.log(n), *measured[1:3]), measured
 
 
 @lru_cache(maxsize=1)
@@ -742,27 +738,29 @@ def _probe_fold(n_min: int, n_max: int, tolerance: float):
     range are folded in (n, point) order with one ``_Maximizer._points``
     call per claim. The last range folded is kept, one entry, so a check
     of the same range and tolerance under another seed folds only its
-    trials. A probe's ``RunPoint`` is built from ``_probe_points(n)`` when
-    it first becomes a counterexample or the running peak, once for the
-    three claims, so every claim that reports it gets the same tuple."""
+    trials."""
     import numpy as np
 
-    # The bounds of each n at n - n_min, and the measures of every probe of
-    # the range in (n, point) order with its n's bounds, as rows of H, VH
-    # and VJ.
-    per_n = [_probes(n) for n in range(n_min, n_max + 1)]
-    table = np.frombuffer(b"".join([bound for bound, _ in per_n])).reshape(-1, 3)
-    measured = np.frombuffer(b"".join([m for _, m in per_n])).reshape(-1, 3)
-    counts = [len(m) // len(bound) for bound, m in per_n]  # each n's probes
-    probe_bounds = np.repeat(table, counts, axis=0)
-    ends = list(accumulate(counts))
+    # Rows of H, VH and VJ: the bounds of each n at n - n_min, and the
+    # measures of every probe of the range in (n, point) order with its n's
+    # bounds beside it; and the index of each n's first probe.
+    table, measured, probe_bounds, starts = array("d"), array("d"), array("d"), array("l")
+    for n in range(n_min, n_max + 1):
+        bound, probes = _probe_measures(n)
+        starts.append(len(measured) // 3)
+        table.extend(bound)
+        measured.extend(probes)
+        probe_bounds.extend(bound * (len(probes) // 3))
+    table, measured, probe_bounds = (np.frombuffer(rows).reshape(-1, 3)
+                                     for rows in (table, measured, probe_bounds))
+    table.flags.writeable = False
 
     @cache
     def probe_point(i):
         """The i-th probe's ``RunPoint``, built on the first call and then
         the same tuple for every claim."""
-        k = bisect_right(ends, i)  # the i-th probe is of n = n_min + k
-        return RunPoint.of(_probe_points(n_min + k)[i - ends[k] + counts[k]])
+        k = bisect_right(starts, i) - 1  # the i-th probe is of n = n_min + k
+        return RunPoint.of(_probe_points(n_min + k)[i - starts[k]])
 
     folds = []
     for claim_id in _MAXIMIZER_IDS:
@@ -793,7 +791,7 @@ def _limit_verdicts(n_min: int, n_max: int, tolerance: float):
     claim's measure of each uniform(n), as tuples. The last range checked
     is kept, one entry, as in ``_probe_fold``."""
     grid = tuple(_limit_grid(n_min, n_max))
-    at_uniform = [_uniform_measures(n) for n in grid]
+    at_uniform = [constant_measures(1.0 / n, n) for n in grid]
     verdicts = []
     for claim_id in _LIMIT_IDS:
         values = tuple(getattr(m, _MEASURE_FIELD[claim_id]) for m in at_uniform)

@@ -54,7 +54,7 @@ MUTANTS = [
     # measure_terms' log guard lets a zero entry reach the logarithm.
     ("_batch.py", "np.where(x > 0.0, x, 1.0)", "np.where(x >= 0.0, x, 1.0)",
      [PROPERTIES + "test_batched_measures_are_bitwise_equal_to_measure_all"]),
-    # _probes measures each probe point instead of its negation.
+    # _probe_measures measures each probe point instead of its negation.
     ("claims.py", "run_measures([((1.0 - v) / (n - 1), c) for v, c in runs])",
      "run_measures(runs)",
      [PROPERTIES + "test_probe_tuples_equal_the_scalar_points",
@@ -95,12 +95,17 @@ MUTANTS = [
     ("claims.py", "top > self.peak[0]", "top >= self.peak[0]",
      ["tests/test_claims.py::TestReports::test_point_fold_reports_the_first_strict_maximum"]),
     # The fold reads each n's bounds from n + 1's probes.
-    ("claims.py", 'table = np.frombuffer(b"".join([bound for bound, _ in per_n]))',
-     'table = np.frombuffer(b"".join([_probes(n + 1)[0] for n in range(n_min, n_max + 1)]))',
+    ("claims.py", "        table.extend(bound)\n",
+     "        table.extend(_probe_measures(n + 1)[0])\n",
      [RANGES_TEST, FOLD_TEST]),
     # The range's probe fold tallies at a fixed tolerance, not the check's.
     ("claims.py", "tally = _Maximizer(claim_by_id(claim_id), tolerance)",
      "tally = _Maximizer(claim_by_id(claim_id), 1e-9)",
+     ["tests/test_claims.py::TestSeedIndependentCache::"
+      "test_the_range_caches_are_keyed_by_the_tolerance"]),
+    # The range's limit verdicts are taken at a fixed tolerance, not the check's.
+    ("claims.py", "_limit_verdicts(n_min, n_max, tolerance)",
+     "_limit_verdicts(n_min, n_max, 1e-9)",
      ["tests/test_claims.py::TestSeedIndependentCache::"
       "test_the_range_caches_are_keyed_by_the_tolerance"]),
     # claims accepts no check at its sampled-entry bound.

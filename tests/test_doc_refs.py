@@ -87,7 +87,8 @@ def test_each_named_object_exists(where, name):
 
 @pytest.mark.parametrize("name", ["_batch.ProbeBlock", "_batch.probe_block",
                                   "_batch.ProbeRange", "negprob._batch.run_parts",
-                                  "claims._batch_probes", "no_such_module.name"])
+                                  "claims._batch_probes", "claims._probes",
+                                  "claims._uniform_measures", "no_such_module.name"])
 def test_a_name_of_deleted_code_does_not_resolve(name):
     with pytest.raises((AttributeError, ModuleNotFoundError)):
         resolve(name)

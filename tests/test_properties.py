@@ -22,7 +22,6 @@ import random
 import re
 import tracemalloc
 import types
-from array import array
 from fractions import Fraction
 from itertools import accumulate, chain, repeat
 
@@ -74,8 +73,8 @@ from negprob.claims import (
     _Inequality,
     _Maximizer,
     _point_json,
+    _probe_measures,
     _probe_points,
-    _probes,
     check_all,
     claim_by_id,
     reports_to_json,
@@ -254,9 +253,10 @@ def scalar_probes(n):
 
 
 def probe_table(n):
-    """``_probes(n)`` as floats: n's bounds, and each probe's H, VH and VJ."""
-    bound, measured = _probes(n)
-    return np.frombuffer(bound).tolist(), np.frombuffer(measured).reshape(-1, 3).tolist()
+    """``_probe_measures(n)`` as lists: n's bounds, and each probe's H, VH
+    and VJ."""
+    bound, measured = _probe_measures(n)
+    return list(bound), np.reshape(measured, (-1, 3)).tolist()
 
 
 def test_probes_equal_the_exact_rational_reference_for_every_n():
@@ -409,8 +409,8 @@ def test_maximizer_reports_at_wide_n_keep_their_bytes_and_memory():
 
     kwargs = dict(seed=3, trials=20, n_range=(2, MAX_OUTCOMES), claim_ids=("C7", "C8", "C9"))
     check_all(**kwargs)  # warm-up: imports and first-use caches
-    # The range fold is cached too; dropping it makes the traced check fold
-    # the range's probes again, from the warm per-n measures.
+    # The range fold is cached; dropping it makes the traced check measure
+    # and fold the range's probes again.
     claims._probe_fold.cache_clear()
     tracemalloc.start()
     try:
@@ -826,7 +826,6 @@ def test_trial_rows_are_summed_without_the_fsum_fallback(monkeypatch):
     monkeypatch.setattr(batch, "fsum", lambda entries: slow.append(1) or math.fsum(entries))
     monkeypatch.setattr(Rows, "fsums",
                         lambda rows, values: rows_summed.append(len(rows)) or fsums(rows, values))
-    claims._probes.cache_clear()
     claims._probe_fold.cache_clear()
     check_all()
     assert rows_summed == [1_000] * 9
@@ -1164,11 +1163,10 @@ def fake_maximizer_chunk(k, ns, triples):
 
 
 def fake_probes(probes):
-    """``_probes`` for the n whose probes are the triples probes[n]: the
-    bounds of n are ln n and the VH and VJ of its first triple."""
+    """``_probe_measures`` for the n whose probes are the triples probes[n]:
+    the bounds of n are ln n and the VH and VJ of its first triple."""
     def per_n(n):
-        bound = (math.log(n), *probes[n][0][1:])
-        return array("d", bound).tobytes(), array("d", chain(*probes[n])).tobytes()
+        return (math.log(n), *probes[n][0][1:]), list(chain(*probes[n]))
     return per_n
 
 
@@ -1212,7 +1210,7 @@ def test_maximizer_fold_with_bound_tables_equals_the_per_n_fold(inputs, toleranc
     claims._probe_fold.cache_clear()
     try:
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(claims, "_probes", fake_probes(every))
+            patch.setattr(claims, "_probe_measures", fake_probes(every))
             patch.setattr(claims, "_probe_points", probe_points)
             patch.setattr(batch, "trial_chunks", fake_chunks)
             got = claims.check_all(seed=0, trials=trials, n_range=(n_min, n_max),
